@@ -18,7 +18,7 @@ Run:  python demos/dephasing_sudden_death.py
 
 import numpy as np
 
-from zenotraj import DephasingParams, SpectralDensity, TimeGrid, dephasing_factors
+from zenotraj import DephasingParams, Ohmic, TimeGrid, dephasing_factors
 
 ETA = 1.0 / 3.0
 
@@ -27,7 +27,7 @@ def main():
     print(__doc__)
 
     # -- Ohmic bath (s = 1): sudden death for (N, n) = (3, 1) ----------------
-    params = DephasingParams(SpectralDensity.ohmic(ETA, s=1.0, omega_c=1.0))
+    params = DephasingParams(Ohmic(ETA, s=1.0, omega_c=1.0))
     grid = TimeGrid(0.0, 0.02, 201)   # omega_c t in [0, 4]
     factors = dephasing_factors(params, grid, 3, 1)
 
@@ -41,7 +41,7 @@ def main():
           "sqrt(phi) = 2/3 is sqrt(19/8) = 1.5411.\n")
 
     # -- super-Ohmic bath (s = 4): trapping and its enhancement --------------
-    params4 = DephasingParams(SpectralDensity.ohmic(ETA, s=4.0, omega_c=1.0))
+    params4 = DephasingParams(Ohmic(ETA, s=4.0, omega_c=1.0))
     grid4 = TimeGrid(0.0, 0.2, 1001)   # omega_c t in [0, 200]
     factors4 = dephasing_factors(params4, grid4, 3, 0)
 

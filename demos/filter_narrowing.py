@@ -16,7 +16,7 @@ import numpy as np
 
 from zenotraj import (
     FilterSpec,
-    SpectralDensity,
+    GaussianPeak,
     decay_factor_overlap,
     filter_diss,
     filter_traditional_zeno,
@@ -43,7 +43,7 @@ def main():
     print("-> the superposed width is N-independent; the pulsed width is ~N x wider.\n")
 
     # -- weight: overlap decay factor for a detuned Gaussian environment -----
-    j = SpectralDensity.gaussian_peak(1.5, 0.2)
+    j = GaussianPeak(1.5, 0.2)
     print("overlap decay factor gamma(N) for a Gaussian bath peaked at w = 1.5:")
     print(f"{'N':>4s} {'gamma(N)':>16s} {'N * gamma(N)':>16s}")
     for n in (1, 2, 4, 8, 16):

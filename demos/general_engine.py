@@ -17,9 +17,10 @@ import numpy as np
 
 from zenotraj import (
     DephasingParams,
-    PhaseProfile,
+    InterferometerConfig,
+    Lorentzian,
+    Ohmic,
     QubitState,
-    SpectralDensity,
     dephasing_coupling_model,
     dephasing_exponent,
     dissipative_coupling_model,
@@ -29,7 +30,7 @@ from zenotraj import (
     perturbative_consistency,
 )
 
-LORENTZIAN = SpectralDensity.lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
+LORENTZIAN = Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
 
 
 def main():
@@ -38,7 +39,7 @@ def main():
     # -- identity 1: energy-exchange coupling -> sinc^2 filter ---------------
     model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
     omega = np.linspace(-2.0, 4.0, 13)
-    profile = PhaseProfile.binary(3, 1)
+    profile = InterferometerConfig(3, n_shifts=1)
     engine = general_filter(model, QubitState.excited(), omega, 0.5, profile)
     closed = filter_diss(omega, 0.5, 3, 1, 1.0)
     print("energy-exchange filter, (N, n) = (3, 1), t = 0.5:")
@@ -46,10 +47,11 @@ def main():
           f"{float(np.max(np.abs(engine - closed) / closed)):.2e}")
 
     # -- identity 2: longitudinal coupling -> half the dephasing exponent ----
-    ohmic = SpectralDensity.ohmic(1.0 / 3.0, s=1.0, omega_c=1.0)
+    ohmic = Ohmic(1.0 / 3.0, s=1.0, omega_c=1.0)
     deph = dephasing_coupling_model(ohmic)
     t = 1.0
-    gamma_engine = general_decay_factor(deph, QubitState.plus(), t, PhaseProfile.binary(1, 0))
+    gamma_engine = general_decay_factor(deph, QubitState.plus(), t,
+                                        InterferometerConfig(1, n_shifts=0))
     gamma_closed = 0.5 * dephasing_exponent(DephasingParams(ohmic), t)
     print(f"\nlongitudinal coupling, single path, t = {t}:")
     print(f"  engine decay factor: {gamma_engine:.15f}")

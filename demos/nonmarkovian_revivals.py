@@ -17,8 +17,8 @@ import numpy as np
 
 from zenotraj import (
     TimeGrid,
-    cp_divisible_choi,
     decay_amplitude_closed_series,
+    is_cp_divisible,
     trace_distance_diss,
 )
 
@@ -39,7 +39,7 @@ def report(label, lam, grid):
         else:
             print(f"  (N,n)=({n_paths},{n_shifts}): distance is monotone "
                   f"(max step {np.max(np.diff(d)):+.2e})")
-    divisible, t_violation, _ = cp_divisible_choi(g, 3, 1)
+    divisible, t_violation = is_cp_divisible(g)
     if divisible:
         print("  intermediate map: CP at every step (divisible)\n")
     else:

@@ -11,12 +11,15 @@ CP-divisibility diagnostics, plus a CLI for reproducible data generation.
 """
 
 from .core import (
+    GaussianPeak,
     InterferometerConfig,
+    Lorentzian,
+    Ohmic,
     PathBlockMatrix,
     QubitState,
     SpectralDensity,
+    Tabulated,
     binary_phases,
-    eval_spectral_density,
     normalize,
     phase_pair_sum,
     phase_weights,
@@ -33,7 +36,6 @@ from .dephasing import (
     modified_dephasing,
     postselected_state_deph,
     single_path_factor,
-    trace_distance_deph,
 )
 from .dicke import (
     CollectiveRateMatrix,
@@ -50,8 +52,6 @@ from .dicke import (
 from .dissipative import (
     DecayAmplitude,
     MemoryKernel,
-    choi_intermediate_map,
-    cp_divisible_choi,
     decay_amplitude,
     decay_amplitude_auto,
     decay_amplitude_closed_series,
@@ -91,13 +91,11 @@ from .numerics import (
 )
 from .perturbation import (
     CouplingModel,
-    PhaseProfile,
     dephasing_coupling_model,
     dissipative_coupling_model,
     general_decay_factor,
     general_filter,
     interaction_picture_operator,
-    phase_pair_sum_from_profile,
     second_order_block,
 )
 
@@ -107,6 +105,10 @@ __all__ = [
     "__version__",
     # shared domain types and post-selection algebra
     "SpectralDensity",
+    "Lorentzian",
+    "Ohmic",
+    "GaussianPeak",
+    "Tabulated",
     "InterferometerConfig",
     "QubitState",
     "PathBlockMatrix",
@@ -117,7 +119,6 @@ __all__ = [
     "postselect_general",
     "superpose_identical",
     "normalize",
-    "eval_spectral_density",
     "trace_distance",
     # errors
     "ZenoTrajError",
@@ -145,9 +146,7 @@ __all__ = [
     "survival_probability_diss",
     "decay_factor",
     "trace_distance_diss",
-    "choi_intermediate_map",
     "is_cp_divisible",
-    "cp_divisible_choi",
     # dephasing model
     "DephasingParams",
     "DephasingFactors",
@@ -155,7 +154,6 @@ __all__ = [
     "single_path_factor",
     "modified_dephasing",
     "postselected_state_deph",
-    "trace_distance_deph",
     "dephasing_factors",
     # filters and overlap integrals
     "FilterSpec",
@@ -179,12 +177,10 @@ __all__ = [
     "superposed_initial_state",
     # general perturbative engine
     "CouplingModel",
-    "PhaseProfile",
     "dissipative_coupling_model",
     "dephasing_coupling_model",
     "interaction_picture_operator",
     "second_order_block",
     "general_filter",
     "general_decay_factor",
-    "phase_pair_sum_from_profile",
 ]

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import __version__
-from .core import QubitState, SpectralDensity
+from .core import GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitState
 from .dephasing import (
     DephasingParams,
     dephasing_exponent,
@@ -52,7 +52,7 @@ from .dissipative import (
 from .errors import ConfigError, NumericError, ZenoTrajError
 from .filters import FilterSpec, decay_factor_overlap, filter_deph, filter_diss, filter_traditional_zeno
 from .numerics import TimeGrid
-from .perturbation import PhaseProfile, dissipative_coupling_model, general_filter
+from .perturbation import dissipative_coupling_model, general_filter
 
 __all__ = ["RunConfig", "ResultTable", "parse_config", "run", "emit", "main"]
 
@@ -253,6 +253,9 @@ def _load_config_file(path, scenario, allowed):
 
 
 def _validate(scenario, params, recipe):
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     n_paths, n_shifts = params.get("N"), params.get("n")
     if n_paths is not None:
         if n_paths < 1:
@@ -322,21 +325,10 @@ def parse_config(argv=None):
 def _spectral_density(params):
     kind = params.get("spectral", "lorentzian")
     if kind == "lorentzian":
-        return SpectralDensity.lorentzian(
-            gamma0=params["gamma0"], lam=params["lam"], omega_q=params["omega_q"])
+        return Lorentzian(params["gamma0"], params["lam"], params["omega_q"])
     if kind == "ohmic":
-        return SpectralDensity.ohmic(
-            eta=params["eta"], s=params["s"], omega_c=params["omega_c"])
-    return SpectralDensity.gaussian_peak(
-        omega_m=params["omega_m"], delta=params["delta"])
-
-
-def _fanout(jobs):
-    """Run independent column jobs on a worker pool, merged in given order."""
-    if len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        return list(pool.map(lambda job: job(), jobs))
+        return Ohmic(params["eta"], params["s"], params["omega_c"])
+    return GaussianPeak(params["omega_m"], params["delta"])
 
 
 def _base_metadata(config, units_note):
@@ -362,10 +354,8 @@ def _run_filter(config):
     if config.recipe == "fig2":
         cols = ["omega", "j", "f_N1", "f_N4", "f_N8",
                 "f_tilde_N1", "f_tilde_N4", "f_tilde_N8"]
-        jobs = [lambda N=N: filter_diss(grid, t, N, 0, omega_q) for N in (1, 4, 8)]
-        jobs += [lambda nt=nt: filter_traditional_zeno(grid, t, nt, omega_q)
-                 for nt in (1.0, 4.0, 8.0)]
-        series = _fanout(jobs)
+        series = [filter_diss(grid, t, N, 0, omega_q) for N in (1, 4, 8)]
+        series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
         values = np.column_stack([grid, j(grid)] + series)
         return ResultTable(cols, values, units, meta)
     kind = p["kind"]
@@ -383,7 +373,7 @@ def _run_dynamics_diss(config):
     p = config.params
     units = "omega_q = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = _spectral_density({**p, "spectral": "lorentzian"})
+    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
     g = decay_amplitude_auto(j, p["omega_q"], grid)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
@@ -400,7 +390,7 @@ def _run_dynamics_deph(config):
     p = config.params
     units = "omega_c = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = SpectralDensity.ohmic(eta=p["eta"], s=p["s"], omega_c=p["omega_c"])
+    j = Ohmic(p["eta"], p["s"], p["omega_c"])
     params = DephasingParams(j, temperature=p["temperature"])
     factors = dephasing_factors(params, grid, p["N"], p["n"]).validate()
     meta = _base_metadata(config, units)
@@ -427,9 +417,7 @@ def _run_dicke(config):
     meta["collective_factor"] = s
     x_axis = gamma0 * times
     if config.recipe == "fig3":
-        jobs = [lambda n=n: excited_population_analytic(times, 3, n, gamma0, s)
-                for n in (0, 1)]
-        pe0, pe1 = _fanout(jobs)
+        pe0, pe1 = (excited_population_analytic(times, 3, n, gamma0, s) for n in (0, 1))
         values = np.column_stack([
             x_axis, pe0, pe1,
             np.exp(-gamma0 * (1.0 + s) * times),
@@ -457,11 +445,9 @@ def _run_nonmarkov(config):
     if p["model"] == "diss":
         units = "omega_q = 1 sets the clock"
         grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-        j = SpectralDensity.lorentzian(
-            gamma0=p["gamma0"], lam=p["lam"], omega_q=p["omega_q"])
+        j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
         g = decay_amplitude_auto(j, p["omega_q"], grid)
-        jobs = [lambda N=N, n=n: trace_distance_diss(g.values, N, n) for N, n in pairs]
-        columns = _fanout(jobs)
+        columns = [trace_distance_diss(g.values, N, n) for N, n in pairs]
         meta = _base_metadata(config, units)
         meta["g_route"] = g.source
         divisible, violation = is_cp_divisible(g)
@@ -473,7 +459,7 @@ def _run_nonmarkov(config):
 
     units = "omega_c = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = SpectralDensity.ohmic(eta=p["eta"], s=p["s"], omega_c=p["omega_c"])
+    j = Ohmic(p["eta"], p["s"], p["omega_c"])
     params = DephasingParams(j, temperature=p["temperature"])
     # phi is (N, n)-independent; all modified factors derive from one series
     base = dephasing_factors(params, grid, 1, 0)
@@ -507,10 +493,9 @@ def _deph_landmarks(params, base, grid):
 def _run_perturbation(config):
     p = config.params
     units = "omega_q = 1 sets the clock"
-    j = SpectralDensity.lorentzian(
-        gamma0=p["gamma0"], lam=p["lam"], omega_q=p["omega_q"])
+    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
     model = dissipative_coupling_model(j, omega_q=p["omega_q"])
-    profile = PhaseProfile.binary(p["N"], p["n"])
+    profile = InterferometerConfig(p["N"], n_shifts=p["n"])
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
     t = p["t"]
     general = general_filter(model, QubitState.excited(), grid, t, profile)

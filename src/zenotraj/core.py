@@ -13,7 +13,7 @@ R(N, n) = (N - 2n)²/N² for binary phase profiles with n shifts of π.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .numerics import min_eigenvalue_hermitian
 
 __all__ = [
     "SpectralDensity",
+    "Lorentzian",
+    "Ohmic",
+    "GaussianPeak",
+    "Tabulated",
     "InterferometerConfig",
     "QubitState",
     "PathBlockMatrix",
@@ -32,7 +36,6 @@ __all__ = [
     "postselect_general",
     "superpose_identical",
     "normalize",
-    "eval_spectral_density",
     "trace_distance",
 ]
 
@@ -41,94 +44,119 @@ __all__ = [
 # spectral densities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SpectralDensity:
     """Coupling spectrum J(ω) ≥ 0 on [0, omega_max], zero outside.
 
-    Use the classmethod constructors; ``scale`` is an overall multiplier used
-    for coupling-strength rescaling (J → ε²J leaves the shape untouched).
+    Each family subclass supplies the shape of J and a default
+    ``omega_max``; ``scale`` is an overall multiplier used for
+    coupling-strength rescaling (J → ε²J leaves the shape untouched).
     """
 
-    variant: str
-    params: dict
-    omega_max: float
+    omega_max: float | None = None
     scale: float = 1.0
 
-    @classmethod
-    def lorentzian(cls, gamma0, lam, omega_q, omega_max=None):
-        if gamma0 <= 0 or lam <= 0:
-            raise ValueError("Lorentzian needs gamma0 > 0 and lam > 0")
-        if omega_max is None:
-            omega_max = omega_q + 50.0 * lam
-        return cls("lorentzian", {"gamma0": float(gamma0), "lam": float(lam),
-                                  "omega_q": float(omega_q)}, float(omega_max))
+    def _resolve(self, default_omega_max):
+        """Fill in the default omega_max and store scalar fields as floats."""
+        if self.omega_max is None:
+            object.__setattr__(self, "omega_max", default_omega_max)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, np.ndarray):
+                object.__setattr__(self, f.name, float(value))
 
-    @classmethod
-    def ohmic(cls, eta, s, omega_c, omega_max=None):
-        if eta <= 0 or s <= 0 or omega_c <= 0:
-            raise ValueError("Ohmic needs eta, s, omega_c > 0")
-        if omega_max is None:
-            omega_max = 50.0 * omega_c
-        return cls("ohmic", {"eta": float(eta), "s": float(s),
-                             "omega_c": float(omega_c)}, float(omega_max))
+    def scaled(self, factor):
+        """Same spectrum multiplied by ``factor`` (e.g. ε² coupling rescaling)."""
+        if factor < 0:
+            raise ValueError("scale factor must be non-negative")
+        return replace(self, scale=self.scale * float(factor))
 
-    @classmethod
-    def gaussian_peak(cls, omega_m, delta, omega_max=None):
-        if delta <= 0:
-            raise ValueError("GaussianPeak needs delta > 0")
-        if omega_max is None:
-            omega_max = omega_m + 12.0 * math.sqrt(delta)
-        return cls("gaussian_peak", {"omega_m": float(omega_m),
-                                     "delta": float(delta)}, float(omega_max))
-
-    @classmethod
-    def tabulated(cls, omega, values, omega_max=None):
+    def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
-        values = np.asarray(values, dtype=float)
+        raw = self._shape(omega)
+        out = self.scale * np.where((omega >= 0) & (omega <= self.omega_max), raw, 0.0)
+        return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class Lorentzian(SpectralDensity):
+    """γ₀λ²/(2π[(ω_q − ω)² + λ²]), cut at ω_q + 50λ by default."""
+
+    gamma0: float
+    lam: float
+    omega_q: float
+
+    def __post_init__(self):
+        if self.gamma0 <= 0 or self.lam <= 0:
+            raise ValueError("Lorentzian needs gamma0 > 0 and lam > 0")
+        self._resolve(self.omega_q + 50.0 * self.lam)
+
+    def _shape(self, omega):
+        return (self.gamma0 * self.lam ** 2 / (2.0 * np.pi)
+                / ((self.omega_q - omega) ** 2 + self.lam ** 2))
+
+
+@dataclass(frozen=True)
+class Ohmic(SpectralDensity):
+    """η ω^s ω_c^{1−s} e^{−ω/ω_c} (s < 1 sub-, s > 1 super-Ohmic), cut at 50ω_c."""
+
+    eta: float
+    s: float
+    omega_c: float
+
+    def __post_init__(self):
+        if self.eta <= 0 or self.s <= 0 or self.omega_c <= 0:
+            raise ValueError("Ohmic needs eta, s, omega_c > 0")
+        self._resolve(50.0 * self.omega_c)
+
+    def _shape(self, omega):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                omega > 0,
+                self.eta * omega ** self.s * self.omega_c ** (1.0 - self.s)
+                * np.exp(-omega / self.omega_c),
+                0.0,
+            )
+
+
+@dataclass(frozen=True)
+class GaussianPeak(SpectralDensity):
+    """e^{−(ω − ω_m)²/δ}, cut at ω_m + 12√δ by default."""
+
+    omega_m: float
+    delta: float
+
+    def __post_init__(self):
+        if self.delta <= 0:
+            raise ValueError("GaussianPeak needs delta > 0")
+        self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
+
+    def _shape(self, omega):
+        return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
+
+
+@dataclass(frozen=True)
+class Tabulated(SpectralDensity):
+    """Piecewise-linear J through (omega, values), zero beyond the table."""
+
+    omega: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        omega = np.asarray(self.omega, dtype=float)
+        values = np.asarray(self.values, dtype=float)
         if omega.ndim != 1 or omega.shape != values.shape or omega.size < 2:
             raise ValueError("tabulated J needs matching 1-d omega/value arrays")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("tabulated omega grid must be strictly increasing")
         if np.any(values < 0):
             raise ValueError("tabulated J must be non-negative")
-        if omega_max is None:
-            omega_max = float(omega[-1])
-        return cls("tabulated", {"omega": omega, "values": values}, float(omega_max))
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "values", values)
+        self._resolve(omega[-1])
 
-    def scaled(self, factor):
-        """Same spectrum multiplied by ``factor`` (e.g. ε² coupling rescaling)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return SpectralDensity(self.variant, self.params, self.omega_max,
-                               self.scale * float(factor))
-
-    def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        p = self.params
-        if self.variant == "lorentzian":
-            raw = (p["gamma0"] * p["lam"] ** 2 / (2.0 * np.pi)
-                   / ((p["omega_q"] - omega) ** 2 + p["lam"] ** 2))
-        elif self.variant == "ohmic":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                raw = np.where(
-                    omega > 0,
-                    p["eta"] * omega ** p["s"] * p["omega_c"] ** (1.0 - p["s"])
-                    * np.exp(-omega / p["omega_c"]),
-                    0.0,
-                )
-        elif self.variant == "gaussian_peak":
-            raw = np.exp(-(omega - p["omega_m"]) ** 2 / p["delta"])
-        elif self.variant == "tabulated":
-            raw = np.interp(omega, p["omega"], p["values"], left=0.0, right=0.0)
-        else:  # pragma: no cover - constructors prevent this
-            raise ValueError(f"unknown spectral density variant {self.variant!r}")
-        out = self.scale * np.where((omega >= 0) & (omega <= self.omega_max), raw, 0.0)
-        return out if out.ndim else float(out)
-
-
-def eval_spectral_density(j, omega):
-    """J(ω) with truncation to zero outside [0, omega_max]."""
-    return j(omega)
+    def _shape(self, omega):
+        return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +209,11 @@ def phase_pair_sum(phases):
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """N interferometer paths with either a binary phase count or a phase vector."""
+    """Phase profile the N-path register is post-selected on.
+
+    Either a binary profile (``n_shifts`` paths shifted by π) or an explicit
+    phase vector; only phase differences enter the dynamics.
+    """
 
     n_paths: int
     n_shifts: int | None = None

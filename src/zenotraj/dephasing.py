@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitState, r_factor
+from .core import Ohmic, QubitState, r_factor
 from .errors import NumericError
 from .numerics import TimeGrid, gauss_legendre_panels, integrate_adaptive
 
@@ -33,7 +33,6 @@ __all__ = [
     "single_path_factor",
     "modified_dephasing",
     "postselected_state_deph",
-    "trace_distance_deph",
     "dephasing_factors",
 ]
 
@@ -81,7 +80,7 @@ def _coth_factor(x):
 
 
 def _check_infrared(j, temperature):
-    if temperature > 0 and j.variant == "ohmic" and j.params["s"] < 1.0:
+    if temperature > 0 and isinstance(j, Ohmic) and j.s < 1.0:
         raise NumericError(
             "dephasing exponent diverges: sub-Ohmic spectral density at "
             "finite temperature has an infrared-divergent thermal integrand"
@@ -194,12 +193,6 @@ def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     m_t[1, 0] *= phi_t
     out = m_t / n_paths + (r - 1.0 / n_paths) * np.sqrt(phi_t) * m0
     return QubitState(out)
-
-
-def trace_distance_deph(phi_mod):
-    """Distance |Phi| between the post-selected states grown from |+-><+-|."""
-    out = np.abs(np.asarray(phi_mod, dtype=float))
-    return float(out) if out.ndim == 0 else out
 
 
 def dephasing_factors(params, grid, n_paths, n_shifts):

@@ -44,6 +44,10 @@ __all__ = [
 # collective matrix can never fall below it
 _SINC_FLOOR = -0.2173
 
+# classical RK4 is stable on the negative real axis for h*|lambda| up to the
+# real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, z = -2.7852935634...
+_RK4_REAL_STABILITY = 2.785293563405282
+
 
 @dataclass(frozen=True)
 class Geometry:
@@ -184,12 +188,6 @@ def dicke_rates_two_atom(gamma0, qd):
     return gamma0 * (1.0 + s), gamma0 * (1.0 - s)
 
 
-def _sandwich_weights(rates):
-    """(M, K-projector slices) helper shared by the generator."""
-    n = rates.n_sites
-    return rates.matrix, n
-
-
 def build_master_generator(rates):
     """Linear map rho -> d rho/dt for the collective equation.
 
@@ -198,8 +196,7 @@ def build_master_generator(rates):
     asserted on a seeded random Hermitian matrix at build time and the build
     aborts with a diagnostic if it fails.
     """
-    m, n = _sandwich_weights(rates)
-    gamma0 = rates.gamma0
+    m, n, gamma0 = rates.matrix, rates.n_sites, rates.gamma0
     dim = 2 * n
 
     def rhs(rho):
@@ -235,7 +232,16 @@ def superposed_initial_state(n_paths):
 
 
 def evolve_collective(rates, rho0, grid):
-    """RK4 evolution of a ControlQubitState under the collective generator."""
+    """RK4 evolution of a ControlQubitState under the collective generator.
+
+    The generator's spectrum is {0, -Gamma0/2, -Gamma0}, so a step with
+    Gamma0*dt beyond RK4's real-axis stability limit would amplify instead
+    of damp; such a grid raises NumericError.
+    """
+    if rates.gamma0 * grid.dt > _RK4_REAL_STABILITY:
+        raise NumericError(
+            f"RK4 step is unstable: gamma0*dt = {rates.gamma0 * grid.dt:g} exceeds "
+            f"the real-axis stability limit {_RK4_REAL_STABILITY:.4f}; use more steps")
     if isinstance(rho0, ControlQubitState):
         rho0 = rho0.matrix
     rho0 = np.asarray(rho0, dtype=complex)

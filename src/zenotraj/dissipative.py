@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitState, r_factor
-from .errors import NullOutcome, NumericError
+from .core import Lorentzian, QubitState, r_factor
+from .errors import NullOutcome
 from .numerics import (
     ComplexSeries,
     TimeGrid,
     integrate_adaptive,
-    min_eigenvalue_hermitian,
     solve_volterra,
 )
 
@@ -36,9 +35,7 @@ __all__ = [
     "survival_probability_diss",
     "decay_factor",
     "trace_distance_diss",
-    "choi_intermediate_map",
     "is_cp_divisible",
-    "cp_divisible_choi",
 ]
 
 # Phase span across the quadrature window beyond which the oscillatory
@@ -171,9 +168,8 @@ def decay_amplitude_auto(j, omega_q, grid):
     the truncated half-line kernel to better than 1e-3 relative. Otherwise
     the numeric Volterra route is taken.
     """
-    if j.variant == "lorentzian" and j.params["lam"] <= 0.02 * omega_q:
-        return decay_amplitude_closed_series(j.params["gamma0"] * j.scale,
-                                             j.params["lam"], grid)
+    if isinstance(j, Lorentzian) and j.lam <= 0.02 * omega_q:
+        return decay_amplitude_closed_series(j.gamma0 * j.scale, j.lam, grid)
     return decay_amplitude(j, omega_q, grid)
 
 
@@ -240,76 +236,27 @@ def trace_distance_diss(g_t, n_paths, n_shifts):
 
 
 # ---------------------------------------------------------------------------
-# intermediate maps and divisibility
+# divisibility
 # ---------------------------------------------------------------------------
-
-def choi_intermediate_map(g_t, g_t_tau, n_paths, n_shifts):
-    """Choi matrix of the intermediate conditional map between t and t+τ.
-
-    With r = G(t+τ)/G(t) and N̄ = N/(N-2n)², the nonzero entries are
-    (1,1) = 1, (1,4) = r*, (4,1) = r, (4,4) = |r|², (2,2) = N̄(1-|r|²).
-    The map is completely positive iff |r| ≤ 1, i.e. iff |G| did not grow.
-    """
-    if 2 * n_shifts == n_paths:
-        raise ValueError("intermediate map undefined for the null configuration")
-    if abs(g_t) < 1e-14:
-        raise NumericError("intermediate map undefined where |G(t)| vanishes")
-    r = g_t_tau / g_t
-    nbar = n_paths / (n_paths - 2 * n_shifts) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    m[0, 3] = np.conj(r)
-    m[3, 0] = r
-    m[3, 3] = abs(r) ** 2
-    m[1, 1] = nbar * (1.0 - abs(r) ** 2)
-    return m
-
-
-def _default_derivative_tol(g2):
-    return 1e-9 * float(np.max(g2))
-
 
 def is_cp_divisible(g, tol=None):
     """CP divisibility of the conditional dissipative dynamics.
 
     The family of (trace-non-increasing) intermediate maps is completely
-    positive exactly while d|G(t)|²/dt ≤ 0; the check uses pairwise
-    differences on the grid (the centered derivative at each midpoint).
+    positive exactly while d|G(t)|²/dt ≤ 0: the sole possibly-negative Choi
+    eigenvalue of the map from t to t+τ is N̄(1-|G(t+τ)/G(t)|²) with
+    N̄ = N/(N-2n)², so the verdict does not depend on (N, n).  The check uses
+    pairwise differences on the grid (the centered derivative at each
+    midpoint) against ``tol``, by default 1e-9·max|G|².
     Returns (divisible, first_violation_time or None).
     """
     g2 = np.abs(g.values) ** 2
     dt = g.grid.dt
     if tol is None:
-        tol = _default_derivative_tol(g2)
+        tol = 1e-9 * float(np.max(g2))
     deriv = np.diff(g2) / dt
     bad = np.nonzero(deriv > tol)[0]
     if bad.size == 0:
         return True, None
     k = int(bad[0])
     return False, float(g.grid.times[k] + 0.5 * dt)
-
-
-def cp_divisible_choi(g, n_paths=1, n_shifts=0, tol=None):
-    """Divisibility via the Choi eigenvalue of every consecutive grid pair.
-
-    Equivalent to the derivative criterion: the sole possibly-negative Choi
-    eigenvalue is N̄(1-|r|²) ≈ -N̄·Δ|G|²/|G|², so the derivative tolerance is
-    mapped onto the eigenvalue scale pair by pair. Returns the same tuple as
-    :func:`is_cp_divisible` plus the per-pair boolean array.
-    """
-    g2 = np.abs(g.values) ** 2
-    dt = g.grid.dt
-    if tol is None:
-        tol = _default_derivative_tol(g2)
-    nbar = n_paths / (n_paths - 2 * n_shifts) ** 2
-    ok = np.empty(g2.size - 1, dtype=bool)
-    for k in range(g2.size - 1):
-        choi = choi_intermediate_map(g.values[k], g.values[k + 1],
-                                     n_paths, n_shifts)
-        eig_tol = nbar * tol * dt / g2[k]
-        ok[k] = min_eigenvalue_hermitian(choi) >= -eig_tol
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return True, None, ok
-    k = int(bad[0])
-    return False, float(g.grid.times[k] + 0.5 * dt), ok

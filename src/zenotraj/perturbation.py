@@ -17,25 +17,23 @@ coupling reproduces the (1 - cos wt)/w^2 shape up to an overall constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .core import QubitState, binary_phases, phase_weights
+from .core import QubitState, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
 from .numerics import integrate_adaptive
 
 __all__ = [
     "CouplingModel",
-    "PhaseProfile",
     "dissipative_coupling_model",
     "dephasing_coupling_model",
     "interaction_picture_operator",
     "second_order_block",
     "general_filter",
     "general_decay_factor",
-    "phase_pair_sum_from_profile",
 ]
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,36 +41,6 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _GL_ORDER = 10
-
-
-@dataclass(frozen=True)
-class PhaseProfile:
-    """Per-path phases; only differences ever enter the dynamics."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.phases, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("phases must be a non-empty vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("phase entries must be finite")
-        object.__setattr__(self, "phases", p)
-
-    @property
-    def n_paths(self):
-        return self.phases.size
-
-    @classmethod
-    def binary(cls, n_paths, n_shifts):
-        return cls(binary_phases(n_paths, n_shifts))
-
-
-def phase_pair_sum_from_profile(profile):
-    """sum_{k,l} e^{-i(phi_k - phi_l)} = |sum_k e^{-i phi_k}|^2 (real, >= 0)."""
-    w = phase_weights(profile.phases)
-    total = np.sum(w)
-    return float((total * total.conjugate()).real)
 
 
 @dataclass(frozen=True)
@@ -264,16 +232,16 @@ def _filter_mesh(model, psi0, t):
     return T1, T2, W, sandwich
 
 
-def general_filter(model, psi0, omega, t, phases, path_index=0):
+def general_filter(model, psi0, omega, t, config, path_index=0):
     """F(w, t, N, phases): the leakage filter of the post-selected dynamics.
 
-    ``phases`` is a PhaseProfile (its length sets N).  Returns a real scalar
-    for scalar ``omega`` or an ndarray for an ndarray ``omega``.
+    ``config`` is the InterferometerConfig the path register is post-selected
+    on.  Returns a real scalar for scalar ``omega`` or an ndarray for an
+    ndarray ``omega``.
     """
-    profile = phases if isinstance(phases, PhaseProfile) else PhaseProfile(phases)
-    pair_sum = phase_pair_sum_from_profile(profile)
-    if pair_sum < 1e-12:
+    if config.is_null:
         raise NullOutcome("null phase profile: the post-selection weight vanishes")
+    pair_sum = phase_pair_sum(config.phase_vector)
     if t < 0:
         raise ValueError("t must be >= 0")
     scalar = np.ndim(omega) == 0
@@ -281,7 +249,7 @@ def general_filter(model, psi0, omega, t, phases, path_index=0):
     if t == 0.0:
         out = np.zeros_like(w_arr)
         return float(out[0]) if scalar else out
-    n_paths = profile.n_paths
+    n_paths = config.n_paths
     T1, T2, W, sandwich = _filter_mesh(model, psi0, t)
     acc = np.zeros(w_arr.size, dtype=complex)
     n_ops = len(model.operators)
@@ -293,23 +261,23 @@ def general_filter(model, psi0, omega, t, phases, path_index=0):
     return float(out[0]) if scalar else out
 
 
-def general_decay_factor(model, psi0, t, phases, rel_tol=1e-9):
+def general_decay_factor(model, psi0, t, config, rel_tol=1e-9):
     """Average over paths of int dw J_i(w) F_i(w, t, N, phases).
 
-    With identical spectral densities this is a single overlap integral.
+    ``config`` is the InterferometerConfig of the post-selection.  With
+    identical spectral densities this is a single overlap integral.
     """
-    profile = phases if isinstance(phases, PhaseProfile) else PhaseProfile(phases)
     if t == 0.0:
         return 0.0
-    n_paths = profile.n_paths
+    n_paths = config.n_paths
     js = model.spectral_densities
     if len(js) not in (1, n_paths):
         raise ValueError("spectral_densities must have one entry or one per path")
 
     # the filter mesh is J-independent; reuse it across paths
-    pair_sum = phase_pair_sum_from_profile(profile)
-    if pair_sum < 1e-12:
+    if config.is_null:
         raise NullOutcome("null phase profile: the post-selection weight vanishes")
+    pair_sum = phase_pair_sum(config.phase_vector)
     T1, T2, W, sandwich = _filter_mesh(model, psi0, t)
     n_ops = len(model.operators)
 

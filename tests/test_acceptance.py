@@ -18,9 +18,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from choi_oracle import cp_divisible_choi
 from zenotraj.core import (
+    GaussianPeak,
+    InterferometerConfig,
+    Lorentzian,
+    Ohmic,
     QubitState,
-    SpectralDensity,
     binary_phases,
     normalize,
     phase_pair_sum,
@@ -39,7 +43,6 @@ from zenotraj.dicke import (
     superposed_initial_state,
 )
 from zenotraj.dissipative import (
-    cp_divisible_choi,
     decay_amplitude_closed_series,
     postselected_state_diss,
     trace_distance_diss,
@@ -54,7 +57,6 @@ from zenotraj.filters import (
 )
 from zenotraj.numerics import TimeGrid
 from zenotraj.perturbation import (
-    PhaseProfile,
     dissipative_coupling_model,
     general_filter,
 )
@@ -77,7 +79,7 @@ def test_criterion_01_decay_factor_scales_as_one_over_n():
     qubit line; the whole scan must finish within one second.
     """
     start = time.perf_counter()
-    j = SpectralDensity.gaussian_peak(1.5, 0.2)
+    j = GaussianPeak(1.5, 0.2)
     gamma = {
         n_paths: decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, n_paths, 0))
         for n_paths in (1, 2, 4, 8, 16)
@@ -126,7 +128,7 @@ def test_criterion_03_overlap_vs_exact_dynamics_converges_quadratically():
     omega_q * t = 0.2; under ten seconds total.
     """
     start = time.perf_counter()
-    j = SpectralDensity.lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
+    j = Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
     mismatch = {}
     for eps in (0.2, 0.1, 0.05):
         gamma_exact, gamma_overlap = perturbative_consistency(
@@ -278,7 +280,7 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
     positive plateau whose variation over the final time decade is below
     1e-4.
     """
-    params = DephasingParams(SpectralDensity.ohmic(1.0 / 3.0, s=1.0, omega_c=1.0))
+    params = DephasingParams(Ohmic(1.0 / 3.0, s=1.0, omega_c=1.0))
 
     def phi_at(t):
         return dephasing_factors(params, TimeGrid(0.0, t / 2.0, 3), 1, 0).phi[-1]
@@ -300,7 +302,7 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
         _register(postselected_state_deph(PLUS, factors.phi[k], 3, 1))
         _register(postselected_state_deph(PLUS, factors.phi[k], 3, 0))
 
-    params4 = DephasingParams(SpectralDensity.ohmic(1.0 / 3.0, s=4.0, omega_c=1.0))
+    params4 = DephasingParams(Ohmic(1.0 / 3.0, s=4.0, omega_c=1.0))
     grid4 = TimeGrid(0.0, 0.2, 1001)
     factors4 = dephasing_factors(params4, grid4, 3, 0)
     tail = grid4.times >= 20.0
@@ -320,13 +322,13 @@ def test_criterion_10_general_engine_identities():
     and the binary phase pair sum equals (N - 2n)^2 exactly for every
     configuration with N <= 10.
     """
-    j = SpectralDensity.lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
+    j = Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
     model = dissipative_coupling_model(j, omega_q=1.0)
     omega = np.linspace(-2.0, 4.0, 50)
     t = 0.5
     for n_paths, n_shifts in ((1, 0), (3, 1)):
         got = general_filter(model, QubitState.excited(), omega, t,
-                             PhaseProfile.binary(n_paths, n_shifts))
+                             InterferometerConfig(n_paths, n_shifts=n_shifts))
         expected = filter_diss(omega, t, n_paths, n_shifts, 1.0)
         assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
 

@@ -221,3 +221,27 @@ class TestMain:
                      "--tmax", "1", "--steps", "5"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config_text", [
+        (["dicke", "--gamma0", "nan"], None),
+        (["filter", "--t", "nan"], None),
+        (["dicke", "--tmax", "inf"], None),
+        (["filter"], '{"omega_q": NaN}'),
+    ], ids=["flag-gamma0-nan", "flag-t-nan", "flag-tmax-inf", "file-omega_q-nan"])
+    def test_non_finite_input_exit_code(self, argv, config_text, tmp_path, capsys):
+        if config_text is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config_text)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_unstable_rk4_step_exit_code(self, capsys):
+        # gamma0*dt = 50/3 is far beyond RK4's real-axis stability limit
+        code = main(["dicke", "--sinc", "0.99", "--numeric", "--steps", "3", "--tmax", "50"])
+        assert code == 3
+        assert "stability limit" in capsys.readouterr().err
+
+    def test_default_numeric_grid_is_stable(self, capsys):
+        assert main(["dicke", "--numeric"]) == 0
+        assert "pe_numeric" in capsys.readouterr().out

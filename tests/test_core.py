@@ -7,12 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zenotraj.core import (
+    GaussianPeak,
     InterferometerConfig,
+    Lorentzian,
+    Ohmic,
     PathBlockMatrix,
     QubitState,
-    SpectralDensity,
+    Tabulated,
     binary_phases,
-    eval_spectral_density,
     normalize,
     phase_pair_sum,
     phase_weights,
@@ -71,41 +73,41 @@ class TestPhaseAlgebra:
 
 class TestSpectralDensity:
     def test_lorentzian_peak_value(self):
-        j = SpectralDensity.lorentzian(gamma0=2.0, lam=0.5, omega_q=1.0)
-        assert_allclose(eval_spectral_density(j, 1.0), 2.0 / (2 * np.pi), rtol=1e-15)
+        j = Lorentzian(gamma0=2.0, lam=0.5, omega_q=1.0)
+        assert_allclose(j(1.0), 2.0 / (2 * np.pi), rtol=1e-15)
 
     def test_ohmic_fig4_parameters(self):
-        j = SpectralDensity.ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
+        j = Ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
         assert_allclose(j(1.0), np.exp(-1.0) / 3.0, rtol=1e-15)
 
     def test_gaussian_peak_center(self):
-        j = SpectralDensity.gaussian_peak(omega_m=1.5, delta=0.2)
+        j = GaussianPeak(omega_m=1.5, delta=0.2)
         assert j(1.5) == 1.0
 
     def test_truncation_beyond_omega_max(self):
-        j = SpectralDensity.gaussian_peak(omega_m=1.5, delta=0.2, omega_max=4.0)
+        j = GaussianPeak(omega_m=1.5, delta=0.2, omega_max=4.0)
         assert j(4.5) == 0.0
         assert j(-1.0) == 0.0
 
     def test_scaled_multiplies_pointwise(self):
-        j = SpectralDensity.ohmic(eta=0.5, s=2.0, omega_c=1.0)
+        j = Ohmic(eta=0.5, s=2.0, omega_c=1.0)
         assert_allclose(j.scaled(0.25)(0.7), 0.25 * j(0.7), rtol=0, atol=0)
 
     def test_tabulated_interpolates(self):
-        j = SpectralDensity.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+        j = Tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         assert_allclose(j(0.5), 1.0)
         assert j(3.0) == 0.0
 
     def test_vectorized_evaluation(self):
-        j = SpectralDensity.gaussian_peak(omega_m=1.0, delta=0.5)
+        j = GaussianPeak(omega_m=1.0, delta=0.5)
         grid = np.array([0.5, 1.0, 1.5])
         assert_allclose(j(grid), [np.exp(-0.5), 1.0, np.exp(-0.5)], rtol=1e-15)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SpectralDensity.ohmic(eta=-1.0, s=1.0, omega_c=1.0)
+            Ohmic(eta=-1.0, s=1.0, omega_c=1.0)
         with pytest.raises(ValueError):
-            SpectralDensity.tabulated([0.0, 1.0], [1.0, -1.0])
+            Tabulated([0.0, 1.0], [1.0, -1.0])
 
 
 class TestQubitState:

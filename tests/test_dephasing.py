@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from zenotraj.core import QubitState, SpectralDensity, normalize, r_factor, trace_distance
+from zenotraj.core import Ohmic, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dephasing import (
     DephasingFactors,
     DephasingParams,
@@ -19,7 +19,6 @@ from zenotraj.dephasing import (
     modified_dephasing,
     postselected_state_deph,
     single_path_factor,
-    trace_distance_deph,
 )
 from zenotraj.errors import NumericError
 from zenotraj.numerics import TimeGrid
@@ -29,12 +28,12 @@ ETA = 1.0 / 3.0
 
 @pytest.fixture(scope="module")
 def ohmic1():
-    return DephasingParams(SpectralDensity.ohmic(ETA, 1.0, 1.0), 0.0)
+    return DephasingParams(Ohmic(ETA, 1.0, 1.0), 0.0)
 
 
 @pytest.fixture(scope="module")
 def ohmic4():
-    return DephasingParams(SpectralDensity.ohmic(ETA, 4.0, 1.0), 0.0)
+    return DephasingParams(Ohmic(ETA, 4.0, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ class TestDephasingExponent:
         assert np.exp(-8.0 / 3.0) == pytest.approx(0.06948345122280154, abs=1e-16)
 
     def test_thermal_exponent_against_simpson(self):
-        params = DephasingParams(SpectralDensity.ohmic(ETA, 1.0, 1.0), 0.5)
+        params = DephasingParams(Ohmic(ETA, 1.0, 1.0), 0.5)
         g = dephasing_exponent(params, 2.0)
         j = params.j
         w = np.linspace(1e-9, j.omega_max, 4_000_001)
@@ -95,7 +94,7 @@ class TestDephasingExponent:
         assert g == pytest.approx(2.1941229573880814, abs=1e-9)
 
     def test_temperature_monotonicity(self):
-        j = SpectralDensity.ohmic(ETA, 1.0, 1.0)
+        j = Ohmic(ETA, 1.0, 1.0)
         for t in (0.5, 1.5, 4.0):
             gammas = [
                 dephasing_exponent(DephasingParams(j, T), t)
@@ -104,18 +103,18 @@ class TestDephasingExponent:
             assert np.all(np.diff(gammas) > 0)
 
     def test_sub_ohmic_finite_temperature_raises(self):
-        params = DephasingParams(SpectralDensity.ohmic(1.0, 0.5, 1.0), 0.3)
+        params = DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.3)
         with pytest.raises(NumericError):
             dephasing_exponent(params, 1.0)
         # same density at T = 0 is infrared-safe
-        g = dephasing_exponent(DephasingParams(SpectralDensity.ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
+        g = dephasing_exponent(DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
         assert np.isfinite(g) and g > 0
 
     def test_negative_time_and_temperature_rejected(self, ohmic1):
         with pytest.raises(ValueError):
             dephasing_exponent(ohmic1, -0.1)
         with pytest.raises(ValueError):
-            DephasingParams(SpectralDensity.ohmic(1.0, 1.0, 1.0), -0.5)
+            DephasingParams(Ohmic(1.0, 1.0, 1.0), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +168,6 @@ class TestFactors:
         with pytest.raises(ValueError):
             modified_dephasing(0.5, 4, 2)
 
-    def test_trace_distance_is_abs(self):
-        assert trace_distance_deph(1.0) == 1.0
-        assert trace_distance_deph(0.0) == 0.0
-        assert trace_distance_deph(-0.2) == pytest.approx(0.2, rel=1e-15)
-        arr = trace_distance_deph(np.array([-0.5, 0.25]))
-        assert np.allclose(arr, [0.5, 0.25], rtol=1e-15)
-
     def test_trace_distance_matches_direct_pair_construction(self):
         # oracle: evolve |+><+| and |-><-| and take the actual trace distance
         rng = np.random.default_rng(5)
@@ -185,7 +177,7 @@ class TestFactors:
                 a, _ = normalize(postselected_state_deph(QubitState.plus(), phi, N, n))
                 b, _ = normalize(postselected_state_deph(QubitState.minus(), phi, N, n))
                 direct = trace_distance(a, b)
-                expected = trace_distance_deph(modified_dephasing(phi, N, n))
+                expected = np.abs(modified_dephasing(phi, N, n))
                 assert expected == pytest.approx(direct, abs=1e-13)
 
 

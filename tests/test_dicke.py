@@ -25,7 +25,7 @@ from zenotraj.dicke import (
     sinc,
     superposed_initial_state,
 )
-from zenotraj.errors import NullOutcome
+from zenotraj.errors import NullOutcome, NumericError
 from zenotraj.numerics import TimeGrid
 
 
@@ -174,6 +174,16 @@ class TestGenerator:
         states = evolve_collective(rates, superposed_initial_state(1), grid)
         p = excited_population_numeric(states, 1, 0)
         assert np.max(np.abs(p - np.exp(-grid.times))) < 1e-9
+
+    def test_rk4_step_beyond_stability_limit_rejected(self):
+        # the generator's fastest mode is -gamma0; RK4 stays stable on the
+        # real axis up to gamma0*dt = 2.7853
+        rates = CollectiveRateMatrix.from_factor(3, 0.99, 2.0)
+        rho0 = superposed_initial_state(3)
+        states = evolve_collective(rates, rho0, TimeGrid(0.0, 1.39, 4))
+        assert np.all(np.abs(states) <= 1.0)
+        with pytest.raises(NumericError, match="stability limit"):
+            evolve_collective(rates, rho0, TimeGrid(0.0, 1.40, 4))
 
 
 class TestExcitedPopulation:

@@ -12,11 +12,10 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from zenotraj.core import QubitState, SpectralDensity, normalize, r_factor, trace_distance
+from choi_oracle import choi_intermediate_map, cp_divisible_choi
+from zenotraj.core import Lorentzian, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dissipative import (
     DecayAmplitude,
-    choi_intermediate_map,
-    cp_divisible_choi,
     decay_amplitude,
     decay_amplitude_auto,
     decay_amplitude_closed_series,
@@ -40,7 +39,7 @@ from zenotraj.numerics import TimeGrid, integrate_adaptive
 
 class TestMemoryKernel:
     def test_t_zero_is_total_spectral_weight(self):
-        j = SpectralDensity.lorentzian(1.0, 0.1, 1.0)
+        j = Lorentzian(1.0, 0.1, 1.0)
         mk = memory_kernel(j, 1.0)
         total = integrate_adaptive(j, 0.0, j.omega_max, 1e-12, 1e-14, complex_valued=False)
         assert mk.f(0.0) == pytest.approx(total.real, rel=1e-12)
@@ -50,7 +49,7 @@ class TestMemoryKernel:
         # With the line centred well inside the integration range the
         # half-line kernel tracks (gamma0*lam/2) e^{-lam t}; the truncated
         # negative-frequency tail shifts it by under two percent here.
-        j = SpectralDensity.lorentzian(1.0, 0.1, 1.0)
+        j = Lorentzian(1.0, 0.1, 1.0)
         mk = memory_kernel(j, 1.0)
         full_line = 0.05 * np.exp(-0.5)
         val = mk.f(5.0)
@@ -61,7 +60,7 @@ class TestMemoryKernel:
     def test_oscillatory_branch_matches_dense_simpson(self):
         # omega_max * t > 50 switches to the oscillatory-weight quadrature;
         # check it against a brute-force dense Simpson oracle.
-        j = SpectralDensity.lorentzian(1.0, 1.0, 50.0)
+        j = Lorentzian(1.0, 1.0, 50.0)
         mk = memory_kernel(j, 50.0)
         t = 0.7
         assert j.omega_max * t > 50.0
@@ -72,7 +71,7 @@ class TestMemoryKernel:
 
     def test_branches_agree_across_switch(self):
         # continuity across the adaptive/oscillatory switch point
-        j = SpectralDensity.lorentzian(1.0, 1.0, 50.0)
+        j = Lorentzian(1.0, 1.0, 50.0)
         mk = memory_kernel(j, 50.0)
         t_switch = 50.0 / j.omega_max
         below = mk.f(0.98 * t_switch)
@@ -81,7 +80,7 @@ class TestMemoryKernel:
         assert abs(above - below) < 0.1 * abs(mid) + 1e-6
 
     def test_scalar_only(self):
-        j = SpectralDensity.lorentzian(1.0, 0.1, 1.0)
+        j = Lorentzian(1.0, 0.1, 1.0)
         mk = memory_kernel(j, 1.0)
         with pytest.raises(TypeError):
             mk.f(np.array([0.0, 1.0]))
@@ -129,7 +128,7 @@ class TestDecayAmplitude:
         # full-line kernels agree to well under 1e-3. Frozen oracle run:
         # max relative deviation 3.2e-6 for this configuration.
         wq = 50.0
-        j = SpectralDensity.lorentzian(1.0, 1.0, wq)
+        j = Lorentzian(1.0, 1.0, wq)
         grid = TimeGrid(0.0, np.pi / 200, 201)
         G_auto = decay_amplitude_auto(j, wq, grid)
         G_vol = decay_amplitude(j, wq, grid)
@@ -138,7 +137,7 @@ class TestDecayAmplitude:
         assert G_auto.source == "lorentzian_closed_form"
 
     def test_auto_falls_back_to_volterra_when_line_is_broad(self):
-        j = SpectralDensity.lorentzian(1.0, 0.5, 1.0)  # lam = 0.5 * omega_q
+        j = Lorentzian(1.0, 0.5, 1.0)  # lam = 0.5 * omega_q
         grid = TimeGrid(0.0, 0.05, 41)
         G = decay_amplitude_auto(j, 1.0, grid)
         assert G.source == "volterra"

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import sici
 
-from zenotraj.core import SpectralDensity
+from zenotraj.core import GaussianPeak, Lorentzian, Ohmic, Tabulated
 from zenotraj.errors import NumericError
 from zenotraj.filters import (
     FilterSpec,
@@ -99,12 +99,12 @@ class TestFilterShapes:
 
 class TestOverlap:
     def test_zero_density(self):
-        j = SpectralDensity.tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        j = Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
         spec = FilterSpec("diss_superposed", 2.0, 1.0, 1, 0)
         assert decay_factor_overlap(j, spec) == 0.0
 
     def test_gaussian_peak_against_simpson(self):
-        j = SpectralDensity.gaussian_peak(1.5, 0.2)
+        j = GaussianPeak(1.5, 0.2)
         spec = FilterSpec("diss_superposed", 3.0, 1.0, 1, 0)
         val = decay_factor_overlap(j, spec)
         w = np.linspace(0.0, j.omega_max, 1_000_001)
@@ -113,14 +113,14 @@ class TestOverlap:
         assert val == pytest.approx(5.596336455628841, rel=1e-12)
 
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
-        j = SpectralDensity.gaussian_peak(1.5, 0.2)
+        j = GaussianPeak(1.5, 0.2)
         base = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, 1, 0))
         for N in (2, 4, 8, 16):
             v = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, N, 0))
             assert v == base / N  # exact: same subdivision, power-of-two prefactor
 
     def test_one_over_n_scaling_general(self):
-        j = SpectralDensity.gaussian_peak(1.5, 0.2)
+        j = GaussianPeak(1.5, 0.2)
         base = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, 1, 0))
         for N, n in [(3, 0), (5, 0), (3, 1), (7, 2)]:
             v = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, N, n))
@@ -128,7 +128,7 @@ class TestOverlap:
             assert v == pytest.approx(pref * base, rel=1e-12)
 
     def test_nonnegative_for_deph_kind(self):
-        j = SpectralDensity.ohmic(0.5, 1.0, 1.0)
+        j = Ohmic(0.5, 1.0, 1.0)
         spec = FilterSpec("deph_superposed", 2.0, 0.0, 3, 1)
         assert decay_factor_overlap(j, spec) > 0.0
 
@@ -155,7 +155,7 @@ class TestOverlap:
 
 
 class TestPerturbativeConsistency:
-    J = SpectralDensity.lorentzian(4.0, 2.0, 1.0)
+    J = Lorentzian(4.0, 2.0, 1.0)
 
     def test_zero_coupling(self):
         assert perturbative_consistency(self.J, 1.0, 0.2, 1, 0, 0.0) == (0.0, 0.0)

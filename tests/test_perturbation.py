@@ -5,7 +5,15 @@ import functools
 import numpy as np
 import pytest
 
-from zenotraj.core import QubitState, SpectralDensity, binary_phases
+from zenotraj.core import (
+    InterferometerConfig,
+    Lorentzian,
+    Ohmic,
+    QubitState,
+    Tabulated,
+    binary_phases,
+    phase_pair_sum,
+)
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.dissipative import MemoryKernel, decay_amplitude, memory_kernel
 from zenotraj.errors import NullOutcome
@@ -13,13 +21,11 @@ from zenotraj.filters import FilterSpec, decay_factor_overlap, filter_diss, filt
 from zenotraj.numerics import TimeGrid
 from zenotraj.perturbation import (
     CouplingModel,
-    PhaseProfile,
     dephasing_coupling_model,
     dissipative_coupling_model,
     general_decay_factor,
     general_filter,
     interaction_picture_operator,
-    phase_pair_sum_from_profile,
     second_order_block,
 )
 
@@ -27,36 +33,36 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
-LORENTZIAN = SpectralDensity.lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
-OHMIC = SpectralDensity.ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
+LORENTZIAN = Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
+OHMIC = Ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
 
 
 class TestPhaseProfile:
     def test_binary_matches_phase_vector(self):
-        prof = PhaseProfile.binary(5, 2)
-        np.testing.assert_array_equal(prof.phases, binary_phases(5, 2))
+        prof = InterferometerConfig(5, n_shifts=2)
+        np.testing.assert_array_equal(prof.phase_vector, binary_phases(5, 2))
         assert prof.n_paths == 5
 
     def test_pair_sum_identity_exact_small_n(self):
         # sum_{kl} e^{-i(phi_k - phi_l)} == (N - 2n)^2 exactly for binary phases
         for n_paths in range(1, 11):
             for n_shifts in range(0, n_paths // 2 + 1):
-                s = phase_pair_sum_from_profile(PhaseProfile.binary(n_paths, n_shifts))
+                s = phase_pair_sum(InterferometerConfig(n_paths, n_shifts=n_shifts).phase_vector)
                 assert s == float((n_paths - 2 * n_shifts) ** 2)
 
     def test_pair_sum_general_phases(self):
-        prof = PhaseProfile(np.array([0.0, 0.4, -1.1]))
-        w = np.exp(-1j * prof.phases)
+        prof = InterferometerConfig(3, phases=np.array([0.0, 0.4, -1.1]))
+        w = np.exp(-1j * prof.phase_vector)
         expected = abs(np.sum(w)) ** 2
-        assert phase_pair_sum_from_profile(prof) == pytest.approx(expected, rel=1e-14)
+        assert phase_pair_sum(prof.phase_vector) == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PhaseProfile(np.array([]))
+            InterferometerConfig(0, phases=np.array([]))
         with pytest.raises(ValueError):
-            PhaseProfile(np.array([0.0, np.nan]))
+            InterferometerConfig(2, phases=np.array([0.0, np.nan]))
         with pytest.raises(ValueError):
-            PhaseProfile(np.zeros((2, 2)))
+            InterferometerConfig(2, phases=np.zeros((2, 2)))
 
 
 class TestCouplingModel:
@@ -171,7 +177,7 @@ class TestGeneralFilter:
         grid = np.linspace(-2.0, 4.0, 50)
         t = 0.5
         got = general_filter(model, QubitState.excited(), grid, t,
-                             PhaseProfile.binary(n_paths, n_shifts))
+                             InterferometerConfig(n_paths, n_shifts=n_shifts))
         want = filter_diss(grid, t, omega_q=1.0, n_paths=n_paths, n_shifts=n_shifts)
         np.testing.assert_allclose(got, want, rtol=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-12)  # actual accuracy
@@ -182,7 +188,7 @@ class TestGeneralFilter:
         model = dephasing_coupling_model(OHMIC)
         grid = np.linspace(0.05, 6.0, 50)
         t = 1.3
-        got = general_filter(model, QubitState.plus(), grid, t, PhaseProfile.binary(4, 1))
+        got = general_filter(model, QubitState.plus(), grid, t, InterferometerConfig(4, n_shifts=1))
         want = filter_deph(grid, t, n_paths=4, n_shifts=1)
         ratio = got / want
         fitted = np.median(ratio)
@@ -191,7 +197,7 @@ class TestGeneralFilter:
 
     def test_scalar_matches_array_and_t_zero(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        prof = PhaseProfile.binary(3, 1)
+        prof = InterferometerConfig(3, n_shifts=1)
         arr = general_filter(model, QubitState.excited(), np.array([1.3]), 0.4, prof)
         scalar = general_filter(model, QubitState.excited(), 1.3, 0.4, prof)
         assert scalar == arr[0]
@@ -199,8 +205,8 @@ class TestGeneralFilter:
 
     def test_global_phase_shift_invariance(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        base = PhaseProfile.binary(4, 1)
-        shifted = PhaseProfile(base.phases + 0.7)
+        base = InterferometerConfig(4, n_shifts=1)
+        shifted = InterferometerConfig(4, phases=base.phase_vector + 0.7)
         f0 = general_filter(model, QubitState.excited(), 1.3, 0.4, base)
         f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, shifted)
         assert f0 == pytest.approx(f1, rel=1e-12)
@@ -209,33 +215,33 @@ class TestGeneralFilter:
         # For identical phases the prefactor is 2/N, so F(N) = F(1)/N and
         # any constant offset leaves the value unchanged.
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, PhaseProfile.binary(1, 0))
+        f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, InterferometerConfig(1, n_shifts=0))
         f4 = general_filter(model, QubitState.excited(), 1.3, 0.4,
-                            PhaseProfile(np.full(4, 0.3)))
+                            InterferometerConfig(4, phases=np.full(4, 0.3)))
         assert f4 == pytest.approx(f1 / 4.0, rel=1e-12)
 
     def test_null_phase_profile_rejected(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         with pytest.raises(NullOutcome):
-            general_filter(model, QubitState.excited(), 1.0, 0.4, PhaseProfile.binary(2, 1))
+            general_filter(model, QubitState.excited(), 1.0, 0.4, InterferometerConfig(2, n_shifts=1))
         with pytest.raises(NullOutcome):
             general_filter(model, QubitState.excited(), 1.0, 0.4,
-                           PhaseProfile(np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
+                           InterferometerConfig(3, phases=np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
 
     def test_mixed_initial_state_rejected(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         mixed = QubitState(np.diag([0.6, 0.4]).astype(complex))
         with pytest.raises(ValueError):
-            general_filter(model, mixed, 1.0, 0.4, PhaseProfile.binary(1, 0))
+            general_filter(model, mixed, 1.0, 0.4, InterferometerConfig(1, n_shifts=0))
 
     def test_specializations_are_non_negative(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         grid = np.linspace(-2.0, 4.0, 101)
-        vals = general_filter(model, QubitState.excited(), grid, 0.5, PhaseProfile.binary(3, 1))
+        vals = general_filter(model, QubitState.excited(), grid, 0.5, InterferometerConfig(3, n_shifts=1))
         assert np.min(vals) > -1e-15
         deph = dephasing_coupling_model(OHMIC)
         gridd = np.linspace(0.02, 8.0, 101)
-        vals = general_filter(deph, QubitState.plus(), gridd, 1.3, PhaseProfile.binary(4, 1))
+        vals = general_filter(deph, QubitState.plus(), gridd, 1.3, InterferometerConfig(4, n_shifts=1))
         assert np.min(vals) > -1e-15
 
 
@@ -244,33 +250,33 @@ class TestGeneralDecayFactor:
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         for n_paths, n_shifts in [(1, 0), (3, 1)]:
             got = general_decay_factor(model, QubitState.excited(), 0.4,
-                                       PhaseProfile.binary(n_paths, n_shifts))
+                                       InterferometerConfig(n_paths, n_shifts=n_shifts))
             spec = FilterSpec("diss_superposed", t=0.4, omega_q=1.0,
                               n_paths=n_paths, n_shifts=n_shifts)
             want = decay_factor_overlap(LORENTZIAN, spec)
             assert got == pytest.approx(want, rel=1e-6)
             assert got == pytest.approx(want, rel=1e-12)  # actual accuracy
         frozen = general_decay_factor(model, QubitState.excited(), 0.4,
-                                      PhaseProfile.binary(1, 0))
+                                      InterferometerConfig(1, n_shifts=0))
         assert frozen == pytest.approx(0.34338694154948596, rel=1e-10)
 
     def test_dephasing_factor_equals_half_exponent(self):
         # With the constant-4 normalization the overlap equals Gamma(t)/2,
         # which for this density at t=1 is (1/3) ln 2.
         model = dephasing_coupling_model(OHMIC)
-        got = general_decay_factor(model, QubitState.plus(), 1.0, PhaseProfile.binary(1, 0))
+        got = general_decay_factor(model, QubitState.plus(), 1.0, InterferometerConfig(1, n_shifts=0))
         gamma = dephasing_exponent(DephasingParams(OHMIC), 1.0)
         assert got == pytest.approx(0.5 * gamma, rel=1e-12)
         assert got == pytest.approx(np.log(2.0) / 3.0, abs=1e-14)
 
     def test_silent_path_rescales_by_population_fraction(self):
         # One path with J == 0 contributes nothing: the average drops by (N-1)/N.
-        zeros = SpectralDensity.tabulated(
+        zeros = Tabulated(
             np.linspace(0.0, LORENTZIAN.omega_max, 30), np.zeros(30))
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         with_silent = CouplingModel(base.h_q, base.operators, base.kernel,
                                     (LORENTZIAN, LORENTZIAN, zeros))
-        prof = PhaseProfile.binary(3, 0)
+        prof = InterferometerConfig(3, n_shifts=0)
         partial = general_decay_factor(with_silent, QubitState.excited(), 0.4, prof)
         full = general_decay_factor(base, QubitState.excited(), 0.4, prof)
         assert partial == pytest.approx(2.0 / 3.0 * full, rel=1e-12)
@@ -278,7 +284,7 @@ class TestGeneralDecayFactor:
     def test_exactly_quadratic_in_coupling(self):
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         scaled = dissipative_coupling_model(LORENTZIAN.scaled(0.09), omega_q=1.0)
-        prof = PhaseProfile.binary(2, 0)
+        prof = InterferometerConfig(2, n_shifts=0)
         g_base = general_decay_factor(base, QubitState.excited(), 0.4, prof)
         g_scaled = general_decay_factor(scaled, QubitState.excited(), 0.4, prof)
         assert g_scaled == pytest.approx(0.09 * g_base, rel=1e-13)
@@ -286,8 +292,8 @@ class TestGeneralDecayFactor:
     def test_zero_time_and_path_count_mismatch(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         assert general_decay_factor(model, QubitState.excited(), 0.0,
-                                    PhaseProfile.binary(2, 0)) == 0.0
+                                    InterferometerConfig(2, n_shifts=0)) == 0.0
         bad = CouplingModel(model.h_q, model.operators, model.kernel,
                             (LORENTZIAN, LORENTZIAN))
         with pytest.raises(ValueError):
-            general_decay_factor(bad, QubitState.excited(), 0.4, PhaseProfile.binary(3, 0))
+            general_decay_factor(bad, QubitState.excited(), 0.4, InterferometerConfig(3, n_shifts=0))
