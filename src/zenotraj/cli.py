@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .core import GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitState
@@ -51,7 +50,7 @@ from .dissipative import (
 )
 from .errors import ConfigError, NumericError, ZenoTrajError
 from .filters import FilterSpec, decay_factor_overlap, filter_deph, filter_diss, filter_traditional_zeno
-from .numerics import TimeGrid
+from .numerics import TimeGrid, brentq
 from .perturbation import dissipative_coupling_model, general_filter
 
 __all__ = ["RunConfig", "ResultTable", "parse_config", "run", "emit", "main"]

@@ -75,8 +75,12 @@ class DephasingFactors:
 
 
 def _coth_factor(x):
-    """coth(x) = 1 + 2/(e^{2x} - 1), stable for both tiny and huge x > 0."""
-    return 1.0 + 2.0 / np.expm1(np.minimum(2.0 * x, 1400.0))
+    """coth(x) = 1 + 2/(e^{2x} - 1), stable for both tiny and huge x > 0.
+
+    The cap keeps expm1 below float64 overflow (2x ≈ 709.78); past it the
+    result is exactly 1.0 anyway.
+    """
+    return 1.0 + 2.0 / np.expm1(np.minimum(2.0 * x, 700.0))
 
 
 def _check_infrared(j, temperature):

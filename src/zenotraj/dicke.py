@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import binary_phases, phase_weights, r_factor
 from .errors import NullOutcome, NumericError
 from .filters import sinc
-from .numerics import integrate_matrix_ode
+from .numerics import brentq, integrate_matrix_ode
 
 __all__ = [
     "Geometry",

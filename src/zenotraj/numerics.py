@@ -6,10 +6,10 @@ product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
 All routines are pure functions of their inputs and safe for concurrent use.
 """
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericError, QuadratureError
 
@@ -22,6 +22,31 @@ __all__ = [
     "min_eigenvalue_hermitian",
     "gauss_legendre_panels",
 ]
+
+
+class _LazyModule:
+    """Stand-in for a module that is imported on first attribute access.
+
+    scipy takes most of a cold start, and most routes never call it; the
+    module global ``integrate`` stays this object, and ``integrate.quad`` is
+    looked up anew on every call.
+    """
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+integrate = _LazyModule("scipy.integrate")
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, with scipy imported on the first call."""
+    from scipy.optimize import brentq as _brentq
+
+    return _brentq(f, a, b, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .core import QubitState, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
@@ -199,6 +198,8 @@ def second_order_block(model, rho0, path_index, t, rel_tol=1e-10, abs_tol=1e-13)
                 acc += np.einsum("p,pil->il", fv, weighted_comm[alpha][beta])
         return j(w) * acc
 
+    from scipy.integrate import quad_vec
+
     block, err = quad_vec(time_integral, 0.0, j.omega_max,
                           epsabs=abs_tol, epsrel=rel_tol, limit=400)
     scale = max(np.max(np.abs(block)), abs_tol)
@@ -232,7 +233,7 @@ def _filter_mesh(model, psi0, t):
     return T1, T2, W, sandwich
 
 
-def general_filter(model, psi0, omega, t, config, path_index=0):
+def general_filter(model, psi0, omega, t, config):
     """F(w, t, N, phases): the leakage filter of the post-selected dynamics.
 
     ``config`` is the InterferometerConfig the path register is post-selected

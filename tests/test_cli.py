@@ -1,6 +1,7 @@
 """Tests for configuration parsing, scenario runs, and table emission."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ class TestRun:
         assert table.values[0, 3] == 0.0   # decay factor
         table = run(parse_config(["dynamics-deph", "--tmax", "1", "--steps", "20"]))
         assert table.values[0, 2] == 1.0 and table.values[0, 3] == 1.0
+
+    def test_cold_bath_table_emits_no_warning(self):
+        # omega / T runs far past the float64 overflow of expm1 at this temperature
+        cfg = parse_config(["dynamics-deph", "--temperature", "0.05",
+                            "--tmax", "4", "--steps", "10"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run(cfg)
+        assert np.all(np.isfinite(table.values))
 
     def test_error_carries_scenario_context(self):
         cfg = parse_config(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",

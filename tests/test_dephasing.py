@@ -14,6 +14,7 @@ from zenotraj.core import Ohmic, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dephasing import (
     DephasingFactors,
     DephasingParams,
+    _coth_factor,
     dephasing_exponent,
     dephasing_factors,
     modified_dephasing,
@@ -101,6 +102,12 @@ class TestDephasingExponent:
                 for T in (0.0, 0.2, 0.5, 1.0, 2.0)
             ]
             assert np.all(np.diff(gammas) > 0)
+
+    def test_coth_factor_saturates_without_overflow(self):
+        x = np.array([350.0, 354.0, 1e6, np.inf])
+        with np.errstate(all="raise"):
+            assert np.all(_coth_factor(x) == 1.0)
+            assert _coth_factor(1e-3) == pytest.approx(1.0 / np.tanh(1e-3), rel=1e-12)
 
     def test_sub_ohmic_finite_temperature_raises(self):
         params = DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.3)
