@@ -18,6 +18,7 @@ and of state distinguishability) even though phi_T itself is monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,17 @@ def _check_infrared(j, temperature):
         )
 
 
-def _thermal_integrand(j, temperature, t):
-    """Vectorized 4 J(w) w^{-2} coth(w/2T) (1 - cos wt); series near w=0."""
+def _bose_factor(w, temperature):
+    """2/(e^{w/T} - 1) = coth(w/2T) - 1, capped like ``_coth_factor``."""
+    return 2.0 / np.expm1(np.minimum(w / temperature, 700.0))
+
+
+def _thermal_integrand(j, t, weight=None):
+    """Vectorized 4 J(w) w^{-2} weight(w) (1 - cos wt); series near w=0.
+
+    ``weight`` maps positive frequencies to a thermal factor, coth(w/2T) or
+    its Bose part 2/(e^{w/T} - 1); None stands for 1 (T = 0).
+    """
 
     def h(w):
         w = np.asarray(w, dtype=float)
@@ -109,7 +119,7 @@ def _thermal_integrand(j, temperature, t):
             0.5 * t * t * (1.0 - wt * wt / 12.0),
             (1.0 - np.cos(wt)) / (ws * ws),
         )
-        th = 1.0 if temperature == 0.0 else _coth_factor(ws / (2.0 * temperature))
+        th = 1.0 if weight is None else weight(ws)
         out[pos] = 4.0 * j(ws) * osc * th
         # w = 0 exactly is a single point of measure zero; leaving it at 0
         # never changes the integral and avoids the 0/0 corner
@@ -118,11 +128,98 @@ def _thermal_integrand(j, temperature, t):
     return h
 
 
-def dephasing_exponent(params, t):
-    """Gamma_T(t) by quadrature adapted to the oscillation count.
+def _half_period_quad(h, upper, t, abs_tol):
+    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t."""
+    half_period = np.pi / t
+    n_half = int(np.floor(upper / half_period - 1e-12))
+    points = half_period * np.arange(1, n_half + 1) if n_half >= 1 else None
+    val = integrate_adaptive(
+        h, 0.0, upper, 1e-11, abs_tol,
+        complex_valued=False,
+        points=points,
+        limit=max(200, 4 * (n_half + 2)),
+    )
+    return float(val.real)
 
-    Raises NumericError for a sub-Ohmic density at finite temperature
-    (infrared-divergent exponent).
+
+def _ohmic_zero_temperature(j, t):
+    """T = 0 exponent of an Ohmic J, integrated over [0, inf) in closed form.
+
+    Gamma_0 = 4 eta Gamma(s-1) [1 - Re(1 + i w_c t)^{1-s}] (Addis et al.,
+    PRA 89, 024101, 2014).  With x = 1 - s, L = log|1 + i w_c t| and
+    theta = arg(1 + i w_c t) it is evaluated as
+
+        4 eta Gamma(s) [expm1(x L) cos(x theta) - 2 sin^2(x theta/2)] / x,
+
+    which holds for every s > 0, does not cancel at small w_c t and has no
+    pole at s = 1, where it equals 4 eta L.
+    """
+    x = 1.0 - j.s
+    u = j.omega_c * t
+    log_mod = 0.5 * math.log1p(u * u)
+    prefactor = 4.0 * j.eta * j.scale
+    if x == 0.0:
+        return prefactor * log_mod
+    x_theta = x * math.atan(u)
+    bracket = math.expm1(x * log_mod) * math.cos(x_theta) - 2.0 * math.sin(0.5 * x_theta) ** 2
+    return prefactor * math.gamma(j.s) * bracket / x
+
+
+def _ohmic_tail_bound(j, w, decay):
+    """Upper bound on 8 eta w_c^{1-s} int_w^inf v^{s-2} e^{-v/decay} dv (times scale).
+
+    With decay = w_c this bounds the T = 0 integral 4 int J v^{-2}(1 - cos vt)
+    beyond w.  Returns inf where the incomplete-gamma estimate does not
+    apply (w <= (s - 2) decay).
+    """
+    room = 1.0 - max(j.s - 2.0, 0.0) * decay / w
+    if room <= 0.0:
+        return math.inf
+    return (8.0 * j.eta * j.scale * j.omega_c ** (1.0 - j.s) * w ** (j.s - 2.0)
+            * decay * math.exp(-w / decay) / room)
+
+
+def _ohmic_split(j, temperature, t):
+    """Gamma_T(t) of an Ohmic J as the T = 0 closed form plus a Bose correction.
+
+    coth(w/2T) = 1 + 2/(e^{w/T} - 1): the 1 gives the closed form, and the
+    Bose part, unless bounded below tolerance as a whole, is integrated up to
+    the first window W = tau * 1.25^k past which its tail bound is below
+    tolerance.  Returns None when the closed form's cut at omega_max is not
+    below tolerance, or when the parameters overflow float arithmetic.
+    """
+    try:
+        gamma0 = _ohmic_zero_temperature(j, t)
+        tol = max(1e-13, 1e-11 * gamma0)
+        if not _ohmic_tail_bound(j, j.omega_max, j.omega_c) < tol:
+            return None
+        # 2/(e^x - 1) <= 2/x and (1 - cos wt)/w^2 <= t^2/2 bound the whole
+        # Bose part by 4 eta Gamma(s) w_c t^2 T, which is 0 at T = 0
+        bose_bound = 4.0 * j.eta * j.scale * math.gamma(j.s) * j.omega_c * t * t * temperature
+        if not bose_bound >= 0.5 * tol:
+            return gamma0
+        # past W the Bose factor is at most 2 e^{-w/T} / (1 - e^{-W/T}), so the
+        # integrand decays like e^{-w/tau} with tau = (1/T + 1/w_c)^{-1}
+        tau = temperature * j.omega_c / (temperature + j.omega_c)
+        window = tau
+        while window < j.omega_max and not (
+                2.0 * _ohmic_tail_bound(j, window, tau) / -math.expm1(-window / temperature)
+                < 0.5 * tol):
+            window *= 1.25
+    except OverflowError:
+        return None
+    h = _thermal_integrand(j, t, lambda w: _bose_factor(w, temperature))
+    return gamma0 + _half_period_quad(h, min(window, j.omega_max), t, 0.5 * tol)
+
+
+def dephasing_exponent(params, t):
+    """Gamma_T(t) in closed form where the cut allows it, else by quadrature.
+
+    Up to omega_max * t = 64 pi an Ohmic J takes ``_ohmic_split`` when its
+    cut at omega_max is below tolerance; every other case integrates the
+    full coth integrand, adaptively there and on fixed Gauss-Legendre
+    half-period panels beyond.  Raises NumericError for a sub-Ohmic density
+    at finite temperature (infrared-divergent exponent).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -131,18 +228,13 @@ def dephasing_exponent(params, t):
     j, temperature = params.j, params.temperature
     _check_infrared(j, temperature)
     omega_max = j.omega_max
-    h = _thermal_integrand(j, temperature, t)
+    coth = None if temperature == 0.0 else (lambda w: _coth_factor(w / (2.0 * temperature)))
+    h = _thermal_integrand(j, t, coth)
+    if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
+        split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
+        return split if split is not None else _half_period_quad(h, omega_max, t, 1e-13)
     half_period = np.pi / t
     n_half = int(np.floor(omega_max / half_period - 1e-12))
-    if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
-        points = half_period * np.arange(1, n_half + 1) if n_half >= 1 else None
-        val = integrate_adaptive(
-            h, 0.0, omega_max, 1e-11, 1e-13,
-            complex_valued=False,
-            points=points,
-            limit=max(200, 4 * (n_half + 2)),
-        )
-        return float(val.real)
     edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
     return float(gauss_legendre_panels(h, edges, order=10).real)
 

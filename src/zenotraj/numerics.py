@@ -6,6 +6,7 @@ product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
 All routines are pure functions of their inputs and safe for concurrent use.
 """
 
+import functools
 import importlib
 from dataclasses import dataclass
 
@@ -219,6 +220,15 @@ def min_eigenvalue_hermitian(M, herm_tol=1e-12):
     return float(np.linalg.eigvalsh(sym)[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(f, edges, order=10):
     """Vectorized fixed-order Gauss-Legendre quadrature over contiguous panels.
 
@@ -229,7 +239,7 @@ def gauss_legendre_panels(f, edges, order=10):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must contain at least two panel boundaries")
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half

@@ -73,6 +73,8 @@ class TestNoScipyOnImport:
         ["nonmarkov", "--recipe", "fig4a"],
         ["filter", "--kind", "deph", "--spectral", "ohmic"],
         ["dicke", "--numeric"],
+        ["dynamics-deph"],
+        ["nonmarkov", "--model", "deph", "--tmax", "1", "--steps", "10"],
     ], ids=" ".join)
     def test_scipy_free_route_stays_scipy_free(self, argv):
         assert _fresh_runs(argv) == [[0, []]]
@@ -97,7 +99,7 @@ class TestPatchPoints:
 
         counting = CountingIntegrate()
         monkeypatch.setattr(numerics, "integrate", counting)
-        run(parse_config(["dynamics-deph", "--tmax", "1", "--steps", "5"]))
+        run(parse_config(["dynamics-deph", "--temperature", "0.5", "--tmax", "1", "--steps", "5"]))
         assert counting.calls > 0
 
     def test_root_search_calls_cli_brentq(self, monkeypatch):

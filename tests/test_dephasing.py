@@ -1,15 +1,19 @@
 """Tests for the pure-dephasing module.
 
 Frozen expectations come from closed-form Ohmic integrals (s = 1 and s = 4
-admit elementary antiderivatives), a dense-Simpson thermal oracle, and
-explicit density-matrix algebra pushed through the generic post-selection.
+admit elementary antiderivatives), mpmath values of the general Ohmic closed
+form, the full-integrand QUADPACK route kept in ``dephasing_oracle``, a
+dense-Simpson thermal oracle, and explicit density-matrix algebra pushed
+through the generic post-selection.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
+from zenotraj import numerics
 from zenotraj.core import Ohmic, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dephasing import (
     DephasingFactors,
@@ -23,6 +27,8 @@ from zenotraj.dephasing import (
 )
 from zenotraj.errors import NumericError
 from zenotraj.numerics import TimeGrid
+
+from dephasing_oracle import oracle_exponent
 
 ETA = 1.0 / 3.0
 
@@ -62,7 +68,7 @@ class TestDephasingExponent:
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 4.0, 4.1, 10.0, 100.0])
     def test_both_quadrature_routes_match_analytic(self, ohmic1, t):
-        # t <= 4.02 exercises the breakpoint-adaptive rule, larger t the
+        # at T = 0, t <= 4.02 takes the Ohmic closed form, larger t the
         # Gauss-Legendre half-period panels; both must sit on the curve
         exact = 2.0 * ETA * np.log(1.0 + t * t)
         assert dephasing_exponent(ohmic1, t) == pytest.approx(exact, rel=1e-12)
@@ -122,6 +128,86 @@ class TestDephasingExponent:
             dephasing_exponent(ohmic1, -0.1)
         with pytest.raises(ValueError):
             DephasingParams(Ohmic(1.0, 1.0, 1.0), -0.5)
+
+
+def _mpmath_closed_form(eta, s, u):
+    """4 eta Gamma(s-1) [1 - Re(1 + iu)^{1-s}] at 40 digits; 2 eta ln(1+u^2) at s = 1."""
+    with mpmath.workdps(40):
+        s, u = mpmath.mpf(s), mpmath.mpf(u)
+        if s == 1:
+            return float(2 * eta * mpmath.log1p(u * u))
+        return float(4 * eta * mpmath.gamma(s - 1) * (1 - mpmath.re((1 + 1j * u) ** (1 - s))))
+
+
+class TestOhmicClosedForm:
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.5, 2.5, 4.0])
+    def test_zero_temperature_matches_mpmath(self, s):
+        # omega_c * t up to 4 keeps omega_max * t = 200 below the panel switch
+        j = Ohmic(ETA, s, 2.0)
+        for u in np.geomspace(1e-6, 4.0, 25):
+            want = _mpmath_closed_form(mpmath.mpf(1) / 3, s, u)
+            got = dephasing_exponent(DephasingParams(j, 0.0), u / 2.0)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("s, u", [(0.5, 1.0), (1.5, 2.0), (2.5, 0.3)])
+    def test_closed_form_is_the_exponent_integral(self, s, u):
+        # independent check of the formula itself: tanh-sinh on [0, inf)
+        with mpmath.workdps(30):
+            eta = mpmath.mpf(1) / 3
+            integral = mpmath.quad(
+                lambda w: 4 * eta * w ** (s - 2) * mpmath.exp(-w) * (1 - mpmath.cos(w * u)),
+                [0, 1, 5, 20, 60, mpmath.inf])
+            assert float(integral) == pytest.approx(_mpmath_closed_form(eta, s, u), rel=1e-15)
+
+    def test_zero_temperature_makes_no_quadrature_call(self, monkeypatch):
+        monkeypatch.setattr(numerics, "integrate", None)
+        g = dephasing_exponent(DephasingParams(Ohmic(ETA, 1.5, 1.0), 0.0), 2.0)
+        assert g == pytest.approx(_mpmath_closed_form(ETA, 1.5, 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("temperature", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5, 4.0])
+    def test_thermal_split_matches_full_integrand_oracle(self, temperature, s):
+        params = DephasingParams(Ohmic(ETA, s, 1.0), temperature)
+        for t in (0.05, 0.7, 2.0, 4.0):
+            want = oracle_exponent(params, t)
+            assert dephasing_exponent(params, t) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_large_cut_falls_back_to_quadrature(self, temperature):
+        # omega_max = 3 omega_c cuts ~e^{-3} of the closed form's integral,
+        # far above tolerance: the truncated integral is computed instead
+        j = Ohmic(ETA, 1.0, 1.0, omega_max=3.0)
+        params = DephasingParams(j, temperature)
+        untruncated = dephasing_exponent(DephasingParams(Ohmic(ETA, 1.0, 1.0), temperature), 2.0)
+        got = dephasing_exponent(params, 2.0)
+        assert got == pytest.approx(oracle_exponent(params, 2.0), rel=1e-11)
+        assert untruncated - got > 1e-3
+
+    def test_float_overflow_falls_back_to_quadrature(self):
+        # Gamma(175) overflows a float: the closed form steps aside
+        params = DephasingParams(Ohmic(1e-250, 175.0, 1.0), 0.0)
+        got = dephasing_exponent(params, 1.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(oracle_exponent(params, 1.0), rel=1e-11)
+
+    def test_negligible_bose_part_is_not_integrated(self, monkeypatch):
+        # at T = 1e-300 the Bose part is bounded far below tolerance as a
+        # whole; integrating it on a ~1e-299 window would underflow w^2
+        monkeypatch.setattr(numerics, "integrate", None)
+        j = Ohmic(ETA, 1.5, 1.0)
+        with np.errstate(all="raise"):
+            cold = dephasing_exponent(DephasingParams(j, 1e-300), 2.0)
+        assert cold == dephasing_exponent(DephasingParams(j, 0.0), 2.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_scale_is_honoured(self, temperature):
+        j = Ohmic(ETA, 2.5, 1.0)
+        scaled = DephasingParams(j.scaled(0.25), temperature)
+        for t in (0.3, 2.0):
+            full = dephasing_exponent(DephasingParams(j, temperature), t)
+            got = dephasing_exponent(scaled, t)
+            assert got == pytest.approx(0.25 * full, rel=1e-11)
+            assert got == pytest.approx(oracle_exponent(scaled, t), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,20 @@ sudden-death root, second-order engine).  A refactor must leave every
 digest unchanged; a deliberate numeric change re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and checks the re-recorded tables against the route they replace, as the
+dephasing cases below do against the full-integrand QUADPACK oracle.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from zenotraj import cli, dephasing
 from zenotraj.cli import emit, parse_config, run
+
+from dephasing_oracle import oracle_exponent
 
 GOLDEN = (
     (["filter", "--recipe", "fig2"],
@@ -37,12 +44,12 @@ GOLDEN = (
      "c0742a088412d18b61bf7af7ef544f5a64995f60aa9701ed741acd808636fd5d",
      "ab509b0be367d3d787c530f06f99c3bb89e9b1466b6d37fec0d8f333b5ffc5d1"),
     (["dynamics-deph", "--temperature", "0.5", "--tmax", "2", "--steps", "20"],
-     "25ad0bded98843ebfe802132074f37cd62c7c2964826aafcfb8da7c630265a4f",
-     "00d348ccf45ed43946f7327273b7bde4a5f88373c3a82476353e7163c0e09ee1"),
+     "8d626a9df830c260fe3e8198d92d0cdec6936b5b8065868c04768635e9560fc7",
+     "8cae6d11d974514de882ea6c861649e2a7eb54e640eafd8112365b12b0028e35"),
     # crosses the (3, 1) sudden death near t = 1.54, so the root search runs
     (["nonmarkov", "--model", "deph", "--tmax", "2", "--steps", "10"],
-     "58ce6387073726f38bba6acc9dc9fe75c9bd841c7c9e349d1628d4e55d388f77",
-     "b17b2cfe3dd0fd93b49c356556ceee8f2ce27350b1f0b9cd8b2687ad81304d63"),
+     "a94f5e0a5793f80ed614f7275e75659a480a823f832c7cd9a26dfdb9d4d6554a",
+     "1119497a1a2fe88ee5099c943a640bf7070405a7a5f22ae143338f02906e202a"),
     (["perturbation", "--t", "0.2", "--omega-points", "21"],
      "b4c97f95b0f9b5c2567ac959e47b2a607591e52371dbd9b7b76b91c97c4b2454",
      "c7e8df81251a7ffe9baca8145e5732119db4cbe40336c3f8de0dcb87c12a6470"),
@@ -59,6 +66,29 @@ def _digests(argv):
                          ids=[" ".join(case[0]) for case in GOLDEN])
 def test_emitted_bytes_match_recorded_digests(argv, csv_digest, json_digest):
     assert _digests(argv) == (csv_digest, json_digest)
+
+
+# the dephasing cases whose digests moved when the Ohmic closed form replaced
+# the full-integrand quadrature below the panel switch
+_DEPH_CASES = [argv for argv, _, _ in GOLDEN
+               if argv[0] == "dynamics-deph" or argv[:3] == ["nonmarkov", "--model", "deph"]]
+
+
+@pytest.mark.parametrize("argv", _DEPH_CASES, ids=" ".join)
+def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
+    table = run(parse_config(argv))
+    monkeypatch.setattr(dephasing, "dephasing_exponent", oracle_exponent)
+    monkeypatch.setattr(cli, "dephasing_exponent", oracle_exponent)
+    oracle = run(parse_config(argv))
+    assert table.columns == oracle.columns
+    assert table.metadata.keys() == oracle.metadata.keys()
+    scale = np.max(np.abs(oracle.values), axis=0)
+    assert np.all(np.abs(table.values - oracle.values) <= 1e-12 * scale)
+    for key, want in oracle.metadata.items():
+        if isinstance(want, float):
+            assert table.metadata[key] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        else:
+            assert table.metadata[key] == want
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from zenotraj.errors import NumericError, QuadratureError
 from zenotraj.numerics import (
     ComplexSeries,
     TimeGrid,
+    _legendre_rule,
     gauss_legendre_panels,
     integrate_adaptive,
     integrate_matrix_ode,
@@ -193,3 +194,11 @@ class TestGaussLegendrePanels:
         edges = np.linspace(0.0, 20 * np.pi, 41)
         val = gauss_legendre_panels(lambda x: np.sin(x) ** 2, edges)
         assert_allclose(val, 10 * np.pi, rtol=1e-12)
+
+    def test_rule_is_computed_once_and_read_only(self):
+        x, w = _legendre_rule(10)
+        assert _legendre_rule(10)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
