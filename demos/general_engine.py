@@ -2,7 +2,8 @@
 
 The closed-form filters in this package are derived per model.  The
 perturbative engine instead takes an arbitrary system-bath coupling
-(Hermitian system operators + a two-time bath kernel), propagates each path's
+(Hermitian system operators + a table c_ab of stationary bath correlations
+C_ab(t1, t2) = c_ab int dw J(w) e^{-iw(t1 - t2)}), propagates each path's
 second-order block in the interaction picture, applies the same
 post-selection algebra, and reads the filter off numerically.  Specializing
 it to the energy-exchange coupling must reproduce the sinc^2 filter exactly;

@@ -95,7 +95,6 @@ from .perturbation import (
     dissipative_coupling_model,
     general_decay_factor,
     general_filter,
-    interaction_picture_operator,
     second_order_block,
 )
 
@@ -179,7 +178,6 @@ __all__ = [
     "CouplingModel",
     "dissipative_coupling_model",
     "dephasing_coupling_model",
-    "interaction_picture_operator",
     "second_order_block",
     "general_filter",
     "general_decay_factor",

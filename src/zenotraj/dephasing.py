@@ -228,7 +228,10 @@ def dephasing_exponent(params, t):
     j, temperature = params.j, params.temperature
     _check_infrared(j, temperature)
     omega_max = j.omega_max
-    coth = None if temperature == 0.0 else (lambda w: _coth_factor(w / (2.0 * temperature)))
+    # w is capped at 1400 T before dividing, so a denormal T cannot overflow
+    # w/2T; past the cap coth is exactly 1.0 either way
+    coth = None if temperature == 0.0 else (
+        lambda w: _coth_factor(np.minimum(w, 1400.0 * temperature) / (2.0 * temperature)))
     h = _thermal_integrand(j, t, coth)
     if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
@@ -240,11 +243,14 @@ def dephasing_exponent(params, t):
 
 
 def single_path_factor(gamma):
-    """phi_T = exp(-Gamma_T) in (0, 1]."""
+    """phi_T = exp(-Gamma_T) in (0, 1]; NumericError where it underflows to 0."""
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise ValueError("dephasing exponent must be >= 0")
     out = np.exp(-gamma)
+    if np.any(out == 0.0):
+        raise NumericError(
+            f"coherence factor exp(-Gamma) underflows to 0 (Gamma up to {np.max(gamma):.6g})")
     return float(out) if out.ndim == 0 else out
 
 

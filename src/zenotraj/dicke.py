@@ -29,7 +29,6 @@ __all__ = [
     "Geometry",
     "CollectiveRateMatrix",
     "ControlQubitState",
-    "sinc",
     "qd_for_collective_factor",
     "dicke_rates_two_atom",
     "build_master_generator",

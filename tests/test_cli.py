@@ -155,6 +155,15 @@ class TestRun:
             table = run(cfg)
         assert np.all(np.isfinite(table.values))
 
+    def test_denormal_temperature_table_emits_no_warning(self):
+        # omega / 2T overflows float64 unless omega is capped before dividing
+        cfg = parse_config(["dynamics-deph", "--temperature", "1e-320",
+                            "--tmax", "10", "--steps", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run(cfg)
+        assert np.all(np.isfinite(table.values))
+
     def test_error_carries_scenario_context(self):
         cfg = parse_config(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",
                             "--tmax", "1", "--steps", "5"])
@@ -231,6 +240,15 @@ class TestMain:
                      "--tmax", "1", "--steps", "5"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics-deph", "--s", "50", "--tmax", "1", "--steps", "2"],
+        ["nonmarkov", "--model", "deph", "--s", "50", "--tmax", "1", "--steps", "2"],
+    ], ids=" ".join)
+    def test_underflowing_coherence_exit_code(self, argv, capsys):
+        # Gamma_T is so large that exp(-Gamma_T) underflows to 0
+        assert main(argv) == 3
+        assert "underflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config_text", [
         (["dicke", "--gamma0", "nan"], None),

@@ -223,6 +223,11 @@ class TestFactors:
         with pytest.raises(ValueError):
             single_path_factor(-0.1)
 
+    def test_single_path_factor_underflow_is_numeric_failure(self):
+        assert single_path_factor(745.0) > 0.0
+        with pytest.raises(NumericError, match="underflows"):
+            single_path_factor(np.array([0.0, 1.0, 750.0]))
+
     def test_modified_dephasing_single_path(self):
         for phi in (0.1, 0.5, 1.0):
             assert modified_dephasing(phi, 1, 0) == pytest.approx(phi, rel=1e-15)

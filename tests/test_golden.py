@@ -53,6 +53,10 @@ GOLDEN = (
     (["perturbation", "--t", "0.2", "--omega-points", "21"],
      "b4c97f95b0f9b5c2567ac959e47b2a607591e52371dbd9b7b76b91c97c4b2454",
      "c7e8df81251a7ffe9baca8145e5732119db4cbe40336c3f8de0dcb87c12a6470"),
+    # the CLI default: 201 frequencies on a 17-panel (t1, t2) mesh
+    (["perturbation"],
+     "f02ef97bdd889df2992e6548ae05390e2fed4503135be886fc6bb92b9f6c2119",
+     "5585ee8cb1c04d16fa5d9a66aa3f89bad549699a6a37705270f3a240a85ff845"),
 )
 
 

@@ -16,16 +16,16 @@ from zenotraj.core import (
 )
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.dissipative import MemoryKernel, decay_amplitude, memory_kernel
-from zenotraj.errors import NullOutcome
+from zenotraj.errors import NullOutcome, QuadratureError
 from zenotraj.filters import FilterSpec, decay_factor_overlap, filter_diss, filter_deph
 from zenotraj.numerics import TimeGrid
 from zenotraj.perturbation import (
     CouplingModel,
+    _rotated_operators,
     dephasing_coupling_model,
     dissipative_coupling_model,
     general_decay_factor,
     general_filter,
-    interaction_picture_operator,
     second_order_block,
 )
 
@@ -67,15 +67,27 @@ class TestPhaseProfile:
 
 class TestCouplingModel:
     def test_validation(self):
-        kern = lambda a, b, w, t1, t2: np.asarray(w) * 0.0
+        table = np.ones((1, 1))
         with pytest.raises(ValueError):
-            CouplingModel(np.array([[0.0, 1.0], [0.0, 0.0]]), (SX,), kern, (LORENTZIAN,))
+            CouplingModel(np.array([[0.0, 1.0], [0.0, 0.0]]), (SX,), table, (LORENTZIAN,))
         with pytest.raises(ValueError):
-            CouplingModel(SZ, (np.array([[0.0, 1.0], [0.0, 0.0]]),), kern, (LORENTZIAN,))
+            CouplingModel(SZ, (np.array([[0.0, 1.0], [0.0, 0.0]]),), table, (LORENTZIAN,))
         with pytest.raises(ValueError):
-            CouplingModel(SZ, (), kern, (LORENTZIAN,))
+            CouplingModel(SZ, (), table, (LORENTZIAN,))
         with pytest.raises(ValueError):
-            CouplingModel(SZ, (SX,), kern, ())
+            CouplingModel(SZ, (SX,), table, ())
+
+    @pytest.mark.parametrize("table", [np.ones((2, 2)), np.ones(1), [[np.nan]], [[1j * np.inf]]],
+                             ids=["wrong-size", "not-a-table", "nan", "inf"])
+    def test_correlation_table_must_match_operators_and_be_finite(self, table):
+        with pytest.raises(ValueError, match="correlations"):
+            CouplingModel(SZ, (SX,), table, (LORENTZIAN,))
+
+    def test_factory_tables(self):
+        diss = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        np.testing.assert_array_equal(diss.correlations, [[0.25, -0.25j], [0.25j, 0.25]])
+        assert diss.correlations.dtype == complex
+        np.testing.assert_array_equal(dephasing_coupling_model(OHMIC).correlations, [[1.0]])
 
     def test_single_density_broadcasts_over_paths(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
@@ -87,7 +99,29 @@ class TestCouplingModel:
         assert model.omega_scale == pytest.approx(1.7, rel=1e-14)
 
 
+def interaction_picture_operator(a, h_q, t):
+    """Oracle: A(t) = e^{i H_Q t} A e^{-i H_Q t} by exact 2x2 eigendecomposition."""
+    a = np.asarray(a, dtype=complex)
+    h = np.asarray(h_q, dtype=complex)
+    if np.max(np.abs(h - h.conj().T)) > 1e-12:
+        raise ValueError("h_q must be Hermitian")
+    d, u = np.linalg.eigh(h)
+    e = u @ np.diag(np.exp(1j * d * t)) @ u.conj().T
+    return e @ a @ e.conj().T
+
+
 class TestInteractionPicture:
+    def test_rotated_operator_stack_matches_oracle(self):
+        model = CouplingModel(np.array([[0.3, 0.2 - 0.5j], [0.2 + 0.5j, -0.9]]),
+                              (SX, SY, SZ), np.eye(3), (LORENTZIAN,))
+        times = np.linspace(0.0, 2.5, 7)
+        stack = _rotated_operators(model, times)
+        assert stack.shape == (3, times.size, 2, 2)
+        for alpha, a in enumerate(model.operators):
+            for k, t in enumerate(times):
+                np.testing.assert_allclose(
+                    stack[alpha, k], interaction_picture_operator(a, model.h_q, t), atol=1e-14)
+
     def test_sigma_x_rotation(self):
         # e^{i(wq/2)sz t} sx e^{-i(wq/2)sz t} = cos(wq t) sx - sin(wq t) sy
         omega_q, t = 1.7, 0.83
@@ -104,11 +138,17 @@ class TestInteractionPicture:
             interaction_picture_operator(SX, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_kernel(j_unit, omega_q):
+    """The unit-coupling memory kernel with its samples cached across eps."""
+    base = memory_kernel(j_unit, omega_q)
+    return functools.lru_cache(maxsize=None)(base.f), base.provenance
+
+
 def _volterra_reference(j_unit, omega_q, eps_sq, grid):
     """G(t) for eps^2-scaled coupling, re-using the unit-coupling kernel."""
-    base = memory_kernel(j_unit, omega_q)
-    cached = functools.lru_cache(maxsize=None)(base.f)
-    kernel = MemoryKernel(lambda tt: eps_sq * cached(tt), base.provenance)
+    cached, provenance = _unit_kernel(j_unit, omega_q)
+    kernel = MemoryKernel(lambda tt: eps_sq * cached(tt), provenance)
     return decay_amplitude(j_unit, omega_q, grid, kernel=kernel)
 
 
@@ -153,8 +193,7 @@ class TestSecondOrderBlock:
         np.testing.assert_allclose(block, block.conj().T, atol=1e-14)
 
     def test_zero_kernel_gives_zero_block(self):
-        kern = lambda a, b, w, t1, t2: np.zeros(np.broadcast(w, t1, t2).shape)
-        model = CouplingModel(0.5 * SZ, (SX,), kern, (LORENTZIAN,))
+        model = CouplingModel(0.5 * SZ, (SX,), np.zeros((1, 1)), (LORENTZIAN,))
         block = second_order_block(model, QubitState.excited(), 0, 0.5)
         np.testing.assert_array_equal(block, np.zeros((2, 2)))
 
@@ -274,7 +313,7 @@ class TestGeneralDecayFactor:
         zeros = Tabulated(
             np.linspace(0.0, LORENTZIAN.omega_max, 30), np.zeros(30))
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with_silent = CouplingModel(base.h_q, base.operators, base.kernel,
+        with_silent = CouplingModel(base.h_q, base.operators, base.correlations,
                                     (LORENTZIAN, LORENTZIAN, zeros))
         prof = InterferometerConfig(3, n_shifts=0)
         partial = general_decay_factor(with_silent, QubitState.excited(), 0.4, prof)
@@ -293,7 +332,25 @@ class TestGeneralDecayFactor:
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         assert general_decay_factor(model, QubitState.excited(), 0.0,
                                     InterferometerConfig(2, n_shifts=0)) == 0.0
-        bad = CouplingModel(model.h_q, model.operators, model.kernel,
+        bad = CouplingModel(model.h_q, model.operators, model.correlations,
                             (LORENTZIAN, LORENTZIAN))
         with pytest.raises(ValueError):
             general_decay_factor(bad, QubitState.excited(), 0.4, InterferometerConfig(3, n_shifts=0))
+
+
+class TestFrequencyIntegralCheck:
+    def test_unconverged_frequency_integral_is_reported(self, monkeypatch):
+        # both frequency integrals go through one quad_vec call whose error bound is
+        # checked; a bound far above tolerance must raise, not return
+        import scipy.integrate
+
+        def unconverged(f, a, b, **kwargs):
+            value = f(0.5 * (a + b))
+            return value, 1e3 * (1.0 + np.max(np.abs(value)))
+
+        monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged)
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        with pytest.raises(QuadratureError):
+            second_order_block(model, QubitState.excited(), 0, 0.2)
+        with pytest.raises(QuadratureError):
+            general_decay_factor(model, QubitState.excited(), 0.4, InterferometerConfig(1, n_shifts=0))
