@@ -38,7 +38,6 @@ from .dicke import (
     evolve_collective,
     excited_population_analytic,
     excited_population_numeric,
-    sinc,
     superposed_initial_state,
 )
 from .dissipative import (
@@ -49,14 +48,19 @@ from .dissipative import (
     trace_distance_diss,
 )
 from .errors import ConfigError, NumericError, ZenoTrajError
-from .filters import FilterSpec, decay_factor_overlap, filter_deph, filter_diss, filter_traditional_zeno
+from .filters import (
+    FilterSpec,
+    decay_factor_overlap,
+    filter_deph,
+    filter_diss,
+    filter_traditional_zeno,
+    sinc,
+)
 from .numerics import TimeGrid, brentq
 from .perturbation import dissipative_coupling_model, general_filter
 
 __all__ = ["RunConfig", "ResultTable", "parse_config", "run", "emit", "main"]
 
-_SCENARIOS = ("filter", "dynamics-diss", "dynamics-deph", "dicke", "nonmarkov", "perturbation")
-_RECIPES = ("fig2", "fig3", "fig4a", "fig4b", "fig4c")
 _RECIPE_SCENARIO = {"fig2": "filter", "fig3": "dicke",
                     "fig4a": "nonmarkov", "fig4b": "nonmarkov", "fig4c": "nonmarkov"}
 
@@ -84,19 +88,25 @@ _RECIPE_FIXED = {
 
 # file/CLI key -> internal name ("lambda" is a Python keyword)
 _KEYMAP = {"lambda": "lam"}
+_FLAGS = {name: key for key, name in _KEYMAP.items()}
 
 _COMMON_DEFAULTS = {"out": None, "format": "csv", "recipe": None}
 
+# Each scenario's parameters and their defaults: the only declaration of
+# what a subcommand accepts.  Its flags, the keys a config file may set and
+# the metadata keys of its table all come from here.  A tuple lists the
+# allowed values, the first being the default; a None default is a float.
 _SCENARIO_DEFAULTS = {
     "filter": {
-        "kind": "diss", "spectral": "gaussian", "omega_q": 1.0, "t": 5.0,
-        "N": 1, "n": 0, "n_tilde": 1.0,
+        "kind": ("diss", "deph", "traditional"),
+        "spectral": ("gaussian", "lorentzian", "ohmic"),
+        "omega_q": 1.0, "t": 5.0, "N": 1, "n": 0, "n_tilde": 1.0,
         "gamma0": 1.0, "lam": 0.5, "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
         "omega_m": 1.5, "delta": 0.2,
         "omega_min": -5.0, "omega_max": 7.0, "omega_points": 1201,
     },
     "dynamics-diss": {
-        "spectral": "lorentzian", "gamma0": 1.0, "lam": 1.0, "omega_q": 1.0,
+        "spectral": ("lorentzian",), "gamma0": 1.0, "lam": 1.0, "omega_q": 1.0,
         "N": 1, "n": 0, "tmax": 10.0, "steps": 1000,
     },
     "dynamics-deph": {
@@ -108,7 +118,7 @@ _SCENARIO_DEFAULTS = {
         "tmax": 5.0, "steps": 500, "numeric": False,
     },
     "nonmarkov": {
-        "model": "diss", "gamma0": 1.0, "lam": 0.1, "omega_q": 50.0,
+        "model": ("diss", "deph"), "gamma0": 1.0, "lam": 0.1, "omega_q": 50.0,
         "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0, "temperature": 0.0,
         "tmax": 60.0, "steps": 6000,
     },
@@ -118,7 +128,39 @@ _SCENARIO_DEFAULTS = {
     },
 }
 
+_HELP = {
+    "kind": "filter to tabulate",
+    "spectral": "spectral density family",
+    "model": "dissipative or pure-dephasing bath",
+    "omega_q": "qubit transition frequency",
+    "t": "evolution time",
+    "N": "number of superposed paths",
+    "n": "number of sign-flipped paths",
+    "n_tilde": "pulse count of the sequential protocol",
+    "gamma0": "decay rate scale (Lorentzian line or single emitter)",
+    "lam": "Lorentzian line width",
+    "eta": "power-law coupling strength",
+    "s": "power-law exponent",
+    "omega_c": "power-law cutoff frequency",
+    "omega_m": "bell-peak centre frequency",
+    "delta": "bell-peak squared width",
+    "omega_min": "lowest grid frequency",
+    "omega_max": "highest grid frequency",
+    "omega_points": "number of grid frequencies",
+    "temperature": "bath temperature (k_B = 1)",
+    "tmax": "final time (dicke: in units of 1/gamma0)",
+    "steps": "number of time steps",
+    "sinc": "collective coupling factor in (-0.2173, 1]",
+    "qd": "wavenumber times spacing (sets the factor)",
+    "numeric": "add a master-equation population column",
+}
+
 _DEFAULT_SINC = 1.0 / 6.0
+
+# largest a-priori RK4 error a dicke --numeric table may carry: for N <= 4
+# and s in [-0.2, 0.99] the pe_numeric error stays below 1.95 times the bound,
+# so an accepted column is within 1e-6 of the closed form
+_RK4_ERROR_TOL = 4e-7
 
 
 @dataclass(frozen=True)
@@ -149,81 +191,36 @@ class ResultTable:
         object.__setattr__(self, "values", vals)
 
 
+def _defaults(scenario):
+    return {key: value[0] if isinstance(value, tuple) else value
+            for key, value in _SCENARIO_DEFAULTS[scenario].items()}
+
+
+def _add_parameter(parser, key, default):
+    flag = "--" + _FLAGS.get(key, key).replace("_", "-")
+    if isinstance(default, bool):
+        parser.add_argument(flag, dest=key, action="store_true", default=None, help=_HELP[key])
+    elif isinstance(default, tuple):
+        parser.add_argument(flag, dest=key, choices=default, help=_HELP[key])
+    else:
+        kind = int if isinstance(default, int) else float
+        parser.add_argument(flag, dest=key, type=kind, help=_HELP[key])
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="zenotraj",
         description="Post-selected open-system dynamics over superposed paths.")
     parser.add_argument("--version", action="version", version=f"zenotraj {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True)
-
-    def common(p):
+    for scenario, declared in _SCENARIO_DEFAULTS.items():
+        p = sub.add_parser(scenario, help=_RUNNERS[scenario].__doc__)
         p.add_argument("--config", help="JSON file with configuration keys")
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--recipe", choices=_RECIPES, help="named preset sweep")
-
-    def spectral(p, kinds=("lorentzian", "ohmic", "gaussian")):
-        p.add_argument("--spectral", choices=kinds, help="spectral density family")
-        p.add_argument("--gamma0", type=float, help="resonant decay rate scale")
-        p.add_argument("--lambda", dest="lam", type=float, help="spectral width")
-        p.add_argument("--omega-q", type=float, help="qubit transition frequency")
-        p.add_argument("--eta", type=float, help="power-law coupling strength")
-        p.add_argument("--s", type=float, help="power-law exponent")
-        p.add_argument("--omega-c", type=float, help="power-law cutoff frequency")
-        p.add_argument("--omega-m", type=float, help="bell-peak centre frequency")
-        p.add_argument("--delta", type=float, help="bell-peak squared width")
-
-    def paths(p):
-        p.add_argument("--N", type=int, help="number of superposed paths")
-        p.add_argument("--n", type=int, help="number of sign-flipped paths")
-
-    p = sub.add_parser("filter", help="filter functions on a frequency grid")
-    common(p); spectral(p); paths(p)
-    p.add_argument("--kind", choices=("diss", "deph", "traditional"))
-    p.add_argument("--t", type=float, help="evolution time")
-    p.add_argument("--n-tilde", type=float, help="pulse count of the sequential protocol")
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-points", type=int)
-
-    p = sub.add_parser("dynamics-diss", help="post-selected amplitude-damping dynamics")
-    common(p); spectral(p, kinds=("lorentzian",)); paths(p)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("dynamics-deph", help="post-selected dephasing dynamics")
-    common(p); paths(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--omega-c", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("dicke", help="collective-emission populations")
-    common(p); paths(p)
-    p.add_argument("--sinc", type=float, help="collective coupling factor in (-0.2173, 1]")
-    p.add_argument("--qd", type=float, help="wavenumber times spacing (sets the factor)")
-    p.add_argument("--gamma0", type=float, help="single-emitter decay rate")
-    p.add_argument("--tmax", type=float, help="duration in units of 1/gamma0")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--numeric", action="store_true", default=None,
-                   help="add a master-equation population column")
-
-    p = sub.add_parser("nonmarkov", help="trace-distance and divisibility diagnostics")
-    common(p); spectral(p, kinds=("lorentzian", "ohmic"))
-    p.add_argument("--model", choices=("diss", "deph"))
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("perturbation", help="general engine vs closed-form filter")
-    common(p); spectral(p, kinds=("lorentzian",)); paths(p)
-    p.add_argument("--t", type=float)
-    p.add_argument("--omega-min", type=float)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--omega-points", type=int)
-
+        p.add_argument("--recipe", choices=tuple(_RECIPE_SCENARIO), help="named preset sweep")
+        for key, default in declared.items():
+            _add_parameter(p, key, default)
     return parser
 
 
@@ -266,12 +263,14 @@ def _validate(scenario, params, recipe):
                 raise ConfigError(
                     f"null post-selection: with n = N/2 (n={n_shifts}, N={n_paths}) the "
                     "projected output port is dark and one obtains a null result")
-    for key in ("gamma0", "lam", "omega_c", "t", "tmax", "delta"):
+    for key, allowed in _SCENARIO_DEFAULTS[scenario].items():
+        if isinstance(allowed, tuple) and params[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {params[key]!r}")
+    for key in ("gamma0", "lam", "eta", "omega_c", "t", "tmax", "delta"):
         if params.get(key) is not None and params[key] <= 0:
             raise ConfigError(f"{key} must be > 0")
-    for key in ("eta", "temperature"):
-        if params.get(key) is not None and params[key] < 0:
-            raise ConfigError(f"{key} must be >= 0")
+    if params.get("temperature") is not None and params["temperature"] < 0:
+        raise ConfigError("temperature must be >= 0")
     if params.get("s") is not None and params["s"] <= 0:
         raise ConfigError("s must be > 0")
     if params.get("steps") is not None and params["steps"] < 1:
@@ -296,7 +295,7 @@ def parse_config(argv=None):
     """
     args = _build_parser().parse_args(argv)
     scenario = args.scenario
-    defaults = dict(_SCENARIO_DEFAULTS[scenario])
+    defaults = _defaults(scenario)
     allowed = set(defaults) | set(_COMMON_DEFAULTS)
     file_vals = _load_config_file(args.config, scenario, allowed) if args.config else {}
     cli_vals = {k: v for k, v in vars(args).items()
@@ -322,7 +321,7 @@ def parse_config(argv=None):
 
 
 def _spectral_density(params):
-    kind = params.get("spectral", "lorentzian")
+    kind = params["spectral"]
     if kind == "lorentzian":
         return Lorentzian(params["gamma0"], params["lam"], params["omega_q"])
     if kind == "ohmic":
@@ -343,6 +342,7 @@ def _base_metadata(config, units_note):
 
 
 def _run_filter(config):
+    """filter functions on a frequency grid"""
     p = config.params
     units = "omega_q = 1 sets the clock"
     omega_q, t = p["omega_q"], p["t"]
@@ -369,6 +369,7 @@ def _run_filter(config):
 
 
 def _run_dynamics_diss(config):
+    """post-selected amplitude-damping dynamics"""
     p = config.params
     units = "omega_q = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
@@ -386,12 +387,13 @@ def _run_dynamics_diss(config):
 
 
 def _run_dynamics_deph(config):
+    """post-selected dephasing dynamics"""
     p = config.params
     units = "omega_c = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
     j = Ohmic(p["eta"], p["s"], p["omega_c"])
     params = DephasingParams(j, temperature=p["temperature"])
-    factors = dephasing_factors(params, grid, p["N"], p["n"]).validate()
+    factors = dephasing_factors(params, grid, p["N"], p["n"])
     meta = _base_metadata(config, units)
     values = np.column_stack([grid.times, factors.gamma, factors.phi,
                               factors.phi_mod, np.abs(factors.phi_mod)])
@@ -407,7 +409,22 @@ def _resolve_collective_factor(p):
     return _DEFAULT_SINC
 
 
+def _rk4_error_bound(gamma0, grid):
+    """max_k |R(z)^k - e^{kz}| over the collective generator's decay rates.
+
+    The generator's spectrum is {0, -gamma0/2, -gamma0}; on each eigenmode
+    one RK4 step multiplies by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 with
+    z = -rate*dt instead of by e^z, so this is the a-priori error of the
+    evolved modes over the grid (the zero mode is exact).
+    """
+    z = -grid.dt * gamma0 * np.array([[0.5], [1.0]])
+    k = np.arange(1, grid.count)
+    amp = 1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    return float(np.max(np.abs(amp ** k - np.exp(k * z))))
+
+
 def _run_dicke(config):
+    """collective-emission populations"""
     p = config.params
     units = "gamma0 sets the clock; omega_q = 1 units"
     gamma0, s = p["gamma0"], _resolve_collective_factor(p)
@@ -433,12 +450,18 @@ def _run_dicke(config):
         rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
         grid = TimeGrid(0.0, times[1] - times[0], times.size)
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
+        bound = _rk4_error_bound(gamma0, grid)
+        if bound > _RK4_ERROR_TOL:
+            raise NumericError(
+                f"RK4 error bound {bound:.3g} on the generator's spectrum exceeds "
+                f"{_RK4_ERROR_TOL:g}; use more steps")
         series.append(excited_population_numeric(states, p["N"], p["n"]))
         cols.append("pe_numeric")
     return ResultTable(cols, np.column_stack(series), units, meta)
 
 
 def _run_nonmarkov(config):
+    """trace-distance and divisibility diagnostics"""
     p = config.params
     pairs = [(1, 0), (3, 0), (3, 1)]
     if p["model"] == "diss":
@@ -490,6 +513,7 @@ def _deph_landmarks(params, base, grid):
 
 
 def _run_perturbation(config):
+    """general engine vs closed-form filter"""
     p = config.params
     units = "omega_q = 1 sets the clock"
     j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])

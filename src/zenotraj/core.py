@@ -1,4 +1,4 @@
-"""Shared domain types and the path-superposition / post-selection algebra.
+"""Shared domain types: spectral densities, phase profiles and qubit states.
 
 A qubit traversing an N-arm interferometer accumulates per-path conditional
 states ρ_{Q,i,j}; projecting the path register onto a phase profile
@@ -9,7 +9,12 @@ states ρ_{Q,i,j}; projecting the path register onto a phase profile
 For identical environments all diagonal blocks equal ρ_Q(t), all off-diagonal
 blocks equal a single cross block β(t), and the sum collapses to
 ρ_Q(t)/N + (R - 1/N) β(t) with the post-selection factor
-R(N, n) = (N - 2n)²/N² for binary phase profiles with n shifts of π.
+R(N, n) = (N - 2n)²/N² for binary phase profiles with n shifts of π.  The
+model modules build their conditional states from that collapsed form; the
+general block sum is kept in the tests as its oracle.  This module holds the
+ingredients both share: the spectral-density families, the phase algebra
+(R, phase weights, pair sums), the 2×2 qubit state, normalization and the
+trace distance.
 """
 
 import math
@@ -28,13 +33,10 @@ __all__ = [
     "Tabulated",
     "InterferometerConfig",
     "QubitState",
-    "PathBlockMatrix",
     "r_factor",
     "binary_phases",
     "phase_weights",
     "phase_pair_sum",
-    "postselect_general",
-    "superpose_identical",
     "normalize",
     "trace_distance",
 ]
@@ -110,13 +112,13 @@ class Ohmic(SpectralDensity):
         self._resolve(50.0 * self.omega_c)
 
     def _shape(self, omega):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                omega > 0,
-                self.eta * omega ** self.s * self.omega_c ** (1.0 - self.s)
-                * np.exp(-omega / self.omega_c),
-                0.0,
-            )
+        # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c
+        out = np.zeros_like(omega)
+        pos = omega > 0
+        w = omega[pos]
+        out[pos] = (self.eta * w ** self.s * self.omega_c ** (1.0 - self.s)
+                    * np.exp(-w / self.omega_c))
+        return out
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,7 @@ class InterferometerConfig:
 
 
 # ---------------------------------------------------------------------------
-# qubit states and path blocks
+# qubit states
 # ---------------------------------------------------------------------------
 
 _HERM_TOL = 1e-12
@@ -340,75 +342,9 @@ class QubitState:
         return self
 
 
-@dataclass(frozen=True)
-class PathBlockMatrix:
-    """N×N array of 2×2 conditional-state blocks ρ_{Q,i,j}(t)."""
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 4 or blocks.shape[0] != blocks.shape[1] \
-                or blocks.shape[2:] != (2, 2):
-            raise ValueError("blocks must have shape (N, N, 2, 2)")
-        object.__setattr__(self, "blocks", blocks)
-
-    @classmethod
-    def uniform(cls, rho_diagonal, beta, n_paths):
-        """Identical environments: ρ on the diagonal, β on every off-diagonal."""
-        rho = np.asarray(rho_diagonal.matrix if isinstance(rho_diagonal, QubitState)
-                         else rho_diagonal, dtype=complex)
-        off = np.asarray(beta.matrix if isinstance(beta, QubitState) else beta,
-                         dtype=complex)
-        blocks = np.tile(off, (n_paths, n_paths, 1, 1))
-        for i in range(n_paths):
-            blocks[i, i] = rho
-        return cls(blocks)
-
-    @property
-    def n_paths(self):
-        return self.blocks.shape[0]
-
-    def validate(self, herm_tol=1e-10):
-        adjoint = np.conj(np.transpose(self.blocks, (1, 0, 3, 2)))
-        dev = float(np.max(np.abs(self.blocks - adjoint)))
-        if dev > herm_tol:
-            raise ValueError(f"block matrix is not Hermitian: deviation {dev:g}")
-        for i in range(self.n_paths):
-            QubitState(self.blocks[i, i]).validate(psd_tol=-1e-10)
-        return self
-
-
 # ---------------------------------------------------------------------------
-# superposition and post-selection
+# normalization and distances
 # ---------------------------------------------------------------------------
-
-def postselect_general(blocks, phases):
-    """(1/N²) Σ_{i,j} e^{-i(φ_i-φ_j)} ρ_{Q,i,j}: unnormalized conditional state."""
-    if isinstance(blocks, PathBlockMatrix):
-        blocks = blocks.blocks
-    blocks = np.asarray(blocks, dtype=complex)
-    n = blocks.shape[0]
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ValueError("phase vector length must match the path count")
-    w = phase_weights(phases)
-    out = np.einsum("i,j,ijab->ab", w, w.conj(), blocks) / n**2
-    return QubitState(out)
-
-
-def superpose_identical(rho_single, beta, config):
-    """ρ/N + (R - 1/N) β for identical environments and binary phases."""
-    if not config.is_binary:
-        raise ValueError("superpose_identical requires a binary phase profile")
-    n = config.n_paths
-    rho = np.asarray(rho_single.matrix if isinstance(rho_single, QubitState)
-                     else rho_single, dtype=complex)
-    off = np.asarray(beta.matrix if isinstance(beta, QubitState) else beta,
-                     dtype=complex)
-    out = rho / n + (config.r - 1.0 / n) * off
-    return QubitState(out)
-
 
 def normalize(state):
     """Divide out the trace; returns (normalized state, success probability)."""

@@ -239,7 +239,7 @@ def dephasing_exponent(params, t):
     half_period = np.pi / t
     n_half = int(np.floor(omega_max / half_period - 1e-12))
     edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
-    return float(gauss_legendre_panels(h, edges, order=10).real)
+    return float(gauss_legendre_panels(h, edges).real)
 
 
 def single_path_factor(gamma):

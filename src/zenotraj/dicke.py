@@ -22,15 +22,10 @@ import numpy as np
 
 from .core import binary_phases, phase_weights, r_factor
 from .errors import NullOutcome, NumericError
-from .filters import sinc
-from .numerics import brentq, integrate_matrix_ode
+from .numerics import integrate_matrix_ode
 
 __all__ = [
-    "Geometry",
     "CollectiveRateMatrix",
-    "ControlQubitState",
-    "qd_for_collective_factor",
-    "dicke_rates_two_atom",
     "build_master_generator",
     "evolve_collective",
     "excited_population_analytic",
@@ -45,60 +40,6 @@ _SINC_FLOOR = -0.2173
 # classical RK4 is stable on the negative real axis for h*|lambda| up to the
 # real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, z = -2.7852935634...
 _RK4_REAL_STABILITY = 2.785293563405282
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Emitter positions as a pairwise-distance matrix plus wavenumber q."""
-
-    distance_matrix: np.ndarray
-    q: float
-
-    def __post_init__(self):
-        d = np.asarray(self.distance_matrix, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("distance matrix must be square")
-        if not np.allclose(d, d.T, atol=1e-12):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diag(d) != 0.0):
-            raise ValueError("self-distances must be zero")
-        if np.any(d < 0):
-            raise ValueError("distances must be >= 0")
-        if self.q < 0:
-            raise ValueError("wavenumber must be >= 0")
-        object.__setattr__(self, "distance_matrix", d)
-
-    @property
-    def n_sites(self):
-        return self.distance_matrix.shape[0]
-
-    @classmethod
-    def from_positions(cls, positions, q):
-        r = np.asarray(positions, dtype=float)
-        if r.ndim != 2 or r.shape[1] != 3:
-            raise ValueError("positions must be an (N, 3) array")
-        diff = r[:, None, :] - r[None, :, :]
-        return cls(np.linalg.norm(diff, axis=-1), float(q))
-
-    @classmethod
-    def equal_distance(cls, n_sites, d, q):
-        """Segment (N=2), equilateral triangle (N=3), regular tetrahedron (N=4)."""
-        if n_sites == 1:
-            return cls(np.zeros((1, 1)), float(q))
-        if n_sites == 2:
-            pos = [[0.0, 0.0, 0.0], [d, 0.0, 0.0]]
-        elif n_sites == 3:
-            pos = [[0.0, 0.0, 0.0], [d, 0.0, 0.0], [d / 2.0, d * np.sqrt(3.0) / 2.0, 0.0]]
-        elif n_sites == 4:
-            pos = [
-                [0.0, 0.0, 0.0],
-                [d, 0.0, 0.0],
-                [d / 2.0, d * np.sqrt(3.0) / 2.0, 0.0],
-                [d / 2.0, d * np.sqrt(3.0) / 6.0, d * np.sqrt(2.0 / 3.0)],
-            ]
-        else:
-            raise ValueError("equal-distance geometries exist only for N <= 4")
-        return cls.from_positions(pos, q)
 
 
 @dataclass(frozen=True)
@@ -127,15 +68,8 @@ class CollectiveRateMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_geometry(cls, geometry, gamma0):
-        m = sinc(geometry.q * geometry.distance_matrix)
-        m = np.atleast_2d(m)
-        np.fill_diagonal(m, 1.0)
-        return cls(m, float(gamma0))
-
-    @classmethod
     def from_factor(cls, n_sites, s, gamma0):
-        """Uniform cross factor s (equal-distance geometry shortcut)."""
+        """Uniform cross factor s = sinc(q d) of an equal-distance geometry."""
         m = np.full((n_sites, n_sites), float(s))
         np.fill_diagonal(m, 1.0)
         return cls(m, float(gamma0))
@@ -144,55 +78,13 @@ class CollectiveRateMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-@dataclass(frozen=True)
-class ControlQubitState:
-    """2N x 2N density matrix on control (x) qubit, basis |i> (x) {|e>, |g>}."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError("state must be a 2N x 2N matrix")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_sites(self):
-        return self.matrix.shape[0] // 2
-
-    def validate(self, psd_tol=1e-10, trace_tol=1e-9):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("state is not Hermitian")
-        if float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) < -psd_tol:
-            raise ValueError("state is not positive semidefinite")
-        if abs(np.trace(m).real - 1.0) > trace_tol:
-            raise ValueError("state trace is not 1")
-        return self
-
-
-def qd_for_collective_factor(s, bracket=(1e-9, np.pi)):
-    """The qd in (0, pi) with sinc(qd) = s, for s in (0, 1)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("collective factor must lie in (0, 1)")
-    return float(brentq(lambda x: sinc(x) - s, *bracket, xtol=1e-14, rtol=8.9e-16))
-
-
-def dicke_rates_two_atom(gamma0, qd):
-    """Two-atom Dicke rates (Gamma_plus, Gamma_minus) = Gamma0 (1 +- sinc(qd))."""
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be > 0")
-    s = sinc(qd)
-    return gamma0 * (1.0 + s), gamma0 * (1.0 - s)
-
-
 def build_master_generator(rates):
     """Linear map rho -> d rho/dt for the collective equation.
 
-    ``rates`` is a CollectiveRateMatrix (use ``from_geometry`` for positions).
-    The cross term is exactly the printed sandwich sum; trace preservation is
-    asserted on a seeded random Hermitian matrix at build time and the build
-    aborts with a diagnostic if it fails.
+    ``rates`` is a CollectiveRateMatrix.  The cross term is exactly the
+    printed sandwich sum; trace preservation is asserted on a seeded random
+    Hermitian matrix at build time and the build aborts with a diagnostic if
+    it fails.
     """
     m, n, gamma0 = rates.matrix, rates.n_sites, rates.gamma0
     dim = 2 * n
@@ -222,15 +114,16 @@ def superposed_initial_state(n_paths):
     """|chi_C><chi_C| (x) |e><e| with chi_C the uniform position superposition.
 
     The phase pattern enters only at post-selection (see
-    :func:`excited_population_numeric`); preparation is phase-free.
+    :func:`excited_population_numeric`); preparation is phase-free.  Returns
+    the 2N x 2N density matrix in the basis |i> (x) {|e>, |g>}.
     """
     chi = np.full(n_paths, 1.0 / np.sqrt(n_paths), dtype=complex)
     vec = np.kron(chi, np.array([1.0, 0.0], dtype=complex))
-    return ControlQubitState(np.outer(vec, vec.conj()))
+    return np.outer(vec, vec.conj())
 
 
 def evolve_collective(rates, rho0, grid):
-    """RK4 evolution of a ControlQubitState under the collective generator.
+    """RK4 evolution of a control (x) qubit state under the collective generator.
 
     The generator's spectrum is {0, -Gamma0/2, -Gamma0}, so a step with
     Gamma0*dt beyond RK4's real-axis stability limit would amplify instead
@@ -240,8 +133,6 @@ def evolve_collective(rates, rho0, grid):
         raise NumericError(
             f"RK4 step is unstable: gamma0*dt = {rates.gamma0 * grid.dt:g} exceeds "
             f"the real-axis stability limit {_RK4_REAL_STABILITY:.4f}; use more steps")
-    if isinstance(rho0, ControlQubitState):
-        rho0 = rho0.matrix
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2 * rates.n_sites,) * 2:
         raise ValueError("initial state dimension does not match the rate matrix")

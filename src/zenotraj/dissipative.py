@@ -26,7 +26,6 @@ __all__ = [
     "DecayAmplitude",
     "MemoryKernel",
     "memory_kernel",
-    "lorentzian_kernel_closed",
     "decay_amplitude",
     "decay_amplitude_lorentzian_closed",
     "decay_amplitude_closed_series",
@@ -42,6 +41,10 @@ __all__ = [
 # QUADPACK weight is used instead of plain subdivision.
 _OSC_PHASE_SWITCH = 50.0
 
+# relative and absolute tolerance of each memory-kernel sample
+_KERNEL_REL_TOL = 1e-11
+_KERNEL_ABS_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class MemoryKernel:
@@ -52,7 +55,7 @@ class MemoryKernel:
     """
 
     f: object
-    provenance: str  # "numeric_from_J" | "lorentzian_closed"
+    provenance: str  # "numeric_from_J", or the label of a caller-supplied kernel
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class DecayAmplitude:
         return self
 
 
-def memory_kernel(j, omega_q, rel_tol=1e-11, abs_tol=1e-13):
+def memory_kernel(j, omega_q):
     """f(t) = ∫₀^{ω_max} dω J(ω) e^{i(ω_q-ω)t} by adaptive quadrature per t."""
     omega_max = j.omega_max
 
@@ -89,37 +92,29 @@ def memory_kernel(j, omega_q, rel_tol=1e-11, abs_tol=1e-13):
             raise TypeError("memory kernel evaluates one time at a time")
         t = float(t)
         if t == 0.0:
-            val = integrate_adaptive(j, 0.0, omega_max, rel_tol, abs_tol,
+            val = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
                                      complex_valued=False)
             return complex(val.real, 0.0)
         if omega_max * abs(t) > _OSC_PHASE_SWITCH:
             # e^{i(ω_q-ω)t} = e^{iω_q t} (cos ωt - i sin ωt): QUADPACK's
             # oscillatory weight handles the many-cycle phase robustly.
-            re = integrate_adaptive(j, 0.0, omega_max, rel_tol, abs_tol,
+            re = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
                                     complex_valued=False, weight="cos", wvar=t)
-            im = integrate_adaptive(j, 0.0, omega_max, rel_tol, abs_tol,
+            im = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
                                     complex_valued=False, weight="sin", wvar=t)
             return complex(np.exp(1j * omega_q * t) * (re.real - 1j * im.real))
         return complex(integrate_adaptive(
             lambda w: j(w) * np.exp(1j * (omega_q - w) * t),
-            0.0, omega_max, rel_tol, abs_tol))
+            0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL))
 
     return MemoryKernel(f, "numeric_from_J")
-
-
-def lorentzian_kernel_closed(gamma0, lam):
-    """Full-line Lorentzian kernel f(t) = (γ₀λ/2) e^{-λ|t|} (pseudomode form)."""
-    def f(t):
-        return 0.5 * gamma0 * lam * np.exp(-lam * np.abs(t)) + 0.0j
-
-    return MemoryKernel(f, "lorentzian_closed")
 
 
 def decay_amplitude(j, omega_q, grid, kernel=None):
     """G(t) on a grid by solving the Volterra equation for the kernel of J.
 
-    ``kernel`` may override the numeric half-line kernel (e.g. with the
-    closed full-line Lorentzian form).
+    ``kernel`` may override the numeric half-line kernel with any
+    MemoryKernel, e.g. a closed form or a rescaled copy.
     """
     if kernel is None:
         kernel = memory_kernel(j, omega_q)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ZenoTrajError", "ConfigError", "NumericError", "QuadratureError", "NullOutcome"]
+
 
 class ZenoTrajError(Exception):
     """Base class for all library errors."""

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_OVERLAP_REL_TOL = 1e-11
+
+
 def sinc(x):
     """sin(x)/x with sinc(0) = 1; series branch below |x| = 1e-4."""
     x = np.asarray(x, dtype=float)
@@ -118,7 +121,7 @@ class FilterSpec:
         return filter_traditional_zeno(omega, self.t, self.n_tilde, self.omega_q)
 
 
-def decay_factor_overlap(j, spec, rel_tol=1e-11):
+def decay_factor_overlap(j, spec):
     """gamma(t) = int_0^{omega_max} dw J(w) F(w); adaptive, relative-only.
 
     The absolute tolerance is pinned to zero so that scaling the filter by an
@@ -132,7 +135,7 @@ def decay_factor_overlap(j, spec, rel_tol=1e-11):
     if spec.kind != "deph_superposed" and 0.0 < spec.omega_q < j.omega_max:
         points = [spec.omega_q]
     val = integrate_adaptive(
-        integrand, 0.0, j.omega_max, rel_tol, 0.0,
+        integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
         complex_valued=False, points=points,
     )
     out = float(val.real)

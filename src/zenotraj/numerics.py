@@ -25,6 +25,12 @@ __all__ = [
 ]
 
 
+# Hermiticity tolerance of min_eigenvalue_hermitian, relative to the largest entry
+_HERM_TOL = 1e-12
+
+_GL_ORDER = 10
+
+
 class _LazyModule:
     """Stand-in for a module that is imported on first attribute access.
 
@@ -199,11 +205,11 @@ def integrate_matrix_ode(rhs, rho0, grid):
     return out
 
 
-def min_eigenvalue_hermitian(M, herm_tol=1e-12):
+def min_eigenvalue_hermitian(M):
     """Smallest eigenvalue of a small (n ≤ 8) Hermitian matrix.
 
     The input is symmetrized before the solve; a deviation from Hermiticity
-    beyond ``herm_tol`` (relative to the largest entry) is an error.
+    beyond ``_HERM_TOL`` (relative to the largest entry) is an error.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -212,7 +218,7 @@ def min_eigenvalue_hermitian(M, herm_tol=1e-12):
         raise ValueError("min_eigenvalue_hermitian is limited to n <= 8")
     scale = max(1.0, float(np.max(np.abs(M))))
     deviation = float(np.max(np.abs(M - M.conj().T)))
-    if deviation > herm_tol * scale:
+    if deviation > _HERM_TOL * scale:
         raise NumericError(
             f"matrix is not Hermitian within tolerance: deviation {deviation:g}"
         )
@@ -229,8 +235,8 @@ def _legendre_rule(order):
     return x, w
 
 
-def gauss_legendre_panels(f, edges, order=10):
-    """Vectorized fixed-order Gauss-Legendre quadrature over contiguous panels.
+def gauss_legendre_panels(f, edges):
+    """Vectorized order-10 Gauss-Legendre quadrature over contiguous panels.
 
     ``edges`` is an increasing array of panel boundaries; ``f`` must accept an
     ndarray of abscissae. Useful for oscillatory integrands split at their
@@ -239,7 +245,7 @@ def gauss_legendre_panels(f, edges, order=10):
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must contain at least two panel boundaries")
-    x, w = _legendre_rule(order)
+    x, w = _legendre_rule(_GL_ORDER)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half

@@ -41,6 +41,12 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _GL_ORDER = 10
 
+# tolerances of the frequency integral of the correction block and of the
+# decay factor
+_BLOCK_REL_TOL = 1e-10
+_BLOCK_ABS_TOL = 1e-13
+_DECAY_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CouplingModel:
@@ -168,7 +174,7 @@ def _omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
     return value
 
 
-def second_order_block(model, rho0, path_index, t, rel_tol=1e-10, abs_tol=1e-13):
+def second_order_block(model, rho0, path_index, t):
     """Second-order correction of the path-``i`` density matrix at time t.
 
     sum_{ab} int_0^t dt1 int_0^{t1} dt2 C_{ab}(t1,t2)
@@ -195,7 +201,8 @@ def second_order_block(model, rho0, path_index, t, rel_tol=1e-10, abs_tol=1e-13)
         gain = np.einsum("pij,jk,pkl->pil", a2[b], r, a1[a])
         loss = np.einsum("pij,pjk,kl->pil", a1[a], a2[b], r)
         weighted[a, b] = (W[:, None, None] * (gain - loss)).reshape(-1, 4)
-    block = _omega_integral(j, model.correlations, tau, weighted, rel_tol, abs_tol).reshape(2, 2)
+    block = _omega_integral(j, model.correlations, tau, weighted,
+                            _BLOCK_REL_TOL, _BLOCK_ABS_TOL).reshape(2, 2)
     return block + block.conj().T
 
 
@@ -243,7 +250,7 @@ def general_filter(model, psi0, omega, t, config):
     return float(out[0]) if scalar else out
 
 
-def general_decay_factor(model, psi0, t, config, rel_tol=1e-9):
+def general_decay_factor(model, psi0, t, config):
     """Average over paths of int dw J_i(w) F_i(w, t, N, phases).
 
     ``config`` is the InterferometerConfig of the post-selection.  With
@@ -262,6 +269,6 @@ def general_decay_factor(model, psi0, t, config, rel_tol=1e-9):
     overlaps = {}
     for j in js:
         if id(j) not in overlaps:
-            value = _omega_integral(j, model.correlations, tau, weighted, rel_tol, 1e-200)
+            value = _omega_integral(j, model.correlations, tau, weighted, _DECAY_REL_TOL, 1e-200)
             overlaps[id(j)] = prefactor * float(value.real)
     return sum(overlaps[id(j)] for j in js) / len(js)

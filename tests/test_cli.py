@@ -6,8 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
+from zenotraj import cli
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
 from zenotraj.errors import ConfigError, NumericError
+
+# flags a subcommand refuses because its run reads no such parameter
+UNREAD_FLAGS = {
+    "dynamics-diss": ("--eta", "--s", "--omega-c", "--omega-m", "--delta"),
+    "nonmarkov": ("--spectral", "--omega-m", "--delta"),
+    "perturbation": ("--spectral", "--eta", "--s", "--omega-c", "--omega-m", "--delta"),
+}
 
 
 class TestParseConfig:
@@ -25,8 +33,7 @@ class TestParseConfig:
             parse_config(["dicke", "--N", "4", "--n", "2"])
 
     def test_narrow_line_config(self):
-        cfg = parse_config(["nonmarkov", "--spectral", "lorentzian",
-                            "--lambda", "0.1", "--gamma0", "1"])
+        cfg = parse_config(["nonmarkov", "--lambda", "0.1", "--gamma0", "1"])
         assert cfg.params["lam"] == pytest.approx(0.1)
         assert cfg.params["gamma0"] == pytest.approx(1.0)
         assert cfg.params["model"] == "diss"
@@ -73,6 +80,28 @@ class TestParseConfig:
             parse_config(["dicke", "--sinc", "0.2", "--qd", "1.0"])
         with pytest.raises(ConfigError, match="n must satisfy"):
             parse_config(["dicke", "--N", "2", "--n", "3"])
+        for argv in (["dynamics-deph", "--eta", "0"],
+                     ["nonmarkov", "--model", "deph", "--eta", "0"],
+                     ["filter", "--spectral", "ohmic", "--eta", "0"]):
+            with pytest.raises(ConfigError, match="eta must be > 0"):
+                parse_config(argv)
+
+    def test_file_value_outside_choices_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"spectral": "ohmic"}))
+        with pytest.raises(ConfigError, match="spectral must be one of lorentzian"):
+            parse_config(["dynamics-diss", "--config", str(path)])
+
+    def test_each_subcommand_takes_exactly_its_declared_keys(self):
+        common = {"config", "out", "format", "recipe"}
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "scenario")
+        total = 0
+        for scenario, parser in sub.choices.items():
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert dests == set(cli._SCENARIO_DEFAULTS[scenario]) | common
+            total += len(dests)
+        assert set(sub.choices) == set(cli._SCENARIO_DEFAULTS)
+        assert total == 84
 
 
 class TestRun:
@@ -154,6 +183,14 @@ class TestRun:
             warnings.simplefilter("error")
             table = run(cfg)
         assert np.all(np.isfinite(table.values))
+
+    def test_sharp_ohmic_cutoff_filter_emits_no_warning(self):
+        # e^{-omega/omega_c} overflows on the negative grid frequencies
+        cfg = parse_config(["filter", "--spectral", "ohmic", "--omega-c", "0.001"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run(cfg)
+        assert np.all(table.values[table.values[:, 0] <= 0, 1] == 0.0)
 
     def test_denormal_temperature_table_emits_no_warning(self):
         # omega / 2T overflows float64 unless omega is capped before dividing
@@ -269,6 +306,28 @@ class TestMain:
         code = main(["dicke", "--sinc", "0.99", "--numeric", "--steps", "3", "--tmax", "50"])
         assert code == 3
         assert "stability limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [scenario, flag, "1"] for scenario, flags in UNREAD_FLAGS.items() for flag in flags
+    ], ids=" ".join)
+    def test_unread_flag_exit_code(self, argv, capsys):
+        # a flag the run would not read is refused instead of stamped on the table
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: zenotraj" in capsys.readouterr().err
+
+    def test_coarse_rk4_grid_exit_code(self, capsys):
+        # gamma0*dt = 5/3 is stable but far too coarse: pe_numeric 0.27 vs 0.19
+        code = main(["dicke", "--sinc", "0.99", "--numeric", "--steps", "3", "--tmax", "5"])
+        assert code == 3
+        assert "RK4 error bound 0.0832" in capsys.readouterr().err
+
+    def test_accepted_rk4_grid_meets_cross_oracle(self):
+        # the coarsest grid of the threshold sweep that is still accepted
+        table = run(parse_config(["dicke", "--N", "4", "--sinc", "-0.2", "--numeric",
+                                  "--steps", "50"]))
+        assert np.max(np.abs(table.values[:, 1] - table.values[:, 2])) < 1e-6
 
     def test_default_numeric_grid_is_stable(self, capsys):
         assert main(["dicke", "--numeric"]) == 0

@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from postselect_oracle import PathBlockMatrix, postselect_general, superpose_identical
 from zenotraj.core import (
     GaussianPeak,
     InterferometerConfig,
     Lorentzian,
     Ohmic,
-    PathBlockMatrix,
     QubitState,
     Tabulated,
     binary_phases,
     normalize,
     phase_pair_sum,
     phase_weights,
-    postselect_general,
     r_factor,
-    superpose_identical,
     trace_distance,
 )
 from zenotraj.errors import NullOutcome

@@ -12,21 +12,33 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from geometry_oracle import (
+    Geometry,
+    dicke_rates_two_atom,
+    qd_for_collective_factor,
+    rates_from_geometry,
+)
 from zenotraj.dicke import (
     CollectiveRateMatrix,
-    ControlQubitState,
-    Geometry,
     build_master_generator,
-    dicke_rates_two_atom,
     evolve_collective,
     excited_population_analytic,
     excited_population_numeric,
-    qd_for_collective_factor,
-    sinc,
     superposed_initial_state,
 )
 from zenotraj.errors import NullOutcome, NumericError
+from zenotraj.filters import sinc
 from zenotraj.numerics import TimeGrid
+
+
+def validate_control_state(m, psd_tol=1e-10, trace_tol=1e-9):
+    """Hermitian, positive semidefinite, unit-trace 2N x 2N control (x) qubit state."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        raise ValueError("state is not Hermitian")
+    if float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) < -psd_tol:
+        raise ValueError("state is not positive semidefinite")
+    if abs(np.trace(m).real - 1.0) > trace_tol:
+        raise ValueError("state trace is not 1")
 
 
 class TestGeometry:
@@ -60,7 +72,7 @@ class TestRateMatrix:
     def test_from_geometry_entries(self):
         qd = 1.2
         geom = Geometry.equal_distance(3, qd, 1.0)
-        m = CollectiveRateMatrix.from_geometry(geom, 2.0)
+        m = rates_from_geometry(geom, 2.0)
         assert np.all(np.diag(m.matrix) == 1.0)
         off = m.matrix[~np.eye(3, dtype=bool)]
         assert np.allclose(off, sinc(qd), rtol=1e-14)
@@ -70,7 +82,7 @@ class TestRateMatrix:
         for n in (2, 3, 4):
             for qd in (0.5, 2.0, np.pi, 4.49):  # incl. near the sinc minimum
                 geom = Geometry.equal_distance(n, qd, 1.0)
-                m = CollectiveRateMatrix.from_geometry(geom, 1.0)
+                m = rates_from_geometry(geom, 1.0)
                 assert m.min_eigenvalue() >= -1e-10
 
     def test_entry_range_enforced(self):
@@ -251,7 +263,7 @@ class TestCrossOracle:
         # the module's central verification: equilateral triangle at the
         # collective factor 1/6, RK4 dt = 1e-3/Gamma0, both phase patterns
         qd = qd_for_collective_factor(1.0 / 6.0)
-        rates = CollectiveRateMatrix.from_geometry(Geometry.equal_distance(3, qd, 1.0), 1.0)
+        rates = rates_from_geometry(Geometry.equal_distance(3, qd, 1.0), 1.0)
         grid = TimeGrid(0.0, 1e-3, 2001)
         states = evolve_collective(rates, superposed_initial_state(3), grid)
         for n in (0, 1):
@@ -262,7 +274,7 @@ class TestCrossOracle:
 
     def test_numeric_matches_analytic_tetrahedron(self):
         qd = qd_for_collective_factor(1.0 / 6.0)
-        rates = CollectiveRateMatrix.from_geometry(Geometry.equal_distance(4, qd, 1.0), 1.0)
+        rates = rates_from_geometry(Geometry.equal_distance(4, qd, 1.0), 1.0)
         grid = TimeGrid(0.0, 1e-3, 1001)
         states = evolve_collective(rates, superposed_initial_state(4), grid)
         for n in (0, 1):
@@ -275,7 +287,7 @@ class TestCrossOracle:
         grid = TimeGrid(0.0, 1e-3, 1001)
         states = evolve_collective(rates, superposed_initial_state(3), grid)
         for k in range(0, 1001, 200):
-            ControlQubitState(states[k]).validate(psd_tol=1e-8)
+            validate_control_state(states[k], psd_tol=1e-8)
 
     def test_null_postselection_raises(self):
         rates = CollectiveRateMatrix.from_factor(4, 1.0 / 6.0, 1.0)

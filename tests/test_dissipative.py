@@ -16,13 +16,13 @@ from choi_oracle import choi_intermediate_map, cp_divisible_choi
 from zenotraj.core import Lorentzian, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dissipative import (
     DecayAmplitude,
+    MemoryKernel,
     decay_amplitude,
     decay_amplitude_auto,
     decay_amplitude_closed_series,
     decay_amplitude_lorentzian_closed,
     decay_factor,
     is_cp_divisible,
-    lorentzian_kernel_closed,
     memory_kernel,
     postselected_state_diss,
     survival_probability_diss,
@@ -30,6 +30,14 @@ from zenotraj.dissipative import (
 )
 from zenotraj.errors import NullOutcome
 from zenotraj.numerics import TimeGrid, integrate_adaptive
+
+
+def lorentzian_kernel_closed(gamma0, lam):
+    """Full-line Lorentzian kernel f(t) = (γ₀λ/2) e^{-λ|t|} (pseudomode form)."""
+    def f(t):
+        return 0.5 * gamma0 * lam * np.exp(-lam * np.abs(t)) + 0.0j
+
+    return MemoryKernel(f, "lorentzian_closed")
 
 
 # ---------------------------------------------------------------------------

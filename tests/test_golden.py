@@ -53,6 +53,15 @@ GOLDEN = (
     (["perturbation", "--t", "0.2", "--omega-points", "21"],
      "b4c97f95b0f9b5c2567ac959e47b2a607591e52371dbd9b7b76b91c97c4b2454",
      "c7e8df81251a7ffe9baca8145e5732119db4cbe40336c3f8de0dcb87c12a6470"),
+    # Volterra route with the CP-divisibility verdict in the metadata
+    (["nonmarkov", "--model", "diss", "--lambda", "1", "--omega-q", "1",
+      "--tmax", "0.8", "--steps", "16"],
+     "536b1e73450ccc0cde263305010a3c62747da698e2b5fdcbfa3ab1c031f550e9",
+     "fc39e51de9edad179f937759a46d90b7221b02260240882a649f3e4f6b619847"),
+    # collective factor from the wavenumber-spacing product, RK4 column
+    (["dicke", "--numeric", "--N", "4", "--n", "1", "--qd", "2.0"],
+     "c50d62e0ff68be7f43cca7a3a74cfba0e2d9f4d581925bbf72a167775b5697ae",
+     "3f8fd825841dd8fe2b552392fbcf721eaf460f91fd516a49ad7d5f12f04a224a"),
     # the CLI default: 201 frequencies on a 17-panel (t1, t2) mesh
     (["perturbation"],
      "f02ef97bdd889df2992e6548ae05390e2fed4503135be886fc6bb92b9f6c2119",

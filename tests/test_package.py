@@ -1,4 +1,4 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves and is declared once."""
 
 import importlib
 import pkgutil
@@ -8,6 +8,14 @@ import pytest
 import zenotraj
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(zenotraj.__path__))
+
+# the library modules the package re-exports; cli is the front end on top
+LIBRARY = [name for name in SUBMODULES if name != "cli"]
+
+# test-only helpers that live in tests/ as oracles
+MOVED = ("PathBlockMatrix", "postselect_general", "superpose_identical",
+         "lorentzian_kernel_closed", "Geometry", "ControlQubitState",
+         "dicke_rates_two_atom", "qd_for_collective_factor")
 
 
 def test_package_all_resolves():
@@ -21,3 +29,24 @@ def test_submodule_all_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
 
+
+def test_package_all_is_the_union_of_the_submodule_lists():
+    declared = [name for module in LIBRARY
+                for name in importlib.import_module(f"zenotraj.{module}").__all__]
+    errors = importlib.import_module("zenotraj.errors").__all__
+    assert set(errors) == {"ZenoTrajError", "ConfigError", "NumericError",
+                           "QuadratureError", "NullOutcome"}
+    assert len(set(declared)) == len(declared)  # no name declared twice
+    assert sorted(zenotraj.__all__) == sorted(["__version__", *declared])
+    assert len(zenotraj.__all__) <= 65
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_test_only_names_are_not_exported(name):
+    assert not hasattr(zenotraj, name)
+    for module in SUBMODULES:
+        assert not hasattr(importlib.import_module(f"zenotraj.{module}"), name)
+
+
+def test_rate_matrix_has_only_the_factor_constructor():
+    assert not hasattr(zenotraj.CollectiveRateMatrix, "from_geometry")
