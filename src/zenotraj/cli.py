@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -207,7 +208,9 @@ def _add_parameter(parser, key, default):
         parser.add_argument(flag, dest=key, type=kind, help=_HELP[key])
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zenotraj",
         description="Post-selected open-system dynamics over superposed paths.")
@@ -224,7 +227,27 @@ def _build_parser():
     return parser
 
 
-def _load_config_file(path, scenario, allowed):
+def _check_file_value(key, value, default):
+    """ConfigError unless a config-file value has the type of its declared default.
+
+    An integer is a number but never a bool; it is kept as given for a float
+    key, as converting it would change the table's metadata bytes.
+    """
+    if value is None and default is None:
+        return
+    if key in _COMMON_DEFAULTS or isinstance(default, tuple):
+        want, ok = "a string", isinstance(value, str)
+    elif isinstance(default, bool):
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    else:
+        want, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"config file value of '{key}' must be {want}, got {value!r}")
+
+
+def _load_config_file(path, scenario, declared):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -242,8 +265,9 @@ def _load_config_file(path, scenario, allowed):
                 raise ConfigError(
                     f"config file scenario '{value}' does not match subcommand '{scenario}'")
             continue
-        if name not in allowed:
+        if name not in declared:
             raise ConfigError(f"unknown configuration key: '{key}'")
+        _check_file_value(key, value, declared[name])
         out[name] = value
     return out
 
@@ -295,14 +319,16 @@ def parse_config(argv=None):
     """
     args = _build_parser().parse_args(argv)
     scenario = args.scenario
-    defaults = _defaults(scenario)
-    allowed = set(defaults) | set(_COMMON_DEFAULTS)
-    file_vals = _load_config_file(args.config, scenario, allowed) if args.config else {}
+    declared = {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS[scenario]}
+    file_vals = _load_config_file(args.config, scenario, declared) if args.config else {}
     cli_vals = {k: v for k, v in vars(args).items()
                 if k not in ("scenario", "config") and v is not None}
     recipe = cli_vals.get("recipe", file_vals.get("recipe"))
-    resolved = {**_COMMON_DEFAULTS, **defaults}
+    resolved = {**_COMMON_DEFAULTS, **_defaults(scenario)}
     if recipe is not None:
+        if recipe not in _RECIPE_SCENARIO:
+            raise ConfigError(f"recipe must be one of {', '.join(_RECIPE_SCENARIO)}, "
+                              f"got {recipe!r}")
         if _RECIPE_SCENARIO[recipe] != scenario:
             raise ConfigError(
                 f"recipe '{recipe}' belongs to scenario '{_RECIPE_SCENARIO[recipe]}', "

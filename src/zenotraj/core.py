@@ -76,7 +76,10 @@ class SpectralDensity:
     def __call__(self, omega):
         omega = np.asarray(omega, dtype=float)
         raw = self._shape(omega)
-        out = self.scale * np.where((omega >= 0) & (omega <= self.omega_max), raw, 0.0)
+        if omega.size and omega.min() >= 0 and omega.max() <= self.omega_max:
+            out = self.scale * raw  # every node inside the support
+        else:
+            out = self.scale * np.where((omega >= 0) & (omega <= self.omega_max), raw, 0.0)
         return out if out.ndim else float(out)
 
 
@@ -112,12 +115,15 @@ class Ohmic(SpectralDensity):
         self._resolve(50.0 * self.omega_c)
 
     def _shape(self, omega):
-        # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c
+        # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c;
+        # no mask when every node is positive
+        pos = None if omega.size and omega.min() > 0 else omega > 0
+        w = omega if pos is None else omega[pos]
+        shape = self.eta * w ** self.s * self.omega_c ** (1.0 - self.s) * np.exp(-w / self.omega_c)
+        if pos is None:
+            return shape
         out = np.zeros_like(omega)
-        pos = omega > 0
-        w = omega[pos]
-        out[pos] = (self.eta * w ** self.s * self.omega_c ** (1.0 - self.s)
-                    * np.exp(-w / self.omega_c))
+        out[pos] = shape
         return out
 
 

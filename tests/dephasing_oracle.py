@@ -4,7 +4,9 @@ Gamma_T(t) = 4 int_0^{omega_max} J(w) w^{-2} coth(w/2T) (1 - cos wt) dw with
 one adaptive integral per time point, breakpoints at the half-periods k*pi/t
 and the tolerances rel 1e-11 / abs 1e-13.  This is the route zenotraj took
 for every spectral family below omega_max * t = 64 pi before the Ohmic
-closed form; it shares no code with ``zenotraj.dephasing``.
+closed form; it shares no code with ``zenotraj.dephasing``.  The vectorised
+Bose integrand below is the oracle of the scalar callback that integrates
+the thermal correction to that closed form.
 """
 
 import math
@@ -34,3 +36,16 @@ def oracle_exponent(params, t):
                     limit=max(200, 4 * (n_half + 2)), **kwargs)
     assert err <= max(1e-13, 1e-11 * abs(val)), (val, err)
     return val
+
+
+def bose_factor(w, temperature):
+    """2/(e^{w/T} - 1) = coth(w/2T) - 1, with w/T capped at 700 below float overflow."""
+    return 2.0 / np.expm1(np.minimum(w / temperature, 700.0))
+
+
+def bose_integrand(j, temperature, t, w):
+    """Vectorised Bose part 4 J(w) w^{-2} (1 - cos wt) bose_factor(w, T) at w > 0."""
+    w = np.asarray(w, dtype=float)
+    wt = w * t
+    osc = np.where(wt < 1e-3, 0.5 * t * t * (1.0 - wt * wt / 12.0), (1.0 - np.cos(wt)) / (w * w))
+    return 4.0 * j(w) * osc * bose_factor(w, temperature)

@@ -92,6 +92,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="spectral must be one of lorentzian"):
             parse_config(["dynamics-diss", "--config", str(path)])
 
+    @pytest.mark.parametrize("config_text, message", [
+        ('{"recipe": "fig9"}', "recipe must be one of"),
+        ('{"out": 5}', "'out' must be a string"),
+        ('{"tmax": null}', "'tmax' must be a number"),
+        ('{"N": true}', "'N' must be an integer"),
+    ], ids=["recipe-unknown", "out-integer", "tmax-null", "N-bool"])
+    def test_file_value_of_wrong_type_rejected(self, config_text, message, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(config_text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(["dicke", "--config", str(path)])
+
+    def test_file_integer_for_float_key_is_kept(self, tmp_path):
+        # no int -> float conversion: it would change the metadata bytes
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"tmax": 2}))
+        cfg = parse_config(["dicke", "--config", str(path)])
+        assert type(cfg.params["tmax"]) is int
+
+    def test_parser_is_shared_and_configs_independent(self):
+        assert cli._build_parser() is cli._build_parser()
+        first = parse_config(["dynamics-deph", "--temperature", "0.5", "--steps", "10"])
+        second = parse_config(["dicke", "--numeric", "--format", "json"])
+        assert first.scenario == "dynamics-deph" and second.scenario == "dicke"
+        assert first.params["temperature"] == 0.5 and first.params["steps"] == 10
+        assert first.fmt == "csv" and second.fmt == "json"
+        assert second.params["numeric"] is True and second.params["steps"] == 500
+        assert "numeric" not in first.params and "temperature" not in second.params
+        assert parse_config(["dynamics-deph"]).params["temperature"] == 0.0
+
     def test_each_subcommand_takes_exactly_its_declared_keys(self):
         common = {"config", "out", "format", "recipe"}
         sub = next(a for a in cli._build_parser()._actions if a.dest == "scenario")
@@ -300,6 +330,17 @@ class TestMain:
             argv = argv + ["--config", str(path)]
         assert main(argv) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, message", [
+        ('{"steps": "10"}', "'steps' must be an integer"),
+        ('{"steps": 2.5}', "'steps' must be an integer"),
+        ('{"numeric": 1}', "'numeric' must be true or false"),
+    ], ids=["steps-string", "steps-float", "numeric-integer"])
+    def test_config_file_value_type_exit_code(self, config_text, message, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(config_text)
+        assert main(["dicke", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unstable_rk4_step_exit_code(self, capsys):
         # gamma0*dt = 50/3 is far beyond RK4's real-axis stability limit

@@ -18,6 +18,7 @@ from zenotraj.core import Ohmic, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dephasing import (
     DephasingFactors,
     DephasingParams,
+    _bose_integrand,
     _coth_factor,
     dephasing_exponent,
     dephasing_factors,
@@ -28,7 +29,7 @@ from zenotraj.dephasing import (
 from zenotraj.errors import NumericError
 from zenotraj.numerics import TimeGrid
 
-from dephasing_oracle import oracle_exponent
+from dephasing_oracle import bose_integrand, oracle_exponent
 
 ETA = 1.0 / 3.0
 
@@ -189,6 +190,26 @@ class TestOhmicClosedForm:
         got = dephasing_exponent(params, 1.0)
         assert np.isfinite(got)
         assert got == pytest.approx(oracle_exponent(params, 1.0), rel=1e-11)
+
+    # at the two low temperatures the window just past the cap w/T = 700
+    # lies inside omega_max and its integrand is still a normal float
+    @pytest.mark.parametrize("s, temperature", [(1.0, 0.5), (1.5, 0.005), (2.5, 2.0), (4.0, 0.004)])
+    def test_scalar_bose_callback_matches_vectorised_oracle(self, s, temperature):
+        j = Ohmic(ETA, s, 1.3).scaled(0.7)
+        rng = np.random.default_rng(7)
+        for t in (0.3, 0.7, 3.0):
+            w = np.concatenate([
+                rng.uniform(1e-9, 1e-3 / t, 50),  # series branch, wt < 1e-3
+                rng.uniform(1e-3 / t, min(j.omega_max, 600.0 * temperature), 200),
+                rng.uniform(700.0 * temperature, 710.0 * temperature, 50),  # capped, w/T > 700
+            ])
+            w = w[w <= j.omega_max]
+            want = bose_integrand(j, temperature, t, w)
+            assert np.all(want >= np.finfo(float).tiny)  # normal floats: relative error holds
+            h = _bose_integrand(j, temperature, t)
+            got = np.array([h(x) for x in w])
+            assert np.max(np.abs(got - want) / want) <= 1e-14
+        assert h(0.0) == 0.0 and h(-1.0) == 0.0
 
     def test_negligible_bose_part_is_not_integrated(self, monkeypatch):
         # at T = 1e-300 the Bose part is bounded far below tolerance as a
