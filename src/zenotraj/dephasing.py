@@ -103,29 +103,19 @@ def _thermal_integrand(j, t, weight=None):
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 0
         w = np.atleast_1d(w)
-        # Gauss-Legendre nodes are all positive: then one pass without masks.
-        # w = 0 exactly is a single point of measure zero; leaving it at 0
-        # never changes the integral and avoids the 0/0 corner
-        pos = None if w.size and w.min() > 0.0 else w > 0.0
-        ws = w if pos is None else w[pos]
-        wt = ws * t
+        wt = w * t
         # (1 - cos wt)/w^2 with a two-term series where the difference would
         # cancel; the truncation error at the switch point is ~(wt)^4/360
-        if wt.size and wt.min() >= 1e-3:
-            osc = (1.0 - np.cos(wt)) / (ws * ws)
+        if wt.min() >= 1e-3:
+            osc = (1.0 - np.cos(wt)) / (w * w)
         else:
             osc = np.where(
                 wt < 1e-3,
                 0.5 * t * t * (1.0 - wt * wt / 12.0),
-                (1.0 - np.cos(wt)) / (ws * ws),
+                (1.0 - np.cos(wt)) / (w * w),
             )
-        th = 1.0 if weight is None else weight(ws)
-        vals = 4.0 * j(ws) * osc * th
-        if pos is None:
-            out = vals
-        else:
-            out = np.zeros_like(w)
-            out[pos] = vals
+        th = 1.0 if weight is None else weight(w)
+        out = 4.0 * j(w) * osc * th
         return out[0] if scalar else out
 
     return h

@@ -20,6 +20,7 @@ from zenotraj.dephasing import (
     DephasingParams,
     _bose_integrand,
     _coth_factor,
+    _ohmic_split,
     dephasing_exponent,
     dephasing_factors,
     modified_dephasing,
@@ -190,6 +191,16 @@ class TestOhmicClosedForm:
         got = dephasing_exponent(params, 1.0)
         assert np.isfinite(got)
         assert got == pytest.approx(oracle_exponent(params, 1.0), rel=1e-11)
+
+    def test_bose_callback_overflow_at_window_edge_is_caught(self):
+        # the window's tail bound takes w^(s-2), finite at w = 66 for s = 170,
+        # while the callback's w^s overflows there: the split must step aside
+        # before QUADPACK calls it
+        j = Ohmic(1e-300, 170.0, 0.21, omega_max=66.0)
+        assert np.isfinite(66.0 ** 168.0)
+        with pytest.raises(OverflowError):
+            _bose_integrand(j, 8.0, 0.5)(66.0)
+        assert _ohmic_split(j, 8.0, 0.5) is None
 
     # at the two low temperatures the window just past the cap w/T = 700
     # lies inside omega_max and its integrand is still a normal float
