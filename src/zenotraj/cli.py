@@ -394,13 +394,22 @@ def _run_filter(config):
                        np.column_stack([grid, j(grid), vals]), units, meta)
 
 
+def _decay_amplitude(j, omega_q, grid):
+    """G(t) by ``decay_amplitude_auto``; NumericError where it is not contractive."""
+    g = decay_amplitude_auto(j, omega_q, grid)
+    try:
+        return g.validate()
+    except ValueError as exc:
+        raise NumericError(f"decay amplitude is not physical: {exc}") from exc
+
+
 def _run_dynamics_diss(config):
     """post-selected amplitude-damping dynamics"""
     p = config.params
     units = "omega_q = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
     j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-    g = decay_amplitude_auto(j, p["omega_q"], grid)
+    g = _decay_amplitude(j, p["omega_q"], grid)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
     gamma = decay_factor(survival)
@@ -494,7 +503,7 @@ def _run_nonmarkov(config):
         units = "omega_q = 1 sets the clock"
         grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
         j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-        g = decay_amplitude_auto(j, p["omega_q"], grid)
+        g = _decay_amplitude(j, p["omega_q"], grid)
         columns = [trace_distance_diss(g.values, N, n) for N, n in pairs]
         meta = _base_metadata(config, units)
         meta["g_route"] = g.source

@@ -37,10 +37,6 @@ __all__ = [
     "is_cp_divisible",
 ]
 
-# Phase span across the quadrature window beyond which the oscillatory
-# QUADPACK weight is used instead of plain subdivision.
-_OSC_PHASE_SWITCH = 50.0
-
 # relative and absolute tolerance of each memory-kernel sample
 _KERNEL_REL_TOL = 1e-11
 _KERNEL_ABS_TOL = 1e-13
@@ -84,7 +80,13 @@ class DecayAmplitude:
 
 
 def memory_kernel(j, omega_q):
-    """f(t) = ∫₀^{ω_max} dω J(ω) e^{i(ω_q-ω)t} by adaptive quadrature per t."""
+    """f(t) = ∫₀^{ω_max} dω J(ω) e^{i(ω_q-ω)t} by adaptive quadrature per t.
+
+    Every t ≠ 0 takes QUADPACK's oscillatory weight: e^{i(ω_q-ω)t} =
+    e^{iω_q t} (cos ωt - i sin ωt), one cos- and one sin-weighted integral
+    of J.  These also converge at a few cycles of phase, where plain
+    subdivision of the complex integrand fails for some line shapes.
+    """
     omega_max = j.omega_max
 
     def f(t):
@@ -95,17 +97,11 @@ def memory_kernel(j, omega_q):
             val = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
                                      complex_valued=False)
             return complex(val.real, 0.0)
-        if omega_max * abs(t) > _OSC_PHASE_SWITCH:
-            # e^{i(ω_q-ω)t} = e^{iω_q t} (cos ωt - i sin ωt): QUADPACK's
-            # oscillatory weight handles the many-cycle phase robustly.
-            re = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
-                                    complex_valued=False, weight="cos", wvar=t)
-            im = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
-                                    complex_valued=False, weight="sin", wvar=t)
-            return complex(np.exp(1j * omega_q * t) * (re.real - 1j * im.real))
-        return complex(integrate_adaptive(
-            lambda w: j(w) * np.exp(1j * (omega_q - w) * t),
-            0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL))
+        re = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
+                                complex_valued=False, weight="cos", wvar=t)
+        im = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
+                                complex_valued=False, weight="sin", wvar=t)
+        return complex(np.exp(1j * omega_q * t) * (re.real - 1j * im.real))
 
     return MemoryKernel(f, "numeric_from_J")
 

@@ -8,7 +8,9 @@ import pytest
 
 from zenotraj import cli
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
+from zenotraj.dissipative import DecayAmplitude
 from zenotraj.errors import ConfigError, NumericError
+from zenotraj.numerics import ComplexSeries
 
 # flags a subcommand refuses because its run reads no such parameter
 UNREAD_FLAGS = {
@@ -357,6 +359,20 @@ class TestMain:
             main(argv)
         assert exit_info.value.code == 2
         assert "usage: zenotraj" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics-diss", "--tmax", "1", "--steps", "10"],
+        ["nonmarkov", "--model", "diss", "--tmax", "1", "--steps", "10"],
+    ], ids=" ".join)
+    def test_growing_decay_amplitude_exit_code(self, argv, monkeypatch, capsys):
+        # a stand-in route whose |G| grows past 1 + 1e-9 is refused, not emitted
+        def growing(j, omega_q, grid):
+            values = np.exp(0.01 * grid.times).astype(complex)
+            return DecayAmplitude(ComplexSeries(grid, values), "volterra")
+
+        monkeypatch.setattr(cli, "decay_amplitude_auto", growing)
+        assert main(argv) == 3
+        assert "|G| exceeds 1" in capsys.readouterr().err
 
     def test_coarse_rk4_grid_exit_code(self, capsys):
         # gamma0*dt = 5/3 is stable but far too coarse: pe_numeric 0.27 vs 0.19

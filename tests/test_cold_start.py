@@ -1,4 +1,5 @@
-"""Cold start: scipy is imported only by the routes that call it.
+"""Cold start: scipy is imported only by the routes that call it, and the
+dephasing exponent's thread pool only by tables with long panel points.
 
 The routes that need scipy reach it through two module globals that stay
 patchable: ``numerics.integrate`` (QUADPACK ``quad``, looked up on every
@@ -83,6 +84,28 @@ class TestNoScipyOnImport:
         ((code, loaded),) = _fresh_runs(["dynamics-diss", "--tmax", "0.8", "--steps", "16"])
         assert code == 0
         assert "scipy.integrate" in loaded
+
+
+# Imports zenotraj.cli and runs the dynamics-deph defaults, whose points all
+# lie below the Gauss-Legendre panel switch; prints whether concurrent.futures
+# was loaded and how many threads ran, after the import and after the run.
+_THREAD_REPORT = """
+import contextlib, io, json, sys, threading
+import zenotraj.cli
+seen = [["concurrent.futures" in sys.modules, threading.active_count()]]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = zenotraj.cli.main(["dynamics-deph"])
+seen.append(["concurrent.futures" in sys.modules, threading.active_count()])
+print(json.dumps([code, seen]))
+"""
+
+
+class TestNoPanelPoolBelowTheSwitch:
+    def test_import_and_inline_table_start_no_thread(self):
+        proc = subprocess.run([sys.executable, "-c", _THREAD_REPORT],
+                              capture_output=True, text=True, env=_fresh_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, [[False, 1], [False, 1]]]
 
 
 class TestPatchPoints:

@@ -7,14 +7,22 @@ dense-Simpson thermal oracle, and explicit density-matrix algebra pushed
 through the generic post-selection.
 """
 
+import functools
+import os
+import re
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from zenotraj import numerics
-from zenotraj.core import Ohmic, QubitState, normalize, r_factor, trace_distance
+from zenotraj import dephasing, numerics
+from zenotraj.core import GaussianPeak, Ohmic, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dephasing import (
     DephasingFactors,
     DephasingParams,
@@ -396,3 +404,128 @@ class TestSeriesAndSuddenDeath:
         g = dephasing_exponent(ohmic4, 200.0)
         val = modified_dephasing(np.exp(-g), 3, 0)
         assert val == pytest.approx(0.3907019144457727, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# long panel points on the thread pool
+# ---------------------------------------------------------------------------
+
+# (params, grid): the fig4c recipe, a thermal super-Ohmic bath whose early
+# points take the closed form plus a QUADPACK Bose part, and a non-Ohmic J
+# whose early points take the full-integrand QUADPACK route; each grid has
+# inline points on either side of the panel switch and pooled points
+POOL_CASES = {
+    "fig4c": (DephasingParams(Ohmic(ETA, 4.0, 1.0), 0.0), TimeGrid(0.0, 0.2, 1001)),
+    "s1.7-T0.4": (DephasingParams(Ohmic(ETA, 1.7, 1.0), 0.4), TimeGrid(0.0, 0.5, 201)),
+    "gaussian": (DephasingParams(GaussianPeak(1.5, 0.2), 0.0), TimeGrid(0.0, 6.0, 131)),
+}
+
+
+@functools.cache
+def _serial_gamma(case):
+    """The oracle: every time point evaluated in turn on the calling thread."""
+    params, grid = POOL_CASES[case]
+    return np.array([dephasing_exponent(params, t) for t in grid.times]).tobytes()
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Replace the panel pool with one of ``workers`` threads (None: inline)."""
+    pools = []
+
+    def install(workers):
+        pool = ThreadPoolExecutor(workers) if workers else None
+        pools.append(pool)
+        monkeypatch.setattr(dephasing, "_panel_pool", lambda: pool)
+
+    yield install
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()
+
+
+class TestPanelPool:
+    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_gamma_is_bitwise_the_serial_series(self, case, workers, pool_of):
+        params, grid = POOL_CASES[case]
+        phase = params.j.omega_max * grid.times
+        assert np.any((0 < phase) & (phase <= dephasing._ADAPTIVE_PHASE_LIMIT))
+        assert np.any((dephasing._ADAPTIVE_PHASE_LIMIT < phase)
+                      & (phase <= dephasing._POOL_PHASE_LIMIT))
+        assert np.any(phase > dephasing._POOL_PHASE_LIMIT)
+        pool_of(workers)
+        gamma = dephasing_factors(params, grid, 3, 1).gamma
+        assert gamma.tobytes() == _serial_gamma(case)
+
+    def test_default_pool_gives_the_serial_series(self):
+        params, grid = POOL_CASES["fig4c"]
+        assert dephasing_factors(params, grid, 3, 0).gamma.tobytes() == _serial_gamma("fig4c")
+
+    def test_one_core_evaluates_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert dephasing._panel_pool.__wrapped__() is None
+        dephasing._panel_pool.cache_clear()
+        try:
+            assert dephasing._panel_pool() is None
+            params, grid = POOL_CASES["s1.7-T0.4"]
+            assert (dephasing_factors(params, grid, 3, 1).gamma.tobytes()
+                    == _serial_gamma("s1.7-T0.4"))
+        finally:
+            dephasing._panel_pool.cache_clear()
+
+    def test_pool_is_sized_by_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        pool = dephasing._panel_pool.__wrapped__()
+        try:
+            assert pool._max_workers == 3
+        finally:
+            pool.shutdown()
+
+    def test_cpu_count_stands_in_for_a_missing_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert dephasing._panel_pool.__wrapped__() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_pool_of_its_own(self):
+        # the child inherits the parent's pool object without its threads;
+        # a table with panel points would wait on it forever
+        script = (
+            "import os, signal\n"
+            "from zenotraj.core import Ohmic\n"
+            "from zenotraj.dephasing import DephasingParams, dephasing_factors\n"
+            "from zenotraj.numerics import TimeGrid\n"
+            "params = DephasingParams(Ohmic(1 / 3, 4.0, 1.0), 0.0)\n"
+            "grid = TimeGrid(0.0, 20.0, 11)\n"
+            "first = dephasing_factors(params, grid, 3, 0).gamma.tobytes()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)  # a waiting child ends itself\n"
+            "    os._exit(0 if dephasing_factors(params, grid, 3, 0).gamma.tobytes() == first"
+            " else 1)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_earliest_failing_time_raises(self, monkeypatch, pool_of):
+        params, grid = POOL_CASES["gaussian"]
+        pooled = grid.times[params.j.omega_max * grid.times > dephasing._POOL_PHASE_LIMIT]
+        early, late = pooled[2], pooled[5]
+        exponent = dephasing.dephasing_exponent
+
+        def failing(params, t):
+            if t == early:
+                time.sleep(0.2)  # the later failure happens first
+            if t in (early, late):
+                raise NumericError(f"failed at t = {float(t)}")
+            return exponent(params, t)
+
+        monkeypatch.setattr(dephasing, "dephasing_exponent", failing)
+        for workers in (None, 2):
+            pool_of(workers)
+            with pytest.raises(NumericError, match=re.escape(f"failed at t = {float(early)}")):
+                dephasing_factors(params, grid, 3, 1)

@@ -28,7 +28,8 @@ from zenotraj.dissipative import (
     survival_probability_diss,
     trace_distance_diss,
 )
-from zenotraj.errors import NullOutcome
+from zenotraj.cli import main
+from zenotraj.errors import NullOutcome, QuadratureError
 from zenotraj.numerics import TimeGrid, integrate_adaptive
 
 
@@ -66,8 +67,8 @@ class TestMemoryKernel:
         assert val.real == pytest.approx(0.030040762946886602, rel=1e-9)
 
     def test_oscillatory_branch_matches_dense_simpson(self):
-        # omega_max * t > 50 switches to the oscillatory-weight quadrature;
-        # check it against a brute-force dense Simpson oracle.
+        # a many-cycle phase (omega_max * t > 50) on the oscillatory-weight
+        # quadrature; check it against a brute-force dense Simpson oracle.
         j = Lorentzian(1.0, 1.0, 50.0)
         mk = memory_kernel(j, 50.0)
         t = 0.7
@@ -78,7 +79,8 @@ class TestMemoryKernel:
         assert mk.f(t) == pytest.approx(oracle, rel=1e-8)
 
     def test_branches_agree_across_switch(self):
-        # continuity across the adaptive/oscillatory switch point
+        # continuity around omega_max * t = 50, where the kernel once
+        # switched from plain subdivision to the oscillatory weight
         j = Lorentzian(1.0, 1.0, 50.0)
         mk = memory_kernel(j, 50.0)
         t_switch = 50.0 / j.omega_max
@@ -92,6 +94,60 @@ class TestMemoryKernel:
         mk = memory_kernel(j, 1.0)
         with pytest.raises(TypeError):
             mk.f(np.array([0.0, 1.0]))
+
+
+def plain_kernel(j, omega_q, t):
+    """f(t) by plain subdivision of the complex integrand: the kernel's route
+    for omega_max * t <= 50 before every t > 0 took the oscillatory weight,
+    kept as an oracle where it converges."""
+    return complex(integrate_adaptive(lambda w: j(w) * np.exp(1j * (omega_q - w) * t),
+                                      0.0, j.omega_max, 1e-11, 1e-13))
+
+
+# dynamics-diss configurations whose kernel samples the plain route could
+# not converge: (argv, lambda, tmax, steps), each with gamma0 = omega_q = 1
+PLAIN_ROUTE_FAULTS = [
+    (["dynamics-diss", "--tmax", "1.9568627450980391", "--steps", "2"], 1.0, 1.9568627450980391, 2),
+    (["dynamics-diss", "--lambda", "0.7", "--tmax", "0.39166666666666666", "--steps", "1"],
+     0.7, 0.39166666666666666, 1),
+    (["dynamics-diss", "--omega-q", "1", "--lambda", "0.1", "--tmax", "10", "--steps", "100"],
+     0.1, 10.0, 100),
+]
+
+
+class TestOscillatoryWeightAtEveryTime:
+    @pytest.mark.parametrize("gamma0, lam, omega_q", [
+        (1.0, 1.0, 1.0), (1.0, 1.0, 50.0), (0.5, 0.3, 2.0), (2.0, 2.0, 0.5), (1.0, 0.1, 1.0),
+    ])
+    def test_matches_plain_route_where_it_converges(self, gamma0, lam, omega_q):
+        j = Lorentzian(gamma0, lam, omega_q)
+        mk = memory_kernel(j, omega_q)
+        compared = 0
+        for t in np.linspace(0.01, 45.0 / j.omega_max, 12):
+            try:
+                oracle = plain_kernel(j, omega_q, t)
+            except QuadratureError:
+                continue
+            assert abs(mk.f(t) - oracle) <= 1e-12 * abs(oracle)
+            compared += 1
+        assert compared >= 11
+
+    @pytest.mark.parametrize("argv, lam, tmax, steps", PLAIN_ROUTE_FAULTS,
+                             ids=[" ".join(case[0]) for case in PLAIN_ROUTE_FAULTS])
+    def test_plain_route_faults_now_run(self, argv, lam, tmax, steps, capsys):
+        assert main(argv) == 0
+        rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        assert len(rows) == steps + 2  # header and steps + 1 time points
+
+    @pytest.mark.parametrize("argv, lam, tmax, steps", PLAIN_ROUTE_FAULTS,
+                             ids=[" ".join(case[0]) for case in PLAIN_ROUTE_FAULTS])
+    def test_plain_route_fault_samples_match_dense_simpson(self, argv, lam, tmax, steps):
+        j = Lorentzian(1.0, lam, 1.0)
+        mk = memory_kernel(j, 1.0)
+        w = np.linspace(0.0, j.omega_max, 2_000_001)
+        for t in (tmax / steps, tmax):
+            oracle = simpson(j(w) * np.exp(1j * (1.0 - w) * t), x=w)
+            assert mk.f(t) == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
