@@ -602,14 +602,15 @@ def emit(table, fmt="csv", path=None):
         lines = [f"# {key}={_format_metadata_value(table.metadata[key])}"
                  for key in sorted(table.metadata)]
         lines.append(",".join(table.columns))
+        # Python floats format like numpy's, to the byte, and faster
         for row in table.values:
-            lines.append(",".join(f"{v:.17g}" for v in row))
+            lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
             "metadata": table.metadata,
             "columns": list(table.columns),
-            "rows": [list(map(float, row)) for row in table.values],
+            "rows": table.values.tolist(),
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:

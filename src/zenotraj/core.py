@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+# a product whose factors' logarithms sum past this may overflow float64
+_LOG_HUGE = math.log(np.finfo(float).max) - 1.0
+
+
 # ---------------------------------------------------------------------------
 # spectral densities
 # ---------------------------------------------------------------------------
@@ -113,18 +117,37 @@ class Ohmic(SpectralDensity):
         if self.eta <= 0 or self.s <= 0 or self.omega_c <= 0:
             raise ValueError("Ohmic needs eta, s, omega_c > 0")
         self._resolve(50.0 * self.omega_c)
+        # w^s is largest at w = omega_max; where η w^s ω_c^{1−s} may pass float
+        # range there, J is taken from log space at the nodes whose direct
+        # product is not finite (every other node keeps the direct product)
+        logs = (self.s * math.log(self.omega_max) if self.omega_max > 0 else 0.0,
+                math.log(self.eta), (1.0 - self.s) * math.log(self.omega_c))
+        object.__setattr__(self, "_log_space", sum(max(x, 0.0) for x in logs) > _LOG_HUGE)
 
     def _shape(self, omega):
         # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c;
         # no mask when every node is positive
         pos = None if omega.size and omega.min() > 0 else omega > 0
         w = omega if pos is None else omega[pos]
-        shape = self.eta * w ** self.s * self.omega_c ** (1.0 - self.s) * np.exp(-w / self.omega_c)
+        if self._log_space:
+            shape = self._log_space_shape(w)
+        else:
+            shape = (self.eta * w ** self.s * self.omega_c ** (1.0 - self.s)
+                     * np.exp(-w / self.omega_c))
         if pos is None:
             return shape
         out = np.zeros_like(omega)
         out[pos] = shape
         return out
+
+    def _log_space_shape(self, w):
+        """The direct product where it is finite, exp(log J) at the other w > 0."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = (self.eta * w ** self.s * np.float64(self.omega_c) ** (1.0 - self.s)
+                      * np.exp(-w / self.omega_c))
+        log_j = (math.log(self.eta) + self.s * np.log(w)
+                 + (1.0 - self.s) * math.log(self.omega_c) - w / self.omega_c)
+        return np.where(np.isfinite(direct), direct, np.exp(log_j))
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,21 @@ def min_eigenvalue_hermitian(M):
     return float(np.linalg.eigvalsh(sym)[0])
 
 
+def row_blocks(n_rows, max_rows):
+    """Contiguous slices that split ``range(n_rows)`` into near-equal row blocks.
+
+    Each block has at most ``max_rows`` rows where that allows at least two
+    per block; a one-row block is never formed from a longer input, because
+    a one-row matrix product takes a different BLAS kernel and rounds
+    differently.  Block sizes differ by at most one row, and ``n_rows <=
+    max_rows`` (in particular ``n_rows = 1``) gives a single block.
+    """
+    count = max(1, min(-(-n_rows // max(max_rows, 1)), n_rows // 2))
+    size, extra = divmod(n_rows, count)
+    return [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
+            for k in range(count)]
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(order):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import QubitState, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
+from .numerics import row_blocks
 
 __all__ = [
     "CouplingModel",
@@ -40,6 +41,9 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _GL_ORDER = 10
+
+# phase-matrix bytes per row block of the frequency contraction
+_PHASE_BLOCK_BYTES = 4 * 2**20
 
 # tolerances of the frequency integral of the correction block and of the
 # decay factor
@@ -148,11 +152,23 @@ def _mesh(model, t, nu):
 def _contract(c, omega, tau, weighted):
     """sum_ab (c_ab e^{-i omega tau}) @ weighted[a, b], one row per omega.
 
-    The phase matrix is formed once per call; the pairs are added one at a
-    time, so at most one c_ab-scaled copy of it is alive.
+    The omega rows go through in ``numerics.row_blocks`` of about
+    ``_PHASE_BLOCK_BYTES`` of phase matrix each: a block's phase matrix is
+    formed once, in place, and one buffer takes its c_ab-scaled copies, so
+    memory is O(block x mesh) for any number of frequencies.  The blocks
+    have at least two rows, so every row is the same matrix product, to the
+    bit, as in one product over all rows.
     """
-    phase = np.exp(-1j * omega[:, None] * tau)
-    return sum((c_ab * phase) @ weighted[a, b] for (a, b), c_ab in np.ndenumerate(c))
+    out = np.empty(omega.shape + weighted.shape[3:], dtype=complex)
+    blocks = row_blocks(omega.size, _PHASE_BLOCK_BYTES // (16 * tau.size))
+    buf = np.empty((blocks[0].stop, tau.size), dtype=complex)  # the largest block
+    for rows in blocks:
+        phase = -1j * omega[rows, None] * tau
+        np.exp(phase, out=phase)
+        scaled = buf[:len(phase)]
+        out[rows] = sum(np.multiply(c_ab, phase, out=scaled) @ weighted[a, b]
+                        for (a, b), c_ab in np.ndenumerate(c))
+    return out
 
 
 def _omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
@@ -235,7 +251,9 @@ def general_filter(model, psi0, omega, t, config):
 
     ``config`` is the InterferometerConfig the path register is post-selected
     on.  Returns a real scalar for scalar ``omega`` or an ndarray for an
-    ndarray ``omega``.
+    ndarray ``omega``.  The frequencies are contracted with the (t1, t2)
+    mesh in row blocks, so the number of frequencies does not multiply the
+    peak memory; the mesh itself grows as (nu t)^2.
     """
     prefactor = _prefactor(config)
     if t < 0:

@@ -273,6 +273,22 @@ class TestEmit:
         assert payload["columns"] == ["x"]
         assert payload["metadata"]["tool"] == "zenotraj"
 
+    def test_rows_match_numpy_float_formatting(self):
+        # the rows are formatted from Python floats; numpy float64 scalars,
+        # as in row iteration over the array, must give the same bytes
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, 5e-324, -5e-324, 0.5 * tiny, tiny, np.inf, -np.inf, np.nan,
+                   1e300, -1.0 / 3.0, 2.0 ** 53 + 2.0, 0.1 + 0.2]
+        rng = np.random.default_rng(3)
+        randoms = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        values = np.concatenate([special, randoms]).reshape(-1, 1)
+        table = ResultTable(("x",), values, "unitless", {"tool": "zenotraj"})
+        rows = emit(table, "csv").splitlines()[-len(values):]
+        assert rows == [f"{v:.17g}" for v in table.values[:, 0]]
+        payload = {"metadata": table.metadata, "columns": ["x"],
+                   "rows": [list(map(float, row)) for row in table.values]}
+        assert emit(table, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
     def test_writes_file(self, tmp_path):
         path = tmp_path / "out.csv"
         text = emit(self._small_table(), "csv", str(path))
@@ -373,6 +389,19 @@ class TestMain:
         monkeypatch.setattr(cli, "decay_amplitude_auto", growing)
         assert main(argv) == 3
         assert "|G| exceeds 1" in capsys.readouterr().err
+
+    def test_large_power_ohmic_exit_code(self, capsys):
+        # w^170 overflows a float past w = 65 < omega_max = 500, while J itself
+        # stays below 1e-31 there: the table is emitted, with no warning
+        argv = ["dynamics-deph", "--s", "170", "--eta", "1e-300", "--omega-c", "10",
+                "--tmax", "0.1", "--steps", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        gamma = [float(row.split(",")[1]) for row in out.splitlines()[-3:]]
+        assert gamma[0] == 0.0 and 0.0 < gamma[1] < gamma[2] < 1e-30
 
     def test_coarse_rk4_grid_exit_code(self, capsys):
         # gamma0*dt = 5/3 is stable but far too coarse: pe_numeric 0.27 vs 0.19

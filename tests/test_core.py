@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +78,24 @@ class TestSpectralDensity:
     def test_ohmic_fig4_parameters(self):
         j = Ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
         assert_allclose(j(1.0), np.exp(-1.0) / 3.0, rtol=1e-15)
+
+    def test_ohmic_past_float_range_in_log_space(self):
+        # w^170 overflows past w = 65 < omega_max = 500: J is the direct
+        # product wherever that is finite, exp(log J) elsewhere
+        j = Ohmic(eta=1e-300, s=170.0, omega_c=10.0)
+        w = np.linspace(1.0, 500.0, 1000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = 1e-300 * w ** 170.0 * 10.0 ** -169.0 * np.exp(-w / 10.0)
+        finite = np.isfinite(direct)
+        assert 0 < finite.sum() < w.size
+        got = j(w)
+        np.testing.assert_array_equal(got[finite], direct[finite])
+        with mpmath.workdps(30):
+            for x in w[~finite][::25]:
+                x = mpmath.mpf(x)
+                want = (mpmath.mpf("1e-300") * x ** 170 * mpmath.mpf(10) ** -169
+                        * mpmath.exp(-x / 10))
+                assert float(j(float(x))) == pytest.approx(float(want), rel=1e-12)
 
     def test_gaussian_peak_center(self):
         j = GaussianPeak(omega_m=1.5, delta=0.2)

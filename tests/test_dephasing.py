@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -199,6 +200,27 @@ class TestOhmicClosedForm:
         got = dephasing_exponent(params, 1.0)
         assert np.isfinite(got)
         assert got == pytest.approx(oracle_exponent(params, 1.0), rel=1e-11)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.5])
+    def test_overflowing_power_matches_mpmath(self, temperature):
+        # w^170 overflows past w = 65, inside omega_max = 500: J is taken
+        # from log space there, and Gamma is the integral of the true J
+        params = DephasingParams(Ohmic(1e-300, 170.0, 10.0), temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [dephasing_exponent(params, t) for t in (0.05, 0.1)]
+        with mpmath.workdps(20):
+            eta, s, w_c, temp = mpmath.mpf("1e-300"), 170, 10, mpmath.mpf(temperature)
+            for t, value in zip(("0.05", "0.1"), got):
+                t = mpmath.mpf(t)
+
+                def h(w, t=t):
+                    coth = mpmath.coth(w / (2 * temp)) if temp else 1
+                    return (4 * eta * w ** (s - 2) * w_c ** (1 - s) * mpmath.exp(-w / w_c)
+                            * coth * (1 - mpmath.cos(w * t)))
+
+                want = mpmath.quad(h, mpmath.linspace(0, 500, 201))
+                assert value == pytest.approx(float(want), rel=1e-9)
 
     def test_bose_callback_overflow_at_window_edge_is_caught(self):
         # the window's tail bound takes w^(s-2), finite at w = 66 for s = 170,

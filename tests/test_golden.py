@@ -75,6 +75,11 @@ GOLDEN = (
     (["perturbation"],
      "f02ef97bdd889df2992e6548ae05390e2fed4503135be886fc6bb92b9f6c2119",
      "5585ee8cb1c04d16fa5d9a66aa3f89bad549699a6a37705270f3a240a85ff845"),
+    # 601 frequencies in many row blocks of uneven size (recorded with the
+    # contraction as one product over all rows)
+    (["perturbation", "--t", "0.2", "--omega-points", "601"],
+     "52b0ffbdc219e0a713cdd5cf45b97f5eb134bdb6ba9d46423775869163c37ebc",
+     "8f69c3eeeda5657ed989f9fd90609be26349c027f84fe4a0652d6306c7ad883d"),
 )
 
 

@@ -14,6 +14,7 @@ from zenotraj.numerics import (
     integrate_adaptive,
     integrate_matrix_ode,
     min_eigenvalue_hermitian,
+    row_blocks,
     solve_volterra,
 )
 
@@ -182,6 +183,23 @@ class TestMinEigenvalueHermitian:
     def test_rejects_large_matrices(self):
         with pytest.raises(ValueError):
             min_eigenvalue_hermitian(np.eye(9))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 4, 5, 9, 17, 101, 201, 601])
+    @pytest.mark.parametrize("max_rows", [0, 1, 2, 3, 8, 9, 1000])
+    def test_near_equal_blocks_of_two_rows_or_more(self, n_rows, max_rows):
+        blocks = row_blocks(n_rows, max_rows)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_rows
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        if len(blocks) > 1:
+            assert min(sizes) >= 2
+        if max_rows >= 2:
+            assert max(sizes) <= max_rows or len(blocks) == n_rows // 2
+        if n_rows <= max_rows:
+            assert len(blocks) == 1
 
 
 class TestGaussLegendrePanels:

@@ -1,10 +1,12 @@
 """Tests for the general second-order engine."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zenotraj import perturbation
 from zenotraj.core import (
     InterferometerConfig,
     Lorentzian,
@@ -354,3 +356,61 @@ class TestFrequencyIntegralCheck:
             second_order_block(model, QubitState.excited(), 0, 0.2)
         with pytest.raises(QuadratureError):
             general_decay_factor(model, QubitState.excited(), 0.4, InterferometerConfig(1, n_shifts=0))
+
+
+def _contract_one_product(c, omega, tau, weighted):
+    """The frequency contraction as one product over all omega rows (the blocks' oracle)."""
+    phase = np.exp(-1j * omega[:, None] * tau)
+    return sum((c_ab * phase) @ weighted[a, b] for (a, b), c_ab in np.ndenumerate(c))
+
+
+# both coupling models with a post-selection on each; meshes of 4,900 and
+# 1,600 nodes at t = 0.2
+_ENGINE_CASES = {
+    "diss": (dissipative_coupling_model(LORENTZIAN, omega_q=1.0), QubitState.excited(),
+             InterferometerConfig(3, n_shifts=1)),
+    "deph": (dephasing_coupling_model(OHMIC), QubitState.plus(), InterferometerConfig(4, n_shifts=1)),
+}
+
+
+class TestRowBlockedContraction:
+    """The omega rows go through in blocks, each row with the one-product bits."""
+
+    # rows per block from the byte budget: 1 still gives two-row blocks, 8
+    # uneven splits, None the module's budget (53 and 163 rows a block here)
+    @pytest.mark.parametrize("block_rows", [1, 8, None])
+    @pytest.mark.parametrize("n_omega", [1, 2, 3, 5, 9, 17, 101, 201, 601])
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_general_filter_bits(self, name, n_omega, block_rows, monkeypatch):
+        model, psi0, config = _ENGINE_CASES[name]
+        omega = np.linspace(-2.0, 4.0, n_omega)
+        if block_rows is not None:
+            nodes = perturbation._filter_mesh(model, psi0, 0.2)[0].size
+            monkeypatch.setattr(perturbation, "_PHASE_BLOCK_BYTES", 16 * nodes * block_rows)
+        blocked = general_filter(model, psi0, omega, 0.2, config)
+        monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
+        assert blocked.tobytes() == general_filter(model, psi0, omega, 0.2, config).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_frequency_integral_bits(self, name, monkeypatch):
+        # quad_vec contracts one omega row at a time: a single block
+        model, psi0, config = _ENGINE_CASES[name]
+        block = second_order_block(model, psi0, 0, 0.2)
+        decay = general_decay_factor(model, psi0, 0.2, config)
+        monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
+        assert block.tobytes() == second_order_block(model, psi0, 0, 0.2).tobytes()
+        assert np.float64(decay).tobytes() == np.float64(
+            general_decay_factor(model, psi0, 0.2, config)).tobytes()
+
+    def test_general_filter_memory_is_bounded(self):
+        # the CLI default: 201 frequencies on the 28,900-node mesh of t = 0.5,
+        # where the whole phase matrix alone takes 93 MB
+        model, psi0, config = _ENGINE_CASES["diss"]
+        omega = np.linspace(-2.0, 4.0, 201)
+        tracemalloc.start()
+        try:
+            general_filter(model, psi0, omega, 0.5, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
