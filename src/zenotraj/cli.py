@@ -579,10 +579,26 @@ _RUNNERS = {
 }
 
 
+def _check_finite(table):
+    """NumericError unless every table value and float metadata value is finite."""
+    bad = [name for name, ok in zip(table.columns, np.isfinite(table.values).all(axis=0))
+           if not ok]
+    bad += [key for key, value in sorted(table.metadata.items())
+            if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise NumericError(f"result is not finite in {', '.join(bad)}")
+
+
 def run(config):
-    """Execute the scenario; deterministic output for identical config."""
+    """Execute the scenario; deterministic output for identical config.
+
+    A result with a value that is not finite, in the table or in a float of
+    its metadata, raises NumericError (exit 3) instead of being emitted.
+    """
     try:
-        return _RUNNERS[config.scenario](config)
+        table = _RUNNERS[config.scenario](config)
+        _check_finite(table)
+        return table
     except ZenoTrajError as exc:
         exc.args = (f"[{config.scenario}] {exc}",) + exc.args[1:]
         raise

@@ -54,7 +54,8 @@ _LOG_HUGE = math.log(np.finfo(float).max) - 1.0
 class SpectralDensity:
     """Coupling spectrum J(ω) ≥ 0 on [0, omega_max], zero outside.
 
-    Each family subclass supplies the shape of J and a default
+    Each family subclass supplies the shape of J as ``_shape(omega, lo)``
+    (``lo``: the smallest node, nan when there is none) and a default
     ``omega_max``; ``scale`` is an overall multiplier used for
     coupling-strength rescaling (J → ε²J leaves the shape untouched).
     """
@@ -78,12 +79,14 @@ class SpectralDensity:
         return replace(self, scale=self.scale * float(factor))
 
     def __call__(self, omega):
+        # one min and one max pass per call; ``_shape`` gets the min
         omega = np.asarray(omega, dtype=float)
-        raw = self._shape(omega)
-        if omega.size and omega.min() >= 0 and omega.max() <= self.omega_max:
-            out = self.scale * raw  # every node inside the support
-        else:
-            out = self.scale * np.where((omega >= 0) & (omega <= self.omega_max), raw, 0.0)
+        lo = omega.min() if omega.size else math.nan
+        out = self._shape(omega, lo)
+        if not (lo >= 0 and omega.max() <= self.omega_max):
+            out = np.where((omega >= 0) & (omega <= self.omega_max), out, 0.0)
+        if self.scale != 1.0:
+            out = self.scale * out
         return out if out.ndim else float(out)
 
 
@@ -100,7 +103,7 @@ class Lorentzian(SpectralDensity):
             raise ValueError("Lorentzian needs gamma0 > 0 and lam > 0")
         self._resolve(self.omega_q + 50.0 * self.lam)
 
-    def _shape(self, omega):
+    def _shape(self, omega, lo):
         return (self.gamma0 * self.lam ** 2 / (2.0 * np.pi)
                 / ((self.omega_q - omega) ** 2 + self.lam ** 2))
 
@@ -124,16 +127,22 @@ class Ohmic(SpectralDensity):
                 math.log(self.eta), (1.0 - self.s) * math.log(self.omega_c))
         object.__setattr__(self, "_log_space", sum(max(x, 0.0) for x in logs) > _LOG_HUGE)
 
-    def _shape(self, omega):
+    def _shape(self, omega, lo):
         # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c;
         # no mask when every node is positive
-        pos = None if omega.size and omega.min() > 0 else omega > 0
+        pos = None if lo > 0 else omega > 0
         w = omega if pos is None else omega[pos]
         if self._log_space:
             shape = self._log_space_shape(w)
         else:
-            shape = (self.eta * w ** self.s * self.omega_c ** (1.0 - self.s)
-                     * np.exp(-w / self.omega_c))
+            # η w^s ω_c^{1−s} e^{−w/ω_c} in the buffer of w^s, multiplied
+            # left to right (another order rounds differently)
+            shape = w ** self.s
+            shape *= self.eta
+            shape *= self.omega_c ** (1.0 - self.s)
+            decay = np.negative(w, out=np.empty_like(w))
+            decay /= self.omega_c
+            shape *= np.exp(decay, out=decay)
         if pos is None:
             return shape
         out = np.zeros_like(omega)
@@ -162,7 +171,7 @@ class GaussianPeak(SpectralDensity):
             raise ValueError("GaussianPeak needs delta > 0")
         self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
 
-    def _shape(self, omega):
+    def _shape(self, omega, lo):
         return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
 
 
@@ -186,7 +195,7 @@ class Tabulated(SpectralDensity):
         object.__setattr__(self, "values", values)
         self._resolve(omega[-1])
 
-    def _shape(self, omega):
+    def _shape(self, omega, lo):
         return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
 
 

@@ -88,9 +88,25 @@ def _coth_factor(x):
     """coth(x) = 1 + 2/(e^{2x} - 1), stable for both tiny and huge x > 0.
 
     The cap keeps expm1 below float64 overflow (2x ≈ 709.78); past it the
-    result is exactly 1.0 anyway.
+    result is exactly 1.0 anyway.  Evaluated step by step in one new buffer.
     """
-    return 1.0 + 2.0 / np.expm1(np.minimum(2.0 * x, 700.0))
+    out = np.multiply(2.0, x, out=np.empty(np.shape(x)))
+    np.minimum(out, 700.0, out=out)
+    np.expm1(out, out=out)
+    np.divide(2.0, out, out=out)
+    np.add(1.0, out, out=out)
+    return out if out.ndim else out[()]
+
+
+def _capped_coth(temperature, w):
+    """coth(w/2T) by ``_coth_factor``, with w capped at 1400 T before dividing.
+
+    The cap keeps a denormal T from overflowing w/2T; past it coth is
+    exactly 1.0 either way.  One new buffer besides ``_coth_factor``'s.
+    """
+    x = np.minimum(w, 1400.0 * temperature)
+    x /= 2.0 * temperature
+    return _coth_factor(x)
 
 
 def _check_infrared(j, temperature):
@@ -105,26 +121,34 @@ def _thermal_integrand(j, t, weight=None):
     """Vectorized 4 J(w) w^{-2} weight(w) (1 - cos wt); series near w=0.
 
     ``weight`` maps positive frequencies to a thermal factor such as
-    coth(w/2T); None stands for 1 (T = 0).
+    coth(w/2T); None stands for 1 (T = 0).  Away from the series the
+    product is formed in place in two new buffers (the arguments are never
+    written), with the operations of ``4 J osc th`` in their order.
     """
 
     def h(w):
         w = np.asarray(w, dtype=float)
         scalar = w.ndim == 0
         w = np.atleast_1d(w)
-        wt = w * t
+        spectrum = j(w)  # first, so that J's temporary buffer is free again below
+        osc = np.multiply(w, t)
+        out = np.multiply(w, w)
         # (1 - cos wt)/w^2 with a two-term series where the difference would
         # cancel; the truncation error at the switch point is ~(wt)^4/360
-        if wt.min() >= 1e-3:
-            osc = (1.0 - np.cos(wt)) / (w * w)
+        if osc.min() >= 1e-3:
+            np.cos(osc, out=osc)
+            np.subtract(1.0, osc, out=osc)
+            np.divide(osc, out, out=osc)
         else:
             osc = np.where(
-                wt < 1e-3,
-                0.5 * t * t * (1.0 - wt * wt / 12.0),
-                (1.0 - np.cos(wt)) / (w * w),
+                osc < 1e-3,
+                0.5 * t * t * (1.0 - osc * osc / 12.0),
+                (1.0 - np.cos(osc)) / out,
             )
-        th = 1.0 if weight is None else weight(w)
-        out = 4.0 * j(w) * osc * th
+        np.multiply(4.0, spectrum, out=out)
+        out *= osc
+        if weight is not None:
+            out *= weight(w)
         return out[0] if scalar else out
 
     return h
@@ -254,10 +278,7 @@ def dephasing_exponent(params, t):
     j, temperature = params.j, params.temperature
     _check_infrared(j, temperature)
     omega_max = j.omega_max
-    # w is capped at 1400 T before dividing, so a denormal T cannot overflow
-    # w/2T; past the cap coth is exactly 1.0 either way
-    coth = None if temperature == 0.0 else (
-        lambda w: _coth_factor(np.minimum(w, 1400.0 * temperature) / (2.0 * temperature)))
+    coth = None if temperature == 0.0 else functools.partial(_capped_coth, temperature)
     h = _thermal_integrand(j, t, coth)
     if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None

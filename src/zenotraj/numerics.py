@@ -264,6 +264,8 @@ def gauss_legendre_panels(f, edges):
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half
-    nodes = mid[:, None] + half[:, None] * x[None, :]
+    # mid + half * x, built in one (panels, order) array
+    nodes = np.multiply(half[:, None], x)
+    nodes += mid[:, None]
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return float(np.sum(half * (vals @ w)))

@@ -390,6 +390,35 @@ class TestMain:
         assert main(argv) == 3
         assert "|G| exceeds 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["value", "metadata"])
+    def test_non_finite_result_exit_code(self, where, bad, monkeypatch, capsys):
+        # a stand-in runner whose table carries one non-finite number
+        def runner(config):
+            values = np.zeros((3, 2))
+            metadata = {"scenario": config.scenario, "count": 3, "plateau": 0.5}
+            if where == "value":
+                values[1, 1] = bad
+            else:
+                metadata["plateau"] = bad
+            return ResultTable(("t", "gamma"), values, "units", metadata)
+
+        monkeypatch.setitem(cli._RUNNERS, "dynamics-deph", runner)
+        with pytest.raises(NumericError, match="gamma" if where == "value" else "plateau"):
+            run(parse_config(["dynamics-deph"]))
+        assert main(["dynamics-deph"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "result is not finite" in err
+
+    def test_finite_result_passes_the_gate(self, monkeypatch, capsys):
+        def runner(config):
+            return ResultTable(("t", "gamma"), np.array([[0.0, -0.0], [1e-320, 1e308]]),
+                               "units", {"scenario": config.scenario, "x": 1.5, "n": True})
+
+        monkeypatch.setitem(cli._RUNNERS, "dynamics-deph", runner)
+        assert main(["dynamics-deph"]) == 0
+        assert capsys.readouterr().out.endswith("t,gamma\n0,-0\n9.9998886718268301e-321,1e+308\n")
+
     def test_large_power_ohmic_exit_code(self, capsys):
         # w^170 overflows a float past w = 65 < omega_max = 500, while J itself
         # stays below 1e-31 there: the table is emitted, with no warning

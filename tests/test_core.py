@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dephasing_oracle
 from postselect_oracle import PathBlockMatrix, postselect_general, superpose_identical
 from zenotraj.core import (
     GaussianPeak,
@@ -125,6 +126,59 @@ class TestSpectralDensity:
             Ohmic(eta=-1.0, s=1.0, omega_c=1.0)
         with pytest.raises(ValueError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
+
+
+def _frozen(values):
+    """A read-only float copy: a function that writes into it raises."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+_FAMILIES = {
+    "ohmic-s4": Ohmic(eta=1.0 / 3.0, s=4.0, omega_c=1.0),
+    "ohmic-s1.7": Ohmic(eta=1.0 / 3.0, s=1.7, omega_c=2.0),
+    "ohmic-s2": Ohmic(eta=0.5, s=2.0, omega_c=1.0),
+    "ohmic-s0.5": Ohmic(eta=0.5, s=0.5, omega_c=1.0),
+    "ohmic-log-space-s170": Ohmic(eta=1e-300, s=170.0, omega_c=10.0),
+    "lorentzian": Lorentzian(gamma0=1.0, lam=0.1, omega_q=50.0),
+    "gaussian": GaussianPeak(omega_m=1.5, delta=0.2),
+    "tabulated": Tabulated([0.0, 1.0, 2.0, 7.5], [0.0, 2.0, 0.5, 0.0]),
+}
+
+
+class TestSpectralDensityBytes:
+    """J(omega) keeps the bytes of the scale-times-shape form with its masks."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 4.0])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_arrays_match_oracle(self, family, scale):
+        j = _FAMILIES[family].scaled(scale)
+        top = j.omega_max
+        # fig4c-sized positive nodes, then grids with 0, negative and
+        # beyond-cut nodes that take the masks
+        grids = (np.linspace(top / 31_840, top * (1 - 1e-9), 31_840),
+                 np.linspace(0.0, top, 1001),
+                 np.linspace(-2.0, 1.5 * top, 1001),
+                 np.array([np.nan, 0.5 * top, -1.0]),
+                 np.array([]))
+        for grid in grids:
+            w = _frozen(grid)
+            with np.errstate(invalid="ignore"):
+                got, want = j(w), dephasing_oracle.spectral_density(j, w)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert w.tobytes() == _frozen(grid).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_scalars_match_oracle(self, family, scale):
+        j = _FAMILIES[family].scaled(scale)
+        for value in (0.7, 0.0, -0.5, 1.5 * j.omega_max, 0.999 * j.omega_max):
+            for w in (value, np.float64(value), _frozen(value)):
+                got, want = j(w), dephasing_oracle.spectral_density(j, w)
+                assert type(got) is float and type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestQubitState:

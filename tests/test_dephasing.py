@@ -23,11 +23,21 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from zenotraj import dephasing, numerics
-from zenotraj.core import GaussianPeak, Ohmic, QubitState, normalize, r_factor, trace_distance
+from zenotraj.core import (
+    GaussianPeak,
+    Lorentzian,
+    Ohmic,
+    QubitState,
+    Tabulated,
+    normalize,
+    r_factor,
+    trace_distance,
+)
 from zenotraj.dephasing import (
     DephasingFactors,
     DephasingParams,
     _bose_integrand,
+    _capped_coth,
     _coth_factor,
     _ohmic_split,
     dephasing_exponent,
@@ -39,6 +49,7 @@ from zenotraj.dephasing import (
 from zenotraj.errors import NumericError
 from zenotraj.numerics import TimeGrid
 
+import dephasing_oracle
 from dephasing_oracle import bose_integrand, oracle_exponent
 
 ETA = 1.0 / 3.0
@@ -551,3 +562,130 @@ class TestPanelPool:
             pool_of(workers)
             with pytest.raises(NumericError, match=re.escape(f"failed at t = {float(early)}")):
                 dephasing_factors(params, grid, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the in-place Gauss-Legendre integrand, byte for byte against its oracle
+# ---------------------------------------------------------------------------
+
+def _frozen(values):
+    """A read-only float copy: a function that writes into it raises."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _assert_same_bytes(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _panel_edges(omega_max, t):
+    """The half-period panel edges of ``dephasing_exponent`` past the switch."""
+    half_period = np.pi / t
+    n_half = int(np.floor(omega_max / half_period - 1e-12))
+    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
+
+
+def _panel_nodes(omega_max, t):
+    x, _ = numerics._legendre_rule(numerics._GL_ORDER)
+    return _frozen(dephasing_oracle.gauss_legendre_nodes(_panel_edges(omega_max, t), x).ravel())
+
+
+def _integrand(j, t, temperature):
+    """The integrand ``dephasing_exponent`` builds for (j, T) at time t."""
+    coth = None if temperature == 0.0 else functools.partial(_capped_coth, temperature)
+    return dephasing._thermal_integrand(j, t, coth)
+
+
+J_FAMILIES = {
+    "ohmic-s4": Ohmic(ETA, 4.0, 1.0),
+    "ohmic-s1.7-scaled": Ohmic(ETA, 1.7, 1.0).scaled(0.37),
+    # numpy's w ** s takes other ufuncs at s = 0.5, 1 and 2
+    "ohmic-s0.5": Ohmic(ETA, 0.5, 1.0),
+    "ohmic-s1": Ohmic(ETA, 1.0, 1.0),
+    "ohmic-s2-scaled": Ohmic(ETA, 2.0, 1.0).scaled(3.0),
+    "ohmic-log-space-s170": Ohmic(1e-300, 170.0, 10.0),
+    "lorentzian": Lorentzian(1.0, 0.5, 20.0),
+    "gaussian-scaled": GaussianPeak(12.0, 4.0).scaled(0.5),
+    "tabulated": Tabulated(np.linspace(0.0, 50.0, 101), np.linspace(0.0, 50.0, 101) ** 1.5),
+}
+
+
+class TestInPlaceIntegrand:
+    """The Gauss-Legendre branch keeps the bytes of its temporaries-based form."""
+
+    def test_nodes_of_fig4c_panels(self):
+        # omega_max t = 10,000 at t = 200: 3,184 panels, 31,840 nodes
+        edges = _frozen(_panel_edges(50.0, 200.0))
+        seen = []
+
+        def capture(w):
+            seen.append(w.copy())
+            return np.ones_like(w)
+
+        numerics.gauss_legendre_panels(capture, edges)
+        want = _panel_nodes(50.0, 200.0)
+        assert want.size == 31_840
+        _assert_same_bytes(seen[0], np.array(want))
+
+    @pytest.mark.parametrize("s, temperature, t", [
+        (4.0, 0.0, 200.0),  # fig4c's last point
+        (4.0, 0.0, 190.0),
+        (1.7, 0.4, 100.0),
+        (1.7, 0.01, 100.0),  # w is capped at 1400 T = 14 < omega_max
+        (1.0, 1e-300, 30.0),  # denormal-scale T: every node is capped
+    ])
+    def test_ohmic_integrand_on_panel_nodes(self, s, temperature, t):
+        j = Ohmic(ETA, s, 1.0)
+        w = _panel_nodes(j.omega_max, t)
+        before = w.tobytes()
+        got = _integrand(j, t, temperature)(w)
+        _assert_same_bytes(got, dephasing_oracle.thermal_integrand(j, t, temperature, w))
+        assert w.tobytes() == before
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.4, 0.01])
+    @pytest.mark.parametrize("family", J_FAMILIES)
+    def test_every_family_on_series_and_panel_nodes(self, family, temperature):
+        j = J_FAMILIES[family]
+        # w t runs from 5e-7 to 25: both sides of the series switch at 1e-3
+        mixed = _frozen(np.geomspace(1e-6, j.omega_max, 2001))
+        for t, w in ((0.5, mixed), (40.0, _panel_nodes(j.omega_max, 40.0))):
+            before = w.tobytes()
+            got = _integrand(j, t, temperature)(w)
+            _assert_same_bytes(got, dephasing_oracle.thermal_integrand(j, t, temperature, w))
+            assert w.tobytes() == before
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.4])
+    @pytest.mark.parametrize("family", ["ohmic-s4", "ohmic-s1.7-scaled", "lorentzian",
+                                        "tabulated"])
+    def test_python_float_and_0d_inputs(self, family, temperature):
+        j = J_FAMILIES[family]
+        h = _integrand(j, 0.5, temperature)
+        for w in (2.5, 1e-4, np.float64(2.5), _frozen(2.5), _frozen(1e-4)):
+            want = dephasing_oracle.thermal_integrand(j, 0.5, temperature, w)
+            _assert_same_bytes(h(w), want)
+
+    def test_coth_factor_matches_oracle(self):
+        x = _frozen(np.concatenate((np.geomspace(1e-9, 1e3, 4001), [349.9, 350.0, 1e6])))
+        _assert_same_bytes(_coth_factor(x), dephasing_oracle.coth_factor(x))
+        for scalar in (1e-3, 0.7, 400.0, np.float64(0.7), _frozen(0.7)):
+            _assert_same_bytes(_coth_factor(scalar), dephasing_oracle.coth_factor(scalar))
+        assert x[0] == 1e-9  # unchanged
+
+    @pytest.mark.parametrize("family", J_FAMILIES)
+    @pytest.mark.parametrize("temperature", [0.0, 0.4])
+    def test_panel_sum_is_the_oracle_sum(self, family, temperature):
+        j = J_FAMILIES[family]
+        t = 130.0
+        edges = _panel_edges(j.omega_max, t)
+        x, weights = numerics._legendre_rule(numerics._GL_ORDER)
+        nodes = dephasing_oracle.gauss_legendre_nodes(edges, x)
+        vals = dephasing_oracle.thermal_integrand(j, t, temperature, nodes.ravel())
+        half = 0.5 * (edges[1:] - edges[:-1])
+        want = float(np.sum(half * (vals.reshape(nodes.shape) @ weights)))
+        got = numerics.gauss_legendre_panels(_integrand(j, t, temperature), _frozen(edges))
+        _assert_same_bytes(got, want)
+        if not (temperature > 0 and isinstance(j, Ohmic) and j.s < 1.0):  # infrared
+            assert dephasing_exponent(DephasingParams(j, temperature), t) == want
