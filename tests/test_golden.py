@@ -20,6 +20,9 @@ import pytest
 
 from zenotraj import cli, dephasing
 from zenotraj.cli import emit, parse_config, run
+from zenotraj.core import GaussianPeak, Lorentzian, Tabulated
+from zenotraj.dephasing import DephasingParams, dephasing_exponent
+from zenotraj.filters import FilterSpec, decay_factor_overlap
 
 from dephasing_oracle import oracle_exponent
 
@@ -124,6 +127,64 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
             assert table.metadata[key] == want
 
 
+# Library routes no table above reaches: the full-integrand QUADPACK route
+# of the dephasing exponent for non-Ohmic J (omega_max * t = 2.5 has no
+# interior breakpoint, 31.5 has ten) and the filter overlap integral, pinned
+# as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near w = 0, so its
+# thermal integrand stays finite there; a Lorentzian's does not (J(0) > 0).
+_KNOTS = np.linspace(0.0, 8.0, 5)
+PIN_DENSITIES = {
+    "gaussian": GaussianPeak(4.0, 0.02),
+    "lorentzian": Lorentzian(1.0, 0.3, 1.5),
+    "tabulated": Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS)),
+}
+EXPONENT_PINS = (
+    ("gaussian", 0.0, 2.5, "0x1.2fbcc49bbbb38p-4"),
+    ("gaussian", 0.0, 31.5, "0x1.dcc5dc830701dp-4"),
+    ("gaussian", 0.3, 2.5, "0x1.2fbd0913d91ebp-4"),
+    ("gaussian", 0.3, 31.5, "0x1.dcc6495dac09ap-4"),
+    ("lorentzian", 0.0, 2.5, "0x1.a09462b82a870p-8"),
+    ("lorentzian", 0.0, 31.5, "0x1.dba35b5aae65ap-2"),
+    ("tabulated", 0.0, 2.5, "0x1.21755965929b6p-1"),
+    ("tabulated", 0.0, 31.5, "0x1.2e16c122ebb2fp+2"),
+    ("tabulated", 0.3, 2.5, "0x1.2c4f39bc4e9bcp-1"),
+    ("tabulated", 0.3, 31.5, "0x1.cebe9cedfc587p+2"),
+)
+# FilterSpec(kind, t=2, omega_q=1.5, N=3, n=1): the deph filter has no
+# breakpoint, the diss filter one at omega_q
+OVERLAP_PINS = (
+    ("gaussian", "deph_superposed", "0x1.b5012f52fb05ap-6"),
+    ("gaussian", "diss_superposed", "0x1.6d06e8636510ap-3"),
+    ("lorentzian", "deph_superposed", "0x1.6e58491e5780ap-3"),
+    ("lorentzian", "diss_superposed", "0x1.79c9d239b11d5p+0"),
+)
+
+
+def _pinned_exponent(name, temperature, phase):
+    j = PIN_DENSITIES[name]
+    return dephasing_exponent(DephasingParams(j, temperature), phase / j.omega_max).hex()
+
+
+def _pinned_overlap(name, kind):
+    return decay_factor_overlap(PIN_DENSITIES[name], FilterSpec(kind, 2.0, 1.5, 3, 1)).hex()
+
+
+@pytest.mark.parametrize("name, temperature, phase, want", EXPONENT_PINS,
+                         ids=[f"{n}-T{T}-phase{p}" for n, T, p, _ in EXPONENT_PINS])
+def test_quadrature_exponent_bits(name, temperature, phase, want):
+    assert _pinned_exponent(name, temperature, phase) == want
+
+
+@pytest.mark.parametrize("name, kind, want", OVERLAP_PINS,
+                         ids=[f"{n}-{k}" for n, k, _ in OVERLAP_PINS])
+def test_overlap_integral_bits(name, kind, want):
+    assert _pinned_overlap(name, kind) == want
+
+
 if __name__ == "__main__":
     for argv, _, _ in GOLDEN:
         print(argv, *_digests(argv))
+    for name, temperature, phase, _ in EXPONENT_PINS:
+        print(name, temperature, phase, _pinned_exponent(name, temperature, phase))
+    for name, kind, _ in OVERLAP_PINS:
+        print(name, kind, _pinned_overlap(name, kind))
