@@ -35,6 +35,7 @@ from .dephasing import (
     modified_dephasing,
 )
 from .dicke import (
+    SINC_MIN,
     CollectiveRateMatrix,
     evolve_collective,
     excited_population_analytic,
@@ -78,14 +79,10 @@ _RECIPE_OVERLAYS = {
               "temperature": 0.0, "tmax": 200.0, "steps": 1000},
 }
 
-# structural keys a recipe pins (they decide which curves the table holds)
-_RECIPE_FIXED = {
-    "fig2": {},
-    "fig3": {"N": 3},
-    "fig4a": {"model": "diss"},
-    "fig4b": {"model": "deph", "s": 1.0},
-    "fig4c": {"model": "deph", "s": 4.0},
-}
+# structural keys a recipe pins (they decide which curves the table holds);
+# their values are the recipe's overlay values
+_RECIPE_FIXED = {"fig2": (), "fig3": ("N",), "fig4a": ("model",),
+                 "fig4b": ("model", "s"), "fig4c": ("model", "s")}
 
 # file/CLI key -> internal name ("lambda" is a Python keyword)
 _KEYMAP = {"lambda": "lam"}
@@ -151,7 +148,7 @@ _HELP = {
     "temperature": "bath temperature (k_B = 1)",
     "tmax": "final time (dicke: in units of 1/gamma0)",
     "steps": "number of time steps",
-    "sinc": "collective coupling factor in (-0.2173, 1]",
+    "sinc": f"collective coupling factor in [{SINC_MIN!r}, 1]",
     "qd": "wavenumber times spacing (sets the factor)",
     "numeric": "add a master-equation population column",
 }
@@ -306,8 +303,8 @@ def _validate(scenario, params, recipe):
     if scenario == "dicke":
         if params.get("sinc") is not None and params.get("qd") is not None:
             raise ConfigError("give either --sinc or --qd, not both")
-        if params.get("sinc") is not None and not -0.2172 < params["sinc"] <= 1.0:
-            raise ConfigError("sinc must lie in the reachable range (-0.2173, 1]")
+        if params.get("sinc") is not None and not SINC_MIN <= params["sinc"] <= 1.0:
+            raise ConfigError(f"sinc must lie in the reachable range [{SINC_MIN!r}, 1]")
 
 
 def parse_config(argv=None):
@@ -337,7 +334,8 @@ def parse_config(argv=None):
     resolved.update(file_vals)
     resolved.update(cli_vals)
     if recipe is not None:
-        for key, value in _RECIPE_FIXED[recipe].items():
+        for key in _RECIPE_FIXED[recipe]:
+            value = _RECIPE_OVERLAYS[recipe][key]
             if resolved[key] != value:
                 raise ConfigError(
                     f"recipe '{recipe}' fixes {key}={value}; drop the recipe to vary it")

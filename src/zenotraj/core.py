@@ -353,14 +353,6 @@ class QubitState:
     def trace(self):
         return float(np.trace(self.matrix).real)
 
-    @property
-    def populations(self):
-        return (float(self.matrix[0, 0].real), float(self.matrix[1, 1].real))
-
-    @property
-    def coherence(self):
-        return complex(self.matrix[0, 1])
-
     def min_eigenvalue(self):
         return min_eigenvalue_hermitian(self.matrix)
 

@@ -84,29 +84,22 @@ class DephasingFactors:
         return self
 
 
-def _coth_factor(x):
-    """coth(x) = 1 + 2/(e^{2x} - 1), stable for both tiny and huge x > 0.
-
-    The cap keeps expm1 below float64 overflow (2x ≈ 709.78); past it the
-    result is exactly 1.0 anyway.  Evaluated step by step in one new buffer.
-    """
-    out = np.multiply(2.0, x, out=np.empty(np.shape(x)))
-    np.minimum(out, 700.0, out=out)
-    np.expm1(out, out=out)
-    np.divide(2.0, out, out=out)
-    np.add(1.0, out, out=out)
-    return out if out.ndim else out[()]
-
-
 def _capped_coth(temperature, w):
-    """coth(w/2T) by ``_coth_factor``, with w capped at 1400 T before dividing.
+    """coth(w/2T) = 1 + 2/(e^{2x} - 1) at x = w/2T, stable for tiny and huge x.
 
-    The cap keeps a denormal T from overflowing w/2T; past it coth is
-    exactly 1.0 either way.  One new buffer besides ``_coth_factor``'s.
+    w is capped at 1400 T before dividing, which keeps a denormal T from
+    overflowing w/2T, and 2x at 700, which keeps expm1 below float64
+    overflow (2x ≈ 709.78); past either cap coth is exactly 1.0 anyway.
+    ``w`` is an ndarray; the steps run in place in one new buffer.
     """
     x = np.minimum(w, 1400.0 * temperature)
     x /= 2.0 * temperature
-    return _coth_factor(x)
+    x *= 2.0
+    np.minimum(x, 700.0, out=x)
+    np.expm1(x, out=x)
+    np.divide(2.0, x, out=x)
+    np.add(1.0, x, out=x)
+    return x
 
 
 def _check_infrared(j, temperature):
@@ -160,7 +153,7 @@ def _bose_integrand(j, temperature, t):
     A plain-float callback for QUADPACK: J is written out from Ohmic's
     formula with its constants and the 4 * 2 folded into
     c = 8 eta scale w_c^{1-s}, and the Bose factor is capped like
-    ``_coth_factor``.
+    ``_capped_coth``.
     """
     c = 8.0 * j.eta * j.scale * j.omega_c ** (1.0 - j.s)
     s, omega_c = j.s, j.omega_c
@@ -176,18 +169,19 @@ def _bose_integrand(j, temperature, t):
     return h
 
 
-def _half_period_quad(h, upper, t, abs_tol):
-    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t."""
+def _half_period_edges(upper, t):
+    """0, the half-periods k*pi/t below ``upper`` and ``upper``: the panel edges."""
     half_period = np.pi / t
     n_half = int(np.floor(upper / half_period - 1e-12))
-    points = half_period * np.arange(1, n_half + 1) if n_half >= 1 else None
-    val = integrate_adaptive(
-        h, 0.0, upper, 1e-11, abs_tol,
-        complex_valued=False,
-        points=points,
-        limit=max(200, 4 * (n_half + 2)),
-    )
-    return float(val.real)
+    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
+
+
+def _half_period_quad(h, upper, t, abs_tol):
+    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t."""
+    interior = _half_period_edges(upper, t)[1:-1]
+    # no breakpoints is None: an empty list would switch QUADPACK to QAGP
+    return integrate_adaptive(h, 0.0, upper, 1e-11, abs_tol,
+                              points=interior if interior.size else None)
 
 
 def _ohmic_zero_temperature(j, t):
@@ -283,10 +277,7 @@ def dephasing_exponent(params, t):
     if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
         return split if split is not None else _half_period_quad(h, omega_max, t, 1e-13)
-    half_period = np.pi / t
-    n_half = int(np.floor(omega_max / half_period - 1e-12))
-    edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
-    return float(gauss_legendre_panels(h, edges).real)
+    return gauss_legendre_panels(h, _half_period_edges(omega_max, t))
 
 
 def single_path_factor(gamma):

@@ -33,9 +33,9 @@ __all__ = [
     "superposed_initial_state",
 ]
 
-# global minimum of sinc(x) (at x ~ 4.4934) is ~ -0.21723; entries of the
-# collective matrix can never fall below it
-_SINC_FLOOR = -0.2173
+# global minimum of sinc(x) = sin(x)/x, at the root x ~ 4.4934 of tan x = x,
+# correctly rounded; entries of the collective matrix can never fall below it
+SINC_MIN = -0.21723362821122166
 
 # classical RK4 is stable on the negative real axis for h*|lambda| up to the
 # real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, z = -2.7852935634...
@@ -57,8 +57,8 @@ class CollectiveRateMatrix:
             raise ValueError("collective matrix must be symmetric")
         if np.any(np.diag(m) != 1.0):
             raise ValueError("diagonal entries must be exactly 1")
-        if np.any(m < _SINC_FLOOR) or np.any(m > 1.0):
-            raise ValueError(f"entries must lie in [{_SINC_FLOOR}, 1]")
+        if np.any(m < SINC_MIN) or np.any(m > 1.0):
+            raise ValueError(f"entries must lie in [{SINC_MIN!r}, 1]")
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be > 0")
         object.__setattr__(self, "matrix", m)

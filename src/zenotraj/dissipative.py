@@ -15,12 +15,7 @@ import numpy as np
 
 from .core import Lorentzian, QubitState, r_factor
 from .errors import NullOutcome
-from .numerics import (
-    ComplexSeries,
-    TimeGrid,
-    integrate_adaptive,
-    solve_volterra,
-)
+from .numerics import TimeGrid, integrate_adaptive, solve_volterra
 
 __all__ = [
     "DecayAmplitude",
@@ -56,18 +51,18 @@ class MemoryKernel:
 
 @dataclass(frozen=True)
 class DecayAmplitude:
-    """Time series of the dissipation function G(t)."""
+    """The dissipation function G(t) sampled on a TimeGrid."""
 
-    series: ComplexSeries
+    grid: TimeGrid
+    values: np.ndarray  # complex, one value per grid time
     source: str  # "volterra" | "lorentzian_closed_form"
 
-    @property
-    def grid(self):
-        return self.series.grid
-
-    @property
-    def values(self):
-        return self.series.values
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != (self.grid.count,):
+            raise ValueError(
+                f"series length {values.shape} does not match grid count {self.grid.count}")
+        object.__setattr__(self, "values", values)
 
     def validate(self):
         """G(0) = 1 and contractivity |G| ≤ 1 + 1e-9; returns self."""
@@ -94,14 +89,13 @@ def memory_kernel(j, omega_q):
             raise TypeError("memory kernel evaluates one time at a time")
         t = float(t)
         if t == 0.0:
-            val = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
-                                     complex_valued=False)
-            return complex(val.real, 0.0)
+            return complex(integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL,
+                                              _KERNEL_ABS_TOL), 0.0)
         re = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
-                                complex_valued=False, weight="cos", wvar=t)
+                                weight="cos", wvar=t)
         im = integrate_adaptive(j, 0.0, omega_max, _KERNEL_REL_TOL, _KERNEL_ABS_TOL,
-                                complex_valued=False, weight="sin", wvar=t)
-        return complex(np.exp(1j * omega_q * t) * (re.real - 1j * im.real))
+                                weight="sin", wvar=t)
+        return complex(np.exp(1j * omega_q * t) * (re - 1j * im))
 
     return MemoryKernel(f, "numeric_from_J")
 
@@ -114,8 +108,7 @@ def decay_amplitude(j, omega_q, grid, kernel=None):
     """
     if kernel is None:
         kernel = memory_kernel(j, omega_q)
-    series = solve_volterra(kernel.f, grid, 1.0)
-    return DecayAmplitude(series, "volterra")
+    return DecayAmplitude(grid, solve_volterra(kernel.f, grid, 1.0), "volterra")
 
 
 def _sinhc(x):
@@ -148,7 +141,7 @@ def decay_amplitude_closed_series(gamma0, lam, grid):
                         dtype=complex)
     if grid.t0 == 0.0:
         values[0] = 1.0 + 0.0j
-    return DecayAmplitude(ComplexSeries(grid, values), "lorentzian_closed_form")
+    return DecayAmplitude(grid, values, "lorentzian_closed_form")
 
 
 def decay_amplitude_auto(j, omega_q, grid):

@@ -134,11 +134,8 @@ def decay_factor_overlap(j, spec):
     points = None
     if spec.kind != "deph_superposed" and 0.0 < spec.omega_q < j.omega_max:
         points = [spec.omega_q]
-    val = integrate_adaptive(
-        integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
-        complex_valued=False, points=points,
-    )
-    out = float(val.real)
+    out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
+                             points=points)
     return 0.0 if out < 0.0 else out
 
 

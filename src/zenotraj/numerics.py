@@ -1,9 +1,10 @@
-"""Generic numerical kernels.
+"""Generic numerical kernels, each quadrature and series rule written once.
 
-Adaptive quadrature for (possibly oscillatory) spectral integrals, a
-product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
-4th-order density-matrix integrator, and a small dense Hermitian eigensolver.
-All routines are pure functions of their inputs and safe for concurrent use.
+A real-valued QUADPACK adapter for (possibly oscillatory) spectral integrals,
+one Gauss-Legendre panel rule, a product-trapezoidal solver for memory-kernel
+Volterra equations, a fixed-step 4th-order density-matrix integrator, and a
+small dense Hermitian eigensolver.  All routines are pure functions of their
+inputs and safe for concurrent use.
 """
 
 import functools
@@ -16,7 +17,6 @@ from .errors import NumericError, QuadratureError
 
 __all__ = [
     "TimeGrid",
-    "ComplexSeries",
     "integrate_adaptive",
     "solve_volterra",
     "integrate_matrix_ode",
@@ -79,60 +79,33 @@ class TimeGrid:
         return self.t0 + self.dt * (self.count - 1)
 
 
-@dataclass(frozen=True)
-class ComplexSeries:
-    """Complex values sampled on a TimeGrid."""
+def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=None,
+                       weight=None, wvar=None):
+    """QUADPACK quadrature of a real-valued ``f`` over [a, b] (b may be ``np.inf``).
 
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.count,):
-            raise ValueError(
-                f"series length {values.shape} does not match grid count {self.grid.count}"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, limit=200,
-                       points=None, complex_valued=True, weight=None, wvar=None):
-    """Adaptive quadrature of ``f`` over [a, b] (b may be ``np.inf``).
-
-    Returns a complex estimate whose reported error bound satisfies
+    Returns a float whose reported error bound satisfies
     ``bound <= max(abs_tol, rel_tol * |result|)``; otherwise raises
     :class:`QuadratureError` carrying the best estimate and the bound.
-    ``points`` optionally lists interior breakpoints (finite intervals only);
+    ``points`` optionally lists interior breakpoints (finite intervals only),
+    and the subinterval limit follows from them as max(200, 4 (len + 2));
     ``weight``/``wvar`` pass an oscillatory QUADPACK weight (e.g. 'cos', t)
     through, which is far more robust than plain subdivision when the phase
     across [a, b] spans many cycles.
     """
     if not a < b:
         raise ValueError("integrate_adaptive requires a < b")
-    kwargs = dict(epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=1)
+    n_points = 0 if points is None else len(points)
+    kwargs = dict(epsabs=abs_tol, epsrel=rel_tol, limit=max(200, 4 * (n_points + 2)),
+                  full_output=1)
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
     elif points is not None and np.isfinite(b):
         kwargs["points"] = points
-
-    def _run(g):
-        out = integrate.quad(g, a, b, **kwargs)
-        val, err = out[0], out[1]
-        ok = len(out) < 4  # a 4th element is QUADPACK's non-convergence message
-        return val, err, ok
-
-    if complex_valued:
-        re, err_re, ok_re = _run(lambda w: np.real(f(w)))
-        im, err_im, ok_im = _run(lambda w: np.imag(f(w)))
-        estimate = complex(re, im)
-        bound = err_re + err_im
-        converged = ok_re and ok_im
-    else:
-        re, bound, converged = _run(f)
-        estimate = complex(re, 0.0)
-
-    if not converged or bound > max(abs_tol, rel_tol * abs(estimate)):
+    out = integrate.quad(f, a, b, **kwargs)
+    estimate, bound = out[0], out[1]
+    # a 4th element is QUADPACK's non-convergence message
+    if len(out) > 3 or bound > max(abs_tol, rel_tol * abs(estimate)):
         raise QuadratureError(
             f"quadrature did not converge: estimate={estimate}, bound={bound:g}",
             estimate=estimate,
@@ -141,30 +114,19 @@ def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, limit=200,
     return estimate
 
 
-def _kernel_samples(kernel, offsets):
-    """Evaluate ``kernel`` on an array of time offsets, scalar fallback included."""
-    try:
-        values = np.asarray(kernel(offsets), dtype=complex)
-        if values.shape == offsets.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.array([kernel(t) for t in offsets], dtype=complex)
-
-
 def solve_volterra(kernel, grid, c0=1.0 + 0.0j):
-    """Solve ``c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ`` with ``c(0) = c0``.
+    """Solve ``c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ`` with ``c(0) = c0``; the complex array c.
 
     Product-trapezoidal discretization (second-order accurate): both the
     memory integral and the time step use the trapezoidal rule, with the
-    implicit diagonal term solved per step. The kernel is sampled once on
-    the grid offsets.
+    implicit diagonal term solved per step. The kernel is sampled once at
+    each grid offset, one time per call.
     """
     if abs(grid.t0) > 0:
         raise ValueError("solve_volterra requires a grid starting at t = 0")
     h = grid.dt
     m = grid.count
-    F = _kernel_samples(kernel, h * np.arange(m))
+    F = np.array([kernel(t) for t in h * np.arange(m)], dtype=complex)
     c = np.empty(m, dtype=complex)
     c[0] = complex(c0)
     deriv = 0.0 + 0.0j  # c'(0): the memory integral is empty at t = 0
@@ -177,7 +139,7 @@ def solve_volterra(kernel, grid, c0=1.0 + 0.0j):
         c_next = (c[k] + 0.5 * h * (deriv - s)) / denom
         deriv = -(s + 0.5 * h * F[0] * c_next)
         c[k + 1] = c_next
-    return ComplexSeries(grid, c)
+    return c
 
 
 def integrate_matrix_ode(rhs, rho0, grid):
@@ -250,6 +212,25 @@ def _legendre_rule(order):
     return x, w
 
 
+def panel_nodes(edges):
+    """Order-10 Gauss-Legendre rule on each panel between consecutive ``edges``.
+
+    Returns the nodes mid + half * x as a (panels, order) array, the panel
+    half-widths and the weights on [-1, 1]; the panel-weighted sum of f is
+    ``sum(half * (f(nodes) @ w))``.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("edges must contain at least two panel boundaries")
+    x, w = _legendre_rule(_GL_ORDER)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    # mid + half * x, built in one (panels, order) array
+    nodes = np.multiply(half[:, None], x)
+    nodes += mid[:, None]
+    return nodes, half, w
+
+
 def gauss_legendre_panels(f, edges):
     """Vectorized order-10 Gauss-Legendre quadrature over contiguous panels.
 
@@ -257,15 +238,6 @@ def gauss_legendre_panels(f, edges):
     ndarray of abscissae. Useful for oscillatory integrands split at their
     natural periods, where adaptive breakpoint lists would be too long.
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must contain at least two panel boundaries")
-    x, w = _legendre_rule(_GL_ORDER)
-    lo = edges[:-1]
-    half = 0.5 * (edges[1:] - lo)
-    mid = lo + half
-    # mid + half * x, built in one (panels, order) array
-    nodes = np.multiply(half[:, None], x)
-    nodes += mid[:, None]
+    nodes, half, w = panel_nodes(edges)
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return float(np.sum(half * (vals @ w)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import QubitState, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
-from .numerics import row_blocks
+from .numerics import panel_nodes, row_blocks
 
 __all__ = [
     "CouplingModel",
@@ -39,8 +39,6 @@ __all__ = [
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-_GL_ORDER = 10
 
 # phase-matrix bytes per row block of the frequency contraction
 _PHASE_BLOCK_BYTES = 4 * 2**20
@@ -131,17 +129,11 @@ def _mesh(model, t, nu):
     operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
     """
     n_pan = max(2, int(np.ceil(nu * t / np.pi)))
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(0.0, t, n_pan + 1)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    t1 = (mid[:, None] + half[:, None] * x).ravel()
-    w1 = (half[:, None] * w).ravel()
+    t1, half, w = panel_nodes(np.linspace(0.0, t, n_pan + 1))
     # inner mesh on [0, t1] as the unit mesh scaled by t1
-    ue = np.linspace(0.0, 1.0, n_pan + 1)
-    uh = 0.5 * np.diff(ue)
-    um = ue[:-1] + uh
-    u = (um[:, None] + uh[:, None] * x).ravel()
+    u, uh, _ = panel_nodes(np.linspace(0.0, 1.0, n_pan + 1))
+    t1, u = t1.ravel(), u.ravel()
+    w1 = (half[:, None] * w).ravel()
     wu = (uh[:, None] * w).ravel()
     T1 = np.repeat(t1, u.size)
     T2 = np.outer(t1, u).ravel()

@@ -10,7 +10,6 @@ from zenotraj import cli
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
 from zenotraj.dissipative import DecayAmplitude
 from zenotraj.errors import ConfigError, NumericError
-from zenotraj.numerics import ComplexSeries
 
 # flags a subcommand refuses because its run reads no such parameter
 UNREAD_FLAGS = {
@@ -71,6 +70,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="fixes N=3"):
             parse_config(["dicke", "--recipe", "fig3", "--N", "4"])
 
+    @pytest.mark.parametrize("value, code", [("-0.2172", 0), ("-0.21723362821122166", 0),
+                                             ("-0.2174", 2), ("1", 0)])
+    def test_sinc_range_is_the_reachable_range(self, value, code, capsys):
+        # sinc(x) >= -0.21723362821122166, reached at x ~ 4.4934
+        assert main(["dicke", "--sinc", value, "--steps", "5"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "reachable range [-0.21723362821122166, 1]" in err
+
+    def test_sinc_help_states_the_range(self):
+        assert cli._HELP["sinc"] == "collective coupling factor in [-0.21723362821122166, 1]"
+
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="gamma0"):
             parse_config(["dynamics-diss", "--gamma0", "-1"])
@@ -78,6 +89,8 @@ class TestParseConfig:
             parse_config(["dynamics-diss", "--steps", "0"])
         with pytest.raises(ConfigError, match="sinc"):
             parse_config(["dicke", "--sinc", "-0.5"])
+        with pytest.raises(ConfigError, match="sinc"):
+            parse_config(["dicke", "--sinc", "1.0001"])
         with pytest.raises(ConfigError, match="not both"):
             parse_config(["dicke", "--sinc", "0.2", "--qd", "1.0"])
         with pytest.raises(ConfigError, match="n must satisfy"):
@@ -384,7 +397,7 @@ class TestMain:
         # a stand-in route whose |G| grows past 1 + 1e-9 is refused, not emitted
         def growing(j, omega_q, grid):
             values = np.exp(0.01 * grid.times).astype(complex)
-            return DecayAmplitude(ComplexSeries(grid, values), "volterra")
+            return DecayAmplitude(grid, values, "volterra")
 
         monkeypatch.setattr(cli, "decay_amplitude_auto", growing)
         assert main(argv) == 3

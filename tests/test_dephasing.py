@@ -38,7 +38,6 @@ from zenotraj.dephasing import (
     DephasingParams,
     _bose_integrand,
     _capped_coth,
-    _coth_factor,
     _ohmic_split,
     dephasing_exponent,
     dephasing_factors,
@@ -131,11 +130,13 @@ class TestDephasingExponent:
             ]
             assert np.all(np.diff(gammas) > 0)
 
-    def test_coth_factor_saturates_without_overflow(self):
-        x = np.array([350.0, 354.0, 1e6, np.inf])
+    def test_coth_saturates_without_overflow(self):
+        # at T = 1/2, coth(w/2T) = coth(w)
+        w = np.array([350.0, 354.0, 1e6, np.inf])
         with np.errstate(all="raise"):
-            assert np.all(_coth_factor(x) == 1.0)
-            assert _coth_factor(1e-3) == pytest.approx(1.0 / np.tanh(1e-3), rel=1e-12)
+            assert np.all(_capped_coth(0.5, w) == 1.0)
+            assert _capped_coth(0.5, np.array([1e-3]))[0] == pytest.approx(
+                1.0 / np.tanh(1e-3), rel=1e-12)
 
     def test_sub_ohmic_finite_temperature_raises(self):
         params = DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.3)
@@ -667,12 +668,14 @@ class TestInPlaceIntegrand:
             want = dephasing_oracle.thermal_integrand(j, 0.5, temperature, w)
             _assert_same_bytes(h(w), want)
 
-    def test_coth_factor_matches_oracle(self):
-        x = _frozen(np.concatenate((np.geomspace(1e-9, 1e3, 4001), [349.9, 350.0, 1e6])))
-        _assert_same_bytes(_coth_factor(x), dephasing_oracle.coth_factor(x))
-        for scalar in (1e-3, 0.7, 400.0, np.float64(0.7), _frozen(0.7)):
-            _assert_same_bytes(_coth_factor(scalar), dephasing_oracle.coth_factor(scalar))
-        assert x[0] == 1e-9  # unchanged
+    @pytest.mark.parametrize("temperature", [0.5, 0.37, 0.01, 1e-300])
+    def test_capped_coth_matches_oracle(self, temperature):
+        w = _frozen(np.concatenate((np.geomspace(1e-9, 1e3, 4001), [349.9, 350.0, 1e6])))
+        for nodes in (w, _frozen([1e-3]), _frozen([0.7]), _frozen([400.0])):
+            want = dephasing_oracle.coth_factor(
+                np.minimum(nodes, 1400.0 * temperature) / (2.0 * temperature))
+            _assert_same_bytes(_capped_coth(temperature, nodes), want)
+        assert w[0] == 1e-9  # unchanged
 
     @pytest.mark.parametrize("family", J_FAMILIES)
     @pytest.mark.parametrize("temperature", [0.0, 0.4])

@@ -8,6 +8,7 @@ e^{-Gamma0 t} uniformly, ground coherences fill in weighted by the
 collective matrix).
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -19,6 +20,7 @@ from geometry_oracle import (
     rates_from_geometry,
 )
 from zenotraj.dicke import (
+    SINC_MIN,
     CollectiveRateMatrix,
     build_master_generator,
     evolve_collective,
@@ -92,6 +94,18 @@ class TestRateMatrix:
             CollectiveRateMatrix.from_factor(3, -0.3, 1.0)
         with pytest.raises(ValueError):
             CollectiveRateMatrix.from_factor(3, 0.5, 0.0)
+
+    def test_floor_is_the_minimum_of_sinc(self):
+        # sinc is smallest at the root of tan x = x near 4.4934
+        with mpmath.workdps(30):
+            root = mpmath.findroot(lambda x: mpmath.tan(x) - x, 4.4934)
+            assert SINC_MIN == float(mpmath.sin(root) / root)
+        x = float(root) + 1e-10 * np.arange(-10_000, 10_001)
+        assert sinc(x).min() >= SINC_MIN
+        CollectiveRateMatrix.from_factor(3, SINC_MIN, 1.0)
+        CollectiveRateMatrix.from_factor(3, -0.2172, 1.0)
+        with pytest.raises(ValueError, match="entries must lie in"):
+            CollectiveRateMatrix.from_factor(3, np.nextafter(SINC_MIN, -1.0), 1.0)
 
 
 class TestSincRoot:

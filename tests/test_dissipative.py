@@ -9,7 +9,7 @@ and population formulas.
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 from choi_oracle import choi_intermediate_map, cp_divisible_choi
@@ -50,8 +50,8 @@ class TestMemoryKernel:
     def test_t_zero_is_total_spectral_weight(self):
         j = Lorentzian(1.0, 0.1, 1.0)
         mk = memory_kernel(j, 1.0)
-        total = integrate_adaptive(j, 0.0, j.omega_max, 1e-12, 1e-14, complex_valued=False)
-        assert mk.f(0.0) == pytest.approx(total.real, rel=1e-12)
+        total = integrate_adaptive(j, 0.0, j.omega_max, 1e-12, 1e-14)
+        assert mk.f(0.0) == pytest.approx(total, rel=1e-12)
         assert mk.f(0.0).imag == 0.0
 
     def test_half_line_lorentzian_near_full_line_form(self):
@@ -96,12 +96,21 @@ class TestMemoryKernel:
             mk.f(np.array([0.0, 1.0]))
 
 
-def plain_kernel(j, omega_q, t):
+def plain_kernel(j, omega_q, t, rel_tol=1e-11, abs_tol=1e-13):
     """f(t) by plain subdivision of the complex integrand: the kernel's route
     for omega_max * t <= 50 before every t > 0 took the oscillatory weight,
-    kept as an oracle where it converges."""
-    return complex(integrate_adaptive(lambda w: j(w) * np.exp(1j * (omega_q - w) * t),
-                                      0.0, j.omega_max, 1e-11, 1e-13))
+    kept as an oracle where it converges.  The real and imaginary parts are
+    two QUADPACK integrals whose summed bound must meet the tolerance."""
+    g = lambda w: j(w) * np.exp(1j * (omega_q - w) * t)
+    parts = [quad(lambda w: part(g(w)), 0.0, j.omega_max, epsabs=abs_tol, epsrel=rel_tol,
+                  limit=200, full_output=1) for part in (np.real, np.imag)]
+    estimate = complex(parts[0][0], parts[1][0])
+    bound = parts[0][1] + parts[1][1]
+    # a 4th element is QUADPACK's non-convergence message
+    if any(len(out) > 3 for out in parts) or bound > max(abs_tol, rel_tol * abs(estimate)):
+        raise QuadratureError("plain kernel route did not converge",
+                              estimate=estimate, error_bound=bound)
+    return estimate
 
 
 # dynamics-diss configurations whose kernel samples the plain route could
@@ -207,16 +216,20 @@ class TestDecayAmplitude:
         assert G.source == "volterra"
 
     def test_validation_rejects_bad_start_and_growth(self):
-        from zenotraj.numerics import ComplexSeries
-
         grid = TimeGrid(0.0, 0.1, 3)
-        mk = lambda v: DecayAmplitude(ComplexSeries(grid, np.asarray(v, complex)), "test")
+        mk = lambda v: DecayAmplitude(grid, v, "test")
         with pytest.raises(ValueError):
             mk([0.9, 0.8, 0.7]).validate()
         with pytest.raises(ValueError):
             mk([1.0, 1.5, 0.7]).validate()
         # a contractive series passes
         mk([1.0, 0.8, 0.7]).validate()
+
+    def test_series_length_must_match_the_grid(self):
+        grid = TimeGrid(0.0, 0.1, 4)
+        with pytest.raises(ValueError, match="does not match grid count 4"):
+            DecayAmplitude(grid, np.zeros(3), "test")
+        assert DecayAmplitude(grid, np.zeros(4), "test").values.dtype == complex
 
 
 # ---------------------------------------------------------------------------
