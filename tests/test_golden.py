@@ -1,9 +1,9 @@
 """Golden bytes: the emitted CSV and JSON tables of fixed runs never change.
 
 Each case pins the SHA-256 digest of ``emit(run(parse_config(argv)), fmt)``.
-The cases cover the fig2, fig3, fig4a and fig4c recipes plus one cheap
-configuration of every other code path (power-law filter, RK4 master
-equation, Volterra memory kernel, finite-temperature exponent, dephasing
+The cases cover every recipe plus one cheap configuration of every other
+code path (power-law filter, RK4 master equation, Volterra memory kernel,
+closed-form Lorentzian G, zero- and finite-temperature exponent, dephasing
 sudden-death root, second-order engine).  A refactor must leave every
 digest unchanged; a deliberate numeric change re-records them with
 
@@ -61,6 +61,17 @@ GOLDEN = (
     (["perturbation", "--t", "0.2", "--omega-points", "21"],
      "b4c97f95b0f9b5c2567ac959e47b2a607591e52371dbd9b7b76b91c97c4b2454",
      "c7e8df81251a7ffe9baca8145e5732119db4cbe40336c3f8de0dcb87c12a6470"),
+    # the CLI defaults: T = 0, s = 1 and the (3, 1) modified factor
+    (["dynamics-deph"],
+     "1754ecfead53569c635b4810693e6eb3057e08d586df8b02ba8ff2310ac32101",
+     "34f55d9da6694a9f6a5e59e5cc27ba3a6ee5ba6d1706a1bf390295fa826f6fd5"),
+    # lambda <= 0.02 omega_q: the closed-form route with the survival columns
+    (["dynamics-diss", "--lambda", "0.01"],
+     "5f8cb3f3d06ada347ed7518662ae656862f4590cbf0d82a528cbda1f5a743726",
+     "19bd8093cb9372c8e8d5f1d16d3a91f31d526a6e88746f9f210864675419234f"),
+    (["nonmarkov", "--recipe", "fig4b"],
+     "cae25dc8c6b3f80426579aa227edd7e22d1c0bfb3380e0e63f0fc2b477636368",
+     "f24f1de18c4ea8d91e19388d777bfac759ae0529bbb505690bf9bd3032e442bd"),
     # Volterra route with the CP-divisibility verdict in the metadata
     (["nonmarkov", "--model", "diss", "--lambda", "1", "--omega-q", "1",
       "--tmax", "0.8", "--steps", "16"],
