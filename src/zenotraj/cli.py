@@ -31,8 +31,9 @@ from .core import GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitSt
 from .dephasing import (
     DephasingParams,
     dephasing_exponent,
-    dephasing_factors,
+    dephasing_exponent_series,
     modified_dephasing,
+    single_path_factor,
 )
 from .dicke import (
     SINC_MIN,
@@ -148,12 +149,15 @@ _HELP = {
     "temperature": "bath temperature (k_B = 1)",
     "tmax": "final time (dicke: in units of 1/gamma0)",
     "steps": "number of time steps",
-    "sinc": f"collective coupling factor in [{SINC_MIN!r}, 1]",
+    "sinc": f"collective coupling factor in [{SINC_MIN!r}, 1], at least -1/(N-1)",
     "qd": "wavenumber times spacing (sets the factor)",
     "numeric": "add a master-equation population column",
 }
 
 _DEFAULT_SINC = 1.0 / 6.0
+
+# rounding slack of the contractivity bound |G| <= 1 on the dissipative routes
+_G_SLACK = 1e-9
 
 # largest a-priori RK4 error a dicke --numeric table may carry: for N <= 4
 # and s in [-0.2, 0.99] the pe_numeric error stays below 1.95 times the bound,
@@ -305,6 +309,12 @@ def _validate(scenario, params, recipe):
             raise ConfigError("give either --sinc or --qd, not both")
         if params.get("sinc") is not None and not SINC_MIN <= params["sinc"] <= 1.0:
             raise ConfigError(f"sinc must lie in the reachable range [{SINC_MIN!r}, 1]")
+        # both routes need a physical (positive semidefinite) collective matrix
+        try:
+            CollectiveRateMatrix.from_factor(
+                params["N"], _resolve_collective_factor(params), params["gamma0"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def parse_config(argv=None):
@@ -392,22 +402,13 @@ def _run_filter(config):
                        np.column_stack([grid, j(grid), vals]), units, meta)
 
 
-def _decay_amplitude(j, omega_q, grid):
-    """G(t) by ``decay_amplitude_auto``; NumericError where it is not contractive."""
-    g = decay_amplitude_auto(j, omega_q, grid)
-    try:
-        return g.validate()
-    except ValueError as exc:
-        raise NumericError(f"decay amplitude is not physical: {exc}") from exc
-
-
 def _run_dynamics_diss(config):
     """post-selected amplitude-damping dynamics"""
     p = config.params
     units = "omega_q = 1 sets the clock"
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
     j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-    g = _decay_amplitude(j, p["omega_q"], grid)
+    g = decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
     gamma = decay_factor(survival)
@@ -426,10 +427,11 @@ def _run_dynamics_deph(config):
     grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
     j = Ohmic(p["eta"], p["s"], p["omega_c"])
     params = DephasingParams(j, temperature=p["temperature"])
-    factors = dephasing_factors(params, grid, p["N"], p["n"])
+    gamma = dephasing_exponent_series(params, grid).values
+    phi = single_path_factor(gamma)
+    phi_mod = modified_dephasing(phi, p["N"], p["n"])
     meta = _base_metadata(config, units)
-    values = np.column_stack([grid.times, factors.gamma, factors.phi,
-                              factors.phi_mod, np.abs(factors.phi_mod)])
+    values = np.column_stack([grid.times, gamma, phi, phi_mod, np.abs(phi_mod)])
     return ResultTable(["t", "gamma_exponent", "phi", "phi_modified", "d_pair"],
                        values, units, meta)
 
@@ -501,7 +503,7 @@ def _run_nonmarkov(config):
         units = "omega_q = 1 sets the clock"
         grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
         j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-        g = _decay_amplitude(j, p["omega_q"], grid)
+        g = decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
         columns = [trace_distance_diss(g.values, N, n) for N, n in pairs]
         meta = _base_metadata(config, units)
         meta["g_route"] = g.source
@@ -517,19 +519,19 @@ def _run_nonmarkov(config):
     j = Ohmic(p["eta"], p["s"], p["omega_c"])
     params = DephasingParams(j, temperature=p["temperature"])
     # phi is (N, n)-independent; all modified factors derive from one series
-    base = dephasing_factors(params, grid, 1, 0)
-    columns = [np.abs(modified_dephasing(base.phi, N, n)) for N, n in pairs]
+    phi = single_path_factor(dephasing_exponent_series(params, grid).values)
+    columns = [np.abs(modified_dephasing(phi, N, n)) for N, n in pairs]
     meta = _base_metadata(config, units)
-    meta.update(_deph_landmarks(params, base, grid))
+    meta.update(_deph_landmarks(params, phi, grid))
     values = np.column_stack([grid.times] + columns)
     return ResultTable(["t", "d_N1_n0", "d_N3_n0", "d_N3_n1"], values, units, meta)
 
 
-def _deph_landmarks(params, base, grid):
-    """Sudden-death root (if crossed) and trapping-plateau diagnostics."""
+def _deph_landmarks(params, phi, grid):
+    """Sudden-death root (if crossed) and trapping-plateau diagnostics of the phi series."""
     meta = {}
     c = (3 - 1) - (4.0 * 1 / 3) * (3 - 1)  # (N, n) = (3, 1)
-    crossing = np.sqrt(base.phi) + c
+    crossing = np.sqrt(phi) + c
     sign_change = np.nonzero(np.diff(np.sign(crossing)) != 0)[0]
     if sign_change.size:
         k = sign_change[0]
@@ -538,8 +540,8 @@ def _deph_landmarks(params, base, grid):
             grid.times[k], grid.times[k + 1], xtol=1e-12, rtol=8.9e-16)
         meta["sudden_death_time"] = float(root)
     tail = slice(-max(2, grid.count // 10), None)
-    phi_mod_tail = modified_dephasing(base.phi[tail], 3, 0)
-    meta["plateau_phi"] = float(base.phi[-1])
+    phi_mod_tail = modified_dephasing(phi[tail], 3, 0)
+    meta["plateau_phi"] = float(phi[-1])
     meta["plateau_phi_mod_N3_n0"] = float(phi_mod_tail[-1])
     meta["plateau_variation"] = float(np.ptp(phi_mod_tail))
     return meta

@@ -27,16 +27,15 @@ import numpy as np
 
 from .core import Ohmic, QubitState, r_factor
 from .errors import NumericError
-from .numerics import TimeGrid, gauss_legendre_panels, integrate_adaptive
+from .numerics import Series, gauss_legendre_panels, integrate_adaptive
 
 __all__ = [
     "DephasingParams",
-    "DephasingFactors",
     "dephasing_exponent",
     "single_path_factor",
     "modified_dephasing",
     "postselected_state_deph",
-    "dephasing_factors",
+    "dephasing_exponent_series",
 ]
 
 # below this many accumulated phase radians the plain adaptive rule (with
@@ -54,7 +53,11 @@ _POOL_PHASE_LIMIT = 1500.0 * np.pi
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """Bath spectral density plus temperature (k_B absorbed into T)."""
+    """Bath spectral density plus temperature (k_B absorbed into T).
+
+    NumericError at T > 0 where J(0) > 0, whose integrand ~ 4 J(0) t^2 T / w
+    makes the exponent diverge, or where J is sub-Ohmic (integrand ~ w^{s-1}).
+    """
 
     j: object
     temperature: float = 0.0
@@ -62,26 +65,11 @@ class DephasingParams:
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-
-
-@dataclass(frozen=True)
-class DephasingFactors:
-    """Time series of the exponent and the derived coherence factors."""
-
-    grid: TimeGrid
-    gamma: np.ndarray  # Gamma_T(t), real, >= 0
-    phi: np.ndarray  # exp(-Gamma_T(t)), in (0, 1]
-    phi_mod: np.ndarray  # modified factor Phi(t, N, n)
-
-    def validate(self):
-        """Gamma(0)=0, phi(0)=1, phi=exp(-Gamma), Phi(0)=1; returns self."""
-        if self.gamma[0] != 0.0:
-            raise ValueError("dephasing exponent must start at 0")
-        if self.phi[0] != 1.0 or self.phi_mod[0] != 1.0:
-            raise ValueError("coherence factors must start at 1")
-        if not np.allclose(self.phi, np.exp(-self.gamma), rtol=1e-12, atol=0.0):
-            raise ValueError("phi series is not exp(-gamma)")
-        return self
+        if self.temperature > 0 and (
+                (isinstance(self.j, Ohmic) and self.j.s < 1.0) or self.j(0.0) > 0):
+            raise NumericError(
+                "finite-temperature dephasing exponent refused: its integrand is "
+                "infrared-divergent for J(0) > 0 (so is the exponent) and for a sub-Ohmic J")
 
 
 def _capped_coth(temperature, w):
@@ -100,14 +88,6 @@ def _capped_coth(temperature, w):
     np.divide(2.0, x, out=x)
     np.add(1.0, x, out=x)
     return x
-
-
-def _check_infrared(j, temperature):
-    if temperature > 0 and isinstance(j, Ohmic) and j.s < 1.0:
-        raise NumericError(
-            "dephasing exponent diverges: sub-Ohmic spectral density at "
-            "finite temperature has an infrared-divergent thermal integrand"
-        )
 
 
 def _thermal_integrand(j, t, weight=None):
@@ -262,15 +242,13 @@ def dephasing_exponent(params, t):
     Up to omega_max * t = 64 pi an Ohmic J takes ``_ohmic_split`` when its
     cut at omega_max is below tolerance; every other case integrates the
     full coth integrand, adaptively there and on fixed Gauss-Legendre
-    half-period panels beyond.  Raises NumericError for a sub-Ohmic density
-    at finite temperature (infrared-divergent exponent).
+    half-period panels beyond.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
     j, temperature = params.j, params.temperature
-    _check_infrared(j, temperature)
     omega_max = j.omega_max
     coth = None if temperature == 0.0 else functools.partial(_capped_coth, temperature)
     h = _thermal_integrand(j, t, coth)
@@ -382,16 +360,14 @@ def _exponent_series(params, times):
             future.cancel()
 
 
-def dephasing_factors(params, grid, n_paths, n_shifts):
-    """Evaluate Gamma, phi, and Phi on a time grid.
+def dephasing_exponent_series(params, grid):
+    """Gamma_T on a time grid as a Series checked on [0, inf); it is (N, n)-free.
 
     The time points on about 1,500 or more Gauss-Legendre panels
     (omega_max * t > 1500 pi) run on a thread pool with one worker per core
     of the CPU affinity mask (there is no option for it; on one core they
-    run inline), and the Gamma series is identical to the byte to
-    evaluating every point in turn.
+    run inline), and the series is identical to the byte to evaluating
+    every point in turn.
     """
     gamma = np.array(_exponent_series(params, grid.times))
-    phi = single_path_factor(gamma)
-    phi_mod = modified_dephasing(phi, n_paths, n_shifts)
-    return DephasingFactors(grid, gamma, phi, np.atleast_1d(phi_mod)).validate()
+    return Series(grid, gamma, "dephasing_exponent").check(0.0, np.inf)

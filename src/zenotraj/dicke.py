@@ -37,6 +37,9 @@ __all__ = [
 # correctly rounded; entries of the collective matrix can never fall below it
 SINC_MIN = -0.21723362821122166
 
+# rounding tolerance of the smallest eigenvalue of a collective matrix
+_PSD_TOL = 1e-12
+
 # classical RK4 is stable on the negative real axis for h*|lambda| up to the
 # real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, z = -2.7852935634...
 _RK4_REAL_STABILITY = 2.785293563405282
@@ -44,7 +47,7 @@ _RK4_REAL_STABILITY = 2.785293563405282
 
 @dataclass(frozen=True)
 class CollectiveRateMatrix:
-    """N x N matrix M with M_ii = 1 and M_ij = sinc(q d_ij), plus the rate."""
+    """Positive semidefinite N x N matrix M_ii = 1, M_ij = sinc(q d_ij), plus the rate."""
 
     matrix: np.ndarray
     gamma0: float
@@ -62,6 +65,11 @@ class CollectiveRateMatrix:
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be > 0")
         object.__setattr__(self, "matrix", m)
+        lowest = self.min_eigenvalue()
+        if lowest < -_PSD_TOL:  # never for N = 1, where M = [1]
+            raise ValueError(f"collective matrix is not positive semidefinite ({lowest:.6g}):"
+                             f" a uniform factor needs s >= -1/(N-1) = "
+                             f"{-1.0 / (self.n_sites - 1)!r} for N = {self.n_sites}")
 
     @property
     def n_sites(self):

@@ -3,10 +3,10 @@
 Single-excitation sector: the excited amplitude obeys the memory-kernel
 Volterra equation c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ with
 f(t) = ∫ dω J(ω) e^{i(ω_q-ω)t}, so c(t) = c(0)·G(t) defines the dissipation
-function G. Post-selecting an N-arm interferometer with n binary π-shifts
-turns the single-path G into the conditional qubit states, survival
-probabilities, trace-distance dynamics and CP-divisibility diagnostics
-implemented here.
+function G, returned as a ``Series``. Post-selecting an N-arm
+interferometer with n binary π-shifts turns the single-path G into the
+conditional qubit states, survival probabilities, trace-distance dynamics
+and CP-divisibility diagnostics implemented here.
 """
 
 from dataclasses import dataclass
@@ -15,10 +15,9 @@ import numpy as np
 
 from .core import Lorentzian, QubitState, r_factor
 from .errors import NullOutcome
-from .numerics import TimeGrid, integrate_adaptive, solve_volterra
+from .numerics import Series, integrate_adaptive, solve_volterra
 
 __all__ = [
-    "DecayAmplitude",
     "MemoryKernel",
     "memory_kernel",
     "decay_amplitude",
@@ -48,30 +47,9 @@ class MemoryKernel:
     f: object
     provenance: str  # "numeric_from_J", or the label of a caller-supplied kernel
 
-
-@dataclass(frozen=True)
-class DecayAmplitude:
-    """The dissipation function G(t) sampled on a TimeGrid."""
-
-    grid: TimeGrid
-    values: np.ndarray  # complex, one value per grid time
-    source: str  # "volterra" | "lorentzian_closed_form"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.count,):
-            raise ValueError(
-                f"series length {values.shape} does not match grid count {self.grid.count}")
-        object.__setattr__(self, "values", values)
-
-    def validate(self):
-        """G(0) = 1 and contractivity |G| ≤ 1 + 1e-9; returns self."""
-        if self.values[0] != 1.0 + 0.0j:
-            raise ValueError(f"G(0) must be exactly 1, got {self.values[0]}")
-        worst = float(np.max(np.abs(self.values)))
-        if worst > 1.0 + 1e-9:
-            raise ValueError(f"|G| exceeds 1: max {worst!r}")
-        return self
+    def samples(self, grid):
+        """The complex array f(t) at the grid times, one call of ``f`` per time."""
+        return np.array([self.f(t) for t in grid.times], dtype=complex)
 
 
 def memory_kernel(j, omega_q):
@@ -100,15 +78,10 @@ def memory_kernel(j, omega_q):
     return MemoryKernel(f, "numeric_from_J")
 
 
-def decay_amplitude(j, omega_q, grid, kernel=None):
-    """G(t) on a grid by solving the Volterra equation for the kernel of J.
-
-    ``kernel`` may override the numeric half-line kernel with any
-    MemoryKernel, e.g. a closed form or a rescaled copy.
-    """
-    if kernel is None:
-        kernel = memory_kernel(j, omega_q)
-    return DecayAmplitude(grid, solve_volterra(kernel.f, grid, 1.0), "volterra")
+def decay_amplitude(j, omega_q, grid):
+    """G(t) on a grid by solving the Volterra equation for the kernel of J."""
+    samples = memory_kernel(j, omega_q).samples(grid)
+    return Series(grid, solve_volterra(samples, grid, 1.0), "volterra")
 
 
 def _sinhc(x):
@@ -116,8 +89,7 @@ def _sinhc(x):
     x = np.asarray(x, dtype=complex)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe)
-    return out
+    return np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe)
 
 
 def decay_amplitude_lorentzian_closed(gamma0, lam, t):
@@ -137,11 +109,10 @@ def decay_amplitude_lorentzian_closed(gamma0, lam, t):
 
 def decay_amplitude_closed_series(gamma0, lam, grid):
     """Closed-form Lorentzian G sampled on a TimeGrid, G(0) pinned to exactly 1."""
-    values = np.asarray(decay_amplitude_lorentzian_closed(gamma0, lam, grid.times),
-                        dtype=complex)
+    values = decay_amplitude_lorentzian_closed(gamma0, lam, grid.times)
     if grid.t0 == 0.0:
         values[0] = 1.0 + 0.0j
-    return DecayAmplitude(grid, values, "lorentzian_closed_form")
+    return Series(grid, values, "lorentzian_closed_form")
 
 
 def decay_amplitude_auto(j, omega_q, grid):
@@ -207,12 +178,10 @@ def trace_distance_diss(g_t, n_paths, n_shifts):
     ρ±(0) = |±⟩⟨±| differ only in the sign of their coherence, which the
     post-selected dynamics multiplies by R·G(t); both states share the same
     trace, so D = 2K|G| / [(K-N)|G|² + K + N] with K = (N-2n)². Pointwise
-    over a DecayAmplitude, an array, or a scalar G value.
+    over an array or a scalar G value.
     """
     if 2 * n_shifts == n_paths:
         raise ValueError("trace distance undefined for the null configuration n = N/2")
-    if isinstance(g_t, DecayAmplitude):
-        g_t = g_t.values
     g_abs = np.abs(np.asarray(g_t))
     k = (n_paths - 2 * n_shifts) ** 2
     d = 2.0 * k * g_abs / ((k - n_paths) * g_abs**2 + k + n_paths)

@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipative import (
-    MemoryKernel,
-    decay_amplitude,
-    decay_factor,
-    memory_kernel,
-    survival_probability_diss,
-)
+from .dissipative import decay_factor, memory_kernel, survival_probability_diss
 from .errors import NumericError
-from .numerics import TimeGrid, integrate_adaptive
+from .numerics import TimeGrid, integrate_adaptive, solve_volterra
 
 __all__ = [
     "FilterSpec",
@@ -151,13 +145,11 @@ def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps, n_steps=400)
         return 0.0, 0.0
     j_scaled = j.scaled(eps * eps)
     grid = TimeGrid(0.0, t / n_steps, n_steps + 1)
-    # The memory kernel is linear in J, so evaluate it once at full coupling
+    # The memory kernel is linear in J, so sample it once at full coupling
     # and scale the samples: the quadrature then resolves the same integrand
     # for every eps instead of chasing an eps^2-small absolute target.
-    base = memory_kernel(j, omega_q)
-    eps_sq = eps * eps
-    kernel = MemoryKernel(lambda tt: eps_sq * base.f(tt), base.provenance)
-    g_t = decay_amplitude(j_scaled, omega_q, grid, kernel=kernel).values[-1]
+    samples = eps * eps * memory_kernel(j, omega_q).samples(grid)
+    g_t = solve_volterra(samples, grid, 1.0)[-1]
     gamma_exact = decay_factor(survival_probability_diss(g_t, n_paths, n_shifts))
     spec = FilterSpec("diss_superposed", t, omega_q, n_paths, n_shifts)
     gamma_overlap = decay_factor_overlap(j_scaled, spec)

@@ -1,10 +1,11 @@
 """Generic numerical kernels, each quadrature and series rule written once.
 
-A real-valued QUADPACK adapter for (possibly oscillatory) spectral integrals,
-one Gauss-Legendre panel rule, a product-trapezoidal solver for memory-kernel
-Volterra equations, a fixed-step 4th-order density-matrix integrator, and a
-small dense Hermitian eigensolver.  All routines are pure functions of their
-inputs and safe for concurrent use.
+A checked time series type, a real-valued QUADPACK adapter for (possibly
+oscillatory) spectral integrals, one Gauss-Legendre panel rule, a
+product-trapezoidal solver for memory-kernel Volterra equations, a
+fixed-step 4th-order density-matrix integrator, and a small dense Hermitian
+eigensolver.  All routines are pure functions of their inputs and safe for
+concurrent use.
 """
 
 import functools
@@ -17,6 +18,7 @@ from .errors import NumericError, QuadratureError
 
 __all__ = [
     "TimeGrid",
+    "Series",
     "integrate_adaptive",
     "solve_volterra",
     "integrate_matrix_ode",
@@ -74,9 +76,36 @@ class TimeGrid:
     def times(self):
         return self.t0 + self.dt * np.arange(self.count)
 
-    @property
-    def t_end(self):
-        return self.t0 + self.dt * (self.count - 1)
+
+@dataclass(frozen=True)
+class Series:
+    """A quantity sampled on a TimeGrid, with the route (``source``) that computed it.
+
+    ``values`` keeps the dtype it is given: complex for G, real for Gamma_T.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray
+    source: str
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        if values.shape != (self.grid.count,):
+            raise ValueError(
+                f"series length {values.shape} does not match grid count {self.grid.count}")
+        object.__setattr__(self, "values", values)
+
+    def check(self, lo, hi):
+        """NumericError unless each value is finite and in [lo, hi]; returns self.
+
+        A complex value is bounded by its modulus, a real one by itself.
+        """
+        size = np.abs(self.values) if np.iscomplexobj(self.values) else self.values
+        bad = np.flatnonzero(~(np.isfinite(size) & (size >= lo) & (size <= hi)))
+        if bad.size:
+            raise NumericError(f"{self.source} series leaves [{lo!r}, {hi!r}] at t = "
+                               f"{float(self.grid.times[bad[0]])!r}: {float(size[bad[0]])!r}")
+        return self
 
 
 def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=None,
@@ -114,19 +143,21 @@ def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=None,
     return estimate
 
 
-def solve_volterra(kernel, grid, c0=1.0 + 0.0j):
+def solve_volterra(samples, grid, c0=1.0 + 0.0j):
     """Solve ``c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ`` with ``c(0) = c0``; the complex array c.
 
+    ``samples`` holds the kernel f at the grid times, one per time.
     Product-trapezoidal discretization (second-order accurate): both the
     memory integral and the time step use the trapezoidal rule, with the
-    implicit diagonal term solved per step. The kernel is sampled once at
-    each grid offset, one time per call.
+    implicit diagonal term solved per step.
     """
     if abs(grid.t0) > 0:
         raise ValueError("solve_volterra requires a grid starting at t = 0")
     h = grid.dt
     m = grid.count
-    F = np.array([kernel(t) for t in h * np.arange(m)], dtype=complex)
+    F = np.asarray(samples, dtype=complex)
+    if F.shape != (m,):
+        raise ValueError(f"{F.shape} kernel samples do not match grid count {m}")
     c = np.empty(m, dtype=complex)
     c[0] = complex(c0)
     deriv = 0.0 + 0.0j  # c'(0): the memory integral is empty at t = 0

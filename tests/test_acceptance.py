@@ -32,8 +32,10 @@ from zenotraj.core import (
 )
 from zenotraj.dephasing import (
     DephasingParams,
-    dephasing_factors,
+    dephasing_exponent_series,
+    modified_dephasing,
     postselected_state_deph,
+    single_path_factor,
 )
 from zenotraj.dicke import (
     CollectiveRateMatrix,
@@ -282,11 +284,14 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
     """
     params = DephasingParams(Ohmic(1.0 / 3.0, s=1.0, omega_c=1.0))
 
+    def phi_series(params, grid):
+        return single_path_factor(dephasing_exponent_series(params, grid).values)
+
     def phi_at(t):
-        return dephasing_factors(params, TimeGrid(0.0, t / 2.0, 3), 1, 0).phi[-1]
+        return phi_series(params, TimeGrid(0.0, t / 2.0, 3))[-1]
 
     def phi_mod_at(t):
-        return dephasing_factors(params, TimeGrid(0.0, t / 2.0, 3), 3, 1).phi_mod[-1]
+        return modified_dephasing(phi_at(t), 3, 1)
 
     root_condition = brentq(lambda t: np.sqrt(phi_at(t)) - 2.0 / 3.0, 1.0, 2.0,
                             xtol=1e-13, rtol=8.9e-16)
@@ -295,25 +300,25 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
     assert abs(root_modified - np.sqrt(19.0 / 8.0)) <= 1e-6 * root_modified
 
     grid = TimeGrid(0.0, 0.01, 401)
-    factors = dephasing_factors(params, grid, 3, 1)
+    phi = phi_series(params, grid)
     for k in range(0, grid.count, 40):
         if k == 0:
             continue
-        _register(postselected_state_deph(PLUS, factors.phi[k], 3, 1))
-        _register(postselected_state_deph(PLUS, factors.phi[k], 3, 0))
+        _register(postselected_state_deph(PLUS, phi[k], 3, 1))
+        _register(postselected_state_deph(PLUS, phi[k], 3, 0))
 
     params4 = DephasingParams(Ohmic(1.0 / 3.0, s=4.0, omega_c=1.0))
     grid4 = TimeGrid(0.0, 0.2, 1001)
-    factors4 = dephasing_factors(params4, grid4, 3, 0)
+    phi4 = phi_series(params4, grid4)
     tail = grid4.times >= 20.0
-    for values in (factors4.phi, factors4.phi_mod):
+    for values in (phi4, modified_dephasing(phi4, 3, 0)):
         segment = values[tail]
         assert segment[-1] > 0.0
         assert float(segment.max() - segment.min()) < 1e-4
     for k in range(0, grid4.count, 100):
         if k == 0:
             continue
-        _register(postselected_state_deph(PLUS, factors4.phi[k], 3, 0))
+        _register(postselected_state_deph(PLUS, phi4[k], 3, 0))
 
 
 def test_criterion_10_general_engine_identities():

@@ -8,8 +8,8 @@ import pytest
 
 from zenotraj import cli
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
-from zenotraj.dissipative import DecayAmplitude
 from zenotraj.errors import ConfigError, NumericError
+from zenotraj.numerics import Series
 
 # flags a subcommand refuses because its run reads no such parameter
 UNREAD_FLAGS = {
@@ -79,8 +79,24 @@ class TestParseConfig:
         if code:
             assert "reachable range [-0.21723362821122166, 1]" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--N", "6", "--sinc", "-0.21", "--tmax", "2.5"],
+        ["--N", "6", "--qd", "4.4934", "--tmax", "2.5"],
+        ["--N", "6", "--sinc", "-0.21", "--tmax", "2.5", "--numeric"],
+    ], ids=" ".join)
+    def test_factor_below_the_psd_floor_exit_code(self, argv, capsys):
+        # the uniform matrix has the eigenvalue 1 + (N-1) s; at N = 6 these
+        # factors gave pe_analytic up to 1.1028 and 1.1913
+        assert main(["dicke", *argv]) == 2
+        assert "s >= -1/(N-1) = -0.2 for N = 6" in capsys.readouterr().err
+
+    def test_factor_at_the_psd_floor_is_accepted(self, capsys):
+        # the matrix is singular there, not negative
+        assert main(["dicke", "--N", "6", "--sinc", "-0.2", "--tmax", "5"]) == 0
+
     def test_sinc_help_states_the_range(self):
-        assert cli._HELP["sinc"] == "collective coupling factor in [-0.21723362821122166, 1]"
+        assert cli._HELP["sinc"] == ("collective coupling factor in "
+                                     "[-0.21723362821122166, 1], at least -1/(N-1)")
 
     def test_range_validation(self):
         with pytest.raises(ConfigError, match="gamma0"):
@@ -397,11 +413,11 @@ class TestMain:
         # a stand-in route whose |G| grows past 1 + 1e-9 is refused, not emitted
         def growing(j, omega_q, grid):
             values = np.exp(0.01 * grid.times).astype(complex)
-            return DecayAmplitude(grid, values, "volterra")
+            return Series(grid, values, "volterra")
 
         monkeypatch.setattr(cli, "decay_amplitude_auto", growing)
         assert main(argv) == 3
-        assert "|G| exceeds 1" in capsys.readouterr().err
+        assert "volterra series leaves [0.0, 1.000000001] at t = 0.1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["value", "metadata"])

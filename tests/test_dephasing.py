@@ -34,19 +34,18 @@ from zenotraj.core import (
     trace_distance,
 )
 from zenotraj.dephasing import (
-    DephasingFactors,
     DephasingParams,
     _bose_integrand,
     _capped_coth,
     _ohmic_split,
     dephasing_exponent,
-    dephasing_factors,
+    dephasing_exponent_series,
     modified_dephasing,
     postselected_state_deph,
     single_path_factor,
 )
 from zenotraj.errors import NumericError
-from zenotraj.numerics import TimeGrid
+from zenotraj.numerics import Series, TimeGrid
 
 import dephasing_oracle
 from dephasing_oracle import bose_integrand, oracle_exponent
@@ -139,9 +138,24 @@ class TestDephasingExponent:
                 1.0 / np.tanh(1e-3), rel=1e-12)
 
     def test_sub_ohmic_finite_temperature_raises(self):
-        params = DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.3)
-        with pytest.raises(NumericError):
-            dephasing_exponent(params, 1.0)
+        with pytest.raises(NumericError, match="infrared-divergent"):
+            DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.3)
+
+    @pytest.mark.parametrize("j", [GaussianPeak(2.0, 0.5), Lorentzian(1.0, 0.5, 20.0)],
+                             ids=["gaussian", "lorentzian"])
+    def test_finite_temperature_with_spectral_weight_at_zero_raises(self, j):
+        # the T > 0 integrand behaves like 4 J(0) t^2 T / w near w = 0; the
+        # panels returned Gamma(50) = 7.95 for this GaussianPeak at T = 0.3
+        assert j(0.0) > 0
+        with pytest.raises(NumericError, match="infrared-divergent"):
+            DephasingParams(j, 0.3)
+        assert dephasing_exponent(DephasingParams(j, 0.0), 1.0) > 0
+
+    def test_finite_temperature_with_j_vanishing_at_zero_is_accepted(self):
+        # J(0) underflows to exactly 0 for this line
+        j = GaussianPeak(4.0, 0.02)
+        assert j(0.0) == 0.0
+        assert dephasing_exponent(DephasingParams(j, 0.3), 1.0) > 0
         # same density at T = 0 is infrared-safe
         g = dephasing_exponent(DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
         assert np.isfinite(g) and g > 0
@@ -410,15 +424,24 @@ class TestPostselectedStateDeph:
 
 
 class TestSeriesAndSuddenDeath:
-    def test_factors_series_invariants(self, ohmic1):
+    def test_exponent_series_invariants(self, ohmic1):
         grid = TimeGrid(0.0, 0.25, 9)
-        fac = dephasing_factors(ohmic1, grid, 3, 1)
-        assert isinstance(fac, DephasingFactors)
-        assert fac.gamma[0] == 0.0
-        assert fac.phi[0] == 1.0
-        assert fac.phi_mod[0] == 1.0
-        assert np.all(np.diff(fac.gamma) > 0)
-        assert np.allclose(fac.phi, np.exp(-fac.gamma), rtol=1e-14)
+        gamma = dephasing_exponent_series(ohmic1, grid)
+        assert isinstance(gamma, Series) and gamma.source == "dephasing_exponent"
+        assert gamma.values.dtype == float
+        assert gamma.values[0] == 0.0
+        assert np.all(np.diff(gamma.values) > 0)
+        phi = single_path_factor(gamma.values)
+        assert phi[0] == 1.0 and modified_dephasing(phi, 3, 1)[0] == 1.0
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_exponent_series_refuses_negative_or_non_finite_values(self, bad, ohmic1,
+                                                                     monkeypatch):
+        exponent = dephasing.dephasing_exponent
+        monkeypatch.setattr(dephasing, "dephasing_exponent",
+                            lambda params, t: bad if t == 0.5 else exponent(params, t))
+        with pytest.raises(NumericError, match="dephasing_exponent series leaves .* t = 0.5"):
+            dephasing_exponent_series(ohmic1, TimeGrid(0.0, 0.25, 4))
 
     def test_sudden_death_time_root(self, ohmic1):
         # phi = (1+t^2)^{-2/3} passes through 4/9 where sqrt(phi) = 2/3:
@@ -489,12 +512,13 @@ class TestPanelPool:
                       & (phase <= dephasing._POOL_PHASE_LIMIT))
         assert np.any(phase > dephasing._POOL_PHASE_LIMIT)
         pool_of(workers)
-        gamma = dephasing_factors(params, grid, 3, 1).gamma
+        gamma = dephasing_exponent_series(params, grid).values
         assert gamma.tobytes() == _serial_gamma(case)
 
     def test_default_pool_gives_the_serial_series(self):
         params, grid = POOL_CASES["fig4c"]
-        assert dephasing_factors(params, grid, 3, 0).gamma.tobytes() == _serial_gamma("fig4c")
+        gamma = dephasing_exponent_series(params, grid).values
+        assert gamma.tobytes() == _serial_gamma("fig4c")
 
     def test_one_core_evaluates_inline(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -503,7 +527,7 @@ class TestPanelPool:
         try:
             assert dephasing._panel_pool() is None
             params, grid = POOL_CASES["s1.7-T0.4"]
-            assert (dephasing_factors(params, grid, 3, 1).gamma.tobytes()
+            assert (dephasing_exponent_series(params, grid).values.tobytes()
                     == _serial_gamma("s1.7-T0.4"))
         finally:
             dephasing._panel_pool.cache_clear()
@@ -528,16 +552,16 @@ class TestPanelPool:
         script = (
             "import os, signal\n"
             "from zenotraj.core import Ohmic\n"
-            "from zenotraj.dephasing import DephasingParams, dephasing_factors\n"
+            "from zenotraj.dephasing import DephasingParams, dephasing_exponent_series\n"
             "from zenotraj.numerics import TimeGrid\n"
             "params = DephasingParams(Ohmic(1 / 3, 4.0, 1.0), 0.0)\n"
             "grid = TimeGrid(0.0, 20.0, 11)\n"
-            "first = dephasing_factors(params, grid, 3, 0).gamma.tobytes()\n"
+            "gamma = lambda: dephasing_exponent_series(params, grid).values.tobytes()\n"
+            "first = gamma()\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(30)  # a waiting child ends itself\n"
-            "    os._exit(0 if dephasing_factors(params, grid, 3, 0).gamma.tobytes() == first"
-            " else 1)\n"
+            "    os._exit(0 if gamma() == first else 1)\n"
             "assert os.waitpid(pid, 0)[1] == 0\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -562,7 +586,7 @@ class TestPanelPool:
         for workers in (None, 2):
             pool_of(workers)
             with pytest.raises(NumericError, match=re.escape(f"failed at t = {float(early)}")):
-                dephasing_factors(params, grid, 3, 1)
+                dephasing_exponent_series(params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -690,5 +714,6 @@ class TestInPlaceIntegrand:
         want = float(np.sum(half * (vals.reshape(nodes.shape) @ weights)))
         got = numerics.gauss_legendre_panels(_integrand(j, t, temperature), _frozen(edges))
         _assert_same_bytes(got, want)
-        if not (temperature > 0 and isinstance(j, Ohmic) and j.s < 1.0):  # infrared
+        # infrared-divergent at T > 0: a sub-Ohmic J and every J with J(0) > 0
+        if not (temperature > 0 and family in ("ohmic-s0.5", "lorentzian", "gaussian-scaled")):
             assert dephasing_exponent(DephasingParams(j, temperature), t) == want

@@ -95,6 +95,14 @@ class TestRateMatrix:
         with pytest.raises(ValueError):
             CollectiveRateMatrix.from_factor(3, 0.5, 0.0)
 
+    def test_uniform_factor_below_the_psd_floor_is_refused(self):
+        # eigenvalues 1 + (N-1) s and 1 - s: physical for s >= -1/(N-1)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            CollectiveRateMatrix.from_factor(6, -0.21, 1.0)
+        assert CollectiveRateMatrix.from_factor(6, -0.2, 1.0).min_eigenvalue() > -1e-12
+        for n in range(6, 12):  # the singular boundary stays accepted
+            CollectiveRateMatrix.from_factor(n, -1.0 / (n - 1), 1.0)
+
     def test_floor_is_the_minimum_of_sinc(self):
         # sinc is smallest at the root of tan x = x near 4.4934
         with mpmath.workdps(30):

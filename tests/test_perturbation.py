@@ -17,10 +17,10 @@ from zenotraj.core import (
     phase_pair_sum,
 )
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
-from zenotraj.dissipative import MemoryKernel, decay_amplitude, memory_kernel
+from zenotraj.dissipative import memory_kernel
 from zenotraj.errors import NullOutcome, QuadratureError
 from zenotraj.filters import FilterSpec, decay_factor_overlap, filter_diss, filter_deph
-from zenotraj.numerics import TimeGrid
+from zenotraj.numerics import TimeGrid, solve_volterra
 from zenotraj.perturbation import (
     CouplingModel,
     _rotated_operators,
@@ -141,17 +141,16 @@ class TestInteractionPicture:
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_kernel(j_unit, omega_q):
-    """The unit-coupling memory kernel with its samples cached across eps."""
-    base = memory_kernel(j_unit, omega_q)
-    return functools.lru_cache(maxsize=None)(base.f), base.provenance
+def _unit_samples(j_unit, omega_q, grid):
+    """The unit-coupling memory kernel samples, cached (read-only) across eps."""
+    samples = memory_kernel(j_unit, omega_q).samples(grid)
+    samples.flags.writeable = False
+    return samples
 
 
 def _volterra_reference(j_unit, omega_q, eps_sq, grid):
-    """G(t) for eps^2-scaled coupling, re-using the unit-coupling kernel."""
-    cached, provenance = _unit_kernel(j_unit, omega_q)
-    kernel = MemoryKernel(lambda tt: eps_sq * cached(tt), provenance)
-    return decay_amplitude(j_unit, omega_q, grid, kernel=kernel)
+    """G(t) for eps^2-scaled coupling, re-using the unit-coupling samples."""
+    return solve_volterra(eps_sq * _unit_samples(j_unit, omega_q, grid), grid)
 
 
 class TestSecondOrderBlock:
@@ -165,7 +164,7 @@ class TestSecondOrderBlock:
             j = LORENTZIAN.scaled(eps**2)
             model = dissipative_coupling_model(j, omega_q=omega_q)
             block = second_order_block(model, QubitState.excited(), 0, t)
-            g = _volterra_reference(LORENTZIAN, omega_q, eps**2, grid).values[-1]
+            g = _volterra_reference(LORENTZIAN, omega_q, eps**2, grid)[-1]
             pop = abs(g) ** 2
             exact = np.diag([pop - 1.0, 1.0 - pop]).astype(complex)
             errs[eps] = np.max(np.abs(block - exact))
