@@ -311,8 +311,7 @@ def _validate(scenario, params, recipe):
             raise ConfigError(f"sinc must lie in the reachable range [{SINC_MIN!r}, 1]")
         # both routes need a physical (positive semidefinite) collective matrix
         try:
-            CollectiveRateMatrix.from_factor(
-                params["N"], _resolve_collective_factor(params), params["gamma0"])
+            CollectiveRateMatrix.check_factor(params["N"], _resolve_collective_factor(params))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -55,8 +55,7 @@ _POOL_PHASE_LIMIT = 1500.0 * np.pi
 class DephasingParams:
     """Bath spectral density plus temperature (k_B absorbed into T).
 
-    NumericError at T > 0 where J(0) > 0, whose integrand ~ 4 J(0) t^2 T / w
-    makes the exponent diverge, or where J is sub-Ohmic (integrand ~ w^{s-1}).
+    NumericError at T > 0 for J(0) > 0 or a sub-Ohmic J: the exponent diverges.
     """
 
     j: object

@@ -66,10 +66,9 @@ class CollectiveRateMatrix:
             raise ValueError("gamma0 must be > 0")
         object.__setattr__(self, "matrix", m)
         lowest = self.min_eigenvalue()
-        if lowest < -_PSD_TOL:  # never for N = 1, where M = [1]
-            raise ValueError(f"collective matrix is not positive semidefinite ({lowest:.6g}):"
-                             f" a uniform factor needs s >= -1/(N-1) = "
-                             f"{-1.0 / (self.n_sites - 1)!r} for N = {self.n_sites}")
+        if lowest < -_PSD_TOL:
+            raise ValueError(
+                f"collective matrix is not positive semidefinite: smallest eigenvalue {lowest:.6g}")
 
     @property
     def n_sites(self):
@@ -78,9 +77,17 @@ class CollectiveRateMatrix:
     @classmethod
     def from_factor(cls, n_sites, s, gamma0):
         """Uniform cross factor s = sinc(q d) of an equal-distance geometry."""
+        cls.check_factor(n_sites, s)
         m = np.full((n_sites, n_sites), float(s))
         np.fill_diagonal(m, 1.0)
         return cls(m, float(gamma0))
+
+    @staticmethod
+    def check_factor(n_sites, s):
+        """Refuse s < -1/(N-1); the uniform matrix has eigenvalues 1 + (N-1) s and 1 - s."""
+        if 1.0 + (n_sites - 1) * s < -_PSD_TOL:  # never for N = 1, where M = [1]
+            raise ValueError(f"collective matrix is not positive semidefinite: a uniform factor"
+                             f" needs s >= -1/(N-1) = {-1.0 / (n_sites - 1)!r} for N = {n_sites}")
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.matrix)[0])

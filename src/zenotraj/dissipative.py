@@ -89,7 +89,8 @@ def _sinhc(x):
     x = np.asarray(x, dtype=complex)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe)
+    out = np.where(small, 1.0 + x * x / 6.0 + x**4 / 120.0, np.sinh(safe) / safe)
+    return out
 
 
 def decay_amplitude_lorentzian_closed(gamma0, lam, t):

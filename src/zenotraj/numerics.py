@@ -2,10 +2,9 @@
 
 A checked time series type, a real-valued QUADPACK adapter for (possibly
 oscillatory) spectral integrals, one Gauss-Legendre panel rule, a
-product-trapezoidal solver for memory-kernel Volterra equations, a
-fixed-step 4th-order density-matrix integrator, and a small dense Hermitian
-eigensolver.  All routines are pure functions of their inputs and safe for
-concurrent use.
+product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
+4th-order density-matrix integrator, and a small dense Hermitian eigensolver.
+All routines are pure functions of their inputs and safe for concurrent use.
 """
 
 import functools
@@ -96,10 +95,7 @@ class Series:
         object.__setattr__(self, "values", values)
 
     def check(self, lo, hi):
-        """NumericError unless each value is finite and in [lo, hi]; returns self.
-
-        A complex value is bounded by its modulus, a real one by itself.
-        """
+        """NumericError unless each value, a complex one by modulus, is finite and in [lo, hi]."""
         size = np.abs(self.values) if np.iscomplexobj(self.values) else self.values
         bad = np.flatnonzero(~(np.isfinite(size) & (size >= lo) & (size <= hi)))
         if bad.size:

@@ -94,6 +94,13 @@ class TestParseConfig:
         # the matrix is singular there, not negative
         assert main(["dicke", "--N", "6", "--sinc", "-0.2", "--tmax", "5"]) == 0
 
+    def test_analytic_route_never_builds_the_matrix(self, monkeypatch, capsys):
+        # the floor is checked in closed form, so the run stays O(steps) at any N
+        def refuse(*args):
+            raise AssertionError("the analytic route built the collective matrix")
+        monkeypatch.setattr(cli.CollectiveRateMatrix, "from_factor", refuse)
+        assert main(["dicke", "--N", "100000", "--steps", "5"]) == 0
+
     def test_sinc_help_states_the_range(self):
         assert cli._HELP["sinc"] == ("collective coupling factor in "
                                      "[-0.21723362821122166, 1], at least -1/(N-1)")

@@ -103,6 +103,29 @@ class TestRateMatrix:
         for n in range(6, 12):  # the singular boundary stays accepted
             CollectiveRateMatrix.from_factor(n, -1.0 / (n - 1), 1.0)
 
+    def test_closed_form_floor_agrees_with_the_spectrum(self):
+        with pytest.raises(ValueError, match=r"s >= -1/\(N-1\) = -0.2 for N = 6"):
+            CollectiveRateMatrix.check_factor(6, -0.21)
+        CollectiveRateMatrix.check_factor(1, SINC_MIN)
+        for n in range(2, 12):
+            for s in np.linspace(SINC_MIN, 1.0, 41):
+                m = np.full((n, n), s)
+                np.fill_diagonal(m, 1.0)
+                refused = np.linalg.eigvalsh(m)[0] < -1e-12
+                try:
+                    CollectiveRateMatrix.check_factor(n, s)
+                    assert not refused, (n, s)
+                except ValueError:
+                    assert refused, (n, s)
+
+    def test_general_matrix_refusal_names_the_eigenvalue(self):
+        m = np.full((6, 6), -0.21)
+        m[0, 1] = m[1, 0] = -0.2
+        np.fill_diagonal(m, 1.0)
+        with pytest.raises(ValueError, match="smallest eigenvalue -0.04") as info:
+            CollectiveRateMatrix(m, 1.0)
+        assert "N-1" not in str(info.value)
+
     def test_floor_is_the_minimum_of_sinc(self):
         # sinc is smallest at the root of tan x = x near 4.4934
         with mpmath.workdps(30):
