@@ -72,6 +72,11 @@ class SpectralDensity:
             if not isinstance(value, np.ndarray):
                 object.__setattr__(self, f.name, float(value))
 
+    @property
+    def breakpoints(self):
+        """Frequencies in (0, omega_max) where J has a kink: quadrature edges."""
+        return ()
+
     def scaled(self, factor):
         """Same spectrum multiplied by ``factor`` (e.g. ε² coupling rescaling)."""
         if factor < 0:
@@ -194,6 +199,10 @@ class Tabulated(SpectralDensity):
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
         self._resolve(omega[-1])
+
+    @property
+    def breakpoints(self):
+        return tuple(w for w in self.omega if 0.0 < w < self.omega_max)
 
     def _shape(self, omega, lo):
         return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)

@@ -155,9 +155,12 @@ def _half_period_edges(upper, t):
     return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
 
 
-def _half_period_quad(h, upper, t, abs_tol):
-    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t."""
+def _half_period_quad(h, j, upper, t, abs_tol):
+    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t and J's kinks."""
     interior = _half_period_edges(upper, t)[1:-1]
+    knots = [w for w in j.breakpoints if w < upper]
+    if knots:
+        interior = np.union1d(interior, knots)
     # no breakpoints is None: an empty list would switch QUADPACK to QAGP
     return integrate_adaptive(h, 0.0, upper, 1e-11, abs_tol,
                               points=interior if interior.size else None)
@@ -232,7 +235,7 @@ def _ohmic_split(j, temperature, t):
         h(upper)  # w^s is largest at upper: it overflows there or nowhere
     except OverflowError:
         return None
-    return gamma0 + _half_period_quad(h, upper, t, 0.5 * tol)
+    return gamma0 + _half_period_quad(h, j, upper, t, 0.5 * tol)
 
 
 def dephasing_exponent(params, t):
@@ -253,7 +256,7 @@ def dephasing_exponent(params, t):
     h = _thermal_integrand(j, t, coth)
     if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
-        return split if split is not None else _half_period_quad(h, omega_max, t, 1e-13)
+        return split if split is not None else _half_period_quad(h, j, omega_max, t, 1e-13)
     return gauss_legendre_panels(h, _half_period_edges(omega_max, t))
 
 

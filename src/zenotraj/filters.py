@@ -125,11 +125,11 @@ def decay_factor_overlap(j, spec):
     """
     f = spec.evaluate
     integrand = lambda w: j(w) * f(w)
-    points = None
+    points = set(j.breakpoints)
     if spec.kind != "deph_superposed" and 0.0 < spec.omega_q < j.omega_max:
-        points = [spec.omega_q]
+        points.add(spec.omega_q)
     out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
-                             points=points)
+                             points=sorted(points) or None)
     return 0.0 if out < 0.0 else out
 
 

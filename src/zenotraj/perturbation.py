@@ -3,7 +3,7 @@
 The interaction is supplied in decomposed form: Hermitian qubit operators
 A_alpha together with a constant table c_ab of stationary bath correlations,
 
-  C_ab(t1, t2) = c_ab int dw J(w) e^{-iw(t1 - t2)}.
+  C_ab(t1, t2) = c_ab C(t1 - t2),   C(tau) = int dw J(w) e^{-iw tau}.
 
 From these the engine produces
 
@@ -12,7 +12,8 @@ From these the engine produces
     gives the post-selected decay factor, and
   * that decay factor itself, averaged over the N paths.
 
-The two paper models are available as factories: the energy-exchange
+The block and the decay factor read one Chebyshev table of C(tau) per
+density.  The two paper models are available as factories: the energy-exchange
 coupling reproduces the sinc^2 filter exactly, and the pure-dephasing
 coupling reproduces the (1 - cos wt)/w^2 shape up to an overall constant.
 """
@@ -42,12 +43,8 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # phase-matrix bytes per row block of the frequency contraction
 _PHASE_BLOCK_BYTES = 4 * 2**20
-
-# tolerances of the frequency integral of the correction block and of the
-# decay factor
-_BLOCK_REL_TOL = 1e-10
-_BLOCK_ABS_TOL = 1e-13
-_DECAY_REL_TOL = 1e-9
+_CORRELATION_TOL = 1e-12  # relative: the C(tau) table's frequency integral and Chebyshev tail
+_DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to the cap 4096
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,8 @@ class CouplingModel:
 
     def density_for_path(self, path_index):
         js = self.spectral_densities
+        if path_index < 0 or (len(js) > 1 and path_index >= len(js)):
+            raise ValueError(f"path index {path_index} is out of range")
         return js[0] if len(js) == 1 else js[path_index]
 
     @property
@@ -163,23 +162,32 @@ def _contract(c, omega, tau, weighted):
     return out
 
 
-def _omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
-    """int_0^{omega_max} dw J(w) sum_ab c_ab e^{-iw tau} @ weighted[a, b].
+def _correlation(j, t, tau):
+    """C(tau) = int_0^{omega_max} dw J(w) e^{-iw tau} at the lags ``tau`` in [0, t].
 
-    Adaptive Gauss-Kronrod with one subdivision shared by all entries, so
-    sharp spectral features are resolved; raises QuadratureError when the
-    error bound exceeds the tolerance.
+    Clenshaw's recurrence sums C's Chebyshev series at the lags in O(len(tau)) memory;
+    its degree is the first n in _DEGREES whose last quarter of coefficients is below
+    _CORRELATION_TOL * max|C|.  One quad_vec call, with J's breakpoints, tabulates C at
+    the Chebyshev-Lobatto points of [0, t] of degree 4 n, which hold those of n to 4 n.
     """
-    from scipy.integrate import quad_vec
+    from scipy import fft, integrate
 
-    value, err = quad_vec(lambda w: j(w) * _contract(c, np.array([w]), tau, weighted)[0],
-                          0.0, j.omega_max, epsabs=abs_tol, epsrel=rel_tol, limit=400)
-    scale = max(np.max(np.abs(value)), abs_tol)
-    if err > max(abs_tol, 100.0 * rel_tol * scale):
-        raise QuadratureError(
-            "frequency integral of the second-order engine did not converge",
-            estimate=value, error_bound=err)
-    return value
+    size = 0
+    for n in _DEGREES:
+        if n > size:
+            size = min(4 * n, _DEGREES[-1])
+            nodes = 0.5 * t * (1.0 + np.cos(np.pi * np.arange(size + 1) / size))
+            table, err = integrate.quad_vec(lambda w: j(w) * np.exp(-1j * w * nodes), 0.0,
+                                            j.omega_max, epsrel=_CORRELATION_TOL, norm="max",
+                                            limit=400, points=j.breakpoints)
+            bound = _CORRELATION_TOL * np.max(np.abs(table))  # max|C| = C(0) as J >= 0
+            if err > bound:
+                raise QuadratureError("C(tau) did not converge", estimate=table, error_bound=err)
+        coef = fft.dct(table[::size // n], type=1) / n
+        coef[[0, n]] *= 0.5
+        if np.max(np.abs(coef[3 * n // 4:])) <= bound:
+            return np.polynomial.chebyshev.chebval(2.0 * tau / t - 1.0, coef)
+    raise QuadratureError("C(tau) needs a Chebyshev degree above the cap", estimate=table)
 
 
 def second_order_block(model, rho0, path_index, t):
@@ -188,10 +196,10 @@ def second_order_block(model, rho0, path_index, t):
     sum_{ab} int_0^t dt1 int_0^{t1} dt2 C_{ab}(t1,t2)
         [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]  + h.c.
 
-    The double time integral runs on a phase-resolved Gauss-Legendre mesh,
-    the frequency integral adaptively.  Off-diagonal path blocks vanish
-    under the declared zero-first-moment assumption, so only the diagonal
-    block is produced.
+    The double time integral runs on a phase-resolved Gauss-Legendre mesh
+    whose nodes read C(t1 - t2) from one ``_correlation`` table.  Off-diagonal
+    path blocks vanish under the declared zero-first-moment assumption, so
+    only the diagonal block is produced.
     """
     if not isinstance(rho0, QubitState):
         rho0 = QubitState(np.asarray(rho0, dtype=complex))
@@ -201,16 +209,10 @@ def second_order_block(model, rho0, path_index, t):
         return np.zeros((2, 2), dtype=complex)
     j = model.density_for_path(path_index)
     tau, W, a1, a2 = _mesh(model, t, j.omega_max + model.omega_scale)
-    r = rho0.matrix
-    n_ops = len(model.operators)
-    # W [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0], flattened per mesh node
-    weighted = np.empty((n_ops, n_ops, tau.size, 4), dtype=complex)
-    for a, b in np.ndindex(n_ops, n_ops):
-        gain = np.einsum("pij,jk,pkl->pil", a2[b], r, a1[a])
-        loss = np.einsum("pij,pjk,kl->pil", a1[a], a2[b], r)
-        weighted[a, b] = (W[:, None, None] * (gain - loss)).reshape(-1, 4)
-    block = _omega_integral(j, model.correlations, tau, weighted,
-                            _BLOCK_REL_TOL, _BLOCK_ABS_TOL).reshape(2, 2)
+    kernel, c, r = W * _correlation(j, t, tau), model.correlations, rho0.matrix
+    # sum_ab c_ab sum_p C(tau_p) W_p [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]_p
+    block = (np.einsum("ab,p,bpij,jk,apkl->il", c, kernel, a2, r, a1, optimize=True)
+             - np.einsum("ab,p,apij,bpjk->ik", c, kernel, a1, a2, optimize=True) @ r)
     return block + block.conj().T
 
 
@@ -266,19 +268,16 @@ def general_decay_factor(model, psi0, t, config):
     ``config`` is the InterferometerConfig of the post-selection.  With
     identical spectral densities this is a single overlap integral.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
     js = model.spectral_densities
     if len(js) not in (1, config.n_paths):
         raise ValueError("spectral_densities must have one entry or one per path")
     prefactor = _prefactor(config)
-    # the filter mesh is J-independent; reuse it across paths.  quad_vec's
-    # own absolute floor keeps the tolerance relative while an all-zero J
-    # still converges at once
+    # the overlap is linear in C: average one C table per distinct J over the paths
     tau, weighted = _filter_mesh(model, psi0, t)
-    overlaps = {}
-    for j in js:
-        if id(j) not in overlaps:
-            value = _omega_integral(j, model.correlations, tau, weighted, _DECAY_REL_TOL, 1e-200)
-            overlaps[id(j)] = prefactor * float(value.real)
-    return sum(overlaps[id(j)] for j in js) / len(js)
+    tables = {id(j): _correlation(j, t, tau) for j in {id(j): j for j in js}.values()}
+    corr = sum(tables[id(j)] for j in js) / len(js)
+    return prefactor * float(np.sum(model.correlations * (weighted @ corr)).real)

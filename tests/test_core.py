@@ -116,6 +116,13 @@ class TestSpectralDensity:
         assert_allclose(j(0.5), 1.0)
         assert j(3.0) == 0.0
 
+    def test_breakpoints_are_the_kinks_inside_the_support(self):
+        assert GaussianPeak(omega_m=1.5, delta=0.2).breakpoints == ()
+        assert Tabulated([0.0, 1.0, 2.0, 7.5], [0.0, 2.0, 0.5, 0.0]).breakpoints == (1.0, 2.0)
+        # J steps up at a first knot above 0, and the cut drops the knot past it
+        j = Tabulated([0.5, 1.0, 2.0], [1.0, 2.0, 0.5], omega_max=1.5)
+        assert j.breakpoints == (0.5, 1.0)
+
     def test_vectorized_evaluation(self):
         j = GaussianPeak(omega_m=1.0, delta=0.5)
         grid = np.array([0.5, 1.0, 1.5])

@@ -160,6 +160,27 @@ class TestDephasingExponent:
         g = dephasing_exponent(DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
         assert np.isfinite(g) and g > 0
 
+    def test_tabulated_knots_are_quadrature_breakpoints(self):
+        # the 15 interior kinks of a piecewise-linear J stalled QUADPACK at an
+        # error bound of 1.3e-6 until they became breakpoints
+        w = np.linspace(0.0, 8.0, 17)
+        j = Tabulated(w, w * np.exp(-0.5 * w))
+        t = 31.5 / 8.0
+        g = dephasing_exponent(DephasingParams(j, 0.0), t)
+        with mpmath.workdps(20):
+            knots = [mpmath.mpf(x) for x in w]
+            vals = [mpmath.mpf(float(v)) for v in j.values]
+
+            def h(x):
+                i = min(int(2 * x), 15)
+                slope = (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
+                return 4 * (vals[i] + slope * (x - knots[i])) * (1 - mpmath.cos(x * t)) / x**2
+
+            edges = sorted(set(knots) | {mpmath.pi * k / t for k in range(1, 11)})
+            want = float(mpmath.quad(h, edges))
+        assert g == pytest.approx(want, rel=1e-14)
+        assert g == pytest.approx(7.931971567560654, rel=1e-14)
+
     def test_negative_time_and_temperature_rejected(self, ohmic1):
         with pytest.raises(ValueError):
             dephasing_exponent(ohmic1, -0.1)

@@ -112,6 +112,17 @@ class TestOverlap:
         assert val == pytest.approx(oracle, rel=1e-8)
         assert val == pytest.approx(5.596336455628841, rel=1e-12)
 
+    def test_tabulated_knots_are_quadrature_breakpoints(self):
+        # the kinks at 2, 4 and 6 stalled QUADPACK at an error bound of 5.9e-9
+        # until they became breakpoints
+        knots = np.linspace(0.0, 8.0, 5)
+        j = Tabulated(knots, knots * np.exp(-0.5 * knots))
+        val = decay_factor_overlap(j, FilterSpec("diss_superposed", 2.0, 1.5, 3, 1))
+        w = np.linspace(0.0, 8.0, 1_000_001)
+        oracle = simpson(j(w) * filter_diss(w, 2.0, 3, 1, 1.5), x=w)
+        assert val == pytest.approx(oracle, rel=1e-8)
+        assert val == pytest.approx(15.92042262576936, rel=1e-12)
+
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
         j = GaussianPeak(1.5, 0.2)
         base = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, 1, 0))

@@ -140,8 +140,8 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
 
 # Library routes no table above reaches: the full-integrand QUADPACK route
 # of the dephasing exponent for non-Ohmic J (omega_max * t = 2.5 has no
-# interior breakpoint, 31.5 has ten) and the filter overlap integral, pinned
-# as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near w = 0, so its
+# interior half-period breakpoint, 31.5 has ten; the table adds its knots 2,
+# 4 and 6 to both) and the filter overlap integral, pinned as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near w = 0, so its
 # thermal integrand stays finite there; a Lorentzian's does not (J(0) > 0).
 _KNOTS = np.linspace(0.0, 8.0, 5)
 PIN_DENSITIES = {
@@ -157,17 +157,18 @@ EXPONENT_PINS = (
     ("lorentzian", 0.0, 2.5, "0x1.a09462b82a870p-8"),
     ("lorentzian", 0.0, 31.5, "0x1.dba35b5aae65ap-2"),
     ("tabulated", 0.0, 2.5, "0x1.21755965929b6p-1"),
-    ("tabulated", 0.0, 31.5, "0x1.2e16c122ebb2fp+2"),
-    ("tabulated", 0.3, 2.5, "0x1.2c4f39bc4e9bcp-1"),
-    ("tabulated", 0.3, 31.5, "0x1.cebe9cedfc587p+2"),
+    ("tabulated", 0.0, 31.5, "0x1.2e16c122ebe63p+2"),
+    ("tabulated", 0.3, 2.5, "0x1.2c4f39bc4e9bep-1"),
+    ("tabulated", 0.3, 31.5, "0x1.cebe9cedfc958p+2"),
 )
 # FilterSpec(kind, t=2, omega_q=1.5, N=3, n=1): the deph filter has no
-# breakpoint, the diss filter one at omega_q
+# breakpoint, the diss filter one at omega_q; the table adds its knots
 OVERLAP_PINS = (
     ("gaussian", "deph_superposed", "0x1.b5012f52fb05ap-6"),
     ("gaussian", "diss_superposed", "0x1.6d06e8636510ap-3"),
     ("lorentzian", "deph_superposed", "0x1.6e58491e5780ap-3"),
     ("lorentzian", "diss_superposed", "0x1.79c9d239b11d5p+0"),
+    ("tabulated", "diss_superposed", "0x1.fd741a2685b0fp+3"),
 )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from zenotraj import perturbation
 from zenotraj.core import (
+    GaussianPeak,
     InterferometerConfig,
     Lorentzian,
     Ohmic,
@@ -30,6 +31,8 @@ from zenotraj.perturbation import (
     general_filter,
     second_order_block,
 )
+
+from perturbation_oracle import oracle_block, oracle_decay_factor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -95,6 +98,12 @@ class TestCouplingModel:
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         assert model.density_for_path(0) is LORENTZIAN
         assert model.density_for_path(3) is LORENTZIAN
+
+    @pytest.mark.parametrize("n_densities, index", [(1, -1), (3, -1), (3, 3)])
+    def test_path_index_out_of_range_rejected(self, n_densities, index):
+        model = CouplingModel(SZ, (SX,), [[1.0]], (LORENTZIAN, OHMIC, LORENTZIAN)[:n_densities])
+        with pytest.raises(ValueError, match="path index"):
+            model.density_for_path(index)
 
     def test_omega_scale_is_level_splitting(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.7)
@@ -338,11 +347,54 @@ class TestGeneralDecayFactor:
         with pytest.raises(ValueError):
             general_decay_factor(bad, QubitState.excited(), 0.4, InterferometerConfig(3, n_shifts=0))
 
+    def test_negative_time_rejected(self):
+        # like second_order_block and general_filter, not the value at |t|
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        with pytest.raises(ValueError, match="t must be"):
+            general_decay_factor(model, QubitState.excited(), -0.4, InterferometerConfig(1, n_shifts=0))
 
-class TestFrequencyIntegralCheck:
+
+_KNOTS = np.linspace(0.0, 8.0, 5)
+# line shapes wide and narrow, Ohmic with and without a sqrt(w) edge, a
+# narrow Gaussian peak and the kinks of a piecewise-linear table
+_ORACLE_DENSITIES = {
+    "lorentzian": LORENTZIAN,
+    "narrow-line": Lorentzian(gamma0=1.0, lam=0.1, omega_q=50.0),
+    "ohmic-s1": OHMIC,
+    "ohmic-s0.5": Ohmic(eta=1.0 / 3.0, s=0.5, omega_c=1.0),
+    "gaussian": GaussianPeak(4.0, 0.02),
+    "tabulated": Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS)),
+}
+# (coupling model factory, initial state, post-selection)
+_ORACLE_MODELS = {
+    "diss": (lambda j: dissipative_coupling_model(j, omega_q=1.0), QubitState.excited(),
+             InterferometerConfig(3, n_shifts=1)),
+    "deph": (dephasing_coupling_model, QubitState.plus(), InterferometerConfig(4, n_shifts=1)),
+}
+
+
+@pytest.mark.parametrize("density", sorted(_ORACLE_DENSITIES))
+@pytest.mark.parametrize("coupling", sorted(_ORACLE_MODELS))
+class TestCorrelationTableOracle:
+    """The C(tau) table against the frequency integral over the whole mesh."""
+
+    def test_block_matches_frequency_integral(self, coupling, density):
+        factory, rho0, _ = _ORACLE_MODELS[coupling]
+        model = factory(_ORACLE_DENSITIES[density])
+        block = second_order_block(model, rho0, 0, 0.5)
+        assert np.max(np.abs(block - oracle_block(model, rho0, 0, 0.5))) <= 1e-14
+
+    def test_decay_factor_matches_frequency_integral(self, coupling, density):
+        factory, psi0, config = _ORACLE_MODELS[coupling]
+        model = factory(_ORACLE_DENSITIES[density])
+        got = general_decay_factor(model, psi0, 0.4, config)
+        assert got == pytest.approx(oracle_decay_factor(model, psi0, 0.4, config), rel=1e-12)
+
+
+class TestCorrelationTableChecks:
     def test_unconverged_frequency_integral_is_reported(self, monkeypatch):
-        # both frequency integrals go through one quad_vec call whose error bound is
-        # checked; a bound far above tolerance must raise, not return
+        # the block and the decay factor read C from one quad_vec call whose
+        # error bound is checked; a bound far above tolerance must raise
         import scipy.integrate
 
         def unconverged(f, a, b, **kwargs):
@@ -351,10 +403,34 @@ class TestFrequencyIntegralCheck:
 
         monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged)
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="did not converge"):
             second_order_block(model, QubitState.excited(), 0, 0.2)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="did not converge"):
             general_decay_factor(model, QubitState.excited(), 0.4, InterferometerConfig(1, n_shifts=0))
+
+    def test_degree_cap_is_reported(self, monkeypatch):
+        # C's phase spans omega_max * t / 2 = 25 rad over the Chebyshev
+        # interval, which takes degree 64; a cap of 16 must refuse, not
+        # return the unresolved series
+        monkeypatch.setattr(perturbation, "_DEGREES", (16,))
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        with pytest.raises(QuadratureError, match="Chebyshev degree"):
+            second_order_block(model, QubitState.excited(), 0, 0.5)
+        with pytest.raises(QuadratureError, match="Chebyshev degree"):
+            perturbation._correlation(LORENTZIAN, 0.5, np.array([0.25]))
+
+    def test_table_matches_direct_integral_at_the_lags(self):
+        # C(tau) by one QUADPACK integral per lag (real and imaginary part)
+        from scipy.integrate import quad
+
+        tau = np.array([0.0, 0.013, 0.2, 0.377, 0.5])
+        got = perturbation._correlation(LORENTZIAN, 0.5, tau)
+        for lag, value in zip(tau, got):
+            re = quad(lambda w: LORENTZIAN(w) * np.cos(w * lag), 0.0, LORENTZIAN.omega_max,
+                      epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            im = quad(lambda w: -LORENTZIAN(w) * np.sin(w * lag), 0.0, LORENTZIAN.omega_max,
+                      epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            assert abs(value - complex(re, im)) <= 1e-12 * abs(got[0])
 
 
 def _contract_one_product(c, omega, tau, weighted):
@@ -390,17 +466,6 @@ class TestRowBlockedContraction:
         monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
         assert blocked.tobytes() == general_filter(model, psi0, omega, 0.2, config).tobytes()
 
-    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
-    def test_frequency_integral_bits(self, name, monkeypatch):
-        # quad_vec contracts one omega row at a time: a single block
-        model, psi0, config = _ENGINE_CASES[name]
-        block = second_order_block(model, psi0, 0, 0.2)
-        decay = general_decay_factor(model, psi0, 0.2, config)
-        monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
-        assert block.tobytes() == second_order_block(model, psi0, 0, 0.2).tobytes()
-        assert np.float64(decay).tobytes() == np.float64(
-            general_decay_factor(model, psi0, 0.2, config)).tobytes()
-
     def test_general_filter_memory_is_bounded(self):
         # the CLI default: 201 frequencies on the 28,900-node mesh of t = 0.5,
         # where the whole phase matrix alone takes 93 MB
@@ -409,6 +474,19 @@ class TestRowBlockedContraction:
         tracemalloc.start()
         try:
             general_filter(model, psi0, omega, 0.5, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_second_order_block_memory_is_bounded(self):
+        # the same 28,900-node mesh: C is summed at the lags in O(P) memory,
+        # with no (P x degree) interpolation matrix and no per-(a, b) copy of
+        # the mesh
+        model, psi0, _ = _ENGINE_CASES["diss"]
+        tracemalloc.start()
+        try:
+            second_order_block(model, psi0, 0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
