@@ -34,7 +34,7 @@ GAMMA0 = 1.0
 def main():
     print(__doc__)
 
-    grid = TimeGrid(0.0, 1e-2, 501)   # Gamma0 t in [0, 5]
+    grid = TimeGrid(1e-2, 501)   # Gamma0 t in [0, 5]
     rates = CollectiveRateMatrix.from_factor(N_SITES, S_FACTOR, GAMMA0)
     states = evolve_collective(rates, superposed_initial_state(N_SITES), grid)
 

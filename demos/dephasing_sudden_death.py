@@ -41,7 +41,7 @@ def main():
 
     # -- Ohmic bath (s = 1): sudden death for (N, n) = (3, 1) ----------------
     params = DephasingParams(Ohmic(ETA, s=1.0, omega_c=1.0))
-    grid = TimeGrid(0.0, 0.02, 201)   # omega_c t in [0, 4]
+    grid = TimeGrid(0.02, 201)   # omega_c t in [0, 4]
     phi, phi_mod = coherence_factors(params, grid, 3, 1)
 
     sign_change = np.nonzero(phi_mod[:-1] * phi_mod[1:] < 0.0)[0]
@@ -55,7 +55,7 @@ def main():
 
     # -- super-Ohmic bath (s = 4): trapping and its enhancement --------------
     params4 = DephasingParams(Ohmic(ETA, s=4.0, omega_c=1.0))
-    grid4 = TimeGrid(0.0, 0.2, 1001)   # omega_c t in [0, 200]
+    grid4 = TimeGrid(0.2, 1001)   # omega_c t in [0, 200]
     phi4, phi_mod4 = coherence_factors(params4, grid4, 3, 0)
 
     tail = grid4.times >= 20.0

@@ -47,7 +47,7 @@ def main():
     print("overlap decay factor gamma(N) for a Gaussian bath peaked at w = 1.5:")
     print(f"{'N':>4s} {'gamma(N)':>16s} {'N * gamma(N)':>16s}")
     for n in (1, 2, 4, 8, 16):
-        gamma = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, OMEGA_Q, n, 0))
+        gamma = decay_factor_overlap(j, FilterSpec("diss", 3.0, OMEGA_Q, n, 0))
         print(f"{n:>4d} {gamma:>16.12f} {n * gamma:>16.12f}")
     print("-> N * gamma(N) is constant: exact 1/N suppression at fixed filter shape.")
 

@@ -48,8 +48,8 @@ def report(label, lam, grid):
 
 def main():
     print(__doc__)
-    report("narrow line", 0.1, TimeGrid(0.0, 0.01, 6001))
-    report("broad line", 4.0, TimeGrid(0.0, 0.01, 801))
+    report("narrow line", 0.1, TimeGrid(0.01, 6001))
+    report("broad line", 4.0, TimeGrid(0.01, 801))
     print(
         "-> revivals of the pair distance, the growth of |G|^2 and the negative\n"
         "   Choi eigenvalue of the intermediate map all flag the same times:\n"

@@ -51,14 +51,7 @@ from .dissipative import (
     trace_distance_diss,
 )
 from .errors import ConfigError, NumericError, ZenoTrajError
-from .filters import (
-    FilterSpec,
-    decay_factor_overlap,
-    filter_deph,
-    filter_diss,
-    filter_traditional_zeno,
-    sinc,
-)
+from .filters import FilterSpec, decay_factor_overlap, filter_diss, filter_traditional_zeno, sinc
 from .numerics import TimeGrid, brentq
 from .perturbation import dissipative_coupling_model, general_filter
 
@@ -390,24 +383,34 @@ def _run_filter(config):
         series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
         values = np.column_stack([grid, j(grid)] + series)
         return ResultTable(cols, values, units, meta)
-    kind = p["kind"]
-    if kind == "diss":
-        vals = filter_diss(grid, t, p["N"], p["n"], omega_q)
-    elif kind == "deph":
-        vals = filter_deph(grid, t, p["N"], p["n"])
-    else:
-        vals = filter_traditional_zeno(grid, t, p["n_tilde"], omega_q)
+    vals = FilterSpec(p["kind"], t, omega_q, p["N"], p["n"], p["n_tilde"]).evaluate(grid)
     return ResultTable(["omega", "j", "f"],
                        np.column_stack([grid, j(grid), vals]), units, meta)
+
+
+def _time_grid(p):
+    """The tmax/steps grid of the dynamics and nonmarkov tables."""
+    return TimeGrid(p["tmax"] / p["steps"], p["steps"] + 1)
+
+
+def _dissipation(p, grid):
+    """G of the Lorentzian line on the grid, checked against |G| <= 1."""
+    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
+    return decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
+
+
+def _dephasing(p, grid):
+    """The power-law bath at temperature T and its exponent Gamma_T on the grid."""
+    params = DephasingParams(Ohmic(p["eta"], p["s"], p["omega_c"]), temperature=p["temperature"])
+    return params, dephasing_exponent_series(params, grid).values
 
 
 def _run_dynamics_diss(config):
     """post-selected amplitude-damping dynamics"""
     p = config.params
     units = "omega_q = 1 sets the clock"
-    grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-    g = decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
+    grid = _time_grid(p)
+    g = _dissipation(p, grid)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
     gamma = decay_factor(survival)
@@ -423,10 +426,8 @@ def _run_dynamics_deph(config):
     """post-selected dephasing dynamics"""
     p = config.params
     units = "omega_c = 1 sets the clock"
-    grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = Ohmic(p["eta"], p["s"], p["omega_c"])
-    params = DephasingParams(j, temperature=p["temperature"])
-    gamma = dephasing_exponent_series(params, grid).values
+    grid = _time_grid(p)
+    _, gamma = _dephasing(p, grid)
     phi = single_path_factor(gamma)
     phi_mod = modified_dephasing(phi, p["N"], p["n"])
     meta = _base_metadata(config, units)
@@ -482,7 +483,7 @@ def _run_dicke(config):
     series = [x_axis, pe]
     if p.get("numeric"):
         rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
-        grid = TimeGrid(0.0, times[1] - times[0], times.size)
+        grid = TimeGrid(times[1] - times[0], times.size)
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
         bound = _rk4_error_bound(gamma0, grid)
         if bound > _RK4_ERROR_TOL:
@@ -498,30 +499,23 @@ def _run_nonmarkov(config):
     """trace-distance and divisibility diagnostics"""
     p = config.params
     pairs = [(1, 0), (3, 0), (3, 1)]
+    grid = _time_grid(p)
     if p["model"] == "diss":
         units = "omega_q = 1 sets the clock"
-        grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-        j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-        g = decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
+        g = _dissipation(p, grid)
         columns = [trace_distance_diss(g.values, N, n) for N, n in pairs]
-        meta = _base_metadata(config, units)
-        meta["g_route"] = g.source
         divisible, violation = is_cp_divisible(g)
-        meta["cp_divisible"] = divisible
+        landmarks = {"g_route": g.source, "cp_divisible": divisible}
         if violation is not None:
-            meta["first_violation_time"] = violation
-        values = np.column_stack([grid.times] + columns)
-        return ResultTable(["t", "d_N1_n0", "d_N3_n0", "d_N3_n1"], values, units, meta)
-
-    units = "omega_c = 1 sets the clock"
-    grid = TimeGrid(0.0, p["tmax"] / p["steps"], p["steps"] + 1)
-    j = Ohmic(p["eta"], p["s"], p["omega_c"])
-    params = DephasingParams(j, temperature=p["temperature"])
-    # phi is (N, n)-independent; all modified factors derive from one series
-    phi = single_path_factor(dephasing_exponent_series(params, grid).values)
-    columns = [np.abs(modified_dephasing(phi, N, n)) for N, n in pairs]
-    meta = _base_metadata(config, units)
-    meta.update(_deph_landmarks(params, phi, grid))
+            landmarks["first_violation_time"] = violation
+    else:
+        units = "omega_c = 1 sets the clock"
+        params, gamma = _dephasing(p, grid)
+        # phi is (N, n)-independent; all modified factors derive from one series
+        phi = single_path_factor(gamma)
+        columns = [np.abs(modified_dephasing(phi, N, n)) for N, n in pairs]
+        landmarks = _deph_landmarks(params, phi, grid)
+    meta = {**_base_metadata(config, units), **landmarks}
     values = np.column_stack([grid.times] + columns)
     return ResultTable(["t", "d_N1_n0", "d_N3_n0", "d_N3_n1"], values, units, meta)
 
@@ -558,8 +552,7 @@ def _run_perturbation(config):
     general = general_filter(model, QubitState.excited(), grid, t, profile)
     closed = filter_diss(grid, t, p["N"], p["n"], p["omega_q"])
     meta = _base_metadata(config, units)
-    spec = FilterSpec("diss_superposed", t=t, omega_q=p["omega_q"],
-                      n_paths=p["N"], n_shifts=p["n"])
+    spec = FilterSpec("diss", t=t, omega_q=p["omega_q"], n_paths=p["N"], n_shifts=p["n"])
     meta["decay_factor_overlap"] = decay_factor_overlap(j, spec)
     nonzero = np.abs(closed) > 1e-300
     meta["max_rel_deviation"] = float(np.max(

@@ -311,10 +311,6 @@ class InterferometerConfig:
 # qubit states
 # ---------------------------------------------------------------------------
 
-_HERM_TOL = 1e-12
-_PSD_TOL = -1e-12
-
-
 @dataclass(frozen=True)
 class QubitState:
     """2×2 qubit operator in the {|e⟩, |g⟩} basis.
@@ -365,16 +361,16 @@ class QubitState:
     def min_eigenvalue(self):
         return min_eigenvalue_hermitian(self.matrix)
 
-    def validate(self, herm_tol=_HERM_TOL, psd_tol=_PSD_TOL):
-        """Assert Hermiticity, positivity and the trace window; returns self."""
+    def validate(self):
+        """Assert Hermiticity, positivity and the trace window to 1e-12; returns self."""
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if dev > herm_tol:
+        if dev > 1e-12:
             raise ValueError(f"state is not Hermitian: deviation {dev:g}")
         lo = min_eigenvalue_hermitian(self.matrix)
-        if lo < psd_tol:
+        if lo < -1e-12:
             raise ValueError(f"state is not PSD: min eigenvalue {lo:g}")
         tr = self.trace
-        if not -herm_tol <= tr <= 1.0 + 1e-12:
+        if not -1e-12 <= tr <= 1.0 + 1e-12:
             raise ValueError(f"trace {tr:g} outside [0, 1]")
         if self.normalized and abs(tr - 1.0) > 1e-12:
             raise ValueError(f"normalized state must have unit trace, got {tr:g}")

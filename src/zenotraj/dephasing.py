@@ -40,7 +40,7 @@ __all__ = [
 
 # below this many accumulated phase radians the plain adaptive rule (with
 # breakpoints at the half-periods) is still efficient; beyond it we switch
-# to fixed Gauss-Legendre panels between consecutive half-periods
+# to fixed Gauss-Legendre panels between consecutive half-periods and J's kinks
 _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 
 # points past this phase (about 1,500 Gauss-Legendre panels) go to the thread
@@ -148,22 +148,19 @@ def _bose_integrand(j, temperature, t):
     return h
 
 
-def _half_period_edges(upper, t):
-    """0, the half-periods k*pi/t below ``upper`` and ``upper``: the panel edges."""
+def _panel_edges(j, upper, t):
+    """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``."""
     half_period = np.pi / t
     n_half = int(np.floor(upper / half_period - 1e-12))
-    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
+    edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
+    knots = [w for w in j.breakpoints if w < upper]
+    return np.union1d(edges, knots) if knots else edges
 
 
 def _half_period_quad(h, j, upper, t, abs_tol):
     """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t and J's kinks."""
-    interior = _half_period_edges(upper, t)[1:-1]
-    knots = [w for w in j.breakpoints if w < upper]
-    if knots:
-        interior = np.union1d(interior, knots)
-    # no breakpoints is None: an empty list would switch QUADPACK to QAGP
     return integrate_adaptive(h, 0.0, upper, 1e-11, abs_tol,
-                              points=interior if interior.size else None)
+                              points=_panel_edges(j, upper, t)[1:-1])
 
 
 def _ohmic_zero_temperature(j, t):
@@ -244,7 +241,7 @@ def dephasing_exponent(params, t):
     Up to omega_max * t = 64 pi an Ohmic J takes ``_ohmic_split`` when its
     cut at omega_max is below tolerance; every other case integrates the
     full coth integrand, adaptively there and on fixed Gauss-Legendre
-    half-period panels beyond.
+    panels beyond, both split at the half-periods and at J's kinks.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -257,7 +254,7 @@ def dephasing_exponent(params, t):
     if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
         return split if split is not None else _half_period_quad(h, j, omega_max, t, 1e-13)
-    return gauss_legendre_panels(h, _half_period_edges(omega_max, t))
+    return gauss_legendre_panels(h, _panel_edges(j, omega_max, t))
 
 
 def single_path_factor(gamma):

@@ -81,7 +81,7 @@ def memory_kernel(j, omega_q):
 def decay_amplitude(j, omega_q, grid):
     """G(t) on a grid by solving the Volterra equation for the kernel of J."""
     samples = memory_kernel(j, omega_q).samples(grid)
-    return Series(grid, solve_volterra(samples, grid, 1.0), "volterra")
+    return Series(grid, solve_volterra(samples, grid), "volterra")
 
 
 def _sinhc(x):
@@ -111,8 +111,7 @@ def decay_amplitude_lorentzian_closed(gamma0, lam, t):
 def decay_amplitude_closed_series(gamma0, lam, grid):
     """Closed-form Lorentzian G sampled on a TimeGrid, G(0) pinned to exactly 1."""
     values = decay_amplitude_lorentzian_closed(gamma0, lam, grid.times)
-    if grid.t0 == 0.0:
-        values[0] = 1.0 + 0.0j
+    values[0] = 1.0 + 0.0j
     return Series(grid, values, "lorentzian_closed_form")
 
 
@@ -193,7 +192,7 @@ def trace_distance_diss(g_t, n_paths, n_shifts):
 # divisibility
 # ---------------------------------------------------------------------------
 
-def is_cp_divisible(g, tol=None):
+def is_cp_divisible(g):
     """CP divisibility of the conditional dissipative dynamics.
 
     The family of (trace-non-increasing) intermediate maps is completely
@@ -201,13 +200,12 @@ def is_cp_divisible(g, tol=None):
     eigenvalue of the map from t to t+τ is N̄(1-|G(t+τ)/G(t)|²) with
     N̄ = N/(N-2n)², so the verdict does not depend on (N, n).  The check uses
     pairwise differences on the grid (the centered derivative at each
-    midpoint) against ``tol``, by default 1e-9·max|G|².
+    midpoint) against the tolerance 1e-9·max|G|².
     Returns (divisible, first_violation_time or None).
     """
     g2 = np.abs(g.values) ** 2
     dt = g.grid.dt
-    if tol is None:
-        tol = 1e-9 * float(np.max(g2))
+    tol = 1e-9 * float(np.max(g2))
     deriv = np.diff(g2) / dt
     bad = np.nonzero(deriv > tol)[0]
     if bad.size == 0:

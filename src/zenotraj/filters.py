@@ -85,32 +85,33 @@ def filter_traditional_zeno(omega, t, n_tilde, omega_q):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Which filter to overlap with J: kind, elapsed time, and shape params."""
+    """Which filter to overlap with J: kind, elapsed time, and shape params.
 
-    kind: str  # "diss_superposed" | "deph_superposed" | "diss_traditional_zeno"
+    ``kind`` names the filter as the CLI does: "diss" (``filter_diss``),
+    "deph" (``filter_deph``) or "traditional" (``filter_traditional_zeno``).
+    """
+
+    kind: str
     t: float
     omega_q: float = 0.0
     n_paths: int = 1
     n_shifts: int = 0
     n_tilde: float = 1.0
 
-    _KINDS = ("diss_superposed", "deph_superposed", "diss_traditional_zeno")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ("diss", "deph", "traditional"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if self.kind in ("diss_superposed", "deph_superposed"):
-            if 2 * self.n_shifts == self.n_paths:
-                raise ValueError("filter undefined for the null configuration n = N/2")
-        if self.kind == "diss_traditional_zeno" and self.n_tilde < 1:
+        if self.kind != "traditional" and 2 * self.n_shifts == self.n_paths:
+            raise ValueError("filter undefined for the null configuration n = N/2")
+        if self.kind == "traditional" and self.n_tilde < 1:
             raise ValueError("the traditional filter needs n_tilde >= 1")
 
     def evaluate(self, omega):
-        if self.kind == "diss_superposed":
+        if self.kind == "diss":
             return filter_diss(omega, self.t, self.n_paths, self.n_shifts, self.omega_q)
-        if self.kind == "deph_superposed":
+        if self.kind == "deph":
             return filter_deph(omega, self.t, self.n_paths, self.n_shifts)
         return filter_traditional_zeno(omega, self.t, self.n_tilde, self.omega_q)
 
@@ -126,10 +127,10 @@ def decay_factor_overlap(j, spec):
     f = spec.evaluate
     integrand = lambda w: j(w) * f(w)
     points = set(j.breakpoints)
-    if spec.kind != "deph_superposed" and 0.0 < spec.omega_q < j.omega_max:
+    if spec.kind != "deph" and 0.0 < spec.omega_q < j.omega_max:
         points.add(spec.omega_q)
     out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
-                             points=sorted(points) or None)
+                             points=sorted(points))
     return 0.0 if out < 0.0 else out
 
 
@@ -144,14 +145,14 @@ def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps, n_steps=400)
     if eps == 0.0:
         return 0.0, 0.0
     j_scaled = j.scaled(eps * eps)
-    grid = TimeGrid(0.0, t / n_steps, n_steps + 1)
+    grid = TimeGrid(t / n_steps, n_steps + 1)
     # The memory kernel is linear in J, so sample it once at full coupling
     # and scale the samples: the quadrature then resolves the same integrand
     # for every eps instead of chasing an eps^2-small absolute target.
     samples = eps * eps * memory_kernel(j, omega_q).samples(grid)
-    g_t = solve_volterra(samples, grid, 1.0)[-1]
+    g_t = solve_volterra(samples, grid)[-1]
     gamma_exact = decay_factor(survival_probability_diss(g_t, n_paths, n_shifts))
-    spec = FilterSpec("diss_superposed", t, omega_q, n_paths, n_shifts)
+    spec = FilterSpec("diss", t, omega_q, n_paths, n_shifts)
     gamma_overlap = decay_factor_overlap(j_scaled, spec)
     return gamma_exact, gamma_overlap
 

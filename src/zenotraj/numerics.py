@@ -59,9 +59,8 @@ def brentq(f, a, b, **kwargs):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid t_k = t0 + k*dt for k = 0..count-1."""
+    """Uniform time grid t_k = k*dt for k = 0..count-1."""
 
-    t0: float
     dt: float
     count: int
 
@@ -73,7 +72,7 @@ class TimeGrid:
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.count)
+        return self.dt * np.arange(self.count)
 
 
 @dataclass(frozen=True)
@@ -104,28 +103,28 @@ class Series:
         return self
 
 
-def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=None,
+def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=(),
                        weight=None, wvar=None):
     """QUADPACK quadrature of a real-valued ``f`` over [a, b] (b may be ``np.inf``).
 
     Returns a float whose reported error bound satisfies
     ``bound <= max(abs_tol, rel_tol * |result|)``; otherwise raises
     :class:`QuadratureError` carrying the best estimate and the bound.
-    ``points`` optionally lists interior breakpoints (finite intervals only),
-    and the subinterval limit follows from them as max(200, 4 (len + 2));
+    ``points`` lists interior breakpoints (finite intervals only; an empty
+    list is no breakpoints, not QUADPACK's QAGP rule), and the subinterval
+    limit follows from them as max(200, 4 (len + 2));
     ``weight``/``wvar`` pass an oscillatory QUADPACK weight (e.g. 'cos', t)
     through, which is far more robust than plain subdivision when the phase
     across [a, b] spans many cycles.
     """
     if not a < b:
         raise ValueError("integrate_adaptive requires a < b")
-    n_points = 0 if points is None else len(points)
-    kwargs = dict(epsabs=abs_tol, epsrel=rel_tol, limit=max(200, 4 * (n_points + 2)),
+    kwargs = dict(epsabs=abs_tol, epsrel=rel_tol, limit=max(200, 4 * (len(points) + 2)),
                   full_output=1)
     if weight is not None:
         kwargs["weight"] = weight
         kwargs["wvar"] = wvar
-    elif points is not None and np.isfinite(b):
+    elif len(points) and np.isfinite(b):
         kwargs["points"] = points
     out = integrate.quad(f, a, b, **kwargs)
     estimate, bound = out[0], out[1]
@@ -139,23 +138,21 @@ def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=None,
     return estimate
 
 
-def solve_volterra(samples, grid, c0=1.0 + 0.0j):
-    """Solve ``c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ`` with ``c(0) = c0``; the complex array c.
+def solve_volterra(samples, grid):
+    """Solve ``c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ`` with ``c(0) = 1``; the complex array c.
 
     ``samples`` holds the kernel f at the grid times, one per time.
     Product-trapezoidal discretization (second-order accurate): both the
     memory integral and the time step use the trapezoidal rule, with the
     implicit diagonal term solved per step.
     """
-    if abs(grid.t0) > 0:
-        raise ValueError("solve_volterra requires a grid starting at t = 0")
     h = grid.dt
     m = grid.count
     F = np.asarray(samples, dtype=complex)
     if F.shape != (m,):
         raise ValueError(f"{F.shape} kernel samples do not match grid count {m}")
     c = np.empty(m, dtype=complex)
-    c[0] = complex(c0)
+    c[0] = 1.0
     deriv = 0.0 + 0.0j  # c'(0): the memory integral is empty at t = 0
     denom = 1.0 + 0.25 * h * h * F[0]
     for k in range(m - 1):

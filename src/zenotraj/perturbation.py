@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QubitState, phase_pair_sum
-from .errors import NullOutcome, QuadratureError
+from .errors import NullOutcome, NumericError, QuadratureError
 from .numerics import panel_nodes, row_blocks
 
 __all__ = [
@@ -45,6 +45,9 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PHASE_BLOCK_BYTES = 4 * 2**20
 _CORRELATION_TOL = 1e-12  # relative: the C(tau) table's frequency integral and Chebyshev tail
 _DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to the cap 4096
+# largest (t1, t2) mesh: the general-filter route peaks at about 600 bytes of
+# resident memory per node (174 MB at 240,100 nodes, 603 MB at 960,400)
+_MAX_MESH_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,13 @@ def dissipative_coupling_model(j, omega_q):
     return CouplingModel(0.5 * omega_q * _SZ, (_SX, _SY), table, (j,))
 
 
-def dephasing_coupling_model(j, omega_q=0.0):
-    """Pure-dephasing coupling A = sigma_z with the vacuum correlation c = 1."""
-    return CouplingModel(0.5 * omega_q * _SZ, (_SZ,), [[1.0]], (j,))
+def dephasing_coupling_model(j):
+    """Pure-dephasing coupling A = sigma_z with the vacuum correlation c = 1.
+
+    sigma_z commutes with the qubit Hamiltonian, so the model takes h_q = 0:
+    a splitting would only refine the (t1, t2) mesh.
+    """
+    return CouplingModel(np.zeros((2, 2)), (_SZ,), [[1.0]], (j,))
 
 
 def _rotated_operators(model, times):
@@ -126,8 +133,13 @@ def _mesh(model, t, nu):
     half-period long so fixed order-10 nodes resolve every oscillation.
     Returns flat arrays of the lags tau = t1 - t2 and the weights, and the
     operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
+    NumericError, before anything is allocated, past ``_MAX_MESH_NODES``.
     """
     n_pan = max(2, int(np.ceil(nu * t / np.pi)))
+    size = (10 * n_pan) ** 2  # order-10 nodes per panel on each axis
+    if size > _MAX_MESH_NODES:
+        raise NumericError(f"the (t1, t2) mesh needs {size:,} nodes, above the cap "
+                           f"{_MAX_MESH_NODES:,}; use a shorter t or a narrower spectrum")
     t1, half, w = panel_nodes(np.linspace(0.0, t, n_pan + 1))
     # inner mesh on [0, t1] as the unit mesh scaled by t1
     u, uh, _ = panel_nodes(np.linspace(0.0, 1.0, n_pan + 1))

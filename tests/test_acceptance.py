@@ -83,7 +83,7 @@ def test_criterion_01_decay_factor_scales_as_one_over_n():
     start = time.perf_counter()
     j = GaussianPeak(1.5, 0.2)
     gamma = {
-        n_paths: decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, n_paths, 0))
+        n_paths: decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, n_paths, 0))
         for n_paths in (1, 2, 4, 8, 16)
     }
     elapsed = time.perf_counter() - start
@@ -177,7 +177,7 @@ def test_criterion_05_collective_emission_cross_oracle():
     """
     start = time.perf_counter()
     gamma0, s = 1.0, 1.0 / 6.0
-    grid = TimeGrid(0.0, 1e-3 / gamma0, 5001)
+    grid = TimeGrid(1e-3 / gamma0, 5001)
     for n_paths, n_shifts in ((2, 0), (3, 0), (3, 1), (4, 0), (4, 1)):
         rates = CollectiveRateMatrix.from_factor(n_paths, s, gamma0)
         states = evolve_collective(rates, superposed_initial_state(n_paths), grid)
@@ -241,7 +241,7 @@ def test_criterion_08_nonmarkovian_revivals_and_divisibility():
     intermediate-map complete-positivity verdict agrees with the
     distance-derivative verdict at every step for every configuration.
     """
-    grid_narrow = TimeGrid(0.0, 0.01, 6001)
+    grid_narrow = TimeGrid(0.01, 6001)
     g_narrow = decay_amplitude_closed_series(1.0, 0.1, grid_narrow)
     for n_paths, n_shifts in ((1, 0), (3, 0), (3, 1)):
         d = trace_distance_diss(g_narrow.values, n_paths, n_shifts)
@@ -250,7 +250,7 @@ def test_criterion_08_nonmarkovian_revivals_and_divisibility():
         first = int(interior_minima[0])
         assert float(np.max(d[first:]) - d[first]) >= 1e-3
 
-    grid_broad = TimeGrid(0.0, 0.01, 801)
+    grid_broad = TimeGrid(0.01, 801)
     g_broad = decay_amplitude_closed_series(1.0, 4.0, grid_broad)
     for n_paths, n_shifts in ((1, 0), (3, 0), (3, 1)):
         d = trace_distance_diss(g_broad.values, n_paths, n_shifts)
@@ -288,7 +288,7 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
         return single_path_factor(dephasing_exponent_series(params, grid).values)
 
     def phi_at(t):
-        return phi_series(params, TimeGrid(0.0, t / 2.0, 3))[-1]
+        return phi_series(params, TimeGrid(t / 2.0, 3))[-1]
 
     def phi_mod_at(t):
         return modified_dephasing(phi_at(t), 3, 1)
@@ -299,7 +299,7 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
     assert abs(root_modified - root_condition) <= 1e-6 * root_condition
     assert abs(root_modified - np.sqrt(19.0 / 8.0)) <= 1e-6 * root_modified
 
-    grid = TimeGrid(0.0, 0.01, 401)
+    grid = TimeGrid(0.01, 401)
     phi = phi_series(params, grid)
     for k in range(0, grid.count, 40):
         if k == 0:
@@ -308,7 +308,7 @@ def test_criterion_09_dephasing_sudden_death_and_trapping():
         _register(postselected_state_deph(PLUS, phi[k], 3, 0))
 
     params4 = DephasingParams(Ohmic(1.0 / 3.0, s=4.0, omega_c=1.0))
-    grid4 = TimeGrid(0.0, 0.2, 1001)
+    grid4 = TimeGrid(0.2, 1001)
     phi4 = phi_series(params4, grid4)
     tail = grid4.times >= 20.0
     for values in (phi4, modified_dephasing(phi4, 3, 0)):
@@ -350,7 +350,7 @@ def test_criterion_11_postselected_state_validity():
     equal to the pre-normalization trace.
     """
     states = list(_STATES)
-    g_osc = decay_amplitude_closed_series(1.0, 0.1, TimeGrid(0.0, 0.5, 21))
+    g_osc = decay_amplitude_closed_series(1.0, 0.1, TimeGrid(0.5, 21))
     amp = np.sqrt(0.5)
     for g_val in g_osc.values[1:]:
         states.append(postselected_state_diss(amp, amp, g_val, 4, 1))

@@ -362,6 +362,12 @@ class TestMain:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_oversized_perturbation_mesh_exit_code(self, capsys):
+        # 42,250,000 mesh nodes would need about 25 GB
+        assert main(["perturbation", "--t", "20"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "42,250,000 nodes" in err
+
     @pytest.mark.parametrize("argv", [
         ["dynamics-deph", "--s", "50", "--tmax", "1", "--steps", "2"],
         ["nonmarkov", "--model", "deph", "--s", "50", "--tmax", "1", "--steps", "2"],

@@ -163,29 +163,44 @@ class TestDephasingExponent:
     def test_tabulated_knots_are_quadrature_breakpoints(self):
         # the 15 interior kinks of a piecewise-linear J stalled QUADPACK at an
         # error bound of 1.3e-6 until they became breakpoints
-        w = np.linspace(0.0, 8.0, 17)
-        j = Tabulated(w, w * np.exp(-0.5 * w))
         t = 31.5 / 8.0
-        g = dephasing_exponent(DephasingParams(j, 0.0), t)
-        with mpmath.workdps(20):
-            knots = [mpmath.mpf(x) for x in w]
-            vals = [mpmath.mpf(float(v)) for v in j.values]
-
-            def h(x):
-                i = min(int(2 * x), 15)
-                slope = (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
-                return 4 * (vals[i] + slope * (x - knots[i])) * (1 - mpmath.cos(x * t)) / x**2
-
-            edges = sorted(set(knots) | {mpmath.pi * k / t for k in range(1, 11)})
-            want = float(mpmath.quad(h, edges))
-        assert g == pytest.approx(want, rel=1e-14)
+        g = dephasing_exponent(DephasingParams(TABULATED, 0.0), t)
+        assert g == pytest.approx(_tabulated_reference(t), rel=1e-14)
         assert g == pytest.approx(7.931971567560654, rel=1e-14)
+
+    @pytest.mark.parametrize("phase", [250.0, 400.0])
+    def test_tabulated_knots_are_panel_edges(self, phase):
+        # past omega_max t = 64 pi; with the kinks inside half-period
+        # Gauss-Legendre panels the exponent was 7.3e-7 off at phase 250
+        t = phase / 8.0
+        g = dephasing_exponent(DephasingParams(TABULATED, 0.0), t)
+        assert g == pytest.approx(_tabulated_reference(t), rel=1e-14)
 
     def test_negative_time_and_temperature_rejected(self, ohmic1):
         with pytest.raises(ValueError):
             dephasing_exponent(ohmic1, -0.1)
         with pytest.raises(ValueError):
             DephasingParams(Ohmic(1.0, 1.0, 1.0), -0.5)
+
+
+_KNOTS = np.linspace(0.0, 8.0, 17)
+TABULATED = Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS))
+
+
+def _tabulated_reference(t):
+    """mpmath T = 0 exponent of ``TABULATED``, split at its knots and the half-periods."""
+    with mpmath.workdps(20):
+        knots = [mpmath.mpf(x) for x in _KNOTS]
+        vals = [mpmath.mpf(float(v)) for v in TABULATED.values]
+
+        def h(x):
+            i = min(int(2 * x), 15)
+            slope = (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
+            return 4 * (vals[i] + slope * (x - knots[i])) * (1 - mpmath.cos(x * t)) / x**2
+
+        n_half = int(knots[-1] * t / mpmath.pi)
+        edges = sorted(set(knots) | {mpmath.pi * k / t for k in range(1, n_half + 1)})
+        return float(mpmath.quad(h, edges))
 
 
 def _mpmath_closed_form(eta, s, u):
@@ -446,7 +461,7 @@ class TestPostselectedStateDeph:
 
 class TestSeriesAndSuddenDeath:
     def test_exponent_series_invariants(self, ohmic1):
-        grid = TimeGrid(0.0, 0.25, 9)
+        grid = TimeGrid(0.25, 9)
         gamma = dephasing_exponent_series(ohmic1, grid)
         assert isinstance(gamma, Series) and gamma.source == "dephasing_exponent"
         assert gamma.values.dtype == float
@@ -462,7 +477,7 @@ class TestSeriesAndSuddenDeath:
         monkeypatch.setattr(dephasing, "dephasing_exponent",
                             lambda params, t: bad if t == 0.5 else exponent(params, t))
         with pytest.raises(NumericError, match="dephasing_exponent series leaves .* t = 0.5"):
-            dephasing_exponent_series(ohmic1, TimeGrid(0.0, 0.25, 4))
+            dephasing_exponent_series(ohmic1, TimeGrid(0.25, 4))
 
     def test_sudden_death_time_root(self, ohmic1):
         # phi = (1+t^2)^{-2/3} passes through 4/9 where sqrt(phi) = 2/3:
@@ -493,9 +508,9 @@ class TestSeriesAndSuddenDeath:
 # whose early points take the full-integrand QUADPACK route; each grid has
 # inline points on either side of the panel switch and pooled points
 POOL_CASES = {
-    "fig4c": (DephasingParams(Ohmic(ETA, 4.0, 1.0), 0.0), TimeGrid(0.0, 0.2, 1001)),
-    "s1.7-T0.4": (DephasingParams(Ohmic(ETA, 1.7, 1.0), 0.4), TimeGrid(0.0, 0.5, 201)),
-    "gaussian": (DephasingParams(GaussianPeak(1.5, 0.2), 0.0), TimeGrid(0.0, 6.0, 131)),
+    "fig4c": (DephasingParams(Ohmic(ETA, 4.0, 1.0), 0.0), TimeGrid(0.2, 1001)),
+    "s1.7-T0.4": (DephasingParams(Ohmic(ETA, 1.7, 1.0), 0.4), TimeGrid(0.5, 201)),
+    "gaussian": (DephasingParams(GaussianPeak(1.5, 0.2), 0.0), TimeGrid(6.0, 131)),
 }
 
 
@@ -576,7 +591,7 @@ class TestPanelPool:
             "from zenotraj.dephasing import DephasingParams, dephasing_exponent_series\n"
             "from zenotraj.numerics import TimeGrid\n"
             "params = DephasingParams(Ohmic(1 / 3, 4.0, 1.0), 0.0)\n"
-            "grid = TimeGrid(0.0, 20.0, 11)\n"
+            "grid = TimeGrid(20.0, 11)\n"
             "gamma = lambda: dephasing_exponent_series(params, grid).values.tobytes()\n"
             "first = gamma()\n"
             "pid = os.fork()\n"
@@ -627,11 +642,12 @@ def _assert_same_bytes(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _panel_edges(omega_max, t):
-    """The half-period panel edges of ``dephasing_exponent`` past the switch."""
+def _panel_edges(omega_max, t, knots=()):
+    """The panel edges of ``dephasing_exponent`` past the switch: half-periods and J's knots."""
     half_period = np.pi / t
     n_half = int(np.floor(omega_max / half_period - 1e-12))
-    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
+    edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
+    return np.union1d(edges, knots) if knots else edges
 
 
 def _panel_nodes(omega_max, t):
@@ -727,7 +743,7 @@ class TestInPlaceIntegrand:
     def test_panel_sum_is_the_oracle_sum(self, family, temperature):
         j = J_FAMILIES[family]
         t = 130.0
-        edges = _panel_edges(j.omega_max, t)
+        edges = _panel_edges(j.omega_max, t, j.breakpoints)
         x, weights = numerics._legendre_rule(numerics._GL_ORDER)
         nodes = dephasing_oracle.gauss_legendre_nodes(edges, x)
         vals = dephasing_oracle.thermal_integrand(j, t, temperature, nodes.ravel())

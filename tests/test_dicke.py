@@ -227,7 +227,7 @@ class TestGenerator:
 
     def test_single_site_amplitude_damping(self):
         rates = CollectiveRateMatrix.from_factor(1, 0.0, 1.0)
-        grid = TimeGrid(0.0, 1e-3, 1001)
+        grid = TimeGrid(1e-3, 1001)
         states = evolve_collective(rates, superposed_initial_state(1), grid)
         p = excited_population_numeric(states, 1, 0)
         assert np.max(np.abs(p - np.exp(-grid.times))) < 1e-9
@@ -237,10 +237,10 @@ class TestGenerator:
         # real axis up to gamma0*dt = 2.7853
         rates = CollectiveRateMatrix.from_factor(3, 0.99, 2.0)
         rho0 = superposed_initial_state(3)
-        states = evolve_collective(rates, rho0, TimeGrid(0.0, 1.39, 4))
+        states = evolve_collective(rates, rho0, TimeGrid(1.39, 4))
         assert np.all(np.abs(states) <= 1.0)
         with pytest.raises(NumericError, match="stability limit"):
-            evolve_collective(rates, rho0, TimeGrid(0.0, 1.40, 4))
+            evolve_collective(rates, rho0, TimeGrid(1.40, 4))
 
 
 class TestExcitedPopulation:
@@ -309,7 +309,7 @@ class TestCrossOracle:
         # collective factor 1/6, RK4 dt = 1e-3/Gamma0, both phase patterns
         qd = qd_for_collective_factor(1.0 / 6.0)
         rates = rates_from_geometry(Geometry.equal_distance(3, qd, 1.0), 1.0)
-        grid = TimeGrid(0.0, 1e-3, 2001)
+        grid = TimeGrid(1e-3, 2001)
         states = evolve_collective(rates, superposed_initial_state(3), grid)
         for n in (0, 1):
             num = excited_population_numeric(states, 3, n)
@@ -320,7 +320,7 @@ class TestCrossOracle:
     def test_numeric_matches_analytic_tetrahedron(self):
         qd = qd_for_collective_factor(1.0 / 6.0)
         rates = rates_from_geometry(Geometry.equal_distance(4, qd, 1.0), 1.0)
-        grid = TimeGrid(0.0, 1e-3, 1001)
+        grid = TimeGrid(1e-3, 1001)
         states = evolve_collective(rates, superposed_initial_state(4), grid)
         for n in (0, 1):
             num = excited_population_numeric(states, 4, n)
@@ -329,14 +329,14 @@ class TestCrossOracle:
 
     def test_states_stay_physical(self):
         rates = CollectiveRateMatrix.from_factor(3, 1.0 / 6.0, 1.0)
-        grid = TimeGrid(0.0, 1e-3, 1001)
+        grid = TimeGrid(1e-3, 1001)
         states = evolve_collective(rates, superposed_initial_state(3), grid)
         for k in range(0, 1001, 200):
             validate_control_state(states[k], psd_tol=1e-8)
 
     def test_null_postselection_raises(self):
         rates = CollectiveRateMatrix.from_factor(4, 1.0 / 6.0, 1.0)
-        grid = TimeGrid(0.0, 1e-3, 3)
+        grid = TimeGrid(1e-3, 3)
         states = evolve_collective(rates, superposed_initial_state(4), grid)
         with pytest.raises(NullOutcome):
             excited_population_numeric(states, 4, 2)
@@ -344,6 +344,6 @@ class TestCrossOracle:
     def test_dimension_mismatch_rejected(self):
         rates = CollectiveRateMatrix.from_factor(3, 0.5, 1.0)
         with pytest.raises(ValueError):
-            evolve_collective(rates, superposed_initial_state(2), TimeGrid(0.0, 0.1, 3))
+            evolve_collective(rates, superposed_initial_state(2), TimeGrid(0.1, 3))
         with pytest.raises(ValueError):
             excited_population_numeric(np.eye(6, dtype=complex) / 6.0, 2, 0)

@@ -53,7 +53,7 @@ class TestMemoryKernel:
             seen.append(t)
             return 2.0 * t
 
-        grid = TimeGrid(0.0, 0.1, 5)
+        grid = TimeGrid(0.1, 5)
         samples = MemoryKernel(f, "test").samples(grid)
         assert seen == list(grid.times) and all(np.ndim(t) == 0 for t in seen)
         assert samples.dtype == complex
@@ -181,14 +181,14 @@ class TestDecayAmplitude:
         # gamma0 = lam -> G(t) = e^{-lam t/2} (cos(lam t/2) + sin(lam t/2)),
         # so G(pi) = e^{-pi/2}.  Drive the solver with the closed full-line
         # kernel so only the Volterra discretisation error remains.
-        grid = TimeGrid(0.0, np.pi / 1000, 1001)
+        grid = TimeGrid(np.pi / 1000, 1001)
         G = solve_volterra(lorentzian_kernel_closed(1.0, 1.0).samples(grid), grid)
         target = np.exp(-np.pi / 2)
         assert target == pytest.approx(0.20787957635076193, abs=1e-16)
         assert abs(G[-1] - target) < 1e-5
 
     def test_closed_series_matches_volterra_on_grid(self):
-        grid = TimeGrid(0.0, np.pi / 1000, 1001)
+        grid = TimeGrid(np.pi / 1000, 1001)
         G_num = solve_volterra(lorentzian_kernel_closed(1.0, 1.0).samples(grid), grid)
         G_cl = decay_amplitude_closed_series(1.0, 1.0, grid)
         assert np.max(np.abs(G_num - G_cl.values)) < 1e-5
@@ -204,7 +204,7 @@ class TestDecayAmplitude:
         assert np.min(np.abs(g_over)) > 0.0
 
     def test_closed_form_start_is_exactly_one(self):
-        grid = TimeGrid(0.0, 0.1, 11)
+        grid = TimeGrid(0.1, 11)
         G = decay_amplitude_closed_series(0.7, 0.3, grid)
         assert isinstance(G, Series) and G.values.dtype == complex
         assert G.values[0] == 1.0 + 0.0j
@@ -215,7 +215,7 @@ class TestDecayAmplitude:
         # max relative deviation 3.2e-6 for this configuration.
         wq = 50.0
         j = Lorentzian(1.0, 1.0, wq)
-        grid = TimeGrid(0.0, np.pi / 200, 201)
+        grid = TimeGrid(np.pi / 200, 201)
         G_auto = decay_amplitude_auto(j, wq, grid)
         G_vol = decay_amplitude(j, wq, grid)
         rel = np.max(np.abs(G_auto.values - G_vol.values)) / np.max(np.abs(G_vol.values))
@@ -224,12 +224,12 @@ class TestDecayAmplitude:
 
     def test_auto_falls_back_to_volterra_when_line_is_broad(self):
         j = Lorentzian(1.0, 0.5, 1.0)  # lam = 0.5 * omega_q
-        grid = TimeGrid(0.0, 0.05, 41)
+        grid = TimeGrid(0.05, 41)
         G = decay_amplitude_auto(j, 1.0, grid)
         assert G.source == "volterra"
 
     def test_volterra_route_starts_at_exactly_one(self):
-        grid = TimeGrid(0.0, 0.05, 5)
+        grid = TimeGrid(0.05, 5)
         G = decay_amplitude(Lorentzian(1.0, 0.5, 1.0), 1.0, grid)
         assert G.source == "volterra" and G.values.dtype == complex
         assert G.values[0] == 1.0 + 0.0j
@@ -406,7 +406,7 @@ class TestChoiAndDivisibility:
         assert min_eigenvalue_hermitian(choi_intermediate_map(1.0, 1.01, 3, 1)) < -1e-4
 
     def test_markovian_lorentzian_is_divisible(self):
-        grid = TimeGrid(0.0, 0.01, 1001)
+        grid = TimeGrid(0.01, 1001)
         g = decay_amplitude_closed_series(1.0, 4.0, grid)
         ok, t = is_cp_divisible(g)
         assert ok and t is None
@@ -420,7 +420,7 @@ class TestChoiAndDivisibility:
         d = abs(np.sqrt(complex(lam**2 - 2 * lam)))
         t_zero = brentq(lambda t: np.cos(d * t / 2) + (lam / d) * np.sin(d * t / 2), 7.5, 9.0)
         assert t_zero == pytest.approx(8.242034311692073, abs=1e-10)
-        grid = TimeGrid(0.0, 0.01, 6001)
+        grid = TimeGrid(0.01, 6001)
         g = decay_amplitude_closed_series(1.0, lam, grid)
         ok, t_viol = is_cp_divisible(g)
         assert not ok
@@ -428,7 +428,7 @@ class TestChoiAndDivisibility:
         assert 0.0 < t_viol - t_zero < 0.011
 
     def test_choi_route_agrees_with_derivative_route(self):
-        grid = TimeGrid(0.0, 0.02, 1501)
+        grid = TimeGrid(0.02, 1501)
         g = decay_amplitude_closed_series(1.0, 0.1, grid)
         g2 = np.abs(g.values) ** 2
         tol = 1e-9 * g2.max()
@@ -441,7 +441,7 @@ class TestChoiAndDivisibility:
             assert t_viol == t_d
 
     def test_choi_route_markovian(self):
-        grid = TimeGrid(0.0, 0.01, 801)
+        grid = TimeGrid(0.01, 801)
         g = decay_amplitude_closed_series(1.0, 4.0, grid)
         ok, t_viol, ok_arr = cp_divisible_choi(g, 3, 1)
         assert ok and t_viol is None and bool(np.all(ok_arr))

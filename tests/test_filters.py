@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import sici
 
+from zenotraj.cli import _SCENARIO_DEFAULTS
 from zenotraj.core import GaussianPeak, Lorentzian, Ohmic, Tabulated
 from zenotraj.errors import NumericError
 from zenotraj.filters import (
@@ -88,11 +89,22 @@ class TestFilterShapes:
             vals = filter_diss(w, 4.0, N, n, 1.0)
             assert w[np.argmax(vals)] == pytest.approx(1.0, abs=1e-12)
 
+    def test_spec_kinds_are_the_cli_kinds(self):
+        w = np.linspace(-5.0, 7.0, 41)
+        direct = {"diss": filter_diss(w, 5.0, 3, 1, 1.0), "deph": filter_deph(w, 5.0, 3, 1),
+                  "traditional": filter_traditional_zeno(w, 5.0, 4.0, 1.0)}
+        assert tuple(direct) == _SCENARIO_DEFAULTS["filter"]["kind"]
+        for kind, want in direct.items():
+            got = FilterSpec(kind, 5.0, 1.0, 3, 1, 4.0).evaluate(w)
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="unknown filter kind"):
+            FilterSpec("diss_superposed", 5.0)
+
     def test_null_configuration_rejected(self):
         with pytest.raises(ValueError):
             filter_diss(1.0, 1.0, 4, 2, 1.0)
         with pytest.raises(ValueError):
-            FilterSpec("deph_superposed", 1.0, 0.0, 6, 3)
+            FilterSpec("deph", 1.0, 0.0, 6, 3)
         with pytest.raises(ValueError):
             filter_traditional_zeno(1.0, 1.0, 0.5, 1.0)
 
@@ -100,12 +112,12 @@ class TestFilterShapes:
 class TestOverlap:
     def test_zero_density(self):
         j = Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-        spec = FilterSpec("diss_superposed", 2.0, 1.0, 1, 0)
+        spec = FilterSpec("diss", 2.0, 1.0, 1, 0)
         assert decay_factor_overlap(j, spec) == 0.0
 
     def test_gaussian_peak_against_simpson(self):
         j = GaussianPeak(1.5, 0.2)
-        spec = FilterSpec("diss_superposed", 3.0, 1.0, 1, 0)
+        spec = FilterSpec("diss", 3.0, 1.0, 1, 0)
         val = decay_factor_overlap(j, spec)
         w = np.linspace(0.0, j.omega_max, 1_000_001)
         oracle = simpson(j(w) * filter_diss(w, 3.0, 1, 0, 1.0), x=w)
@@ -117,7 +129,7 @@ class TestOverlap:
         # until they became breakpoints
         knots = np.linspace(0.0, 8.0, 5)
         j = Tabulated(knots, knots * np.exp(-0.5 * knots))
-        val = decay_factor_overlap(j, FilterSpec("diss_superposed", 2.0, 1.5, 3, 1))
+        val = decay_factor_overlap(j, FilterSpec("diss", 2.0, 1.5, 3, 1))
         w = np.linspace(0.0, 8.0, 1_000_001)
         oracle = simpson(j(w) * filter_diss(w, 2.0, 3, 1, 1.5), x=w)
         assert val == pytest.approx(oracle, rel=1e-8)
@@ -125,22 +137,22 @@ class TestOverlap:
 
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
         j = GaussianPeak(1.5, 0.2)
-        base = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, 1, 0))
+        base = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, 1, 0))
         for N in (2, 4, 8, 16):
-            v = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, N, 0))
+            v = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, N, 0))
             assert v == base / N  # exact: same subdivision, power-of-two prefactor
 
     def test_one_over_n_scaling_general(self):
         j = GaussianPeak(1.5, 0.2)
-        base = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, 1, 0))
+        base = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, 1, 0))
         for N, n in [(3, 0), (5, 0), (3, 1), (7, 2)]:
-            v = decay_factor_overlap(j, FilterSpec("diss_superposed", 3.0, 1.0, N, n))
+            v = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, N, n))
             pref = N / (N - 2 * n) ** 2
             assert v == pytest.approx(pref * base, rel=1e-12)
 
     def test_nonnegative_for_deph_kind(self):
         j = Ohmic(0.5, 1.0, 1.0)
-        spec = FilterSpec("deph_superposed", 2.0, 0.0, 3, 1)
+        spec = FilterSpec("deph", 2.0, 0.0, 3, 1)
         assert decay_factor_overlap(j, spec) > 0.0
 
     def test_sum_rule_traditional_filter(self):

@@ -44,6 +44,13 @@ GOLDEN = (
     (["filter", "--spectral", "ohmic"],
      "3811518d8044497a7dfbea79dde875dc53e4907a77b23a4e52b3f280147c3c01",
      "7251c83c3cae9489fd2a5dc07f2035e1e0bf1d41d8dbd12e07d444667367dd97"),
+    # the other two filter kinds of the single-filter table
+    (["filter", "--kind", "deph"],
+     "b3be14718b99cfc85b64606b1b0915c4704ff29437ca1bc147ad52e356514176",
+     "0b7fc1885abc5c4d0f41db566b1c453254a9b969d4d2c58ffb1c4b9e2497635a"),
+    (["filter", "--kind", "traditional", "--n-tilde", "4"],
+     "fa9e1f0001b7bd0c4036d6e474d21e6ce9e0e4f7b905aee2dcd1a6bad4d05b2c",
+     "709ef2922f292363d7eec3bb921594b5dfd382f90e567527dea23d57000c8107"),
     (["dicke", "--numeric"],
      "0e87060a0552beec016bb8601fc4b494146b55212ebc327fb886f0b6bfa114bb",
      "c0683d7268f245f81408bf67fb301e99ff09c94ec0f001f345a1ca7a98e21761"),
@@ -164,11 +171,11 @@ EXPONENT_PINS = (
 # FilterSpec(kind, t=2, omega_q=1.5, N=3, n=1): the deph filter has no
 # breakpoint, the diss filter one at omega_q; the table adds its knots
 OVERLAP_PINS = (
-    ("gaussian", "deph_superposed", "0x1.b5012f52fb05ap-6"),
-    ("gaussian", "diss_superposed", "0x1.6d06e8636510ap-3"),
-    ("lorentzian", "deph_superposed", "0x1.6e58491e5780ap-3"),
-    ("lorentzian", "diss_superposed", "0x1.79c9d239b11d5p+0"),
-    ("tabulated", "diss_superposed", "0x1.fd741a2685b0fp+3"),
+    ("gaussian", "deph", "0x1.b5012f52fb05ap-6"),
+    ("gaussian", "diss", "0x1.6d06e8636510ap-3"),
+    ("lorentzian", "deph", "0x1.6e58491e5780ap-3"),
+    ("lorentzian", "diss", "0x1.79c9d239b11d5p+0"),
+    ("tabulated", "diss", "0x1.fd741a2685b0fp+3"),
 )
 
 

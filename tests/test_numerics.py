@@ -21,14 +21,18 @@ from zenotraj.numerics import (
 
 class TestTimeGrid:
     def test_times_are_uniform_and_increasing(self):
-        g = TimeGrid(0.0, 0.5, 5)
+        g = TimeGrid(0.5, 5)
         assert_allclose(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    def test_starts_at_zero_with_exact_multiples_of_the_step(self):
+        g = TimeGrid(0.1, 4)
+        assert g.times.tolist() == [0.1 * k for k in range(4)]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            TimeGrid(0.0, -0.1, 5)
+            TimeGrid(-0.1, 5)
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 0.1, 1)
+            TimeGrid(0.1, 1)
 
 
 class TestIntegrateAdaptive:
@@ -68,22 +72,22 @@ class TestIntegrateAdaptive:
 
 class TestSolveVolterra:
     def test_zero_kernel_keeps_initial_value(self):
-        g = TimeGrid(0.0, 0.01, 101)
-        c = solve_volterra(np.zeros(101), g, c0=0.3 + 0.1j)
-        assert_allclose(c, np.full(101, 0.3 + 0.1j), rtol=0, atol=0)
+        g = TimeGrid(0.01, 101)
+        c = solve_volterra(np.zeros(101), g)
+        assert_allclose(c, np.full(101, 1.0 + 0.0j), rtol=0, atol=0)
 
     def test_constant_kernel_gives_cosine(self):
         """f ≡ κ turns the memory equation into c'' = -κc, so c = cos(√κ t)."""
-        g = TimeGrid(0.0, 1e-3, 1001)
-        c = solve_volterra(np.ones(g.count), g, 1.0)
+        g = TimeGrid(1e-3, 1001)
+        c = solve_volterra(np.ones(g.count), g)
         assert_allclose(c[-1].real, np.cos(1.0), rtol=0, atol=1e-5)
         assert_allclose(c.imag, 0.0, atol=1e-12)
 
     def test_exponential_kernel_matches_closed_form(self):
         """Kernel (γ₀λ/2)e^{-λt} with γ₀=λ=1 at t=π: c = e^{-t/2}[cos(t/2)+sin(t/2)]."""
         n = 3143
-        g = TimeGrid(0.0, np.pi / (n - 1), n)
-        c = solve_volterra(0.5 * np.exp(-g.times), g, 1.0)
+        g = TimeGrid(np.pi / (n - 1), n)
+        c = solve_volterra(0.5 * np.exp(-g.times), g)
         assert_allclose(abs(c[-1]), np.exp(-np.pi / 2), rtol=0, atol=1e-5)
 
     def test_second_order_convergence(self):
@@ -91,44 +95,40 @@ class TestSolveVolterra:
         errs = []
         for dt in (2e-3, 1e-3):
             n = round(1.0 / dt) + 1
-            g = TimeGrid(0.0, dt, n)
-            c = solve_volterra(np.ones(n), g, 1.0)
+            g = TimeGrid(dt, n)
+            c = solve_volterra(np.ones(n), g)
             errs.append(np.max(np.abs(c - np.cos(g.times))))
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
     def test_initial_value_is_exact(self):
-        g = TimeGrid(0.0, 0.1, 8)
-        c = solve_volterra(np.exp(-g.times), g, 1.0)
+        g = TimeGrid(0.1, 8)
+        c = solve_volterra(np.exp(-g.times), g)
         assert c[0] == 1.0 + 0.0j
 
     @pytest.mark.parametrize("count", [7, 9])
     def test_sample_count_must_match_the_grid(self, count):
         with pytest.raises(ValueError, match="do not match grid count 8"):
-            solve_volterra(np.ones(count), TimeGrid(0.0, 0.1, 8), 1.0)
-
-    def test_requires_grid_from_zero(self):
-        with pytest.raises(ValueError):
-            solve_volterra(np.ones(4), TimeGrid(1.0, 0.1, 4), 1.0)
+            solve_volterra(np.ones(count), TimeGrid(0.1, 8))
 
 
 class TestSeries:
     def test_values_keep_their_dtype_and_match_the_grid(self):
-        grid = TimeGrid(0.0, 0.1, 4)
+        grid = TimeGrid(0.1, 4)
         assert Series(grid, np.zeros(4), "real").values.dtype == float
         assert Series(grid, np.zeros(4, dtype=complex), "complex").values.dtype == complex
         with pytest.raises(ValueError, match="does not match grid count 4"):
             Series(grid, np.zeros(3), "short")
 
     def test_check_bounds_the_modulus_of_complex_values(self):
-        grid = TimeGrid(0.0, 0.1, 3)
+        grid = TimeGrid(0.1, 3)
         g = Series(grid, np.array([1.0, 0.6 + 0.8j, -0.5j]), "g")
         assert g.check(0.0, 1.0) is g
         with pytest.raises(NumericError, match=r"g series leaves \[0.0, 0.9\] at t = 0.0"):
             g.check(0.0, 0.9)
 
     def test_check_bounds_real_values_themselves(self):
-        grid = TimeGrid(0.0, 0.5, 3)
+        grid = TimeGrid(0.5, 3)
         gamma = Series(grid, np.array([0.0, 2.0, -1e-300]), "gamma")
         with pytest.raises(NumericError,
                            match=r"gamma series leaves \[0.0, inf\] at t = 1.0: -1e-300"):
@@ -139,19 +139,19 @@ class TestSeries:
     def test_check_refuses_non_finite_values(self, bad):
         values = np.array([0.0, bad, 0.5])
         with pytest.raises(NumericError, match="at t = 0.1"):
-            Series(TimeGrid(0.0, 0.1, 3), values, "x").check(-np.inf, np.inf)
+            Series(TimeGrid(0.1, 3), values, "x").check(-np.inf, np.inf)
 
 
 class TestIntegrateMatrixOde:
     def test_zero_rhs_constant_series(self):
-        g = TimeGrid(0.0, 0.1, 6)
+        g = TimeGrid(0.1, 6)
         rho0 = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
         out = integrate_matrix_ode(lambda r: np.zeros_like(r), rho0, g)
         for k in range(6):
             assert_allclose(out[k], rho0, rtol=0, atol=0)
 
     def test_scalar_decay(self):
-        g = TimeGrid(0.0, 1e-3, 1001)
+        g = TimeGrid(1e-3, 1001)
         out = integrate_matrix_ode(lambda r: -r, np.eye(2, dtype=complex), g)
         assert_allclose(out[-1], np.exp(-1.0) * np.eye(2), rtol=0, atol=1e-10)
 
@@ -164,13 +164,13 @@ class TestIntegrateMatrixOde:
         def rhs(rho):
             return sm @ rho @ sp - 0.5 * (pe @ rho + rho @ pe)
 
-        g = TimeGrid(0.0, 1e-3, 1001)
+        g = TimeGrid(1e-3, 1001)
         rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         out = integrate_matrix_ode(rhs, rho0, g)
         assert_allclose(out[:, 0, 0].real, np.exp(-g.times), rtol=0, atol=1e-9)
 
     def test_dimension_mismatch_rejected(self):
-        g = TimeGrid(0.0, 0.1, 3)
+        g = TimeGrid(0.1, 3)
         with pytest.raises(ValueError):
             integrate_matrix_ode(lambda r: r, np.zeros((2, 3)), g)
         with pytest.raises(ValueError):

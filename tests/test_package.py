@@ -1,6 +1,8 @@
 """Package surface: every exported name resolves and is declared once."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -50,3 +52,29 @@ def test_test_only_names_are_not_exported(name):
 
 def test_rate_matrix_has_only_the_factor_constructor():
     assert not hasattr(zenotraj.CollectiveRateMatrix, "from_geometry")
+
+
+def _defaulted(fn):
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except (TypeError, ValueError):
+        return 0
+    return sum(p.default is not inspect.Parameter.empty for p in params)
+
+
+def _settable(obj):
+    """Dataclass fields (or defaulted constructor parameters) plus the
+    defaulted parameters of the public methods; for a function, its own."""
+    if not inspect.isclass(obj):
+        return _defaulted(obj)
+    own = (len(dataclasses.fields(obj)) if dataclasses.is_dataclass(obj)
+           else _defaulted(obj.__init__))
+    methods = (getattr(obj, name) for name in vars(obj) if not name.startswith("_"))
+    return own + sum(_defaulted(m) for m in methods if inspect.isroutine(m))
+
+
+def test_settable_values_of_the_public_callables_are_bounded():
+    counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
+              if callable(getattr(zenotraj, name))}
+    assert counts["TimeGrid"] == 2 and counts["QubitState"] == 2
+    assert sum(counts.values()) <= 54

@@ -19,7 +19,7 @@ from zenotraj.core import (
 )
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.dissipative import memory_kernel
-from zenotraj.errors import NullOutcome, QuadratureError
+from zenotraj.errors import NullOutcome, NumericError, QuadratureError
 from zenotraj.filters import FilterSpec, decay_factor_overlap, filter_diss, filter_deph
 from zenotraj.numerics import TimeGrid, solve_volterra
 from zenotraj.perturbation import (
@@ -167,7 +167,7 @@ class TestSecondOrderBlock:
         # The block is the exact eps^2 coefficient, so the deviation from the
         # full solution must fall by ~2^4 per halving of eps.
         omega_q, t = 1.0, 0.2
-        grid = TimeGrid(0.0, t / 800, 801)
+        grid = TimeGrid(t / 800, 801)
         errs = {}
         for eps in (0.4, 0.2, 0.1):
             j = LORENTZIAN.scaled(eps**2)
@@ -300,7 +300,7 @@ class TestGeneralDecayFactor:
         for n_paths, n_shifts in [(1, 0), (3, 1)]:
             got = general_decay_factor(model, QubitState.excited(), 0.4,
                                        InterferometerConfig(n_paths, n_shifts=n_shifts))
-            spec = FilterSpec("diss_superposed", t=0.4, omega_q=1.0,
+            spec = FilterSpec("diss", t=0.4, omega_q=1.0,
                               n_paths=n_paths, n_shifts=n_shifts)
             want = decay_factor_overlap(LORENTZIAN, spec)
             assert got == pytest.approx(want, rel=1e-6)
@@ -491,3 +491,23 @@ class TestRowBlockedContraction:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    # nu = omega_max + omega_q = 102: 100 panels (1,000,000 nodes) is the
+    # largest mesh admitted, 101 panels and t = 20 (650 panels) are refused
+    @pytest.mark.parametrize("t, nodes", [(100.5 * np.pi / 102.0, "1,020,100"),
+                                          (20.0, "42,250,000")])
+    @pytest.mark.parametrize("entry", ["general_filter", "second_order_block",
+                                       "general_decay_factor"])
+    def test_mesh_above_the_cap_is_refused_before_allocation(self, entry, t, nodes):
+        model, psi0, config = _ENGINE_CASES["diss"]
+        call = {"general_filter": lambda: general_filter(model, psi0, 1.0, t, config),
+                "second_order_block": lambda: second_order_block(model, psi0, 0, t),
+                "general_decay_factor": lambda: general_decay_factor(model, psi0, t, config)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match=f"needs {nodes} nodes, above the cap"):
+                call[entry]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
