@@ -64,8 +64,7 @@ def main():
     print(f"{'eps':>6s} {'rel mismatch':>14s} {'ratio':>7s}")
     previous = None
     for eps in (0.2, 0.1, 0.05):
-        gamma_exact, gamma_overlap = perturbative_consistency(
-            LORENTZIAN, 1.0, 0.2, 1, 0, eps, n_steps=200)
+        gamma_exact, gamma_overlap = perturbative_consistency(LORENTZIAN, 1.0, 0.2, 1, 0, eps)
         mismatch = abs(gamma_exact - gamma_overlap) / gamma_exact
         ratio = "" if previous is None else f"{previous / mismatch:7.2f}"
         print(f"{eps:>6.2f} {mismatch:>14.3e} {ratio:>7s}")

@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitState
+from .core import (GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitState,
+                   _check_path_range, _refuse_dark_port)
 from .dephasing import (
     DephasingParams,
+    _coherence_offset,
     dephasing_exponent,
     dephasing_exponent_series,
     modified_dephasing,
@@ -90,7 +92,7 @@ _COMMON_DEFAULTS = {"out": None, "format": "csv", "recipe": None}
 # allowed values, the first being the default; a None default is a float.
 _SCENARIO_DEFAULTS = {
     "filter": {
-        "kind": ("diss", "deph", "traditional"),
+        "kind": FilterSpec.KINDS,
         "spectral": ("gaussian", "lorentzian", "ohmic"),
         "omega_q": 1.0, "t": 5.0, "N": 1, "n": 0, "n_tilde": 1.0,
         "gamma0": 1.0, "lam": 0.5, "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
@@ -149,9 +151,6 @@ _HELP = {
 
 _DEFAULT_SINC = 1.0 / 6.0
 
-# rounding slack of the contractivity bound |G| <= 1 on the dissipative routes
-_G_SLACK = 1e-9
-
 # largest a-priori RK4 error a dicke --numeric table may carry: for N <= 4
 # and s in [-0.2, 0.99] the pe_numeric error stays below 1.95 times the bound,
 # so an accepted column is within 1e-6 of the closed form
@@ -175,7 +174,6 @@ class ResultTable:
 
     columns: tuple
     values: np.ndarray  # shape (rows, len(columns)), real
-    units_note: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -266,31 +264,22 @@ def _load_config_file(path, scenario, declared):
     return out
 
 
-def _validate(scenario, params, recipe):
+def _validate(scenario, params):
+    """Check finiteness, the (N, n) profile, choices, bounds, then dicke's factor, in order."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    n_paths, n_shifts = params.get("N"), params.get("n")
-    if n_paths is not None:
-        if n_paths < 1:
-            raise ConfigError("N must be a positive integer")
-        if n_shifts is not None:
-            if not 0 <= n_shifts <= n_paths:
-                raise ConfigError("n must satisfy 0 <= n <= N")
-            if 2 * n_shifts == n_paths:
-                raise ConfigError(
-                    f"null post-selection: with n = N/2 (n={n_shifts}, N={n_paths}) the "
-                    "projected output port is dark and one obtains a null result")
+    if "N" in params:  # every subcommand with N takes n too
+        _check_path_range(params["N"], params["n"])
+        _refuse_dark_port(params["N"], params["n"])
     for key, allowed in _SCENARIO_DEFAULTS[scenario].items():
         if isinstance(allowed, tuple) and params[key] not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {params[key]!r}")
-    for key in ("gamma0", "lam", "eta", "omega_c", "t", "tmax", "delta"):
+    for key in ("gamma0", "lam", "eta", "omega_c", "t", "tmax", "delta", "s"):
         if params.get(key) is not None and params[key] <= 0:
             raise ConfigError(f"{key} must be > 0")
     if params.get("temperature") is not None and params["temperature"] < 0:
         raise ConfigError("temperature must be >= 0")
-    if params.get("s") is not None and params["s"] <= 0:
-        raise ConfigError("s must be > 0")
     if params.get("steps") is not None and params["steps"] < 1:
         raise ConfigError("steps must be >= 1")
     if params.get("omega_points") is not None and params["omega_points"] < 2:
@@ -300,13 +289,8 @@ def _validate(scenario, params, recipe):
     if scenario == "dicke":
         if params.get("sinc") is not None and params.get("qd") is not None:
             raise ConfigError("give either --sinc or --qd, not both")
-        if params.get("sinc") is not None and not SINC_MIN <= params["sinc"] <= 1.0:
-            raise ConfigError(f"sinc must lie in the reachable range [{SINC_MIN!r}, 1]")
-        # both routes need a physical (positive semidefinite) collective matrix
-        try:
-            CollectiveRateMatrix.check_factor(params["N"], _resolve_collective_factor(params))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # both routes need a reachable, positive semidefinite collective matrix
+        CollectiveRateMatrix.check_factor(params["N"], _resolve_collective_factor(params))
 
 
 def parse_config(argv=None):
@@ -342,7 +326,10 @@ def parse_config(argv=None):
                 raise ConfigError(
                     f"recipe '{recipe}' fixes {key}={value}; drop the recipe to vary it")
     out, fmt, recipe = resolved.pop("out"), resolved.pop("format"), resolved.pop("recipe")
-    _validate(scenario, resolved, recipe)
+    try:
+        _validate(scenario, resolved)
+    except ValueError as exc:  # a library refusal: the (N, n) profile or the collective factor
+        raise ConfigError(str(exc)) from exc
     return RunConfig(scenario=scenario, params=resolved, out=out, fmt=fmt, recipe=recipe)
 
 
@@ -355,9 +342,9 @@ def _spectral_density(params):
     return GaussianPeak(params["omega_m"], params["delta"])
 
 
-def _base_metadata(config, units_note):
+def _base_metadata(config, units):
     meta = {"tool": "zenotraj", "version": __version__,
-            "scenario": config.scenario, "units": units_note}
+            "scenario": config.scenario, "units": units}
     if config.recipe:
         meta["recipe"] = config.recipe
     for key in sorted(config.params):
@@ -370,11 +357,10 @@ def _base_metadata(config, units_note):
 def _run_filter(config):
     """filter functions on a frequency grid"""
     p = config.params
-    units = "omega_q = 1 sets the clock"
     omega_q, t = p["omega_q"], p["t"]
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
     j = _spectral_density(p)
-    meta = _base_metadata(config, units)
+    meta = _base_metadata(config, "omega_q = 1 sets the clock")
     meta["omega_q_t"] = omega_q * t  # resolved time choice, not a silent default
     if config.recipe == "fig2":
         cols = ["omega", "j", "f_N1", "f_N4", "f_N8",
@@ -382,10 +368,9 @@ def _run_filter(config):
         series = [filter_diss(grid, t, N, 0, omega_q) for N in (1, 4, 8)]
         series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
         values = np.column_stack([grid, j(grid)] + series)
-        return ResultTable(cols, values, units, meta)
+        return ResultTable(cols, values, meta)
     vals = FilterSpec(p["kind"], t, omega_q, p["N"], p["n"], p["n_tilde"]).evaluate(grid)
-    return ResultTable(["omega", "j", "f"],
-                       np.column_stack([grid, j(grid), vals]), units, meta)
+    return ResultTable(["omega", "j", "f"], np.column_stack([grid, j(grid), vals]), meta)
 
 
 def _time_grid(p):
@@ -394,9 +379,9 @@ def _time_grid(p):
 
 
 def _dissipation(p, grid):
-    """G of the Lorentzian line on the grid, checked against |G| <= 1."""
+    """G of the Lorentzian line on the grid, checked against |G| <= 1 by the library."""
     j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-    return decay_amplitude_auto(j, p["omega_q"], grid).check(0.0, 1.0 + _G_SLACK)
+    return decay_amplitude_auto(j, p["omega_q"], grid)
 
 
 def _dephasing(p, grid):
@@ -408,32 +393,28 @@ def _dephasing(p, grid):
 def _run_dynamics_diss(config):
     """post-selected amplitude-damping dynamics"""
     p = config.params
-    units = "omega_q = 1 sets the clock"
     grid = _time_grid(p)
     g = _dissipation(p, grid)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
     gamma = decay_factor(survival)
     d_pair = trace_distance_diss(g.values, n_paths, n_shifts)
-    meta = _base_metadata(config, units)
+    meta = _base_metadata(config, "omega_q = 1 sets the clock")
     meta["g_route"] = g.source
     values = np.column_stack([grid.times, np.abs(g.values), survival, gamma, d_pair])
-    return ResultTable(["t", "g_abs", "p_survival", "gamma_decay", "d_pair"],
-                       values, units, meta)
+    return ResultTable(["t", "g_abs", "p_survival", "gamma_decay", "d_pair"], values, meta)
 
 
 def _run_dynamics_deph(config):
     """post-selected dephasing dynamics"""
     p = config.params
-    units = "omega_c = 1 sets the clock"
     grid = _time_grid(p)
     _, gamma = _dephasing(p, grid)
     phi = single_path_factor(gamma)
     phi_mod = modified_dephasing(phi, p["N"], p["n"])
-    meta = _base_metadata(config, units)
+    meta = _base_metadata(config, "omega_c = 1 sets the clock")
     values = np.column_stack([grid.times, gamma, phi, phi_mod, np.abs(phi_mod)])
-    return ResultTable(["t", "gamma_exponent", "phi", "phi_modified", "d_pair"],
-                       values, units, meta)
+    return ResultTable(["t", "gamma_exponent", "phi", "phi_modified", "d_pair"], values, meta)
 
 
 def _resolve_collective_factor(p):
@@ -461,10 +442,9 @@ def _rk4_error_bound(gamma0, grid):
 def _run_dicke(config):
     """collective-emission populations"""
     p = config.params
-    units = "gamma0 sets the clock; omega_q = 1 units"
     gamma0, s = p["gamma0"], _resolve_collective_factor(p)
     times = np.linspace(0.0, p["tmax"] / gamma0, p["steps"] + 1)
-    meta = _base_metadata(config, units)
+    meta = _base_metadata(config, "gamma0 sets the clock; omega_q = 1 units")
     meta["collective_factor"] = s
     x_axis = gamma0 * times
     if config.recipe == "fig3":
@@ -477,7 +457,7 @@ def _run_dicke(config):
         ])
         cols = ["gamma0_t", "pe_N3_n0", "pe_N3_n1",
                 "exp_gamma_plus", "exp_gamma_minus", "exp_gamma0"]
-        return ResultTable(cols, values, units, meta)
+        return ResultTable(cols, values, meta)
     pe = excited_population_analytic(times, p["N"], p["n"], gamma0, s)
     cols = ["gamma0_t", "pe_analytic"]
     series = [x_axis, pe]
@@ -492,7 +472,7 @@ def _run_dicke(config):
                 f"{_RK4_ERROR_TOL:g}; use more steps")
         series.append(excited_population_numeric(states, p["N"], p["n"]))
         cols.append("pe_numeric")
-    return ResultTable(cols, np.column_stack(series), units, meta)
+    return ResultTable(cols, np.column_stack(series), meta)
 
 
 def _run_nonmarkov(config):
@@ -517,13 +497,13 @@ def _run_nonmarkov(config):
         landmarks = _deph_landmarks(params, phi, grid)
     meta = {**_base_metadata(config, units), **landmarks}
     values = np.column_stack([grid.times] + columns)
-    return ResultTable(["t", "d_N1_n0", "d_N3_n0", "d_N3_n1"], values, units, meta)
+    return ResultTable(["t", "d_N1_n0", "d_N3_n0", "d_N3_n1"], values, meta)
 
 
 def _deph_landmarks(params, phi, grid):
     """Sudden-death root (if crossed) and trapping-plateau diagnostics of the phi series."""
     meta = {}
-    c = (3 - 1) - (4.0 * 1 / 3) * (3 - 1)  # (N, n) = (3, 1)
+    c = _coherence_offset(3, 1)
     crossing = np.sqrt(phi) + c
     sign_change = np.nonzero(np.diff(np.sign(crossing)) != 0)[0]
     if sign_change.size:
@@ -543,7 +523,6 @@ def _deph_landmarks(params, phi, grid):
 def _run_perturbation(config):
     """general engine vs closed-form filter"""
     p = config.params
-    units = "omega_q = 1 sets the clock"
     j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
     model = dissipative_coupling_model(j, omega_q=p["omega_q"])
     profile = InterferometerConfig(p["N"], n_shifts=p["n"])
@@ -551,14 +530,14 @@ def _run_perturbation(config):
     t = p["t"]
     general = general_filter(model, QubitState.excited(), grid, t, profile)
     closed = filter_diss(grid, t, p["N"], p["n"], p["omega_q"])
-    meta = _base_metadata(config, units)
+    meta = _base_metadata(config, "omega_q = 1 sets the clock")
     spec = FilterSpec("diss", t=t, omega_q=p["omega_q"], n_paths=p["N"], n_shifts=p["n"])
     meta["decay_factor_overlap"] = decay_factor_overlap(j, spec)
     nonzero = np.abs(closed) > 1e-300
     meta["max_rel_deviation"] = float(np.max(
         np.abs(general[nonzero] - closed[nonzero]) / np.abs(closed[nonzero])))
     values = np.column_stack([grid, general, closed])
-    return ResultTable(["omega", "f_general", "f_closed_form"], values, units, meta)
+    return ResultTable(["omega", "f_general", "f_closed_form"], values, meta)
 
 
 _RUNNERS = {
@@ -632,10 +611,6 @@ def emit(table, fmt="csv", path=None):
 def main(argv=None):
     try:
         config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"zenotraj: configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         table = run(config)
         text = emit(table, config.fmt, config.out)
     except ConfigError as exc:

@@ -212,19 +212,35 @@ class Tabulated(SpectralDensity):
 # interferometer configuration and phase algebra
 # ---------------------------------------------------------------------------
 
+def _check_path_range(n_paths, n_shifts):
+    """ValueError unless N >= 1 paths and 0 <= n <= N of them are shifted."""
+    if n_paths < 1:
+        raise ValueError(f"N must be a positive integer, got N={n_paths}")
+    if not 0 <= n_shifts <= n_paths:
+        raise ValueError(f"n must satisfy 0 <= n <= N, got n={n_shifts}, N={n_paths}")
+
+
+def _refuse_dark_port(n_paths, n_shifts):
+    """ValueError at n = N/2, where the projected port is dark (R = 0, a null result)."""
+    if 2 * n_shifts == n_paths:
+        raise ValueError(f"null post-selection: with n = N/2 (n={n_shifts}, N={n_paths}) the "
+                         "projected output port is dark and one obtains a null result")
+
+
+def _binary_pair_sum(n_paths, n_shifts):
+    """K = (N - 2n)², the pair sum of a binary profile as an exact integer."""
+    return (n_paths - 2 * n_shifts) ** 2
+
+
 def r_factor(n_paths, n_shifts):
     """Post-selection factor R(N, n) = (N - 2n)²/N² for binary phase profiles."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if not 0 <= n_shifts <= n_paths:
-        raise ValueError("need 0 <= n <= N")
-    return (n_paths - 2 * n_shifts) ** 2 / n_paths**2
+    _check_path_range(n_paths, n_shifts)
+    return _binary_pair_sum(n_paths, n_shifts) / n_paths**2
 
 
 def binary_phases(n_paths, n_shifts):
     """Phase vector with ``n_shifts`` entries of π and the rest zero."""
-    if not 0 <= n_shifts <= n_paths:
-        raise ValueError("need 0 <= n <= N")
+    _check_path_range(n_paths, n_shifts)
     phases = np.zeros(n_paths, dtype=float)
     phases[:n_shifts] = np.pi
     return phases
@@ -269,12 +285,9 @@ class InterferometerConfig:
     phases: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
         if (self.n_shifts is None) == (self.phases is None):
             raise ValueError("give exactly one of n_shifts or phases")
-        if self.n_shifts is not None and not 0 <= self.n_shifts <= self.n_paths:
-            raise ValueError("need 0 <= n <= N")
+        _check_path_range(self.n_paths, 0 if self.n_shifts is None else self.n_shifts)
         if self.phases is not None:
             phases = np.asarray(self.phases, dtype=float)
             if phases.shape != (self.n_paths,):
@@ -289,10 +302,8 @@ class InterferometerConfig:
 
     @property
     def is_null(self):
-        """True for the completely destructive configuration (n = N/2)."""
-        if self.is_binary:
-            return 2 * self.n_shifts == self.n_paths
-        return phase_pair_sum(self.phases) < 1e-12
+        """True for the completely destructive configuration (n = N/2 when binary)."""
+        return phase_pair_sum(self.phase_vector) < 1e-12
 
     @property
     def r(self):
@@ -357,9 +368,6 @@ class QubitState:
     @property
     def trace(self):
         return float(np.trace(self.matrix).real)
-
-    def min_eigenvalue(self):
-        return min_eigenvalue_hermitian(self.matrix)
 
     def validate(self):
         """Assert Hermiticity, positivity and the trace window to 1e-12; returns self."""

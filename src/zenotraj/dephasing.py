@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ohmic, QubitState, r_factor
+from .core import Ohmic, QubitState, _refuse_dark_port, r_factor
 from .errors import NumericError
 from .numerics import Series, gauss_legendre_panels, integrate_adaptive
 
@@ -269,6 +269,11 @@ def single_path_factor(gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def _coherence_offset(n_paths, n_shifts):
+    """c = N*R - 1 = (N-1) - (4n/N)(N-n); negative c makes Phi change sign."""
+    return (n_paths - 1) - (4.0 * n_shifts / n_paths) * (n_paths - n_shifts)
+
+
 def modified_dephasing(phi_t, n_paths, n_shifts):
     """Phi = (phi + c sqrt(phi)) / (1 + c sqrt(phi)), c = (N-1) - (4n/N)(N-n).
 
@@ -276,12 +281,11 @@ def modified_dephasing(phi_t, n_paths, n_shifts):
     post-selected state.  The denominator is provably positive for n != N/2
     and phi in (0, 1]; a non-positive value signals a non-physical regime.
     """
-    if 2 * n_shifts == n_paths:
-        raise ValueError("modified dephasing undefined for the null configuration n = N/2")
+    _refuse_dark_port(n_paths, n_shifts)
     phi = np.asarray(phi_t, dtype=float)
     if np.any(phi <= 0) or np.any(phi > 1.0 + 1e-12):
         raise ValueError("phi_T must lie in (0, 1]")
-    c = (n_paths - 1) - (4.0 * n_shifts / n_paths) * (n_paths - n_shifts)
+    c = _coherence_offset(n_paths, n_shifts)
     root = np.sqrt(phi)
     den = 1.0 + c * root
     if np.any(den <= 0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import binary_phases, phase_weights, r_factor
+from .core import _refuse_dark_port, binary_phases, phase_weights, r_factor
 from .errors import NullOutcome, NumericError
 from .numerics import integrate_matrix_ode
 
@@ -45,6 +45,12 @@ _PSD_TOL = 1e-12
 _RK4_REAL_STABILITY = 2.785293563405282
 
 
+def _check_reachable(entries):
+    """ValueError unless every collective factor lies in sinc's range [SINC_MIN, 1]."""
+    if np.any(entries < SINC_MIN) or np.any(entries > 1.0):
+        raise ValueError(f"sinc(q d) entries must lie in the reachable range [{SINC_MIN!r}, 1]")
+
+
 @dataclass(frozen=True)
 class CollectiveRateMatrix:
     """Positive semidefinite N x N matrix M_ii = 1, M_ij = sinc(q d_ij), plus the rate."""
@@ -60,8 +66,7 @@ class CollectiveRateMatrix:
             raise ValueError("collective matrix must be symmetric")
         if np.any(np.diag(m) != 1.0):
             raise ValueError("diagonal entries must be exactly 1")
-        if np.any(m < SINC_MIN) or np.any(m > 1.0):
-            raise ValueError(f"entries must lie in [{SINC_MIN!r}, 1]")
+        _check_reachable(m)
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be > 0")
         object.__setattr__(self, "matrix", m)
@@ -84,7 +89,8 @@ class CollectiveRateMatrix:
 
     @staticmethod
     def check_factor(n_sites, s):
-        """Refuse s < -1/(N-1); the uniform matrix has eigenvalues 1 + (N-1) s and 1 - s."""
+        """Refuse s outside [SINC_MIN, 1], or below -1/(N-1) where M's eigenvalue 1 + (N-1)s < 0."""
+        _check_reachable(s)
         if 1.0 + (n_sites - 1) * s < -_PSD_TOL:  # never for N = 1, where M = [1]
             raise ValueError(f"collective matrix is not positive semidefinite: a uniform factor"
                              f" needs s >= -1/(N-1) = {-1.0 / (n_sites - 1)!r} for N = {n_sites}")
@@ -160,8 +166,7 @@ def excited_population_analytic(t, n_paths, n_shifts, gamma0, s):
 
     P_e = R e^{-x} / [ 1/N + (R - 1/N) (e^{-x} + s (1 - e^{-x})) ],  x = Gamma0 t.
     """
-    if 2 * n_shifts == n_paths:
-        raise ValueError("excited population undefined for the null configuration")
+    _refuse_dark_port(n_paths, n_shifts)
     x = gamma0 * np.asarray(t, dtype=float)
     r = r_factor(n_paths, n_shifts)
     e = np.exp(-x)

@@ -3,17 +3,17 @@
 Single-excitation sector: the excited amplitude obeys the memory-kernel
 Volterra equation c'(t) = -∫₀ᵗ f(t-τ) c(τ) dτ with
 f(t) = ∫ dω J(ω) e^{i(ω_q-ω)t}, so c(t) = c(0)·G(t) defines the dissipation
-function G, returned as a ``Series``. Post-selecting an N-arm
-interferometer with n binary π-shifts turns the single-path G into the
-conditional qubit states, survival probabilities, trace-distance dynamics
-and CP-divisibility diagnostics implemented here.
+function G, returned as a ``Series`` checked against |G| <= 1.
+Post-selecting an N-arm interferometer with n binary π-shifts turns the
+single-path G into the conditional qubit states, survival probabilities,
+trace-distance dynamics and CP-divisibility diagnostics implemented here.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Lorentzian, QubitState, r_factor
+from .core import Lorentzian, QubitState, _binary_pair_sum, _refuse_dark_port, r_factor
 from .errors import NullOutcome
 from .numerics import Series, integrate_adaptive, solve_volterra
 
@@ -34,6 +34,9 @@ __all__ = [
 # relative and absolute tolerance of each memory-kernel sample
 _KERNEL_REL_TOL = 1e-11
 _KERNEL_ABS_TOL = 1e-13
+
+# rounding slack of the contractivity bound |G| <= 1 that every G series meets
+_G_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def memory_kernel(j, omega_q):
 def decay_amplitude(j, omega_q, grid):
     """G(t) on a grid by solving the Volterra equation for the kernel of J."""
     samples = memory_kernel(j, omega_q).samples(grid)
-    return Series(grid, solve_volterra(samples, grid), "volterra")
+    return Series(grid, solve_volterra(samples, grid), "volterra").check(0.0, 1.0 + _G_SLACK)
 
 
 def _sinhc(x):
@@ -112,7 +115,7 @@ def decay_amplitude_closed_series(gamma0, lam, grid):
     """Closed-form Lorentzian G sampled on a TimeGrid, G(0) pinned to exactly 1."""
     values = decay_amplitude_lorentzian_closed(gamma0, lam, grid.times)
     values[0] = 1.0 + 0.0j
-    return Series(grid, values, "lorentzian_closed_form")
+    return Series(grid, values, "lorentzian_closed_form").check(0.0, 1.0 + _G_SLACK)
 
 
 def decay_amplitude_auto(j, omega_q, grid):
@@ -180,10 +183,9 @@ def trace_distance_diss(g_t, n_paths, n_shifts):
     trace, so D = 2K|G| / [(K-N)|G|² + K + N] with K = (N-2n)². Pointwise
     over an array or a scalar G value.
     """
-    if 2 * n_shifts == n_paths:
-        raise ValueError("trace distance undefined for the null configuration n = N/2")
+    _refuse_dark_port(n_paths, n_shifts)
     g_abs = np.abs(np.asarray(g_t))
-    k = (n_paths - 2 * n_shifts) ** 2
+    k = _binary_pair_sum(n_paths, n_shifts)
     d = 2.0 * k * g_abs / ((k - n_paths) * g_abs**2 + k + n_paths)
     return float(d) if d.ndim == 0 else d
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _binary_pair_sum, _refuse_dark_port
 from .dissipative import decay_factor, memory_kernel, survival_probability_diss
 from .errors import NumericError
 from .numerics import TimeGrid, integrate_adaptive, solve_volterra
@@ -32,6 +33,8 @@ __all__ = [
 
 _OVERLAP_REL_TOL = 1e-11
 
+_CONSISTENCY_STEPS = 200  # Volterra steps of perturbative_consistency's exact dynamics
+
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1; series branch below |x| = 1e-4."""
@@ -44,9 +47,8 @@ def sinc(x):
 
 
 def _prefactor(n_paths, n_shifts):
-    if 2 * n_shifts == n_paths:
-        raise ValueError("filter undefined for the null configuration n = N/2")
-    return n_paths / (n_paths - 2 * n_shifts) ** 2
+    _refuse_dark_port(n_paths, n_shifts)
+    return n_paths / _binary_pair_sum(n_paths, n_shifts)
 
 
 def filter_diss(omega, t, n_paths, n_shifts, omega_q):
@@ -87,9 +89,11 @@ def filter_traditional_zeno(omega, t, n_tilde, omega_q):
 class FilterSpec:
     """Which filter to overlap with J: kind, elapsed time, and shape params.
 
-    ``kind`` names the filter as the CLI does: "diss" (``filter_diss``),
+    ``kind`` is one of ``KINDS``, the CLI's choices: "diss" (``filter_diss``),
     "deph" (``filter_deph``) or "traditional" (``filter_traditional_zeno``).
     """
+
+    KINDS = ("diss", "deph", "traditional")
 
     kind: str
     t: float
@@ -99,12 +103,12 @@ class FilterSpec:
     n_tilde: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("diss", "deph", "traditional"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if self.kind != "traditional" and 2 * self.n_shifts == self.n_paths:
-            raise ValueError("filter undefined for the null configuration n = N/2")
+        if self.kind != "traditional":
+            _refuse_dark_port(self.n_paths, self.n_shifts)
         if self.kind == "traditional" and self.n_tilde < 1:
             raise ValueError("the traditional filter needs n_tilde >= 1")
 
@@ -134,7 +138,7 @@ def decay_factor_overlap(j, spec):
     return 0.0 if out < 0.0 else out
 
 
-def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps, n_steps=400):
+def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps):
     """(gamma_exact, gamma_overlap) for the coupling-rescaled density eps^2 J.
 
     gamma_exact follows the full memory-kernel dynamics; gamma_overlap is the
@@ -145,7 +149,7 @@ def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps, n_steps=400)
     if eps == 0.0:
         return 0.0, 0.0
     j_scaled = j.scaled(eps * eps)
-    grid = TimeGrid(t / n_steps, n_steps + 1)
+    grid = TimeGrid(t / _CONSISTENCY_STEPS, _CONSISTENCY_STEPS + 1)
     # The memory kernel is linear in J, so sample it once at full coupling
     # and scale the samples: the quadrature then resolves the same integrand
     # for every eps instead of chasing an eps^2-small absolute target.

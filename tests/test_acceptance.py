@@ -133,9 +133,7 @@ def test_criterion_03_overlap_vs_exact_dynamics_converges_quadratically():
     j = Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0)
     mismatch = {}
     for eps in (0.2, 0.1, 0.05):
-        gamma_exact, gamma_overlap = perturbative_consistency(
-            j, 1.0, 0.2, 1, 0, eps, n_steps=200
-        )
+        gamma_exact, gamma_overlap = perturbative_consistency(j, 1.0, 0.2, 1, 0, eps)
         mismatch[eps] = abs(gamma_exact - gamma_overlap) / gamma_exact
     elapsed = time.perf_counter() - start
     for big, small in ((0.2, 0.1), (0.1, 0.05)):

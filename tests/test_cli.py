@@ -6,10 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from zenotraj import cli
+from zenotraj import cli, dissipative
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
 from zenotraj.errors import ConfigError, NumericError
-from zenotraj.numerics import Series
 
 # flags a subcommand refuses because its run reads no such parameter
 UNREAD_FLAGS = {
@@ -17,6 +16,10 @@ UNREAD_FLAGS = {
     "nonmarkov": ("--spectral", "--omega-m", "--delta"),
     "perturbation": ("--spectral", "--eta", "--s", "--omega-c", "--omega-m", "--delta"),
 }
+
+
+# the subcommands that take a binary (N, n) profile
+PROFILE_SCENARIOS = [name for name, declared in cli._SCENARIO_DEFAULTS.items() if "n" in declared]
 
 
 class TestParseConfig:
@@ -285,7 +288,7 @@ class TestRun:
 class TestEmit:
     def _small_table(self):
         return ResultTable(("x", "y"), np.array([[0.1, 1.0 / 3.0]]),
-                           "unitless", {"tool": "zenotraj", "alpha": 0.30000000000000004})
+                           {"tool": "zenotraj", "alpha": 0.30000000000000004})
 
     def test_csv_format_details(self):
         text = emit(self._small_table(), "csv")
@@ -297,13 +300,13 @@ class TestEmit:
         assert "# alpha=0.30000000000000004" in lines
 
     def test_empty_table_is_header_only(self):
-        table = ResultTable(("a", "b"), np.empty((0, 2)), "unitless", {"k": 1})
+        table = ResultTable(("a", "b"), np.empty((0, 2)), {"k": 1})
         text = emit(table, "csv")
         assert text.splitlines()[-1] == "a,b"
 
     def test_json_round_trip_bit_exact(self):
         table = ResultTable(("x",), np.array([[np.pi], [1e-17], [0.1 + 0.2]]),
-                            "unitless", {"tool": "zenotraj"})
+                            {"tool": "zenotraj"})
         payload = json.loads(emit(table, "json"))
         assert payload["rows"] == table.values.tolist()
         assert payload["columns"] == ["x"]
@@ -318,7 +321,7 @@ class TestEmit:
         rng = np.random.default_rng(3)
         randoms = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
         values = np.concatenate([special, randoms]).reshape(-1, 1)
-        table = ResultTable(("x",), values, "unitless", {"tool": "zenotraj"})
+        table = ResultTable(("x",), values, {"tool": "zenotraj"})
         rows = emit(table, "csv").splitlines()[-len(values):]
         assert rows == [f"{v:.17g}" for v in table.values[:, 0]]
         payload = {"metadata": table.metadata, "columns": ["x"],
@@ -355,6 +358,21 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["dicke", "--N", "4", "--n", "2"]) == 2
         assert "null" in capsys.readouterr().err
+
+    def test_profile_subcommands(self):
+        assert PROFILE_SCENARIOS == ["filter", "dynamics-diss", "dynamics-deph", "dicke",
+                                     "perturbation"]
+
+    @pytest.mark.parametrize("scenario", PROFILE_SCENARIOS)
+    @pytest.mark.parametrize("n_paths, n_shifts, message", [
+        ("4", "2", "one obtains a null result"),
+        ("2", "3", "n must satisfy 0 <= n <= N"),
+        ("0", "0", "N must be a positive integer"),
+    ], ids=["dark-port", "n-above-N", "no-path"])
+    def test_profile_refusal_exit_code(self, scenario, n_paths, n_shifts, message, capsys):
+        # the library's path-range and dark-port refusals, as configuration errors
+        assert main([scenario, "--N", n_paths, "--n", n_shifts]) == 2
+        assert message in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, capsys):
         code = main(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",
@@ -420,17 +438,32 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [
         ["dynamics-diss", "--tmax", "1", "--steps", "10"],
-        ["nonmarkov", "--model", "diss", "--tmax", "1", "--steps", "10"],
+        ["nonmarkov", "--model", "diss", "--lambda", "1", "--omega-q", "1",
+         "--tmax", "1", "--steps", "10"],
     ], ids=" ".join)
     def test_growing_decay_amplitude_exit_code(self, argv, monkeypatch, capsys):
-        # a stand-in route whose |G| grows past 1 + 1e-9 is refused, not emitted
-        def growing(j, omega_q, grid):
-            values = np.exp(0.01 * grid.times).astype(complex)
-            return Series(grid, values, "volterra")
+        # a stand-in Volterra solution whose |G| grows past 1 + 1e-9 is
+        # refused by the library route that builds G's series, not emitted
+        def growing(samples, grid):
+            return np.exp(0.01 * grid.times).astype(complex)
 
-        monkeypatch.setattr(cli, "decay_amplitude_auto", growing)
+        monkeypatch.setattr(dissipative, "solve_volterra", growing)
         assert main(argv) == 3
         assert "volterra series leaves [0.0, 1.000000001] at t = 0.1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics-diss", "--lambda", "0.01", "--tmax", "1", "--steps", "10"],
+        ["nonmarkov", "--model", "diss", "--tmax", "1", "--steps", "10"],
+    ], ids=" ".join)
+    def test_growing_closed_form_amplitude_exit_code(self, argv, monkeypatch, capsys):
+        # the closed-form route (lambda <= 0.02 omega_q) builds a checked series too
+        def growing(gamma0, lam, t):
+            return np.exp(0.01 * t).astype(complex)
+
+        monkeypatch.setattr(dissipative, "decay_amplitude_lorentzian_closed", growing)
+        assert main(argv) == 3
+        assert ("lorentzian_closed_form series leaves [0.0, 1.000000001] at t = 0.1"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["value", "metadata"])
@@ -443,7 +476,7 @@ class TestMain:
                 values[1, 1] = bad
             else:
                 metadata["plateau"] = bad
-            return ResultTable(("t", "gamma"), values, "units", metadata)
+            return ResultTable(("t", "gamma"), values, metadata)
 
         monkeypatch.setitem(cli._RUNNERS, "dynamics-deph", runner)
         with pytest.raises(NumericError, match="gamma" if where == "value" else "plateau"):
@@ -455,7 +488,7 @@ class TestMain:
     def test_finite_result_passes_the_gate(self, monkeypatch, capsys):
         def runner(config):
             return ResultTable(("t", "gamma"), np.array([[0.0, -0.0], [1e-320, 1e308]]),
-                               "units", {"scenario": config.scenario, "x": 1.5, "n": True})
+                               {"scenario": config.scenario, "x": 1.5, "n": True})
 
         monkeypatch.setitem(cli._RUNNERS, "dynamics-deph", runner)
         assert main(["dynamics-deph"]) == 0

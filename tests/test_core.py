@@ -16,6 +16,7 @@ from zenotraj.core import (
     Ohmic,
     QubitState,
     Tabulated,
+    _binary_pair_sum,
     binary_phases,
     normalize,
     phase_pair_sum,
@@ -23,7 +24,11 @@ from zenotraj.core import (
     r_factor,
     trace_distance,
 )
+from zenotraj.dephasing import _coherence_offset, modified_dephasing
+from zenotraj.dicke import excited_population_analytic
+from zenotraj.dissipative import trace_distance_diss
 from zenotraj.errors import NullOutcome
+from zenotraj.filters import FilterSpec, filter_deph, filter_diss
 
 
 class TestRFactor:
@@ -46,6 +51,54 @@ class TestRFactor:
             r_factor(3, 4)
         with pytest.raises(ValueError):
             r_factor(0, 0)
+
+
+class TestOneOwnerPerRule:
+    """The path range, the dark port, K = (N-2n)^2 and c = NR - 1 each have one owner."""
+
+    # every function of a binary (N, n) profile that has no value at n = N/2
+    DARK_PORT_CALLS = {
+        "filter_diss": lambda: filter_diss(1.0, 1.0, 4, 2, 1.0),
+        "filter_deph": lambda: filter_deph(1.0, 1.0, 4, 2),
+        "FilterSpec-diss": lambda: FilterSpec("diss", 1.0, 1.0, 4, 2),
+        "FilterSpec-deph": lambda: FilterSpec("deph", 1.0, 0.0, 4, 2),
+        "modified_dephasing": lambda: modified_dephasing(0.5, 4, 2),
+        "trace_distance_diss": lambda: trace_distance_diss(0.5, 4, 2),
+        "excited_population_analytic": lambda: excited_population_analytic(1.0, 4, 2, 1.0, 0.1),
+    }
+
+    @pytest.mark.parametrize("name", DARK_PORT_CALLS)
+    def test_dark_port_is_refused_with_one_message(self, name):
+        with pytest.raises(ValueError) as info:
+            self.DARK_PORT_CALLS[name]()
+        assert str(info.value) == ("null post-selection: with n = N/2 (n=2, N=4) the projected "
+                                   "output port is dark and one obtains a null result")
+
+    @pytest.mark.parametrize("n_paths, n_shifts, message", [
+        (0, 0, "N must be a positive integer, got N=0"),
+        (2, 3, "n must satisfy 0 <= n <= N, got n=3, N=2"),
+        (3, -1, "n must satisfy 0 <= n <= N, got n=-1, N=3"),
+    ])
+    def test_path_range_is_refused_with_one_message(self, n_paths, n_shifts, message):
+        for build in (r_factor, binary_phases,
+                      lambda N, n: InterferometerConfig(N, n_shifts=n)):
+            with pytest.raises(ValueError) as info:
+                build(n_paths, n_shifts)
+            assert str(info.value) == message
+
+    def test_pair_sum_is_an_exact_integer(self):
+        for n_paths in range(1, 11):
+            for n in range(n_paths + 1):
+                k = _binary_pair_sum(n_paths, n)
+                assert type(k) is int and k == phase_pair_sum(binary_phases(n_paths, n))
+                assert r_factor(n_paths, n) == k / n_paths**2
+                assert InterferometerConfig(n_paths, n_shifts=n).is_null == (k == 0)
+
+    def test_coherence_offset_is_n_r_minus_one(self):
+        for n_paths in range(1, 11):
+            for n in range(n_paths + 1):
+                assert _coherence_offset(n_paths, n) == pytest.approx(
+                    n_paths * r_factor(n_paths, n) - 1.0, rel=0, abs=1e-14)
 
 
 class TestPhaseAlgebra:

@@ -93,7 +93,7 @@ class TestFilterShapes:
         w = np.linspace(-5.0, 7.0, 41)
         direct = {"diss": filter_diss(w, 5.0, 3, 1, 1.0), "deph": filter_deph(w, 5.0, 3, 1),
                   "traditional": filter_traditional_zeno(w, 5.0, 4.0, 1.0)}
-        assert tuple(direct) == _SCENARIO_DEFAULTS["filter"]["kind"]
+        assert tuple(direct) == FilterSpec.KINDS == _SCENARIO_DEFAULTS["filter"]["kind"]
         for kind, want in direct.items():
             got = FilterSpec(kind, 5.0, 1.0, 3, 1, 4.0).evaluate(w)
             assert got.tobytes() == want.tobytes()
@@ -186,14 +186,14 @@ class TestPerturbativeConsistency:
     def test_mismatch_shrinks_quadratically(self):
         mm = {}
         for eps in (0.4, 0.2, 0.1):
-            ge, go = perturbative_consistency(self.J, 1.0, 0.2, 1, 0, eps, n_steps=200)
+            ge, go = perturbative_consistency(self.J, 1.0, 0.2, 1, 0, eps)
             mm[eps] = abs(ge - go) / go
         assert 2.5 <= mm[0.4] / mm[0.2] <= 6.0
         assert 2.5 <= mm[0.2] / mm[0.1] <= 6.0
 
     def test_prefactor_matches_exact_dynamics(self):
-        ge4, go4 = perturbative_consistency(self.J, 1.0, 0.2, 4, 0, 0.1, n_steps=200)
-        ge1, go1 = perturbative_consistency(self.J, 1.0, 0.2, 1, 0, 0.1, n_steps=200)
+        ge4, go4 = perturbative_consistency(self.J, 1.0, 0.2, 4, 0, 0.1)
+        ge1, go1 = perturbative_consistency(self.J, 1.0, 0.2, 1, 0, 0.1)
         assert go4 / go1 == pytest.approx(0.25, rel=1e-12)
         assert ge4 / ge1 == pytest.approx(0.25, rel=0.05)
 

@@ -106,6 +106,23 @@ GOLDEN = (
     (["perturbation", "--t", "0.2", "--omega-points", "601"],
      "52b0ffbdc219e0a713cdd5cf45b97f5eb134bdb6ba9d46423775869163c37ebc",
      "8f69c3eeeda5657ed989f9fd90609be26349c027f84fe4a0652d6306c7ad883d"),
+    # profiles with n > 0 beyond the (3, 1) defaults: K = (N - 2n)^2 = 1 in
+    # the prefactor N/K, the trace distance and R; c = N*R - 1 of (3, 1)
+    (["filter", "--kind", "diss", "--N", "5", "--n", "2"],
+     "01e3432e0590484920b1d77ce7b6bf3b2e80a9c2ae476104da005631b0ea0147",
+     "ef84d6ad45f8e81a79943f5090e0437e90ce9ea7ac16915e97bd75ba5e0c55d1"),
+    (["filter", "--kind", "deph", "--N", "3", "--n", "1"],
+     "531ea403edc1090101502ffd9977a4f4e9f7c59ec44ff7e06859ace6036c19c3",
+     "ea9b62fd54f937f7db29cbe892d048982d20b1d5f21a94a51932019d9a3a418e"),
+    (["dynamics-diss", "--lambda", "0.01", "--N", "5", "--n", "2"],
+     "05a7085357687a7bee2b22d092b5a08ce0c1e3fe09b7e68d6d853b39163a5251",
+     "f6bed410e29e2f32f1811b39c20aa61f3b5f0374aa315ee3170977380b4b558c"),
+    (["dicke", "--N", "5", "--n", "2", "--sinc", "0.1"],
+     "1315e4a56656d8601d3ab813b6a438b73a7ee950af3767af75245e51707e443d",
+     "cfcf03988fe0aa9b69923ab1f623d8e09d866a39c84ec9daf71806daf33d7638"),
+    (["perturbation", "--t", "0.2", "--omega-points", "21", "--N", "4", "--n", "1"],
+     "56df393bb6fed131aedc4b6c2cc410a9b1bf443bbd81d7604eee4c5c8fe3d19b",
+     "c2730790f809c4c445ab2587fefec2887be67eddff90bf95c85d0a7d4a5cffaf"),
 )
 
 

@@ -77,4 +77,4 @@ def test_settable_values_of_the_public_callables_are_bounded():
     counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
               if callable(getattr(zenotraj, name))}
     assert counts["TimeGrid"] == 2 and counts["QubitState"] == 2
-    assert sum(counts.values()) <= 54
+    assert sum(counts.values()) <= 53
