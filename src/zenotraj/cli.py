@@ -159,13 +159,26 @@ _RK4_ERROR_TOL = 4e-7
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved, validated run description."""
+    """Fully resolved, validated run description.
+
+    Construction checks ``params`` and builds the run's library objects into
+    ``inputs``, once; a library refusal becomes ConfigError (exit 2).
+    """
 
     scenario: str
     params: dict
     out: str | None = None
     fmt: str = "csv"
     recipe: str | None = None
+    inputs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            _validate(self.scenario, self.params)
+            inputs = _inputs(self.scenario, self.params)
+        except ValueError as exc:  # a library refusal
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "inputs", inputs)
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,7 @@ def _load_config_file(path, scenario, declared):
 
 
 def _validate(scenario, params):
-    """Check finiteness, the (N, n) profile, choices, bounds, then dicke's factor, in order."""
+    """Check finiteness, the (N, n) profile, choices and the bounds no library object owns."""
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
@@ -275,22 +288,44 @@ def _validate(scenario, params):
     for key, allowed in _SCENARIO_DEFAULTS[scenario].items():
         if isinstance(allowed, tuple) and params[key] not in allowed:
             raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {params[key]!r}")
-    for key in ("gamma0", "lam", "eta", "omega_c", "t", "tmax", "delta", "s"):
-        if params.get(key) is not None and params[key] <= 0:
-            raise ConfigError(f"{key} must be > 0")
-    if params.get("temperature") is not None and params["temperature"] < 0:
-        raise ConfigError("temperature must be >= 0")
-    if params.get("steps") is not None and params["steps"] < 1:
+    if "t" in params and params["t"] <= 0:
+        raise ConfigError("t must be > 0")
+    if scenario == "dicke" and params["gamma0"] <= 0:  # the analytic route divides by it
+        raise ConfigError("gamma0 must be > 0")
+    if "steps" in params and params["steps"] < 1:
         raise ConfigError("steps must be >= 1")
-    if params.get("omega_points") is not None and params["omega_points"] < 2:
+    if "omega_points" in params and params["omega_points"] < 2:
         raise ConfigError("omega_points must be >= 2")
-    if params.get("n_tilde") is not None and params["n_tilde"] < 1:
-        raise ConfigError("n_tilde must be >= 1")
-    if scenario == "dicke":
-        if params.get("sinc") is not None and params.get("qd") is not None:
-            raise ConfigError("give either --sinc or --qd, not both")
-        # both routes need a reachable, positive semidefinite collective matrix
-        CollectiveRateMatrix.check_factor(params["N"], _resolve_collective_factor(params))
+    if scenario == "dicke" and params["sinc"] is not None and params["qd"] is not None:
+        raise ConfigError("give either --sinc or --qd, not both")
+
+
+def _inputs(scenario, p):
+    """The run's library objects (J keyed by its ``spectral`` choice), built once.
+
+    Every family the scenario declares parameters of is built, also on a branch
+    the run does not take, so each value the metadata records is checked.
+    """
+    made = {}
+    if "lam" in p:
+        made["lorentzian"] = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
+    if "eta" in p:
+        made["ohmic"] = Ohmic(p["eta"], p["s"], p["omega_c"])
+    if "delta" in p:
+        made["gaussian"] = GaussianPeak(p["omega_m"], p["delta"])
+    if "temperature" in p:
+        made["bath"] = DephasingParams(made["ohmic"], temperature=p["temperature"])
+    if "t" in p:
+        made["spec"] = FilterSpec(p.get("kind", "diss"), p["t"], p["omega_q"], p["N"], p["n"],
+                                  p.get("n_tilde", 1.0))
+    if "tmax" in p:
+        span = p["tmax"] / p["gamma0"] if scenario == "dicke" else p["tmax"]
+        made["grid"] = TimeGrid(span / p["steps"], p["steps"] + 1)
+    if scenario == "dicke":  # both routes need a reachable, positive semidefinite matrix
+        made["factor"] = (float(sinc(p["qd"])) if p["qd"] is not None
+                          else _DEFAULT_SINC if p["sinc"] is None else p["sinc"])
+        CollectiveRateMatrix.check_factor(p["N"], made["factor"])
+    return made
 
 
 def parse_config(argv=None):
@@ -326,20 +361,7 @@ def parse_config(argv=None):
                 raise ConfigError(
                     f"recipe '{recipe}' fixes {key}={value}; drop the recipe to vary it")
     out, fmt, recipe = resolved.pop("out"), resolved.pop("format"), resolved.pop("recipe")
-    try:
-        _validate(scenario, resolved)
-    except ValueError as exc:  # a library refusal: the (N, n) profile or the collective factor
-        raise ConfigError(str(exc)) from exc
     return RunConfig(scenario=scenario, params=resolved, out=out, fmt=fmt, recipe=recipe)
-
-
-def _spectral_density(params):
-    kind = params["spectral"]
-    if kind == "lorentzian":
-        return Lorentzian(params["gamma0"], params["lam"], params["omega_q"])
-    if kind == "ohmic":
-        return Ohmic(params["eta"], params["s"], params["omega_c"])
-    return GaussianPeak(params["omega_m"], params["delta"])
 
 
 def _base_metadata(config, units):
@@ -359,7 +381,7 @@ def _run_filter(config):
     p = config.params
     omega_q, t = p["omega_q"], p["t"]
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
-    j = _spectral_density(p)
+    j = config.inputs[p["spectral"]]
     meta = _base_metadata(config, "omega_q = 1 sets the clock")
     meta["omega_q_t"] = omega_q * t  # resolved time choice, not a silent default
     if config.recipe == "fig2":
@@ -369,32 +391,14 @@ def _run_filter(config):
         series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
         values = np.column_stack([grid, j(grid)] + series)
         return ResultTable(cols, values, meta)
-    vals = FilterSpec(p["kind"], t, omega_q, p["N"], p["n"], p["n_tilde"]).evaluate(grid)
+    vals = config.inputs["spec"].evaluate(grid)
     return ResultTable(["omega", "j", "f"], np.column_stack([grid, j(grid), vals]), meta)
-
-
-def _time_grid(p):
-    """The tmax/steps grid of the dynamics and nonmarkov tables."""
-    return TimeGrid(p["tmax"] / p["steps"], p["steps"] + 1)
-
-
-def _dissipation(p, grid):
-    """G of the Lorentzian line on the grid, checked against |G| <= 1 by the library."""
-    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
-    return decay_amplitude_auto(j, p["omega_q"], grid)
-
-
-def _dephasing(p, grid):
-    """The power-law bath at temperature T and its exponent Gamma_T on the grid."""
-    params = DephasingParams(Ohmic(p["eta"], p["s"], p["omega_c"]), temperature=p["temperature"])
-    return params, dephasing_exponent_series(params, grid).values
 
 
 def _run_dynamics_diss(config):
     """post-selected amplitude-damping dynamics"""
-    p = config.params
-    grid = _time_grid(p)
-    g = _dissipation(p, grid)
+    p, grid = config.params, config.inputs["grid"]
+    g = decay_amplitude_auto(config.inputs["lorentzian"], p["omega_q"], grid)
     n_paths, n_shifts = p["N"], p["n"]
     survival = survival_probability_diss(g.values, n_paths, n_shifts)
     gamma = decay_factor(survival)
@@ -407,22 +411,13 @@ def _run_dynamics_diss(config):
 
 def _run_dynamics_deph(config):
     """post-selected dephasing dynamics"""
-    p = config.params
-    grid = _time_grid(p)
-    _, gamma = _dephasing(p, grid)
+    p, grid = config.params, config.inputs["grid"]
+    gamma = dephasing_exponent_series(config.inputs["bath"], grid).values
     phi = single_path_factor(gamma)
     phi_mod = modified_dephasing(phi, p["N"], p["n"])
     meta = _base_metadata(config, "omega_c = 1 sets the clock")
     values = np.column_stack([grid.times, gamma, phi, phi_mod, np.abs(phi_mod)])
     return ResultTable(["t", "gamma_exponent", "phi", "phi_modified", "d_pair"], values, meta)
-
-
-def _resolve_collective_factor(p):
-    if p.get("qd") is not None:
-        return float(sinc(p["qd"]))
-    if p.get("sinc") is not None:
-        return p["sinc"]
-    return _DEFAULT_SINC
 
 
 def _rk4_error_bound(gamma0, grid):
@@ -442,7 +437,7 @@ def _rk4_error_bound(gamma0, grid):
 def _run_dicke(config):
     """collective-emission populations"""
     p = config.params
-    gamma0, s = p["gamma0"], _resolve_collective_factor(p)
+    gamma0, s = p["gamma0"], config.inputs["factor"]
     times = np.linspace(0.0, p["tmax"] / gamma0, p["steps"] + 1)
     meta = _base_metadata(config, "gamma0 sets the clock; omega_q = 1 units")
     meta["collective_factor"] = s
@@ -463,7 +458,7 @@ def _run_dicke(config):
     series = [x_axis, pe]
     if p.get("numeric"):
         rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
-        grid = TimeGrid(times[1] - times[0], times.size)
+        grid = config.inputs["grid"]  # its dt is the linspace step times[1] - times[0]
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
         bound = _rk4_error_bound(gamma0, grid)
         if bound > _RK4_ERROR_TOL:
@@ -477,12 +472,11 @@ def _run_dicke(config):
 
 def _run_nonmarkov(config):
     """trace-distance and divisibility diagnostics"""
-    p = config.params
+    p, grid = config.params, config.inputs["grid"]
     pairs = [(1, 0), (3, 0), (3, 1)]
-    grid = _time_grid(p)
     if p["model"] == "diss":
         units = "omega_q = 1 sets the clock"
-        g = _dissipation(p, grid)
+        g = decay_amplitude_auto(config.inputs["lorentzian"], p["omega_q"], grid)
         columns = [trace_distance_diss(g.values, N, n) for N, n in pairs]
         divisible, violation = is_cp_divisible(g)
         landmarks = {"g_route": g.source, "cp_divisible": divisible}
@@ -490,7 +484,8 @@ def _run_nonmarkov(config):
             landmarks["first_violation_time"] = violation
     else:
         units = "omega_c = 1 sets the clock"
-        params, gamma = _dephasing(p, grid)
+        params = config.inputs["bath"]
+        gamma = dephasing_exponent_series(params, grid).values
         # phi is (N, n)-independent; all modified factors derive from one series
         phi = single_path_factor(gamma)
         columns = [np.abs(modified_dephasing(phi, N, n)) for N, n in pairs]
@@ -522,16 +517,13 @@ def _deph_landmarks(params, phi, grid):
 
 def _run_perturbation(config):
     """general engine vs closed-form filter"""
-    p = config.params
-    j = Lorentzian(p["gamma0"], p["lam"], p["omega_q"])
+    p, j, spec = config.params, config.inputs["lorentzian"], config.inputs["spec"]
     model = dissipative_coupling_model(j, omega_q=p["omega_q"])
     profile = InterferometerConfig(p["N"], n_shifts=p["n"])
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
-    t = p["t"]
-    general = general_filter(model, QubitState.excited(), grid, t, profile)
-    closed = filter_diss(grid, t, p["N"], p["n"], p["omega_q"])
+    general = general_filter(model, QubitState.excited(), grid, p["t"], profile)
+    closed = spec.evaluate(grid)  # filter_diss: the spec's kind is "diss"
     meta = _base_metadata(config, "omega_q = 1 sets the clock")
-    spec = FilterSpec("diss", t=t, omega_q=p["omega_q"], n_paths=p["N"], n_shifts=p["n"])
     meta["decay_factor_overlap"] = decay_factor_overlap(j, spec)
     nonzero = np.abs(closed) > 1e-300
     meta["max_rel_deviation"] = float(np.max(

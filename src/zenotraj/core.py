@@ -46,6 +46,19 @@ __all__ = [
 _LOG_HUGE = math.log(np.finfo(float).max) - 1.0
 
 
+def _require_positive(owner, **values):
+    """ValueError naming the first of ``values`` that is not > 0."""
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{owner} needs {name} > 0, got {name}={value!r}")
+
+
+def _require_elapsed(t):
+    """ValueError unless the elapsed time t is >= 0 (nan included)."""
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got t={t!r}")
+
+
 # ---------------------------------------------------------------------------
 # spectral densities
 # ---------------------------------------------------------------------------
@@ -104,8 +117,7 @@ class Lorentzian(SpectralDensity):
     omega_q: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.lam <= 0:
-            raise ValueError("Lorentzian needs gamma0 > 0 and lam > 0")
+        _require_positive("Lorentzian", gamma0=self.gamma0, lam=self.lam)
         self._resolve(self.omega_q + 50.0 * self.lam)
 
     def _shape(self, omega, lo):
@@ -122,8 +134,7 @@ class Ohmic(SpectralDensity):
     omega_c: float
 
     def __post_init__(self):
-        if self.eta <= 0 or self.s <= 0 or self.omega_c <= 0:
-            raise ValueError("Ohmic needs eta, s, omega_c > 0")
+        _require_positive("Ohmic", eta=self.eta, s=self.s, omega_c=self.omega_c)
         self._resolve(50.0 * self.omega_c)
         # w^s is largest at w = omega_max; where η w^s ω_c^{1−s} may pass float
         # range there, J is taken from log space at the nodes whose direct
@@ -172,8 +183,7 @@ class GaussianPeak(SpectralDensity):
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("GaussianPeak needs delta > 0")
+        _require_positive("GaussianPeak", delta=self.delta)
         self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
 
     def _shape(self, omega, lo):
@@ -246,6 +256,14 @@ def binary_phases(n_paths, n_shifts):
     return phases
 
 
+def _finite_phases(phases):
+    """phases as a float array; ValueError unless every entry is finite."""
+    phases = np.asarray(phases, dtype=float)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phase entries must be finite")
+    return phases
+
+
 def phase_weights(phases):
     """e^{-iφ} per entry, with exact reduction of integer multiples of π.
 
@@ -254,9 +272,7 @@ def phase_weights(phases):
     residue of a naive complex exponential, and binary {0, π} profiles get
     exact ±1 weights.
     """
-    phases = np.asarray(phases, dtype=float)
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("phase entries must be finite")
+    phases = _finite_phases(phases)
     m = np.round(phases / np.pi)
     r = phases - m * np.pi
     sign = np.where(m % 2 == 0, 1.0, -1.0)
@@ -289,11 +305,9 @@ class InterferometerConfig:
             raise ValueError("give exactly one of n_shifts or phases")
         _check_path_range(self.n_paths, 0 if self.n_shifts is None else self.n_shifts)
         if self.phases is not None:
-            phases = np.asarray(self.phases, dtype=float)
+            phases = _finite_phases(self.phases)
             if phases.shape != (self.n_paths,):
                 raise ValueError("phase vector length must equal n_paths")
-            if not np.all(np.isfinite(phases)):
-                raise ValueError("phase entries must be finite")
             object.__setattr__(self, "phases", phases)
 
     @property
@@ -322,6 +336,13 @@ class InterferometerConfig:
 # qubit states
 # ---------------------------------------------------------------------------
 
+def _check_amplitudes(c_e, c_g):
+    """ValueError unless |c_e|² + |c_g|² = 1 to 1e-12."""
+    norm = abs(c_e) ** 2 + abs(c_g) ** 2
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"amplitudes must satisfy |c_e|² + |c_g|² = 1, got {norm!r}")
+
+
 @dataclass(frozen=True)
 class QubitState:
     """2×2 qubit operator in the {|e⟩, |g⟩} basis.
@@ -343,9 +364,7 @@ class QubitState:
     @classmethod
     def pure(cls, c_e, c_g):
         """|ψ⟩⟨ψ| from amplitudes (c_e, c_g); must be normalized."""
-        norm = abs(c_e) ** 2 + abs(c_g) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("pure-state amplitudes must satisfy |c_e|²+|c_g|²=1")
+        _check_amplitudes(c_e, c_g)
         psi = np.array([c_e, c_g], dtype=complex)
         return cls(np.outer(psi, psi.conj()), normalized=True)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Ohmic, QubitState, _refuse_dark_port, r_factor
+from .core import Ohmic, QubitState, _refuse_dark_port, _require_elapsed, r_factor
 from .errors import NumericError
 from .numerics import Series, gauss_legendre_panels, integrate_adaptive
 
@@ -50,6 +50,10 @@ _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 # panels 15-33 % faster)
 _POOL_PHASE_LIMIT = 1500.0 * np.pi
 
+# most half-periods k*pi/t one time point may split at: a T = 0 Gauss-Legendre point
+# holds about 330 resident bytes per half-period (358 MB at 1,000,000), one per core
+_MAX_HALF_PERIODS = 1_000_000
+
 
 @dataclass(frozen=True)
 class DephasingParams:
@@ -63,7 +67,7 @@ class DephasingParams:
 
     def __post_init__(self):
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise ValueError(f"temperature must be >= 0, got temperature={self.temperature!r}")
         if self.temperature > 0 and (
                 (isinstance(self.j, Ohmic) and self.j.s < 1.0) or self.j(0.0) > 0):
             raise NumericError(
@@ -149,9 +153,16 @@ def _bose_integrand(j, temperature, t):
 
 
 def _panel_edges(j, upper, t):
-    """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``."""
-    half_period = np.pi / t
-    n_half = int(np.floor(upper / half_period - 1e-12))
+    """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``.
+
+    NumericError, before anything is allocated, past ``_MAX_HALF_PERIODS``.
+    """
+    half_period = math.pi / float(t)  # Python floats overflow to inf without a warning
+    count = float(upper) / half_period - 1e-12
+    if not count < _MAX_HALF_PERIODS + 1:  # also inf and nan
+        raise NumericError(f"the dephasing exponent at t = {float(t)!r} needs {count:,.0f} half-"
+                           f"periods, above the cap {_MAX_HALF_PERIODS:,}; use a shorter time")
+    n_half = math.floor(count)
     edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
     knots = [w for w in j.breakpoints if w < upper]
     return np.union1d(edges, knots) if knots else edges
@@ -243,8 +254,7 @@ def dephasing_exponent(params, t):
     full coth integrand, adaptively there and on fixed Gauss-Legendre
     panels beyond, both split at the half-periods and at J's kinks.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _require_elapsed(t)
     if t == 0.0:
         return 0.0
     j, temperature = params.j, params.temperature
@@ -269,6 +279,15 @@ def single_path_factor(gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_coherence_factor(phi_t):
+    """phi_T as a float array; ValueError unless each value lies in (0, 1 + 1e-12]."""
+    phi = np.asarray(phi_t, dtype=float)
+    bad = ~((phi > 0.0) & (phi <= 1.0 + 1e-12))
+    if np.any(bad):
+        raise ValueError(f"phi_T must lie in (0, 1], got phi_T={float(phi[bad][0])!r}")
+    return phi
+
+
 def _coherence_offset(n_paths, n_shifts):
     """c = N*R - 1 = (N-1) - (4n/N)(N-n); negative c makes Phi change sign."""
     return (n_paths - 1) - (4.0 * n_shifts / n_paths) * (n_paths - n_shifts)
@@ -282,9 +301,7 @@ def modified_dephasing(phi_t, n_paths, n_shifts):
     and phi in (0, 1]; a non-positive value signals a non-physical regime.
     """
     _refuse_dark_port(n_paths, n_shifts)
-    phi = np.asarray(phi_t, dtype=float)
-    if np.any(phi <= 0) or np.any(phi > 1.0 + 1e-12):
-        raise ValueError("phi_T must lie in (0, 1]")
+    phi = _check_coherence_factor(phi_t)
     c = _coherence_offset(n_paths, n_shifts)
     root = np.sqrt(phi)
     den = 1.0 + c * root
@@ -300,15 +317,10 @@ def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     rho(t) is rho0 with its coherence multiplied by phi_T (populations
     untouched).  The normalized state keeps rho0's populations exactly.
     """
-    if not isinstance(rho0, QubitState):
-        rho0 = QubitState(np.asarray(rho0, dtype=complex))
-    rho0.validate()
-    if abs(rho0.trace - 1.0) > 1e-12:
-        raise ValueError("rho0 must be normalized")
-    if not 0.0 < phi_t <= 1.0 + 1e-12:
-        raise ValueError("phi_T must lie in (0, 1]")
+    matrix = rho0.matrix if isinstance(rho0, QubitState) else rho0
+    m0 = QubitState(matrix, normalized=True).validate().matrix
+    _check_coherence_factor(phi_t)
     r = r_factor(n_paths, n_shifts)
-    m0 = rho0.matrix
     m_t = m0.copy()
     m_t[0, 1] *= phi_t
     m_t[1, 0] *= phi_t

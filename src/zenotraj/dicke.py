@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _refuse_dark_port, binary_phases, phase_weights, r_factor
+from .core import _refuse_dark_port, _require_positive, binary_phases, phase_weights, r_factor
 from .errors import NullOutcome, NumericError
 from .numerics import integrate_matrix_ode
 
@@ -67,8 +67,7 @@ class CollectiveRateMatrix:
         if np.any(np.diag(m) != 1.0):
             raise ValueError("diagonal entries must be exactly 1")
         _check_reachable(m)
-        if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be > 0")
+        _require_positive("CollectiveRateMatrix", gamma0=self.gamma0)
         object.__setattr__(self, "matrix", m)
         lowest = self.min_eigenvalue()
         if lowest < -_PSD_TOL:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Lorentzian, QubitState, _binary_pair_sum, _refuse_dark_port, r_factor
+from .core import (Lorentzian, QubitState, _binary_pair_sum, _check_amplitudes,
+                   _refuse_dark_port, _require_positive, r_factor)
 from .errors import NullOutcome
 from .numerics import Series, integrate_adaptive, solve_volterra
 
@@ -102,8 +103,7 @@ def decay_amplitude_lorentzian_closed(gamma0, lam, t):
     The δ → 0 (critical) limit is handled by the sinh series; δ may be real
     or imaginary depending on the sign of λ - 2γ₀. Vectorized over t.
     """
-    if gamma0 <= 0 or lam <= 0:
-        raise ValueError("closed form requires gamma0, lam > 0")
+    _require_positive("the closed form", gamma0=gamma0, lam=lam)
     t = np.asarray(t, dtype=float)
     delta = np.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
     x = 0.5 * delta * t
@@ -141,9 +141,7 @@ def postselected_state_diss(c_e0, c_g0, g_t, n_paths, n_shifts):
     For initial amplitudes (c_e0, c_g0) and dissipation value G = g_t:
     ee = R|G|²|c_e0|², eg = R G c_e0 c_g0*, gg = R|c_g0|² + (1/N)|c_e0|²(1-|G|²).
     """
-    norm = abs(c_e0) ** 2 + abs(c_g0) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError("initial amplitudes must satisfy |c_e0|²+|c_g0|²=1")
+    _check_amplitudes(c_e0, c_g0)
     r = r_factor(n_paths, n_shifts)
     g2 = abs(g_t) ** 2
     ee = r * g2 * abs(c_e0) ** 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _binary_pair_sum, _refuse_dark_port
+from .core import _binary_pair_sum, _refuse_dark_port, _require_elapsed
 from .dissipative import decay_factor, memory_kernel, survival_probability_diss
 from .errors import NumericError
 from .numerics import TimeGrid, integrate_adaptive, solve_volterra
@@ -72,14 +72,19 @@ def filter_deph(omega, t, n_paths, n_shifts):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _check_pulse_count(n_tilde):
+    """ValueError unless the sequential protocol has n_tilde >= 1 pulses."""
+    if n_tilde < 1:
+        raise ValueError(f"the traditional filter needs n_tilde >= 1, got n_tilde={n_tilde!r}")
+
+
 def filter_traditional_zeno(omega, t, n_tilde, omega_q):
     """F_trad = (t^2/Ntilde) sinc^2((w - wq) t / (2 Ntilde)).
 
     The measurement-interruption filter: more interruptions at fixed t widen
     the sinc by Ntilde while the total spectral weight stays 2 pi t.
     """
-    if n_tilde < 1:
-        raise ValueError("the traditional filter needs n_tilde >= 1")
+    _check_pulse_count(n_tilde)
     s = sinc((np.asarray(omega, dtype=float) - omega_q) * t / (2.0 * n_tilde))
     out = (t * t / n_tilde) * s * s
     return float(out) if np.ndim(out) == 0 else out
@@ -105,12 +110,10 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        _require_elapsed(self.t)
         if self.kind != "traditional":
             _refuse_dark_port(self.n_paths, self.n_shifts)
-        if self.kind == "traditional" and self.n_tilde < 1:
-            raise ValueError("the traditional filter needs n_tilde >= 1")
+        _check_pulse_count(self.n_tilde)
 
     def evaluate(self, omega):
         if self.kind == "diss":

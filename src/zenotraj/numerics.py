@@ -66,9 +66,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError("TimeGrid.dt must be positive")
+            raise ValueError(f"TimeGrid.dt must be positive, got dt={self.dt!r}")
         if self.count < 2:
-            raise ValueError("TimeGrid.count must be at least 2")
+            raise ValueError(f"TimeGrid.count must be at least 2, got count={self.count!r}")
 
     @property
     def times(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitState, phase_pair_sum
+from .core import QubitState, _require_elapsed, phase_pair_sum
 from .errors import NullOutcome, NumericError, QuadratureError
 from .numerics import panel_nodes, row_blocks
 
@@ -133,13 +133,17 @@ def _mesh(model, t, nu):
     half-period long so fixed order-10 nodes resolve every oscillation.
     Returns flat arrays of the lags tau = t1 - t2 and the weights, and the
     operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
-    NumericError, before anything is allocated, past ``_MAX_MESH_NODES``.
+    ValueError for t < 0; NumericError, before anything is allocated, past
+    ``_MAX_MESH_NODES``.
     """
-    n_pan = max(2, int(np.ceil(nu * t / np.pi)))
-    size = (10 * n_pan) ** 2  # order-10 nodes per panel on each axis
-    if size > _MAX_MESH_NODES:
-        raise NumericError(f"the (t1, t2) mesh needs {size:,} nodes, above the cap "
+    _require_elapsed(t)
+    # Python floats, so a count past float range is inf (no warning) and compares
+    n_pan = float(max(np.ceil(float(nu) * float(t) / np.pi), 2.0))
+    size = (10.0 * n_pan) * (10.0 * n_pan)  # order-10 nodes per panel on each axis
+    if not size <= _MAX_MESH_NODES:
+        raise NumericError(f"the (t1, t2) mesh needs {size:,.0f} nodes, above the cap "
                            f"{_MAX_MESH_NODES:,}; use a shorter t or a narrower spectrum")
+    n_pan = int(n_pan)
     t1, half, w = panel_nodes(np.linspace(0.0, t, n_pan + 1))
     # inner mesh on [0, t1] as the unit mesh scaled by t1
     u, uh, _ = panel_nodes(np.linspace(0.0, 1.0, n_pan + 1))
@@ -215,8 +219,6 @@ def second_order_block(model, rho0, path_index, t):
     """
     if not isinstance(rho0, QubitState):
         rho0 = QubitState(np.asarray(rho0, dtype=complex))
-    if t < 0:
-        raise ValueError("t must be >= 0")
     if t == 0.0:
         return np.zeros((2, 2), dtype=complex)
     j = model.density_for_path(path_index)
@@ -262,8 +264,6 @@ def general_filter(model, psi0, omega, t, config):
     peak memory; the mesh itself grows as (nu t)^2.
     """
     prefactor = _prefactor(config)
-    if t < 0:
-        raise ValueError("t must be >= 0")
     scalar = np.ndim(omega) == 0
     w_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if t == 0.0:
@@ -280,8 +280,6 @@ def general_decay_factor(model, psi0, t, config):
     ``config`` is the InterferometerConfig of the post-selection.  With
     identical spectral densities this is a single overlap integral.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     if t == 0.0:
         return 0.0
     js = model.spectral_densities

@@ -1,10 +1,16 @@
 """Tests for configuration parsing, scenario runs, and table emission."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenotraj import cli, dissipative
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
@@ -16,6 +22,33 @@ UNREAD_FLAGS = {
     "nonmarkov": ("--spectral", "--omega-m", "--delta"),
     "perturbation": ("--spectral", "--eta", "--s", "--omega-c", "--omega-m", "--delta"),
 }
+
+
+# bounds the CLI leaves to the library object that owns them: (argv, exit
+# code, message); values on a branch the run does not take are checked too
+OWNED_BOUNDS = [
+    (["filter", "--spectral", "gaussian", "--eta", "-1"], 2, "Ohmic needs eta > 0, got eta=-1.0"),
+    (["dynamics-deph", "--s", "0"], 2, "Ohmic needs s > 0, got s=0.0"),
+    (["nonmarkov", "--model", "diss", "--omega-c", "-2"], 2,
+     "Ohmic needs omega_c > 0, got omega_c=-2.0"),
+    (["filter", "--spectral", "ohmic", "--delta", "0"], 2,
+     "GaussianPeak needs delta > 0, got delta=0.0"),
+    (["perturbation", "--gamma0", "0"], 2, "Lorentzian needs gamma0 > 0, got gamma0=0.0"),
+    (["nonmarkov", "--model", "deph", "--lambda", "-1"], 2, "Lorentzian needs lam > 0, got lam=-1.0"),
+    (["filter", "--kind", "diss", "--n-tilde", "0.5"], 2,
+     "the traditional filter needs n_tilde >= 1, got n_tilde=0.5"),
+    (["nonmarkov", "--model", "diss", "--temperature", "-1"], 2,
+     "temperature must be >= 0, got temperature=-1.0"),
+    (["dynamics-diss", "--tmax", "-1"], 2, "TimeGrid.dt must be positive, got dt=-0.001"),
+    (["dicke", "--tmax", "-5"], 2, "TimeGrid.dt must be positive, got dt=-0.01"),
+    # a step that underflows to 0 (a traceback when the runner built the grid)
+    (["dynamics-deph", "--tmax", "1e-322"], 2, "TimeGrid.dt must be positive, got dt=0.0"),
+    # the CLI's own bounds are checked before any constructor runs
+    (["dicke", "--gamma0", "-1", "--tmax", "-5"], 2, "gamma0 must be > 0"),
+    # the bath the table's metadata records is refused on the diss branch too
+    (["nonmarkov", "--model", "diss", "--s", "0.5", "--temperature", "0.5"], 3,
+     "finite-temperature dephasing exponent refused"),
+]
 
 
 # the subcommands that take a binary (N, n) profile
@@ -109,7 +142,7 @@ class TestParseConfig:
                                      "[-0.21723362821122166, 1], at least -1/(N-1)")
 
     def test_range_validation(self):
-        with pytest.raises(ConfigError, match="gamma0"):
+        with pytest.raises(ConfigError, match=r"Lorentzian needs gamma0 > 0, got gamma0=-1\.0"):
             parse_config(["dynamics-diss", "--gamma0", "-1"])
         with pytest.raises(ConfigError, match="steps"):
             parse_config(["dynamics-diss", "--steps", "0"])
@@ -124,7 +157,7 @@ class TestParseConfig:
         for argv in (["dynamics-deph", "--eta", "0"],
                      ["nonmarkov", "--model", "deph", "--eta", "0"],
                      ["filter", "--spectral", "ohmic", "--eta", "0"]):
-            with pytest.raises(ConfigError, match="eta must be > 0"):
+            with pytest.raises(ConfigError, match=r"Ohmic needs eta > 0, got eta=0\.0"):
                 parse_config(argv)
 
     def test_file_value_outside_choices_rejected(self, tmp_path):
@@ -162,6 +195,17 @@ class TestParseConfig:
         assert second.params["numeric"] is True and second.params["steps"] == 500
         assert "numeric" not in first.params and "temperature" not in second.params
         assert parse_config(["dynamics-deph"]).params["temperature"] == 0.0
+
+    def test_run_config_builds_its_inputs_from_its_params(self):
+        config = parse_config(["filter", "--spectral", "lorentzian"])
+        direct = RunConfig("filter", dict(config.params))
+        assert emit(run(direct)) == emit(run(config))
+        changed = dataclasses.replace(config, params={**config.params, "lam": 0.25})
+        assert changed.inputs["lorentzian"].lam == 0.25
+        with pytest.raises(ConfigError, match="Lorentzian needs lam > 0, got lam=-1.0"):
+            dataclasses.replace(config, params={**config.params, "lam": -1.0})
+        with pytest.raises(TypeError):
+            RunConfig("filter", dict(config.params), inputs={})
 
     def test_each_subcommand_takes_exactly_its_declared_keys(self):
         common = {"config", "out", "format", "recipe"}
@@ -273,9 +317,8 @@ class TestRun:
         assert np.all(np.isfinite(table.values))
 
     def test_error_carries_scenario_context(self):
-        cfg = parse_config(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",
-                            "--tmax", "1", "--steps", "5"])
-        with pytest.raises(NumericError, match=r"\[dynamics-deph\]"):
+        cfg = parse_config(["dicke", "--sinc", "0.99", "--numeric", "--steps", "3", "--tmax", "5"])
+        with pytest.raises(NumericError, match=r"\[dicke\] RK4 error bound"):
             run(cfg)
 
     def test_deterministic_bytes(self):
@@ -374,6 +417,23 @@ class TestMain:
         assert main([scenario, "--N", n_paths, "--n", n_shifts]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, message", OWNED_BOUNDS,
+                             ids=[" ".join(case[0]) for case in OWNED_BOUNDS])
+    def test_owned_bound_exit_code(self, argv, code, message, capsys):
+        # each bound is checked at parse time by the library object that owns it
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dynamics-deph", "--tmax", "2.5e16", "--steps", "3"],
+        ["nonmarkov", "--model", "deph", "--omega-c", "1.35e16", "--steps", "3"],
+        ["dynamics-deph", "--omega-c", "8.3e296", "--tmax", "8.3e296", "--steps", "3"],
+    ], ids=" ".join)
+    def test_oversized_half_period_count_exit_code(self, argv, capsys):
+        # the panel edges would need exabytes, or an infinite count of half-periods
+        assert main(argv) == 3
+        assert "half-periods, above the cap 1,000,000" in capsys.readouterr().err
+
     def test_numeric_error_exit_code(self, capsys):
         code = main(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",
                      "--tmax", "1", "--steps", "5"])
@@ -385,6 +445,17 @@ class TestMain:
         assert main(["perturbation", "--t", "20"]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "42,250,000 nodes" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["perturbation", "--t", "1e308"],
+        ["perturbation", "--lambda", "1e307"],
+        ["perturbation", "--omega-q", "1e308", "--omega-points", "5"],
+    ], ids=" ".join)
+    def test_mesh_count_past_float_range_exit_code(self, argv, capsys):
+        # the panel count is inf: refused as above the cap, not converted to an integer
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "mesh needs inf nodes" in err
 
     @pytest.mark.parametrize("argv", [
         ["dynamics-deph", "--s", "50", "--tmax", "1", "--steps", "2"],
@@ -522,3 +593,42 @@ class TestMain:
     def test_default_numeric_grid_is_stable(self, capsys):
         assert main(["dicke", "--numeric"]) == 0
         assert "pe_numeric" in capsys.readouterr().out
+
+
+# cheap routes: each subcommand's argv and the keys that hold it on its route
+CHEAP_ROUTES = {
+    "filter": (["filter", "--omega-points=5"], ("omega_points",)),
+    "dicke": (["dicke", "--steps=3"], ("steps", "numeric")),
+    "dynamics-deph": (["dynamics-deph", "--steps=3"], ("steps", "temperature")),
+    "nonmarkov-deph": (["nonmarkov", "--model=deph", "--steps=3"],
+                       ("model", "steps", "temperature")),
+    "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--omega-q=1", "--steps=3"],
+                      ("lam", "omega_q", "steps")),
+}
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+             1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-1e3, 1e3), st.floats())
+_INTS = st.one_of(st.integers(-3, 12), st.sampled_from((2**31, 2**62)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_declared_value_exits_with_a_code(data):
+    """Finite, non-finite or extreme values of the declared keys exit 0, 2 or 3, never raise."""
+    route, held = CHEAP_ROUTES[data.draw(st.sampled_from(sorted(CHEAP_ROUTES)))]
+    declared = cli._SCENARIO_DEFAULTS[route[0]]
+    keys = data.draw(st.lists(st.sampled_from([k for k in declared if k not in held]),
+                              min_size=1, max_size=3, unique=True))
+    argv = list(route)
+    for key in keys:
+        default = declared[key]
+        if isinstance(default, tuple):
+            value = data.draw(st.sampled_from(default))
+        else:
+            value = repr(data.draw(_INTS if isinstance(default, int) else _FLOATS))
+        argv.append(f"--{cli._FLAGS.get(key, key).replace('_', '-')}={value}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow at extreme inputs
+        assert main(argv) in (0, 2, 3), argv

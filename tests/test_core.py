@@ -1,5 +1,6 @@
 """Tests for the shared domain types and post-selection algebra."""
 
+import functools
 import math
 
 import mpmath
@@ -24,11 +25,23 @@ from zenotraj.core import (
     r_factor,
     trace_distance,
 )
-from zenotraj.dephasing import _coherence_offset, modified_dephasing
+from zenotraj.dephasing import (
+    DephasingParams,
+    _coherence_offset,
+    dephasing_exponent,
+    modified_dephasing,
+    postselected_state_deph,
+)
 from zenotraj.dicke import excited_population_analytic
-from zenotraj.dissipative import trace_distance_diss
+from zenotraj.dissipative import postselected_state_diss, trace_distance_diss
 from zenotraj.errors import NullOutcome
-from zenotraj.filters import FilterSpec, filter_deph, filter_diss
+from zenotraj.filters import FilterSpec, filter_deph, filter_diss, filter_traditional_zeno
+from zenotraj.perturbation import (
+    dissipative_coupling_model,
+    general_decay_factor,
+    general_filter,
+    second_order_block,
+)
 
 
 class TestRFactor:
@@ -54,7 +67,8 @@ class TestRFactor:
 
 
 class TestOneOwnerPerRule:
-    """The path range, the dark port, K = (N-2n)^2 and c = NR - 1 each have one owner."""
+    """The path range, the dark port, K = (N-2n)^2, c = NR - 1, the phi_T and amplitude
+    windows and the pulse count n_tilde >= 1 each have one owner."""
 
     # every function of a binary (N, n) profile that has no value at n = N/2
     DARK_PORT_CALLS = {
@@ -99,6 +113,59 @@ class TestOneOwnerPerRule:
             for n in range(n_paths + 1):
                 assert _coherence_offset(n_paths, n) == pytest.approx(
                     n_paths * r_factor(n_paths, n) - 1.0, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("phi, accepted", [
+        (0.0, False), (-0.5, False), (1.0 + 2e-12, False), (math.nan, False),
+        (1e-300, True), (1.0, True), (1.0 + 1e-13, True),
+    ])
+    def test_coherence_factor_window_has_one_owner(self, phi, accepted):
+        # phi_T in (0, 1 + 1e-12], for the modified factor and the post-selected state
+        for call in (lambda: modified_dephasing(phi, 3, 0),
+                     lambda: postselected_state_deph(QubitState.plus(), phi, 3, 0)):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(ValueError, match=r"phi_T must lie in \(0, 1\], got phi_T="):
+                    call()
+
+    @pytest.mark.parametrize("excess, accepted", [
+        (2e-12, False), (-2e-12, False), (math.nan, False), (1e-13, True), (0.0, True),
+    ])
+    def test_amplitude_window_has_one_owner(self, excess, accepted):
+        # |c_e|^2 + |c_g|^2 = 1 to 1e-12, for a pure state and a dissipative initial state
+        c_e, c_g = math.sqrt(0.5 + excess), math.sqrt(0.5)
+        for call in (lambda: QubitState.pure(c_e, c_g),
+                     lambda: postselected_state_diss(c_e, c_g, 0.5, 3, 0)):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(ValueError, match=r"\|c_e\|² \+ \|c_g\|² = 1, got"):
+                    call()
+
+    @pytest.mark.parametrize("build", [
+        *(functools.partial(FilterSpec, kind, 1.0, 1.0, 3, 0) for kind in FilterSpec.KINDS),
+        lambda n_tilde: filter_traditional_zeno(1.0, 1.0, n_tilde, 1.0),
+    ], ids=[*FilterSpec.KINDS, "filter_traditional_zeno"])
+    def test_pulse_count_has_one_owner(self, build):
+        # n_tilde >= 1 for every filter kind, not only the traditional one
+        build(1.0)
+        with pytest.raises(ValueError) as info:
+            build(0.5)
+        assert str(info.value) == "the traditional filter needs n_tilde >= 1, got n_tilde=0.5"
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_elapsed_time_has_one_owner(self, t):
+        # t >= 0 for a filter spec, the dephasing exponent and each second-order entry
+        j, profile = Lorentzian(1.0, 1.0, 1.0), InterferometerConfig(3, n_shifts=0)
+        model = dissipative_coupling_model(j, omega_q=1.0)
+        for call in (lambda: FilterSpec("diss", t, 1.0, 3, 0),
+                     lambda: dephasing_exponent(DephasingParams(Ohmic(0.1, 1.0, 1.0)), t),
+                     lambda: second_order_block(model, QubitState.excited(), 0, t),
+                     lambda: general_filter(model, QubitState.excited(), 1.0, t, profile),
+                     lambda: general_decay_factor(model, QubitState.excited(), t, profile)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"t must be >= 0, got t={t!r}"
 
 
 class TestPhaseAlgebra:

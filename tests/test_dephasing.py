@@ -655,6 +655,20 @@ def _panel_nodes(omega_max, t):
     return _frozen(dephasing_oracle.gauss_legendre_nodes(_panel_edges(omega_max, t), x).ravel())
 
 
+@pytest.mark.parametrize("half_periods, refused", [
+    (1_000_000.5, False), (1_000_001.5, True), (np.inf, True),
+])
+def test_panel_edges_refuse_a_count_past_the_cap(half_periods, refused):
+    # checked on the float count before any array is allocated, so inf too
+    j, t = Ohmic(1.0 / 3.0, 1.0, 1.0), 1.0
+    upper = half_periods * np.pi / t
+    if refused:
+        with pytest.raises(NumericError, match="above the cap 1,000,000"):
+            dephasing._panel_edges(j, upper, t)
+    else:
+        assert dephasing._panel_edges(j, upper, t).size == 1_000_002
+
+
 def _integrand(j, t, temperature):
     """The integrand ``dephasing_exponent`` builds for (j, T) at time t."""
     coth = None if temperature == 0.0 else functools.partial(_capped_coth, temperature)
