@@ -9,7 +9,7 @@ Six subcommands cover the library's scenarios::
     zenotraj nonmarkov      trace-distance diagnostics and divisibility
     zenotraj perturbation   general second-order engine vs closed forms
 
-Named presets (``--recipe fig2|fig3|fig4a|fig4b|fig4c``) bundle the
+Named presets (``--recipe``, on filter, dicke and nonmarkov) bundle the
 parameter choices behind the standard survey figures.  Output is a
 deterministic CSV or JSON table: identical configuration, identical bytes.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
@@ -59,32 +59,27 @@ from .perturbation import dissipative_coupling_model, general_filter
 
 __all__ = ["RunConfig", "ResultTable", "parse_config", "run", "emit", "main"]
 
-_RECIPE_SCENARIO = {"fig2": "filter", "fig3": "dicke",
-                    "fig4a": "nonmarkov", "fig4b": "nonmarkov", "fig4c": "nonmarkov"}
-
-_RECIPE_OVERLAYS = {
-    "fig2": {"spectral": "gaussian", "omega_q": 1.0, "t": 5.0,
-             "omega_m": 1.5, "delta": 0.2,
-             "omega_min": -5.0, "omega_max": 7.0, "omega_points": 1201},
-    "fig3": {"N": 3, "sinc": 1.0 / 6.0, "gamma0": 0.01, "tmax": 5.0, "steps": 500},
-    "fig4a": {"model": "diss", "gamma0": 1.0, "lam": 0.1, "omega_q": 50.0,
-              "tmax": 60.0, "steps": 6000},
-    "fig4b": {"model": "deph", "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
-              "temperature": 0.0, "tmax": 4.0, "steps": 400},
-    "fig4c": {"model": "deph", "eta": 1.0 / 3.0, "s": 4.0, "omega_c": 1.0,
-              "temperature": 0.0, "tmax": 200.0, "steps": 1000},
+# recipe -> (scenario, overlay, pinned keys).  A recipe pins the keys that
+# decide its curves and every key its table layout ignores, each at its
+# overlay value or else its default; a run may override every other key.
+_RECIPES = {
+    "fig2": ("filter", {"spectral": "gaussian", "omega_q": 1.0, "t": 5.0,
+                        "omega_m": 1.5, "delta": 0.2,
+                        "omega_min": -5.0, "omega_max": 7.0, "omega_points": 1201},
+             ("kind", "N", "n", "n_tilde")),
+    "fig3": ("dicke", {"N": 3, "sinc": 1.0 / 6.0, "gamma0": 0.01, "tmax": 5.0, "steps": 500},
+             ("N", "n", "numeric")),
+    "fig4a": ("nonmarkov", {"model": "diss", "gamma0": 1.0, "lam": 0.1, "omega_q": 50.0,
+                            "tmax": 60.0, "steps": 6000}, ("model",)),
+    "fig4b": ("nonmarkov", {"model": "deph", "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
+                            "temperature": 0.0, "tmax": 4.0, "steps": 400}, ("model", "s")),
+    "fig4c": ("nonmarkov", {"model": "deph", "eta": 1.0 / 3.0, "s": 4.0, "omega_c": 1.0,
+                            "temperature": 0.0, "tmax": 200.0, "steps": 1000}, ("model", "s")),
 }
-
-# structural keys a recipe pins (they decide which curves the table holds);
-# their values are the recipe's overlay values
-_RECIPE_FIXED = {"fig2": (), "fig3": ("N",), "fig4a": ("model",),
-                 "fig4b": ("model", "s"), "fig4c": ("model", "s")}
 
 # file/CLI key -> internal name ("lambda" is a Python keyword)
 _KEYMAP = {"lambda": "lam"}
 _FLAGS = {name: key for key, name in _KEYMAP.items()}
-
-_COMMON_DEFAULTS = {"out": None, "format": "csv", "recipe": None}
 
 # Each scenario's parameters and their defaults: the only declaration of
 # what a subcommand accepts.  Its flags, the keys a config file may set and
@@ -123,6 +118,8 @@ _SCENARIO_DEFAULTS = {
 }
 
 _HELP = {
+    "format": "output format",
+    "recipe": "named preset sweep",
     "kind": "filter to tabulate",
     "spectral": "spectral density family",
     "model": "dissipative or pure-dephasing bath",
@@ -197,9 +194,18 @@ class ResultTable:
         object.__setattr__(self, "values", vals)
 
 
-def _defaults(scenario):
-    return {key: value[0] if isinstance(value, tuple) else value
-            for key, value in _SCENARIO_DEFAULTS[scenario].items()}
+def _declared(scenario):
+    """Every key a subcommand takes, by flag or config file: the output keys,
+    its own recipes (if it has any) and its parameters."""
+    recipes = tuple(name for name, (owner, _, _) in _RECIPES.items() if owner == scenario)
+    return {"out": None, "format": ("csv", "json"), **({"recipe": recipes} if recipes else {}),
+            **_SCENARIO_DEFAULTS[scenario]}
+
+
+def _defaults(declared):
+    """The first value of each choice, else the default; a recipe only when named."""
+    return {**{key: value[0] if isinstance(value, tuple) else value
+               for key, value in declared.items()}, "recipe": None}
 
 
 def _add_parameter(parser, key, default):
@@ -221,26 +227,33 @@ def _build_parser():
         description="Post-selected open-system dynamics over superposed paths.")
     parser.add_argument("--version", action="version", version=f"zenotraj {__version__}")
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for scenario, declared in _SCENARIO_DEFAULTS.items():
+    for scenario in _SCENARIO_DEFAULTS:
         p = sub.add_parser(scenario, help=_RUNNERS[scenario].__doc__)
         p.add_argument("--config", help="JSON file with configuration keys")
         p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--recipe", choices=tuple(_RECIPE_SCENARIO), help="named preset sweep")
-        for key, default in declared.items():
-            _add_parameter(p, key, default)
+        for key, default in _declared(scenario).items():
+            if key != "out":
+                _add_parameter(p, key, default)
     return parser
 
 
+def _check_choice(key, value, allowed):
+    if value not in allowed:
+        raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+
+
 def _check_file_value(key, value, default):
-    """ConfigError unless a config-file value has the type of its declared default.
+    """ConfigError unless a config-file value is one of its declared choices,
+    or has the type of its declared default ("out" is a path).
 
     An integer is a number but never a bool; it is kept as given for a float
     key, as converting it would change the table's metadata bytes.
     """
+    if isinstance(default, tuple):
+        return _check_choice(key, value, default)
     if value is None and default is None:
         return
-    if key in _COMMON_DEFAULTS or isinstance(default, tuple):
+    if key == "out":
         want, ok = "a string", isinstance(value, str)
     elif isinstance(default, bool):
         want, ok = "true or false", isinstance(value, bool)
@@ -258,7 +271,7 @@ def _load_config_file(path, scenario, declared):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer with too many digits to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -279,15 +292,15 @@ def _load_config_file(path, scenario, declared):
 
 def _validate(scenario, params):
     """Check finiteness, the (N, n) profile, choices and the bounds no library object owns."""
-    for key, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
+    for key, value in params.items():  # an integer past float range is not finite either
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{key} must be finite, got {value}")
     if "N" in params:  # every subcommand with N takes n too
         _check_path_range(params["N"], params["n"])
         _refuse_dark_port(params["N"], params["n"])
     for key, allowed in _SCENARIO_DEFAULTS[scenario].items():
-        if isinstance(allowed, tuple) and params[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {params[key]!r}")
+        if isinstance(allowed, tuple):
+            _check_choice(key, params[key], allowed)
     if "t" in params and params["t"] <= 0:
         raise ConfigError("t must be > 0")
     if scenario == "dicke" and params["gamma0"] <= 0:  # the analytic route divides by it
@@ -331,35 +344,24 @@ def _inputs(scenario, p):
 def parse_config(argv=None):
     """argv -> RunConfig with precedence command line > file > recipe > defaults.
 
-    A recipe pre-sets the sweep that defines the named figure; its structural
-    keys (which curves the table holds) may not be overridden, everything
-    else may.
+    A recipe pre-sets the sweep that defines the named figure; the keys it
+    pins (its curves' identity and the keys its table ignores) may not be
+    overridden, everything else may.
     """
     args = _build_parser().parse_args(argv)
     scenario = args.scenario
-    declared = {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS[scenario]}
+    declared = _declared(scenario)
     file_vals = _load_config_file(args.config, scenario, declared) if args.config else {}
     cli_vals = {k: v for k, v in vars(args).items()
                 if k not in ("scenario", "config") and v is not None}
     recipe = cli_vals.get("recipe", file_vals.get("recipe"))
-    resolved = {**_COMMON_DEFAULTS, **_defaults(scenario)}
-    if recipe is not None:
-        if recipe not in _RECIPE_SCENARIO:
-            raise ConfigError(f"recipe must be one of {', '.join(_RECIPE_SCENARIO)}, "
-                              f"got {recipe!r}")
-        if _RECIPE_SCENARIO[recipe] != scenario:
+    _, overlay, pinned = _RECIPES.get(recipe, (scenario, {}, ()))
+    preset = {**_defaults(declared), **overlay}
+    resolved = {**preset, **file_vals, **cli_vals}
+    for key in pinned:
+        if resolved[key] != preset[key]:
             raise ConfigError(
-                f"recipe '{recipe}' belongs to scenario '{_RECIPE_SCENARIO[recipe]}', "
-                f"not '{scenario}'")
-        resolved.update(_RECIPE_OVERLAYS[recipe])
-    resolved.update(file_vals)
-    resolved.update(cli_vals)
-    if recipe is not None:
-        for key in _RECIPE_FIXED[recipe]:
-            value = _RECIPE_OVERLAYS[recipe][key]
-            if resolved[key] != value:
-                raise ConfigError(
-                    f"recipe '{recipe}' fixes {key}={value}; drop the recipe to vary it")
+                f"recipe '{recipe}' fixes {key}={preset[key]}; drop the recipe to vary it")
     out, fmt, recipe = resolved.pop("out"), resolved.pop("format"), resolved.pop("recipe")
     return RunConfig(scenario=scenario, params=resolved, out=out, fmt=fmt, recipe=recipe)
 

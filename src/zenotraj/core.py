@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import NullOutcome
-from .numerics import min_eigenvalue_hermitian
 
 __all__ = [
     "SpectralDensity",
@@ -393,7 +392,7 @@ class QubitState:
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if dev > 1e-12:
             raise ValueError(f"state is not Hermitian: deviation {dev:g}")
-        lo = min_eigenvalue_hermitian(self.matrix)
+        lo = float(np.linalg.eigvalsh(self.matrix)[0])
         if lo < -1e-12:
             raise ValueError(f"state is not PSD: min eigenvalue {lo:g}")
         tr = self.trace

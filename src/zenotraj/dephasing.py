@@ -261,7 +261,7 @@ def dephasing_exponent(params, t):
     omega_max = j.omega_max
     coth = None if temperature == 0.0 else functools.partial(_capped_coth, temperature)
     h = _thermal_integrand(j, t, coth)
-    if omega_max * t <= _ADAPTIVE_PHASE_LIMIT:
+    if float(omega_max) * float(t) <= _ADAPTIVE_PHASE_LIMIT:  # Python floats overflow silently
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
         return split if split is not None else _half_period_quad(h, j, omega_max, t, 1e-13)
     return gauss_legendre_panels(h, _panel_edges(j, omega_max, t))
@@ -362,7 +362,8 @@ def _exponent_series(params, times):
     same call as the serial loop, so the values are identical, and the
     exception raised is that of the earliest failing t.
     """
-    pooled = params.j.omega_max * times > _POOL_PHASE_LIMIT
+    with np.errstate(over="ignore"):  # a product past float range is inf, and compares so
+        pooled = params.j.omega_max * times > _POOL_PHASE_LIMIT
     pool = _panel_pool() if pooled.any() else None
     if pool is None:
         return [dephasing_exponent(params, t) for t in times]

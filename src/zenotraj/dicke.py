@@ -69,7 +69,7 @@ class CollectiveRateMatrix:
         _check_reachable(m)
         _require_positive("CollectiveRateMatrix", gamma0=self.gamma0)
         object.__setattr__(self, "matrix", m)
-        lowest = self.min_eigenvalue()
+        lowest = float(np.linalg.eigvalsh(m)[0])
         if lowest < -_PSD_TOL:
             raise ValueError(
                 f"collective matrix is not positive semidefinite: smallest eigenvalue {lowest:.6g}")
@@ -93,9 +93,6 @@ class CollectiveRateMatrix:
         if 1.0 + (n_sites - 1) * s < -_PSD_TOL:  # never for N = 1, where M = [1]
             raise ValueError(f"collective matrix is not positive semidefinite: a uniform factor"
                              f" needs s >= -1/(N-1) = {-1.0 / (n_sites - 1)!r} for N = {n_sites}")
-
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def build_master_generator(rates):

@@ -21,13 +21,9 @@ __all__ = [
     "integrate_adaptive",
     "solve_volterra",
     "integrate_matrix_ode",
-    "min_eigenvalue_hermitian",
     "gauss_legendre_panels",
 ]
 
-
-# Hermiticity tolerance of min_eigenvalue_hermitian, relative to the largest entry
-_HERM_TOL = 1e-12
 
 _GL_ORDER = 10
 
@@ -189,27 +185,6 @@ def integrate_matrix_ode(rhs, rho0, grid):
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = rho
     return out
-
-
-def min_eigenvalue_hermitian(M):
-    """Smallest eigenvalue of a small (n ≤ 8) Hermitian matrix.
-
-    The input is symmetrized before the solve; a deviation from Hermiticity
-    beyond ``_HERM_TOL`` (relative to the largest entry) is an error.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    if M.shape[0] > 8:
-        raise ValueError("min_eigenvalue_hermitian is limited to n <= 8")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    deviation = float(np.max(np.abs(M - M.conj().T)))
-    if deviation > _HERM_TOL * scale:
-        raise NumericError(
-            f"matrix is not Hermitian within tolerance: deviation {deviation:g}"
-        )
-    sym = 0.5 * (M + M.conj().T)
-    return float(np.linalg.eigvalsh(sym)[0])
 
 
 def row_blocks(n_rows, max_rows):

@@ -10,7 +10,6 @@ tests can check the two against each other.
 import numpy as np
 
 from zenotraj.errors import NumericError
-from zenotraj.numerics import min_eigenvalue_hermitian
 
 
 def choi_intermediate_map(g_t, g_t_tau, n_paths, n_shifts):
@@ -53,7 +52,7 @@ def cp_divisible_choi(g, n_paths=1, n_shifts=0, tol=None):
         choi = choi_intermediate_map(g.values[k], g.values[k + 1],
                                      n_paths, n_shifts)
         eig_tol = nbar * tol * dt / g2[k]
-        ok[k] = min_eigenvalue_hermitian(choi) >= -eig_tol
+        ok[k] = np.linalg.eigvalsh(choi)[0] >= -eig_tol
     bad = np.nonzero(~ok)[0]
     if bad.size == 0:
         return True, None, ok

@@ -51,6 +51,25 @@ OWNED_BOUNDS = [
 ]
 
 
+# a recipe refuses every value its table would ignore, and a subcommand every
+# recipe and format it does not declare, before anything runs: (argv, config
+# file text, exit code, message)
+RECIPE_EXITS = [
+    (["filter", "--recipe", "fig2", "--N", "5"], None, 2, "recipe 'fig2' fixes N=1;"),
+    (["filter", "--recipe", "fig2", "--n", "1"], None, 2, "recipe 'fig2' fixes n=0;"),
+    (["filter", "--recipe", "fig2", "--kind", "deph"], None, 2, "recipe 'fig2' fixes kind=diss;"),
+    (["filter", "--recipe", "fig2", "--n-tilde", "3"], None, 2,
+     "recipe 'fig2' fixes n_tilde=1.0;"),
+    (["dicke", "--recipe", "fig3", "--n", "1"], None, 2, "recipe 'fig3' fixes n=0;"),
+    (["dicke", "--recipe", "fig3", "--numeric"], None, 2, "recipe 'fig3' fixes numeric=False;"),
+    (["dynamics-diss", "--recipe", "fig2"], None, 2, "unrecognized arguments: --recipe fig2"),
+    (["perturbation"], '{"recipe": "fig2"}', 2, "unknown configuration key: 'recipe'"),
+    (["nonmarkov", "--recipe", "fig4c"], '{"format": "xml"}', 2,
+     "format must be one of csv, json, got 'xml'"),
+    (["nonmarkov", "--recipe", "fig4b", "--steps", "60"], None, 0, ""),
+]
+
+
 # the subcommands that take a binary (N, n) profile
 PROFILE_SCENARIOS = [name for name, declared in cli._SCENARIO_DEFAULTS.items() if "n" in declared]
 
@@ -95,9 +114,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="scenario"):
             parse_config(["dicke", "--config", str(path)])
 
-    def test_recipe_scenario_guard(self):
-        with pytest.raises(ConfigError, match="belongs to scenario"):
+    def test_recipe_scenario_guard(self, capsys):
+        # a subcommand offers only its own recipes
+        with pytest.raises(SystemExit) as exit_info:
             parse_config(["filter", "--recipe", "fig3"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'fig3' (choose from 'fig2')" in capsys.readouterr().err
 
     def test_recipe_overridable_and_fixed_keys(self):
         cfg = parse_config(["dicke", "--recipe", "fig3", "--gamma0", "0.02"])
@@ -208,15 +230,17 @@ class TestParseConfig:
             RunConfig("filter", dict(config.params), inputs={})
 
     def test_each_subcommand_takes_exactly_its_declared_keys(self):
-        common = {"config", "out", "format", "recipe"}
+        common = {"config", "out", "format"}
+        with_recipes = {"filter", "dicke", "nonmarkov"}
         sub = next(a for a in cli._build_parser()._actions if a.dest == "scenario")
         total = 0
         for scenario, parser in sub.choices.items():
             dests = {a.dest for a in parser._actions if a.dest != "help"}
-            assert dests == set(cli._SCENARIO_DEFAULTS[scenario]) | common
+            recipe = {"recipe"} if scenario in with_recipes else set()
+            assert dests == set(cli._SCENARIO_DEFAULTS[scenario]) | common | recipe
             total += len(dests)
         assert set(sub.choices) == set(cli._SCENARIO_DEFAULTS)
-        assert total == 84
+        assert total == 81
 
 
 class TestRun:
@@ -429,10 +453,31 @@ class TestMain:
         ["nonmarkov", "--model", "deph", "--omega-c", "1.35e16", "--steps", "3"],
         ["dynamics-deph", "--omega-c", "8.3e296", "--tmax", "8.3e296", "--steps", "3"],
     ], ids=" ".join)
+    @pytest.mark.filterwarnings("error")
     def test_oversized_half_period_count_exit_code(self, argv, capsys):
         # the panel edges would need exabytes, or an infinite count of half-periods
         assert main(argv) == 3
         assert "half-periods, above the cap 1,000,000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config_text, code, message", RECIPE_EXITS,
+                             ids=[" ".join(case[0] + [case[1] or ""]) for case in RECIPE_EXITS])
+    def test_recipe_and_choice_exit_code(self, argv, config_text, code, message, tmp_path,
+                                         monkeypatch, capsys):
+        def refuse(config):
+            raise AssertionError("a refused configuration was run")
+
+        if config_text is not None:
+            path = tmp_path / "run.json"
+            path.write_text(config_text)
+            argv = argv + ["--config", str(path)]
+        if code:
+            monkeypatch.setattr(cli, "run", refuse)
+        try:
+            result = main(argv)
+        except SystemExit as exc:  # argparse refuses the flag
+            result = exc.code
+        assert result == code
+        assert message in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, capsys):
         code = main(["dynamics-deph", "--s", "0.5", "--temperature", "0.5",
@@ -471,7 +516,11 @@ class TestMain:
         (["filter", "--t", "nan"], None),
         (["dicke", "--tmax", "inf"], None),
         (["filter"], '{"omega_q": NaN}'),
-    ], ids=["flag-gamma0-nan", "flag-t-nan", "flag-tmax-inf", "file-omega_q-nan"])
+        # integers too large for a float
+        (["dicke", "--N=1" + "0" * 400], None),
+        (["dynamics-diss"], '{"gamma0": 1' + "0" * 400 + "}"),
+    ], ids=["flag-gamma0-nan", "flag-t-nan", "flag-tmax-inf", "file-omega_q-nan",
+            "flag-N-1e400", "file-gamma0-1e400"])
     def test_non_finite_input_exit_code(self, argv, config_text, tmp_path, capsys):
         if config_text is not None:
             path = tmp_path / "run.json"
@@ -484,7 +533,9 @@ class TestMain:
         ('{"steps": "10"}', "'steps' must be an integer"),
         ('{"steps": 2.5}', "'steps' must be an integer"),
         ('{"numeric": 1}', "'numeric' must be true or false"),
-    ], ids=["steps-string", "steps-float", "numeric-integer"])
+        # past Python's digit limit for converting a string to an integer
+        ('{"tmax": 1' + "0" * 5000 + "}", "config file is not valid JSON: Exceeds the limit"),
+    ], ids=["steps-string", "steps-float", "numeric-integer", "tmax-5001-digits"])
     def test_config_file_value_type_exit_code(self, config_text, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(config_text)
@@ -608,7 +659,7 @@ CHEAP_ROUTES = {
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
              1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)
 _FLOATS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-1e3, 1e3), st.floats())
-_INTS = st.one_of(st.integers(-3, 12), st.sampled_from((2**31, 2**62)))
+_INTS = st.one_of(st.integers(-3, 12), st.sampled_from((2**31, 2**62, 10**400)))
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None,

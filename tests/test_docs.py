@@ -1,6 +1,8 @@
-"""The documentation runs: every demo script exits 0, and the README lists the API."""
+"""The documentation runs: every demo script exits 0, and the README lists the API and recipes."""
 
+import contextlib
 import importlib
+import io
 import os
 import pathlib
 import pkgutil
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 import zenotraj
+from zenotraj import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -34,3 +37,31 @@ def test_readme_api_table_lists_each_module_all_in_order():
     assert sorted(table) == sorted(library)
     for module, names in table.items():
         assert names == importlib.import_module(f"zenotraj.{module}").__all__, module
+
+
+def _readme_recipes():
+    """recipe -> (subcommand, [(key, value), ...]) from the README's CLI recipe table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^  \| `(fig\w+)` \| `([\w-]+)` \| (.+) \|$", section, re.MULTILINE)
+    return {recipe: (scenario, re.findall(r"`(\w+)=([^`]+)`", pins))
+            for recipe, scenario, pins in rows}
+
+
+def test_readme_recipe_table_matches_the_cli():
+    expected = {}
+    for recipe, (scenario, overlay, pinned) in cli._RECIPES.items():
+        preset = {**cli._defaults(cli._declared(scenario)), **overlay}
+        expected[recipe] = (scenario, [(key, cli._format_metadata_value(preset[key]))
+                                       for key in pinned])
+    assert _readme_recipes() == expected
+
+
+@pytest.mark.parametrize("scenario", list(cli._SCENARIO_DEFAULTS))
+def test_each_help_lists_exactly_its_recipes(scenario):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        cli.main([scenario, "--help"])
+    offered = re.findall(r"--recipe \{([\w,]+)\}", out.getvalue())
+    own = [recipe for recipe, (owner, _) in _readme_recipes().items() if owner == scenario]
+    assert set(offered) == ({",".join(own)} if own else set())  # usage and option lines

@@ -13,7 +13,6 @@ from zenotraj.numerics import (
     gauss_legendre_panels,
     integrate_adaptive,
     integrate_matrix_ode,
-    min_eigenvalue_hermitian,
     row_blocks,
     solve_volterra,
 )
@@ -175,43 +174,6 @@ class TestIntegrateMatrixOde:
             integrate_matrix_ode(lambda r: r, np.zeros((2, 3)), g)
         with pytest.raises(ValueError):
             integrate_matrix_ode(lambda r: np.zeros((3, 3)), np.eye(2), g)
-
-
-class TestMinEigenvalueHermitian:
-    def test_diagonal(self):
-        assert min_eigenvalue_hermitian(np.diag([1.0, 2.0, 3.0, 4.0])) == 1.0
-
-    def test_pauli_x(self):
-        val = min_eigenvalue_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert_allclose(val, -1.0, rtol=0, atol=1e-14)
-
-    def test_rank_deficient_corner_matrix(self):
-        """Corner matrix diag-plus-corners with |r| = 1 has min eigenvalue 0."""
-        r = np.exp(0.3j)
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = 1.0
-        m[0, 3] = np.conj(r)
-        m[3, 0] = r
-        m[3, 3] = abs(r) ** 2
-        assert_allclose(min_eigenvalue_hermitian(m), 0.0, rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_unitary_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        herm = 0.5 * (a + a.conj().T)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        rotated = q @ herm @ q.conj().T
-        assert_allclose(min_eigenvalue_hermitian(rotated),
-                        min_eigenvalue_hermitian(herm), rtol=0, atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NumericError):
-            min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_large_matrices(self):
-        with pytest.raises(ValueError):
-            min_eigenvalue_hermitian(np.eye(9))
 
 
 class TestRowBlocks:

@@ -40,7 +40,7 @@ def test_package_all_is_the_union_of_the_submodule_lists():
                            "QuadratureError", "NullOutcome"}
     assert len(set(declared)) == len(declared)  # no name declared twice
     assert sorted(zenotraj.__all__) == sorted(["__version__", *declared])
-    assert len(zenotraj.__all__) <= 63
+    assert len(zenotraj.__all__) <= 62
 
 
 @pytest.mark.parametrize("name", MOVED)
