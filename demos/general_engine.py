@@ -18,10 +18,10 @@ import numpy as np
 
 from zenotraj import (
     DephasingParams,
-    InterferometerConfig,
     Lorentzian,
     Ohmic,
     QubitState,
+    binary_phases,
     dephasing_coupling_model,
     dephasing_exponent,
     dissipative_coupling_model,
@@ -40,8 +40,7 @@ def main():
     # -- identity 1: energy-exchange coupling -> sinc^2 filter ---------------
     model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
     omega = np.linspace(-2.0, 4.0, 13)
-    profile = InterferometerConfig(3, n_shifts=1)
-    engine = general_filter(model, QubitState.excited(), omega, 0.5, profile)
+    engine = general_filter(model, QubitState.excited(), omega, 0.5, binary_phases(3, 1))
     closed = filter_diss(omega, 0.5, 3, 1, 1.0)
     print("energy-exchange filter, (N, n) = (3, 1), t = 0.5:")
     print(f"  max relative deviation engine vs closed form: "
@@ -51,8 +50,7 @@ def main():
     ohmic = Ohmic(1.0 / 3.0, s=1.0, omega_c=1.0)
     deph = dephasing_coupling_model(ohmic)
     t = 1.0
-    gamma_engine = general_decay_factor(deph, QubitState.plus(), t,
-                                        InterferometerConfig(1, n_shifts=0))
+    gamma_engine = general_decay_factor(deph, QubitState.plus(), t, binary_phases(1, 0))
     gamma_closed = 0.5 * dephasing_exponent(DephasingParams(ohmic), t)
     print(f"\nlongitudinal coupling, single path, t = {t}:")
     print(f"  engine decay factor: {gamma_engine:.15f}")

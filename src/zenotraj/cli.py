@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import (GaussianPeak, InterferometerConfig, Lorentzian, Ohmic, QubitState,
-                   _check_path_range, _refuse_dark_port)
+from .core import (GaussianPeak, Lorentzian, Ohmic, QubitState, _check_path_range,
+                   _refuse_dark_port, binary_phases)
 from .dephasing import (
     DephasingParams,
     _coherence_offset,
@@ -70,11 +70,14 @@ _RECIPES = {
     "fig3": ("dicke", {"N": 3, "sinc": 1.0 / 6.0, "gamma0": 0.01, "tmax": 5.0, "steps": 500},
              ("N", "n", "numeric")),
     "fig4a": ("nonmarkov", {"model": "diss", "gamma0": 1.0, "lam": 0.1, "omega_q": 50.0,
-                            "tmax": 60.0, "steps": 6000}, ("model",)),
+                            "tmax": 60.0, "steps": 6000},
+              ("model", "eta", "s", "omega_c", "temperature")),
     "fig4b": ("nonmarkov", {"model": "deph", "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
-                            "temperature": 0.0, "tmax": 4.0, "steps": 400}, ("model", "s")),
+                            "temperature": 0.0, "tmax": 4.0, "steps": 400},
+              ("model", "s", "gamma0", "lam", "omega_q")),
     "fig4c": ("nonmarkov", {"model": "deph", "eta": 1.0 / 3.0, "s": 4.0, "omega_c": 1.0,
-                            "temperature": 0.0, "tmax": 200.0, "steps": 1000}, ("model", "s")),
+                            "temperature": 0.0, "tmax": 200.0, "steps": 1000},
+              ("model", "s", "gamma0", "lam", "omega_q")),
 }
 
 # file/CLI key -> internal name ("lambda" is a Python keyword)
@@ -331,6 +334,8 @@ def _inputs(scenario, p):
     if "t" in p:
         made["spec"] = FilterSpec(p.get("kind", "diss"), p["t"], p["omega_q"], p["N"], p["n"],
                                   p.get("n_tilde", 1.0))
+    if scenario == "perturbation":
+        made["phases"] = binary_phases(p["N"], p["n"])
     if "tmax" in p:
         span = p["tmax"] / p["gamma0"] if scenario == "dicke" else p["tmax"]
         made["grid"] = TimeGrid(span / p["steps"], p["steps"] + 1)
@@ -521,13 +526,15 @@ def _run_perturbation(config):
     """general engine vs closed-form filter"""
     p, j, spec = config.params, config.inputs["lorentzian"], config.inputs["spec"]
     model = dissipative_coupling_model(j, omega_q=p["omega_q"])
-    profile = InterferometerConfig(p["N"], n_shifts=p["n"])
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
-    general = general_filter(model, QubitState.excited(), grid, p["t"], profile)
+    general = general_filter(model, QubitState.excited(), grid, p["t"], config.inputs["phases"])
     closed = spec.evaluate(grid)  # filter_diss: the spec's kind is "diss"
     meta = _base_metadata(config, "omega_q = 1 sets the clock")
     meta["decay_factor_overlap"] = decay_factor_overlap(j, spec)
     nonzero = np.abs(closed) > 1e-300
+    if not nonzero.any():
+        raise NumericError("max_rel_deviation has no point: no |f_closed_form| on the "
+                           "frequency grid exceeds 1e-300")
     meta["max_rel_deviation"] = float(np.max(
         np.abs(general[nonzero] - closed[nonzero]) / np.abs(closed[nonzero])))
     values = np.column_stack([grid, general, closed])

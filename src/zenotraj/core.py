@@ -30,7 +30,6 @@ __all__ = [
     "Ohmic",
     "GaussianPeak",
     "Tabulated",
-    "InterferometerConfig",
     "QubitState",
     "r_factor",
     "binary_phases",
@@ -186,7 +185,8 @@ class GaussianPeak(SpectralDensity):
         self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
 
     def _shape(self, omega, lo):
-        return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
+        with np.errstate(over="ignore"):  # the square past 1e154 is inf, and e^{-inf} = 0
+            return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,13 @@ class Tabulated(SpectralDensity):
 
 
 # ---------------------------------------------------------------------------
-# interferometer configuration and phase algebra
+# phase profiles and their algebra
 # ---------------------------------------------------------------------------
+
+# largest path count binary_phases allocates a vector for (8 MB of floats);
+# the closed forms take (N, n) and have no cap
+_MAX_PHASE_PATHS = 1_000_000
+
 
 def _check_path_range(n_paths, n_shifts):
     """ValueError unless N >= 1 paths and 0 <= n <= N of them are shifted."""
@@ -248,16 +253,24 @@ def r_factor(n_paths, n_shifts):
 
 
 def binary_phases(n_paths, n_shifts):
-    """Phase vector with ``n_shifts`` entries of π and the rest zero."""
+    """Phase vector with ``n_shifts`` entries of π and the rest zero.
+
+    ValueError, before anything is allocated, past ``_MAX_PHASE_PATHS`` paths.
+    """
     _check_path_range(n_paths, n_shifts)
+    if n_paths > _MAX_PHASE_PATHS:
+        raise ValueError(f"a phase vector holds at most {_MAX_PHASE_PATHS:,} paths, "
+                         f"got N={n_paths}")
     phases = np.zeros(n_paths, dtype=float)
     phases[:n_shifts] = np.pi
     return phases
 
 
 def _finite_phases(phases):
-    """phases as a float array; ValueError unless every entry is finite."""
+    """phases as a float array; ValueError unless it is 1-d, non-empty and finite."""
     phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 1 or not phases.size:
+        raise ValueError(f"a phase vector must be 1-d and non-empty, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phase entries must be finite")
     return phases
@@ -285,50 +298,6 @@ def phase_pair_sum(phases):
     """
     total = np.sum(phase_weights(phases))
     return float(total.real**2 + total.imag**2)
-
-
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """Phase profile the N-path register is post-selected on.
-
-    Either a binary profile (``n_shifts`` paths shifted by π) or an explicit
-    phase vector; only phase differences enter the dynamics.
-    """
-
-    n_paths: int
-    n_shifts: int | None = None
-    phases: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.n_shifts is None) == (self.phases is None):
-            raise ValueError("give exactly one of n_shifts or phases")
-        _check_path_range(self.n_paths, 0 if self.n_shifts is None else self.n_shifts)
-        if self.phases is not None:
-            phases = _finite_phases(self.phases)
-            if phases.shape != (self.n_paths,):
-                raise ValueError("phase vector length must equal n_paths")
-            object.__setattr__(self, "phases", phases)
-
-    @property
-    def is_binary(self):
-        return self.n_shifts is not None
-
-    @property
-    def is_null(self):
-        """True for the completely destructive configuration (n = N/2 when binary)."""
-        return phase_pair_sum(self.phase_vector) < 1e-12
-
-    @property
-    def r(self):
-        if not self.is_binary:
-            raise ValueError("R(N, n) is defined for binary phase profiles")
-        return r_factor(self.n_paths, self.n_shifts)
-
-    @property
-    def phase_vector(self):
-        if self.is_binary:
-            return binary_phases(self.n_paths, self.n_shifts)
-        return self.phases
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,11 @@ def sinc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    x2 = x * x
-    out = np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), np.sin(safe) / safe)
+    out = np.sin(safe) / safe
+    if small.any():  # the series term only where it is used: x * x overflows past 1e154
+        x2 = np.where(small, x, 0.0)
+        x2 *= x2
+        out = np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -230,11 +230,12 @@ def second_order_block(model, rho0, path_index, t):
     return block + block.conj().T
 
 
-def _prefactor(config):
-    """2N / |sum_k e^{-i phi_k}|^2 of the post-selection on ``config``."""
-    if config.is_null:
+def _prefactor(phases):
+    """2N / |sum_k e^{-i phi_k}|^2 of the post-selection on the N ``phases``."""
+    pair_sum = phase_pair_sum(phases)
+    if pair_sum < 1e-12:
         raise NullOutcome("null phase profile: the post-selection weight vanishes")
-    return 2.0 * config.n_paths / phase_pair_sum(config.phase_vector)
+    return 2.0 * len(phases) / pair_sum
 
 
 def _filter_mesh(model, psi0, t):
@@ -254,16 +255,17 @@ def _filter_mesh(model, psi0, t):
     return tau, weighted
 
 
-def general_filter(model, psi0, omega, t, config):
+def general_filter(model, psi0, omega, t, phases):
     """F(w, t, N, phases): the leakage filter of the post-selected dynamics.
 
-    ``config`` is the InterferometerConfig the path register is post-selected
-    on.  Returns a real scalar for scalar ``omega`` or an ndarray for an
-    ndarray ``omega``.  The frequencies are contracted with the (t1, t2)
+    ``phases`` is the 1-d vector of the N path phases the register is
+    post-selected on (``binary_phases(N, n)`` for a binary profile).  Returns
+    a real scalar for scalar ``omega`` or an ndarray for an ndarray
+    ``omega``.  The frequencies are contracted with the (t1, t2)
     mesh in row blocks, so the number of frequencies does not multiply the
     peak memory; the mesh itself grows as (nu t)^2.
     """
-    prefactor = _prefactor(config)
+    prefactor = _prefactor(phases)
     scalar = np.ndim(omega) == 0
     w_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     if t == 0.0:
@@ -274,18 +276,19 @@ def general_filter(model, psi0, omega, t, config):
     return float(out[0]) if scalar else out
 
 
-def general_decay_factor(model, psi0, t, config):
+def general_decay_factor(model, psi0, t, phases):
     """Average over paths of int dw J_i(w) F_i(w, t, N, phases).
 
-    ``config`` is the InterferometerConfig of the post-selection.  With
-    identical spectral densities this is a single overlap integral.
+    ``phases`` is the phase vector of the post-selection, as for
+    ``general_filter``.  With identical spectral densities this is a single
+    overlap integral.
     """
+    prefactor = _prefactor(phases)
     if t == 0.0:
         return 0.0
     js = model.spectral_densities
-    if len(js) not in (1, config.n_paths):
+    if len(js) not in (1, len(phases)):
         raise ValueError("spectral_densities must have one entry or one per path")
-    prefactor = _prefactor(config)
     # the overlap is linear in C: average one C table per distinct J over the paths
     tau, weighted = _filter_mesh(model, psi0, t)
     tables = {id(j): _correlation(j, t, tau) for j in {id(j): j for j in js}.values()}

@@ -40,9 +40,9 @@ def oracle_block(model, rho0, path_index, t):
     return block + block.conj().T
 
 
-def oracle_decay_factor(model, psi0, t, config):
+def oracle_decay_factor(model, psi0, t, phases):
     """general_decay_factor by the frequency integral (t > 0)."""
-    prefactor = _prefactor(config)
+    prefactor = _prefactor(phases)
     tau, weighted = _filter_mesh(model, psi0, t)
     js = model.spectral_densities
     overlaps = [prefactor * float(omega_integral(j, model.correlations, tau, weighted,

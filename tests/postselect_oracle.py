@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zenotraj.core import QubitState, phase_weights
+from zenotraj.core import QubitState, phase_weights, r_factor
 
 
 def _matrix(state):
@@ -53,10 +53,8 @@ def postselect_general(blocks, phases):
     return QubitState(out)
 
 
-def superpose_identical(rho_single, beta, config):
-    """ρ/N + (R - 1/N) β for identical environments and binary phases."""
-    if not config.is_binary:
-        raise ValueError("superpose_identical requires a binary phase profile")
-    n = config.n_paths
-    out = _matrix(rho_single) / n + (config.r - 1.0 / n) * _matrix(beta)
+def superpose_identical(rho_single, beta, n_paths, n_shifts):
+    """ρ/N + (R - 1/N) β for identical environments and the binary profile (N, n)."""
+    r = r_factor(n_paths, n_shifts)
+    out = _matrix(rho_single) / n_paths + (r - 1.0 / n_paths) * _matrix(beta)
     return QubitState(out)

@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from choi_oracle import cp_divisible_choi
 from zenotraj.core import (
     GaussianPeak,
-    InterferometerConfig,
     Lorentzian,
     Ohmic,
     QubitState,
@@ -330,8 +329,7 @@ def test_criterion_10_general_engine_identities():
     omega = np.linspace(-2.0, 4.0, 50)
     t = 0.5
     for n_paths, n_shifts in ((1, 0), (3, 1)):
-        got = general_filter(model, QubitState.excited(), omega, t,
-                             InterferometerConfig(n_paths, n_shifts=n_shifts))
+        got = general_filter(model, QubitState.excited(), omega, t, binary_phases(n_paths, n_shifts))
         expected = filter_diss(omega, t, n_paths, n_shifts, 1.0)
         assert np.all(np.abs(got - expected) <= 1e-6 * np.abs(expected))
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -62,11 +63,29 @@ RECIPE_EXITS = [
      "recipe 'fig2' fixes n_tilde=1.0;"),
     (["dicke", "--recipe", "fig3", "--n", "1"], None, 2, "recipe 'fig3' fixes n=0;"),
     (["dicke", "--recipe", "fig3", "--numeric"], None, 2, "recipe 'fig3' fixes numeric=False;"),
+    # the fig4 tables read either the Lorentzian line or the Ohmic bath, not both
+    (["nonmarkov", "--recipe", "fig4a", "--eta", "2", "--temperature", "0.5"], None, 2,
+     "recipe 'fig4a' fixes eta=0.3333333333333333;"),
+    (["nonmarkov", "--recipe", "fig4a", "--s", "2"], None, 2, "recipe 'fig4a' fixes s=1.0;"),
+    (["nonmarkov", "--recipe", "fig4a"], '{"omega_c": 2}', 2, "recipe 'fig4a' fixes omega_c=1.0;"),
+    (["nonmarkov", "--recipe", "fig4a", "--temperature", "0.5"], None, 2,
+     "recipe 'fig4a' fixes temperature=0.0;"),
+    (["nonmarkov", "--recipe", "fig4b", "--gamma0", "2"], None, 2,
+     "recipe 'fig4b' fixes gamma0=1.0;"),
+    (["nonmarkov", "--recipe", "fig4b"], '{"lambda": 0.2}', 2, "recipe 'fig4b' fixes lam=0.1;"),
+    (["nonmarkov", "--recipe", "fig4c", "--omega-q", "1"], None, 2,
+     "recipe 'fig4c' fixes omega_q=50.0;"),
+    (["nonmarkov", "--recipe", "fig4c", "--lambda", "0.5"], None, 2,
+     "recipe 'fig4c' fixes lam=0.1;"),
     (["dynamics-diss", "--recipe", "fig2"], None, 2, "unrecognized arguments: --recipe fig2"),
     (["perturbation"], '{"recipe": "fig2"}', 2, "unknown configuration key: 'recipe'"),
     (["nonmarkov", "--recipe", "fig4c"], '{"format": "xml"}', 2,
      "format must be one of csv, json, got 'xml'"),
     (["nonmarkov", "--recipe", "fig4b", "--steps", "60"], None, 0, ""),
+    # a pinned key set to its pinned value is no override
+    (["nonmarkov", "--recipe", "fig4a", "--eta", "0.3333333333333333", "--steps", "10"],
+     '{"temperature": 0}', 0, ""),
+    (["nonmarkov", "--recipe", "fig4b", "--omega-q", "50", "--steps", "60"], None, 0, ""),
 ]
 
 
@@ -491,6 +510,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "42,250,000 nodes" in err
 
+    @pytest.mark.parametrize("n_paths", ["1000001", "2147483648", "4611686018427387904"])
+    def test_phase_vector_past_the_cap_exit_code(self, n_paths, capsys):
+        # perturbation's phase vector is built, and its path count capped, at parse time
+        argv = ["perturbation", "--N", n_paths, "--n", "0", "--omega-points", "3"]
+        with pytest.raises(ConfigError, match="a phase vector holds at most 1,000,000 paths"):
+            parse_config(argv)
+        assert main(argv) == 2
+        assert f"got N={n_paths}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["perturbation", "--t", "1e-151", "--omega-points", "3"],
+        ["perturbation", "--t", "0.01", "--omega-points", "3", "--omega-min", "1e200",
+         "--omega-max", "1e200"],
+    ], ids=" ".join)
+    def test_no_closed_form_point_exit_code(self, argv, capsys):
+        # every |f_closed_form| is below 1e-300, so max_rel_deviation compares nothing
+        assert main(argv) == 3
+        assert "max_rel_deviation has no point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["filter", "--omega-points", "3", "--omega-min=-1e300", "--omega-max", "1e300"],
+         "e5330f6e4d014cd702070b75c8144a7dc3f79b5a1384a70a7c5b82a17b9e2707"),
+        (["perturbation", "--omega-points", "3", "--omega-min=-1e300", "--omega-max", "1e300"],
+         "eb655ba9342fad367b22c07f976f815159c847336901b60dafd01b28d5c817bd"),
+    ], ids=["filter", "perturbation"])
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_finite_frequencies_are_silent(self, argv, digest, capsys):
+        # sinc's series term and the Gaussian square overflow no more; the bytes stay
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],
         ["perturbation", "--lambda", "1e307"],
@@ -655,6 +707,9 @@ CHEAP_ROUTES = {
                        ("model", "steps", "temperature")),
     "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--omega-q=1", "--steps=3"],
                       ("lam", "omega_q", "steps")),
+    # a 2-panel (t1, t2) mesh; gamma0, N, n and the frequency window are drawn
+    "perturbation": (["perturbation", "--t=0.01", "--omega-points=3"],
+                     ("t", "lam", "omega_q", "omega_points")),
 }
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
              1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)

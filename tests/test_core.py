@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,12 +13,12 @@ import dephasing_oracle
 from postselect_oracle import PathBlockMatrix, postselect_general, superpose_identical
 from zenotraj.core import (
     GaussianPeak,
-    InterferometerConfig,
     Lorentzian,
     Ohmic,
     QubitState,
     Tabulated,
     _binary_pair_sum,
+    _finite_phases,
     binary_phases,
     normalize,
     phase_pair_sum,
@@ -94,8 +95,7 @@ class TestOneOwnerPerRule:
         (3, -1, "n must satisfy 0 <= n <= N, got n=-1, N=3"),
     ])
     def test_path_range_is_refused_with_one_message(self, n_paths, n_shifts, message):
-        for build in (r_factor, binary_phases,
-                      lambda N, n: InterferometerConfig(N, n_shifts=n)):
+        for build in (r_factor, binary_phases):
             with pytest.raises(ValueError) as info:
                 build(n_paths, n_shifts)
             assert str(info.value) == message
@@ -106,7 +106,6 @@ class TestOneOwnerPerRule:
                 k = _binary_pair_sum(n_paths, n)
                 assert type(k) is int and k == phase_pair_sum(binary_phases(n_paths, n))
                 assert r_factor(n_paths, n) == k / n_paths**2
-                assert InterferometerConfig(n_paths, n_shifts=n).is_null == (k == 0)
 
     def test_coherence_offset_is_n_r_minus_one(self):
         for n_paths in range(1, 11):
@@ -156,7 +155,7 @@ class TestOneOwnerPerRule:
     @pytest.mark.parametrize("t", [-1.0, math.nan])
     def test_elapsed_time_has_one_owner(self, t):
         # t >= 0 for a filter spec, the dephasing exponent and each second-order entry
-        j, profile = Lorentzian(1.0, 1.0, 1.0), InterferometerConfig(3, n_shifts=0)
+        j, profile = Lorentzian(1.0, 1.0, 1.0), binary_phases(3, 0)
         model = dissipative_coupling_model(j, omega_q=1.0)
         for call in (lambda: FilterSpec("diss", t, 1.0, 3, 0),
                      lambda: dephasing_exponent(DephasingParams(Ohmic(0.1, 1.0, 1.0)), t),
@@ -366,9 +365,7 @@ class TestPostselectGeneral:
             blocks = PathBlockMatrix.uniform(QubitState(rho), QubitState(beta), n_paths)
             for n in range(n_paths + 1):
                 got = postselect_general(blocks, binary_phases(n_paths, n))
-                want = superpose_identical(
-                    QubitState(rho), QubitState(beta),
-                    InterferometerConfig(n_paths, n_shifts=n))
+                want = superpose_identical(QubitState(rho), QubitState(beta), n_paths, n)
                 assert np.max(np.abs(got.matrix - want.matrix)) < 1e-14
 
     def test_output_is_hermitian(self):
@@ -388,21 +385,19 @@ class TestPostselectGeneral:
 class TestSuperposeIdentical:
     def test_single_path_identity(self):
         rho = QubitState.plus()
-        cfg = InterferometerConfig(1, n_shifts=0)
-        out = superpose_identical(rho, rho, cfg)
+        out = superpose_identical(rho, rho, 1, 0)
         assert_allclose(out.matrix, rho.matrix, rtol=0, atol=0)
 
     def test_balanced_shifts_null_result(self):
         rho = QubitState.plus()
-        cfg = InterferometerConfig(4, n_shifts=2)
-        out = superpose_identical(rho, rho, cfg)
+        out = superpose_identical(rho, rho, 4, 2)
         assert_allclose(out.matrix, np.zeros((2, 2)), rtol=0, atol=1e-17)
 
     def test_shift_symmetry_n_vs_n_complement(self):
         rho = QubitState(np.diag([0.7, 0.3]))
         beta = QubitState(np.array([[0.1, 0.05], [0.05, 0.1]]))
-        a = superpose_identical(rho, beta, InterferometerConfig(6, n_shifts=2))
-        b = superpose_identical(rho, beta, InterferometerConfig(6, n_shifts=4))
+        a = superpose_identical(rho, beta, 6, 2)
+        b = superpose_identical(rho, beta, 6, 4)
         assert_allclose(a.matrix, b.matrix, rtol=0, atol=0)
 
     def test_initial_trace_equals_r(self):
@@ -410,8 +405,7 @@ class TestSuperposeIdentical:
         rho = QubitState.pure(math.sqrt(0.3), math.sqrt(0.7))
         for n_paths in range(1, 9):
             for n in range(n_paths + 1):
-                cfg = InterferometerConfig(n_paths, n_shifts=n)
-                out = superpose_identical(rho, rho, cfg)
+                out = superpose_identical(rho, rho, n_paths, n)
                 assert_allclose(out.trace, r_factor(n_paths, n),
                                 rtol=5e-16, atol=1e-16)
 
@@ -461,25 +455,44 @@ class TestTraceDistance:
         assert_allclose(trace_distance(a, b), 0.3, rtol=1e-15)
 
 
-class TestInterferometerConfig:
-    def test_binary_mode_properties(self):
-        cfg = InterferometerConfig(4, n_shifts=1)
-        assert cfg.is_binary
-        assert not cfg.is_null
-        assert_allclose(cfg.r, 0.25)
-        assert_allclose(cfg.phase_vector, [np.pi, 0.0, 0.0, 0.0])
+class TestPhaseVector:
+    """A phase profile is its phase vector: 1-d, non-empty and finite."""
 
-    def test_null_detection(self):
-        assert InterferometerConfig(4, n_shifts=2).is_null
-        assert not InterferometerConfig(5, n_shifts=2).is_null
+    @pytest.mark.parametrize("phases, message", [
+        (np.array([]), "a phase vector must be 1-d and non-empty, got shape (0,)"),
+        (np.zeros((2, 2)), "a phase vector must be 1-d and non-empty, got shape (2, 2)"),
+        (0.3, "a phase vector must be 1-d and non-empty, got shape ()"),
+        (np.array([0.0, np.nan]), "phase entries must be finite"),
+        ([0.0, -np.inf], "phase entries must be finite"),
+    ], ids=["empty", "2-d", "scalar", "nan", "inf-list"])
+    def test_malformed_vector_has_one_owner(self, phases, message):
+        # _finite_phases refuses it for the phase algebra and both engine entries,
+        # also at t = 0, where the engine's value needs no phases
+        model = dissipative_coupling_model(Lorentzian(1.0, 1.0, 1.0), omega_q=1.0)
+        psi0 = QubitState.excited()
+        for call in (lambda: _finite_phases(phases), lambda: phase_pair_sum(phases),
+                     lambda: general_filter(model, psi0, 1.0, 0.4, phases),
+                     lambda: general_filter(model, psi0, 1.0, 0.0, phases),
+                     lambda: general_decay_factor(model, psi0, 0.4, phases),
+                     lambda: general_decay_factor(model, psi0, 0.0, phases)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
-    def test_explicit_phase_vector(self):
-        cfg = InterferometerConfig(3, phases=np.array([0.0, 0.1, 0.2]))
-        assert not cfg.is_binary
-        assert cfg.phase_vector.shape == (3,)
+    def test_binary_vector(self):
+        assert binary_phases(4, 1).tolist() == [np.pi, 0.0, 0.0, 0.0]
+        assert _finite_phases([0.0, 0.1, 0.2]).shape == (3,)
+        largest = binary_phases(1_000_000, 1)  # the cap itself is accepted
+        assert largest.shape == (1_000_000,) and phase_pair_sum(largest) == 999_998.0**2
 
-    def test_requires_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            InterferometerConfig(3)
-        with pytest.raises(ValueError):
-            InterferometerConfig(3, n_shifts=1, phases=np.zeros(3))
+    @pytest.mark.parametrize("n_paths", [1_000_001, 2**31, 2**62])
+    def test_binary_vector_past_the_cap_is_refused_before_allocation(self, n_paths):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                binary_phases(n_paths, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"a phase vector holds at most 1,000,000 paths, got N={n_paths}"
+        assert peak < 1e6

@@ -1,4 +1,5 @@
-"""The documentation runs: every demo script exits 0, and the README lists the API and recipes."""
+"""The documentation runs: every demo script and README python block runs, and the
+README lists the API and recipes."""
 
 import contextlib
 import importlib
@@ -37,6 +38,18 @@ def test_readme_api_table_lists_each_module_all_in_order():
     assert sorted(table) == sorted(library)
     for module, names in table.items():
         assert names == importlib.import_module(f"zenotraj.{module}").__all__, module
+
+
+def test_readme_python_blocks_run():
+    # the quickstart and every other python block, in order, each in a fresh namespace
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for index, block in enumerate(blocks):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, f"README.md python block {index}", "exec"), {})
+        assert out.getvalue(), index
 
 
 def _readme_recipes():

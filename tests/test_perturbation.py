@@ -9,7 +9,6 @@ import pytest
 from zenotraj import perturbation
 from zenotraj.core import (
     GaussianPeak,
-    InterferometerConfig,
     Lorentzian,
     Ohmic,
     QubitState,
@@ -43,31 +42,17 @@ OHMIC = Ohmic(eta=1.0 / 3.0, s=1.0, omega_c=1.0)
 
 
 class TestPhaseProfile:
-    def test_binary_matches_phase_vector(self):
-        prof = InterferometerConfig(5, n_shifts=2)
-        np.testing.assert_array_equal(prof.phase_vector, binary_phases(5, 2))
-        assert prof.n_paths == 5
-
     def test_pair_sum_identity_exact_small_n(self):
         # sum_{kl} e^{-i(phi_k - phi_l)} == (N - 2n)^2 exactly for binary phases
         for n_paths in range(1, 11):
             for n_shifts in range(0, n_paths // 2 + 1):
-                s = phase_pair_sum(InterferometerConfig(n_paths, n_shifts=n_shifts).phase_vector)
+                s = phase_pair_sum(binary_phases(n_paths, n_shifts))
                 assert s == float((n_paths - 2 * n_shifts) ** 2)
 
     def test_pair_sum_general_phases(self):
-        prof = InterferometerConfig(3, phases=np.array([0.0, 0.4, -1.1]))
-        w = np.exp(-1j * prof.phase_vector)
-        expected = abs(np.sum(w)) ** 2
-        assert phase_pair_sum(prof.phase_vector) == pytest.approx(expected, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InterferometerConfig(0, phases=np.array([]))
-        with pytest.raises(ValueError):
-            InterferometerConfig(2, phases=np.array([0.0, np.nan]))
-        with pytest.raises(ValueError):
-            InterferometerConfig(2, phases=np.zeros((2, 2)))
+        phases = np.array([0.0, 0.4, -1.1])
+        expected = abs(np.sum(np.exp(-1j * phases))) ** 2
+        assert phase_pair_sum(phases) == pytest.approx(expected, rel=1e-14)
 
 
 class TestCouplingModel:
@@ -226,7 +211,7 @@ class TestGeneralFilter:
         grid = np.linspace(-2.0, 4.0, 50)
         t = 0.5
         got = general_filter(model, QubitState.excited(), grid, t,
-                             InterferometerConfig(n_paths, n_shifts=n_shifts))
+                             binary_phases(n_paths, n_shifts))
         want = filter_diss(grid, t, omega_q=1.0, n_paths=n_paths, n_shifts=n_shifts)
         np.testing.assert_allclose(got, want, rtol=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-12)  # actual accuracy
@@ -237,7 +222,7 @@ class TestGeneralFilter:
         model = dephasing_coupling_model(OHMIC)
         grid = np.linspace(0.05, 6.0, 50)
         t = 1.3
-        got = general_filter(model, QubitState.plus(), grid, t, InterferometerConfig(4, n_shifts=1))
+        got = general_filter(model, QubitState.plus(), grid, t, binary_phases(4, 1))
         want = filter_deph(grid, t, n_paths=4, n_shifts=1)
         ratio = got / want
         fitted = np.median(ratio)
@@ -246,7 +231,7 @@ class TestGeneralFilter:
 
     def test_scalar_matches_array_and_t_zero(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        prof = InterferometerConfig(3, n_shifts=1)
+        prof = binary_phases(3, 1)
         arr = general_filter(model, QubitState.excited(), np.array([1.3]), 0.4, prof)
         scalar = general_filter(model, QubitState.excited(), 1.3, 0.4, prof)
         assert scalar == arr[0]
@@ -254,8 +239,8 @@ class TestGeneralFilter:
 
     def test_global_phase_shift_invariance(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        base = InterferometerConfig(4, n_shifts=1)
-        shifted = InterferometerConfig(4, phases=base.phase_vector + 0.7)
+        base = binary_phases(4, 1)
+        shifted = base + 0.7
         f0 = general_filter(model, QubitState.excited(), 1.3, 0.4, base)
         f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, shifted)
         assert f0 == pytest.approx(f1, rel=1e-12)
@@ -264,33 +249,34 @@ class TestGeneralFilter:
         # For identical phases the prefactor is 2/N, so F(N) = F(1)/N and
         # any constant offset leaves the value unchanged.
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, InterferometerConfig(1, n_shifts=0))
-        f4 = general_filter(model, QubitState.excited(), 1.3, 0.4,
-                            InterferometerConfig(4, phases=np.full(4, 0.3)))
+        f1 = general_filter(model, QubitState.excited(), 1.3, 0.4, binary_phases(1, 0))
+        f4 = general_filter(model, QubitState.excited(), 1.3, 0.4, np.full(4, 0.3))
         assert f4 == pytest.approx(f1 / 4.0, rel=1e-12)
 
-    def test_null_phase_profile_rejected(self):
+    @pytest.mark.parametrize("t", [0.4, 0.0])
+    def test_null_phase_profile_rejected(self, t):
+        # by both entries, also at t = 0, where the value itself needs no phases
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with pytest.raises(NullOutcome):
-            general_filter(model, QubitState.excited(), 1.0, 0.4, InterferometerConfig(2, n_shifts=1))
-        with pytest.raises(NullOutcome):
-            general_filter(model, QubitState.excited(), 1.0, 0.4,
-                           InterferometerConfig(3, phases=np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])))
+        for phases in (binary_phases(2, 1), np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])):
+            with pytest.raises(NullOutcome):
+                general_filter(model, QubitState.excited(), 1.0, t, phases)
+            with pytest.raises(NullOutcome):
+                general_decay_factor(model, QubitState.excited(), t, phases)
 
     def test_mixed_initial_state_rejected(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         mixed = QubitState(np.diag([0.6, 0.4]).astype(complex))
         with pytest.raises(ValueError):
-            general_filter(model, mixed, 1.0, 0.4, InterferometerConfig(1, n_shifts=0))
+            general_filter(model, mixed, 1.0, 0.4, binary_phases(1, 0))
 
     def test_specializations_are_non_negative(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         grid = np.linspace(-2.0, 4.0, 101)
-        vals = general_filter(model, QubitState.excited(), grid, 0.5, InterferometerConfig(3, n_shifts=1))
+        vals = general_filter(model, QubitState.excited(), grid, 0.5, binary_phases(3, 1))
         assert np.min(vals) > -1e-15
         deph = dephasing_coupling_model(OHMIC)
         gridd = np.linspace(0.02, 8.0, 101)
-        vals = general_filter(deph, QubitState.plus(), gridd, 1.3, InterferometerConfig(4, n_shifts=1))
+        vals = general_filter(deph, QubitState.plus(), gridd, 1.3, binary_phases(4, 1))
         assert np.min(vals) > -1e-15
 
 
@@ -299,21 +285,20 @@ class TestGeneralDecayFactor:
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         for n_paths, n_shifts in [(1, 0), (3, 1)]:
             got = general_decay_factor(model, QubitState.excited(), 0.4,
-                                       InterferometerConfig(n_paths, n_shifts=n_shifts))
+                                       binary_phases(n_paths, n_shifts))
             spec = FilterSpec("diss", t=0.4, omega_q=1.0,
                               n_paths=n_paths, n_shifts=n_shifts)
             want = decay_factor_overlap(LORENTZIAN, spec)
             assert got == pytest.approx(want, rel=1e-6)
             assert got == pytest.approx(want, rel=1e-12)  # actual accuracy
-        frozen = general_decay_factor(model, QubitState.excited(), 0.4,
-                                      InterferometerConfig(1, n_shifts=0))
+        frozen = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
         assert frozen == pytest.approx(0.34338694154948596, rel=1e-10)
 
     def test_dephasing_factor_equals_half_exponent(self):
         # With the constant-4 normalization the overlap equals Gamma(t)/2,
         # which for this density at t=1 is (1/3) ln 2.
         model = dephasing_coupling_model(OHMIC)
-        got = general_decay_factor(model, QubitState.plus(), 1.0, InterferometerConfig(1, n_shifts=0))
+        got = general_decay_factor(model, QubitState.plus(), 1.0, binary_phases(1, 0))
         gamma = dephasing_exponent(DephasingParams(OHMIC), 1.0)
         assert got == pytest.approx(0.5 * gamma, rel=1e-12)
         assert got == pytest.approx(np.log(2.0) / 3.0, abs=1e-14)
@@ -325,7 +310,7 @@ class TestGeneralDecayFactor:
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         with_silent = CouplingModel(base.h_q, base.operators, base.correlations,
                                     (LORENTZIAN, LORENTZIAN, zeros))
-        prof = InterferometerConfig(3, n_shifts=0)
+        prof = binary_phases(3, 0)
         partial = general_decay_factor(with_silent, QubitState.excited(), 0.4, prof)
         full = general_decay_factor(base, QubitState.excited(), 0.4, prof)
         assert partial == pytest.approx(2.0 / 3.0 * full, rel=1e-12)
@@ -333,25 +318,24 @@ class TestGeneralDecayFactor:
     def test_exactly_quadratic_in_coupling(self):
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         scaled = dissipative_coupling_model(LORENTZIAN.scaled(0.09), omega_q=1.0)
-        prof = InterferometerConfig(2, n_shifts=0)
+        prof = binary_phases(2, 0)
         g_base = general_decay_factor(base, QubitState.excited(), 0.4, prof)
         g_scaled = general_decay_factor(scaled, QubitState.excited(), 0.4, prof)
         assert g_scaled == pytest.approx(0.09 * g_base, rel=1e-13)
 
     def test_zero_time_and_path_count_mismatch(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        assert general_decay_factor(model, QubitState.excited(), 0.0,
-                                    InterferometerConfig(2, n_shifts=0)) == 0.0
+        assert general_decay_factor(model, QubitState.excited(), 0.0, binary_phases(2, 0)) == 0.0
         bad = CouplingModel(model.h_q, model.operators, model.correlations,
                             (LORENTZIAN, LORENTZIAN))
         with pytest.raises(ValueError):
-            general_decay_factor(bad, QubitState.excited(), 0.4, InterferometerConfig(3, n_shifts=0))
+            general_decay_factor(bad, QubitState.excited(), 0.4, binary_phases(3, 0))
 
     def test_negative_time_rejected(self):
         # like second_order_block and general_filter, not the value at |t|
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         with pytest.raises(ValueError, match="t must be"):
-            general_decay_factor(model, QubitState.excited(), -0.4, InterferometerConfig(1, n_shifts=0))
+            general_decay_factor(model, QubitState.excited(), -0.4, binary_phases(1, 0))
 
 
 _KNOTS = np.linspace(0.0, 8.0, 5)
@@ -368,8 +352,8 @@ _ORACLE_DENSITIES = {
 # (coupling model factory, initial state, post-selection)
 _ORACLE_MODELS = {
     "diss": (lambda j: dissipative_coupling_model(j, omega_q=1.0), QubitState.excited(),
-             InterferometerConfig(3, n_shifts=1)),
-    "deph": (dephasing_coupling_model, QubitState.plus(), InterferometerConfig(4, n_shifts=1)),
+             binary_phases(3, 1)),
+    "deph": (dephasing_coupling_model, QubitState.plus(), binary_phases(4, 1)),
 }
 
 
@@ -406,7 +390,7 @@ class TestCorrelationTableChecks:
         with pytest.raises(QuadratureError, match="did not converge"):
             second_order_block(model, QubitState.excited(), 0, 0.2)
         with pytest.raises(QuadratureError, match="did not converge"):
-            general_decay_factor(model, QubitState.excited(), 0.4, InterferometerConfig(1, n_shifts=0))
+            general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
 
     def test_degree_cap_is_reported(self, monkeypatch):
         # C's phase spans omega_max * t / 2 = 25 rad over the Chebyshev
@@ -443,8 +427,8 @@ def _contract_one_product(c, omega, tau, weighted):
 # 1,600 nodes at t = 0.2
 _ENGINE_CASES = {
     "diss": (dissipative_coupling_model(LORENTZIAN, omega_q=1.0), QubitState.excited(),
-             InterferometerConfig(3, n_shifts=1)),
-    "deph": (dephasing_coupling_model(OHMIC), QubitState.plus(), InterferometerConfig(4, n_shifts=1)),
+             binary_phases(3, 1)),
+    "deph": (dephasing_coupling_model(OHMIC), QubitState.plus(), binary_phases(4, 1)),
 }
 
 
