@@ -15,7 +15,6 @@ Run:  python demos/filter_narrowing.py
 import numpy as np
 
 from zenotraj import (
-    FilterSpec,
     GaussianPeak,
     decay_factor_overlap,
     filter_diss,
@@ -47,7 +46,8 @@ def main():
     print("overlap decay factor gamma(N) for a Gaussian bath peaked at w = 1.5:")
     print(f"{'N':>4s} {'gamma(N)':>16s} {'N * gamma(N)':>16s}")
     for n in (1, 2, 4, 8, 16):
-        gamma = decay_factor_overlap(j, FilterSpec("diss", 3.0, OMEGA_Q, n, 0))
+        f = lambda w: filter_diss(w, 3.0, n, 0, OMEGA_Q)
+        gamma = decay_factor_overlap(j, f, OMEGA_Q)  # the filter peaks at omega_q
         print(f"{n:>4d} {gamma:>16.12f} {n * gamma:>16.12f}")
     print("-> N * gamma(N) is constant: exact 1/N suppression at fixed filter shape.")
 

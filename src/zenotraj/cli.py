@@ -40,6 +40,7 @@ from .dephasing import (
 from .dicke import (
     SINC_MIN,
     CollectiveRateMatrix,
+    _check_history,
     evolve_collective,
     excited_population_analytic,
     excited_population_numeric,
@@ -53,7 +54,8 @@ from .dissipative import (
     trace_distance_diss,
 )
 from .errors import ConfigError, NumericError, ZenoTrajError
-from .filters import FilterSpec, decay_factor_overlap, filter_diss, filter_traditional_zeno, sinc
+from .filters import (_check_pulse_count, decay_factor_overlap, filter_deph, filter_diss,
+                      filter_traditional_zeno, sinc)
 from .numerics import TimeGrid, brentq
 from .perturbation import dissipative_coupling_model, general_filter
 
@@ -90,7 +92,7 @@ _FLAGS = {name: key for key, name in _KEYMAP.items()}
 # allowed values, the first being the default; a None default is a float.
 _SCENARIO_DEFAULTS = {
     "filter": {
-        "kind": FilterSpec.KINDS,
+        "kind": ("diss", "deph", "traditional"),
         "spectral": ("gaussian", "lorentzian", "ohmic"),
         "omega_q": 1.0, "t": 5.0, "N": 1, "n": 0, "n_tilde": 1.0,
         "gamma0": 1.0, "lam": 0.5, "eta": 1.0 / 3.0, "s": 1.0, "omega_c": 1.0,
@@ -331,9 +333,8 @@ def _inputs(scenario, p):
         made["gaussian"] = GaussianPeak(p["omega_m"], p["delta"])
     if "temperature" in p:
         made["bath"] = DephasingParams(made["ohmic"], temperature=p["temperature"])
-    if "t" in p:
-        made["spec"] = FilterSpec(p.get("kind", "diss"), p["t"], p["omega_q"], p["N"], p["n"],
-                                  p.get("n_tilde", 1.0))
+    if "n_tilde" in p:  # for every kind, not only the traditional one
+        _check_pulse_count(p["n_tilde"])
     if scenario == "perturbation":
         made["phases"] = binary_phases(p["N"], p["n"])
     if "tmax" in p:
@@ -398,7 +399,10 @@ def _run_filter(config):
         series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
         values = np.column_stack([grid, j(grid)] + series)
         return ResultTable(cols, values, meta)
-    vals = config.inputs["spec"].evaluate(grid)
+    kinds = {"diss": lambda w: filter_diss(w, t, p["N"], p["n"], omega_q),
+             "deph": lambda w: filter_deph(w, t, p["N"], p["n"]),
+             "traditional": lambda w: filter_traditional_zeno(w, t, p["n_tilde"], omega_q)}
+    vals = kinds[p["kind"]](grid)
     return ResultTable(["omega", "j", "f"], np.column_stack([grid, j(grid), vals]), meta)
 
 
@@ -464,8 +468,9 @@ def _run_dicke(config):
     cols = ["gamma0_t", "pe_analytic"]
     series = [x_axis, pe]
     if p.get("numeric"):
-        rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
         grid = config.inputs["grid"]  # its dt is the linspace step times[1] - times[0]
+        _check_history(p["N"], grid.count)  # before the matrices are allocated
+        rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
         bound = _rk4_error_bound(gamma0, grid)
         if bound > _RK4_ERROR_TOL:
@@ -524,13 +529,15 @@ def _deph_landmarks(params, phi, grid):
 
 def _run_perturbation(config):
     """general engine vs closed-form filter"""
-    p, j, spec = config.params, config.inputs["lorentzian"], config.inputs["spec"]
-    model = dissipative_coupling_model(j, omega_q=p["omega_q"])
+    p, j = config.params, config.inputs["lorentzian"]
+    omega_q, t = p["omega_q"], p["t"]
+    model = dissipative_coupling_model(j, omega_q=omega_q)
     grid = np.linspace(p["omega_min"], p["omega_max"], p["omega_points"])
-    general = general_filter(model, QubitState.excited(), grid, p["t"], config.inputs["phases"])
-    closed = spec.evaluate(grid)  # filter_diss: the spec's kind is "diss"
+    general = general_filter(model, QubitState.excited(), grid, t, config.inputs["phases"])
+    f = lambda w: filter_diss(w, t, p["N"], p["n"], omega_q)
+    closed = f(grid)
     meta = _base_metadata(config, "omega_q = 1 sets the clock")
-    meta["decay_factor_overlap"] = decay_factor_overlap(j, spec)
+    meta["decay_factor_overlap"] = decay_factor_overlap(j, f, omega_q)
     nonzero = np.abs(closed) > 1e-300
     if not nonzero.any():
         raise NumericError("max_rel_deviation has no point: no |f_closed_form| on the "

@@ -18,7 +18,7 @@ trace distance.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,14 +65,13 @@ def _require_elapsed(t):
 class SpectralDensity:
     """Coupling spectrum J(ω) ≥ 0 on [0, omega_max], zero outside.
 
-    Each family subclass supplies the shape of J as ``_shape(omega, lo)``
-    (``lo``: the smallest node, nan when there is none) and a default
-    ``omega_max``; ``scale`` is an overall multiplier used for
-    coupling-strength rescaling (J → ε²J leaves the shape untouched).
+    Each family subclass supplies J as ``_shape(omega, lo)`` (``lo``: the
+    smallest node, nan when there is none) and a default ``omega_max``; the
+    coupling strength is a parameter of each family (γ₀, η), so J → ε²J is
+    the same family with that parameter times ε².
     """
 
     omega_max: float | None = None
-    scale: float = 1.0
 
     def _resolve(self, default_omega_max):
         """Fill in the default omega_max and store scalar fields as floats."""
@@ -88,12 +87,6 @@ class SpectralDensity:
         """Frequencies in (0, omega_max) where J has a kink: quadrature edges."""
         return ()
 
-    def scaled(self, factor):
-        """Same spectrum multiplied by ``factor`` (e.g. ε² coupling rescaling)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return replace(self, scale=self.scale * float(factor))
-
     def __call__(self, omega):
         # one min and one max pass per call; ``_shape`` gets the min
         omega = np.asarray(omega, dtype=float)
@@ -101,8 +94,6 @@ class SpectralDensity:
         out = self._shape(omega, lo)
         if not (lo >= 0 and omega.max() <= self.omega_max):
             out = np.where((omega >= 0) & (omega <= self.omega_max), out, 0.0)
-        if self.scale != 1.0:
-            out = self.scale * out
         return out if out.ndim else float(out)
 
 
@@ -117,10 +108,15 @@ class Lorentzian(SpectralDensity):
     def __post_init__(self):
         _require_positive("Lorentzian", gamma0=self.gamma0, lam=self.lam)
         self._resolve(self.omega_q + 50.0 * self.lam)
+        try:  # a float power past float range raises instead of returning inf
+            lam_sq = self.lam ** 2
+        except OverflowError:
+            lam_sq = math.inf
+        object.__setattr__(self, "_lam_sq", lam_sq)
 
     def _shape(self, omega, lo):
-        return (self.gamma0 * self.lam ** 2 / (2.0 * np.pi)
-                / ((self.omega_q - omega) ** 2 + self.lam ** 2))
+        return (self.gamma0 * self._lam_sq / (2.0 * np.pi)
+                / ((self.omega_q - omega) ** 2 + self._lam_sq))
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,10 @@ def _bose_integrand(j, temperature, t):
 
     A plain-float callback for QUADPACK: J is written out from Ohmic's
     formula with its constants and the 4 * 2 folded into
-    c = 8 eta scale w_c^{1-s}, and the Bose factor is capped like
+    c = 8 eta w_c^{1-s}, and the Bose factor is capped like
     ``_capped_coth``.
     """
-    c = 8.0 * j.eta * j.scale * j.omega_c ** (1.0 - j.s)
+    c = 8.0 * j.eta * j.omega_c ** (1.0 - j.s)
     s, omega_c = j.s, j.omega_c
     cos, exp, expm1 = math.cos, math.exp, math.expm1
 
@@ -189,7 +189,7 @@ def _ohmic_zero_temperature(j, t):
     x = 1.0 - j.s
     u = j.omega_c * t
     log_mod = 0.5 * math.log1p(u * u)
-    prefactor = 4.0 * j.eta * j.scale
+    prefactor = 4.0 * j.eta
     if x == 0.0:
         return prefactor * log_mod
     x_theta = x * math.atan(u)
@@ -198,7 +198,7 @@ def _ohmic_zero_temperature(j, t):
 
 
 def _ohmic_tail_bound(j, w, decay):
-    """Upper bound on 8 eta w_c^{1-s} int_w^inf v^{s-2} e^{-v/decay} dv (times scale).
+    """Upper bound on 8 eta w_c^{1-s} int_w^inf v^{s-2} e^{-v/decay} dv.
 
     With decay = w_c this bounds the T = 0 integral 4 int J v^{-2}(1 - cos vt)
     beyond w.  Returns inf where the incomplete-gamma estimate does not
@@ -207,7 +207,7 @@ def _ohmic_tail_bound(j, w, decay):
     room = 1.0 - max(j.s - 2.0, 0.0) * decay / w
     if room <= 0.0:
         return math.inf
-    return (8.0 * j.eta * j.scale * j.omega_c ** (1.0 - j.s) * w ** (j.s - 2.0)
+    return (8.0 * j.eta * j.omega_c ** (1.0 - j.s) * w ** (j.s - 2.0)
             * decay * math.exp(-w / decay) / room)
 
 
@@ -227,7 +227,7 @@ def _ohmic_split(j, temperature, t):
             return None
         # 2/(e^x - 1) <= 2/x and (1 - cos wt)/w^2 <= t^2/2 bound the whole
         # Bose part by 4 eta Gamma(s) w_c t^2 T, which is 0 at T = 0
-        bose_bound = 4.0 * j.eta * j.scale * math.gamma(j.s) * j.omega_c * t * t * temperature
+        bose_bound = 4.0 * j.eta * math.gamma(j.s) * j.omega_c * t * t * temperature
         if not bose_bound >= 0.5 * tol:
             return gamma0
         # past W the Bose factor is at most 2 e^{-w/T} / (1 - e^{-W/T}), so the

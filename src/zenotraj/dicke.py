@@ -44,6 +44,20 @@ _PSD_TOL = 1e-12
 # real root of 1 + z + z^2/2 + z^3/6 + z^4/24 = 1, z = -2.7852935634...
 _RK4_REAL_STABILITY = 2.785293563405282
 
+# most complex entries, (steps + 1) (2N)^2, the state history of
+# evolve_collective may hold: a dicke --numeric table peaks at 16-20 bytes
+# of traced memory per entry (tracemalloc, N = 4 to 64, 250 to 5,000 steps),
+# so about 320 MB here
+_MAX_HISTORY_ENTRIES = 16_000_000
+
+
+def _check_history(n_sites, count):
+    """NumericError, before anything is allocated, past ``_MAX_HISTORY_ENTRIES``."""
+    entries = count * (2 * n_sites) ** 2
+    if entries > _MAX_HISTORY_ENTRIES:
+        raise NumericError(f"the state history needs {entries:,} complex entries, above the "
+                           f"cap {_MAX_HISTORY_ENTRIES:,}; use fewer steps or fewer paths")
+
 
 def _check_reachable(entries):
     """ValueError unless every collective factor lies in sinc's range [SINC_MIN, 1]."""
@@ -144,8 +158,10 @@ def evolve_collective(rates, rho0, grid):
 
     The generator's spectrum is {0, -Gamma0/2, -Gamma0}, so a step with
     Gamma0*dt beyond RK4's real-axis stability limit would amplify instead
-    of damp; such a grid raises NumericError.
+    of damp; such a grid raises NumericError, as does a state history past
+    ``_MAX_HISTORY_ENTRIES``.
     """
+    _check_history(rates.n_sites, grid.count)
     if rates.gamma0 * grid.dt > _RK4_REAL_STABILITY:
         raise NumericError(
             f"RK4 step is unstable: gamma0*dt = {rates.gamma0 * grid.dt:g} exceeds "

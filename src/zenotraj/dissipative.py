@@ -127,7 +127,7 @@ def decay_amplitude_auto(j, omega_q, grid):
     the numeric Volterra route is taken.
     """
     if isinstance(j, Lorentzian) and j.lam <= 0.02 * omega_q:
-        return decay_amplitude_closed_series(j.gamma0 * j.scale, j.lam, grid)
+        return decay_amplitude_closed_series(j.gamma0, j.lam, grid)
     return decay_amplitude(j, omega_q, grid)
 
 

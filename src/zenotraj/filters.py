@@ -10,17 +10,14 @@ grows with the number of interruptions at fixed elapsed time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import _binary_pair_sum, _refuse_dark_port, _require_elapsed
+from .core import _binary_pair_sum, _refuse_dark_port
 from .dissipative import decay_factor, memory_kernel, survival_probability_diss
 from .errors import NumericError
 from .numerics import TimeGrid, integrate_adaptive, solve_volterra
 
 __all__ = [
-    "FilterSpec",
     "filter_diss",
     "filter_deph",
     "filter_traditional_zeno",
@@ -93,52 +90,21 @@ def filter_traditional_zeno(omega, t, n_tilde, omega_q):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Which filter to overlap with J: kind, elapsed time, and shape params.
+def decay_factor_overlap(j, f, peak):
+    """gamma(t) = int_0^{omega_max} dw J(w) f(w); adaptive, relative-only.
 
-    ``kind`` is one of ``KINDS``, the CLI's choices: "diss" (``filter_diss``),
-    "deph" (``filter_deph``) or "traditional" (``filter_traditional_zeno``).
+    ``f`` is the filter as a function of w and ``peak`` its centre frequency
+    (omega_q for ``filter_diss`` and ``filter_traditional_zeno``, 0 for
+    ``filter_deph``); a peak inside (0, omega_max) is a breakpoint next to
+    J's kinks.  The absolute tolerance is pinned to zero so that scaling the
+    filter by an exact constant scales the quadrature result by exactly that
+    constant (identical subdivision decisions), preserving e.g. the 1/N law
+    bitwise for power-of-two N.
     """
-
-    KINDS = ("diss", "deph", "traditional")
-
-    kind: str
-    t: float
-    omega_q: float = 0.0
-    n_paths: int = 1
-    n_shifts: int = 0
-    n_tilde: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        _require_elapsed(self.t)
-        if self.kind != "traditional":
-            _refuse_dark_port(self.n_paths, self.n_shifts)
-        _check_pulse_count(self.n_tilde)
-
-    def evaluate(self, omega):
-        if self.kind == "diss":
-            return filter_diss(omega, self.t, self.n_paths, self.n_shifts, self.omega_q)
-        if self.kind == "deph":
-            return filter_deph(omega, self.t, self.n_paths, self.n_shifts)
-        return filter_traditional_zeno(omega, self.t, self.n_tilde, self.omega_q)
-
-
-def decay_factor_overlap(j, spec):
-    """gamma(t) = int_0^{omega_max} dw J(w) F(w); adaptive, relative-only.
-
-    The absolute tolerance is pinned to zero so that scaling the filter by an
-    exact constant scales the quadrature result by exactly that constant
-    (identical subdivision decisions), preserving e.g. the 1/N law bitwise
-    for power-of-two N.
-    """
-    f = spec.evaluate
     integrand = lambda w: j(w) * f(w)
     points = set(j.breakpoints)
-    if spec.kind != "deph" and 0.0 < spec.omega_q < j.omega_max:
-        points.add(spec.omega_q)
+    if 0.0 < peak < j.omega_max:
+        points.add(peak)
     out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
                              points=sorted(points))
     return 0.0 if out < 0.0 else out
@@ -154,17 +120,15 @@ def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps):
         raise ValueError("eps must be >= 0")
     if eps == 0.0:
         return 0.0, 0.0
-    j_scaled = j.scaled(eps * eps)
     grid = TimeGrid(t / _CONSISTENCY_STEPS, _CONSISTENCY_STEPS + 1)
-    # The memory kernel is linear in J, so sample it once at full coupling
-    # and scale the samples: the quadrature then resolves the same integrand
-    # for every eps instead of chasing an eps^2-small absolute target.
+    # The memory kernel and the overlap are linear in J, so both are formed
+    # at full coupling and scaled by eps^2: the quadratures then resolve the
+    # same integrands for every eps instead of chasing an eps^2-small target.
     samples = eps * eps * memory_kernel(j, omega_q).samples(grid)
     g_t = solve_volterra(samples, grid)[-1]
     gamma_exact = decay_factor(survival_probability_diss(g_t, n_paths, n_shifts))
-    spec = FilterSpec("diss", t, omega_q, n_paths, n_shifts)
-    gamma_overlap = decay_factor_overlap(j_scaled, spec)
-    return gamma_exact, gamma_overlap
+    f = lambda w: filter_diss(w, t, n_paths, n_shifts, omega_q)
+    return gamma_exact, eps * eps * decay_factor_overlap(j, f, omega_q)
 
 
 def fwhm(omega, values):

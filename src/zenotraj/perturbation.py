@@ -238,15 +238,20 @@ def _prefactor(phases):
     return 2.0 * len(phases) / pair_sum
 
 
-def _filter_mesh(model, psi0, t):
-    """Lags and W-weighted sandwiches tr[P_perp A_b(t2) rho0 A_a(t1)] (J-independent)."""
+def _filter_mesh(model, psi0, t, omega_top):
+    """Lags and W-weighted sandwiches tr[P_perp A_b(t2) rho0 A_a(t1)] (J-independent).
+
+    The panels resolve the phase rate omega_scale + max(omega_max of each J,
+    ``omega_top``): C(tau) oscillates up to the largest omega_max, and the
+    contraction at a frequency omega with |omega| <= ``omega_top``.
+    """
     if not isinstance(psi0, QubitState):
         psi0 = QubitState(np.asarray(psi0, dtype=complex))
     r = psi0.matrix
     if abs(np.trace(r @ r).real - 1.0) > 1e-10:
         raise ValueError("psi0 must be a pure state")
     p_perp = np.eye(2, dtype=complex) - r
-    nu = model.omega_scale + max(ji.omega_max for ji in model.spectral_densities)
+    nu = model.omega_scale + max(*(ji.omega_max for ji in model.spectral_densities), omega_top)
     tau, W, a1, a2 = _mesh(model, t, nu)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
@@ -271,7 +276,7 @@ def general_filter(model, psi0, omega, t, phases):
     if t == 0.0:
         out = np.zeros_like(w_arr)
     else:
-        tau, weighted = _filter_mesh(model, psi0, t)
+        tau, weighted = _filter_mesh(model, psi0, t, np.max(np.abs(w_arr), initial=0.0))
         out = prefactor * _contract(model.correlations, w_arr, tau, weighted).real
     return float(out[0]) if scalar else out
 
@@ -290,7 +295,7 @@ def general_decay_factor(model, psi0, t, phases):
     if len(js) not in (1, len(phases)):
         raise ValueError("spectral_densities must have one entry or one per path")
     # the overlap is linear in C: average one C table per distinct J over the paths
-    tau, weighted = _filter_mesh(model, psi0, t)
+    tau, weighted = _filter_mesh(model, psi0, t, 0.0)
     tables = {id(j): _correlation(j, t, tau) for j in {id(j): j for j in js}.values()}
     corr = sum(tables[id(j)] for j in js) / len(js)
     return prefactor * float(np.sum(model.correlations * (weighted @ corr)).real)

@@ -9,8 +9,8 @@ Bose integrand below is the oracle of the scalar callback that integrates
 the thermal correction to that closed form.
 
 The last block keeps the Gauss-Legendre branch's integrand as it was written
-before it was evaluated in place: J(w) with the scale multiply and the masks
-of ``SpectralDensity.__call__`` and the Ohmic product as one expression, the
+before it was evaluated in place: J(w) with the masks of
+``SpectralDensity.__call__`` and the Ohmic product as one expression, the
 coth factor, the integrand body and the panel nodes, each with its own
 temporaries.  The in-place code must match it to the byte.
 """
@@ -76,16 +76,16 @@ def ohmic_shape(j, omega):
 
 
 def spectral_density(j, omega):
-    """``SpectralDensity.__call__``: scale times the shape, 0 outside [0, omega_max].
+    """``SpectralDensity.__call__``: the shape, 0 outside [0, omega_max].
 
     The other families' shapes are unchanged, so they come from ``j._shape``.
     """
     omega = np.asarray(omega, dtype=float)
     raw = ohmic_shape(j, omega) if isinstance(j, Ohmic) else j._shape(omega, math.nan)
     if omega.size and omega.min() >= 0 and omega.max() <= j.omega_max:
-        out = j.scale * raw
+        out = raw
     else:
-        out = j.scale * np.where((omega >= 0) & (omega <= j.omega_max), raw, 0.0)
+        out = np.where((omega >= 0) & (omega <= j.omega_max), raw, 0.0)
     return out if out.ndim else float(out)
 
 

@@ -43,7 +43,7 @@ def oracle_block(model, rho0, path_index, t):
 def oracle_decay_factor(model, psi0, t, phases):
     """general_decay_factor by the frequency integral (t > 0)."""
     prefactor = _prefactor(phases)
-    tau, weighted = _filter_mesh(model, psi0, t)
+    tau, weighted = _filter_mesh(model, psi0, t, 0.0)
     js = model.spectral_densities
     overlaps = [prefactor * float(omega_integral(j, model.correlations, tau, weighted,
                                                  1e-9, 1e-200).real) for j in js]

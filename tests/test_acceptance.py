@@ -49,7 +49,6 @@ from zenotraj.dissipative import (
     trace_distance_diss,
 )
 from zenotraj.filters import (
-    FilterSpec,
     decay_factor_overlap,
     filter_diss,
     filter_traditional_zeno,
@@ -82,7 +81,7 @@ def test_criterion_01_decay_factor_scales_as_one_over_n():
     start = time.perf_counter()
     j = GaussianPeak(1.5, 0.2)
     gamma = {
-        n_paths: decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, n_paths, 0))
+        n_paths: decay_factor_overlap(j, lambda w: filter_diss(w, 3.0, n_paths, 0, 1.0), 1.0)
         for n_paths in (1, 2, 4, 8, 16)
     }
     elapsed = time.perf_counter() - start

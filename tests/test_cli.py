@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -519,22 +520,15 @@ class TestMain:
         assert main(argv) == 2
         assert f"got N={n_paths}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["perturbation", "--t", "1e-151", "--omega-points", "3"],
-        ["perturbation", "--t", "0.01", "--omega-points", "3", "--omega-min", "1e200",
-         "--omega-max", "1e200"],
-    ], ids=" ".join)
-    def test_no_closed_form_point_exit_code(self, argv, capsys):
+    def test_no_closed_form_point_exit_code(self, capsys):
         # every |f_closed_form| is below 1e-300, so max_rel_deviation compares nothing
-        assert main(argv) == 3
+        assert main(["perturbation", "--t", "1e-151", "--omega-points", "3"]) == 3
         assert "max_rel_deviation has no point" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, digest", [
         (["filter", "--omega-points", "3", "--omega-min=-1e300", "--omega-max", "1e300"],
          "e5330f6e4d014cd702070b75c8144a7dc3f79b5a1384a70a7c5b82a17b9e2707"),
-        (["perturbation", "--omega-points", "3", "--omega-min=-1e300", "--omega-max", "1e300"],
-         "eb655ba9342fad367b22c07f976f815159c847336901b60dafd01b28d5c817bd"),
-    ], ids=["filter", "perturbation"])
+    ], ids=["filter"])
     @pytest.mark.filterwarnings("error")
     def test_extreme_finite_frequencies_are_silent(self, argv, digest, capsys):
         # sinc's series term and the Gaussian square overflow no more; the bytes stay
@@ -542,6 +536,56 @@ class TestMain:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("window, nodes", [
+        (["--omega-min", "900", "--omega-max", "1000"], "2,560,000"),
+        (["--omega-min", "5000", "--omega-max", "6000"], "91,393,600"),
+        (["--omega-min=-1e300", "--omega-max", "1e300"], "inf"),
+        (["--t", "0.01", "--omega-min", "1e200", "--omega-max", "1e200"], "inf"),
+    ], ids=" ".join)
+    @pytest.mark.filterwarnings("error")
+    def test_frequency_past_the_mesh_exit_code(self, window, nodes, capsys):
+        # the contraction at omega oscillates at omega_q + |omega|, past what a mesh
+        # sized from J's omega_max = 101 resolves: the mesh grows to the window
+        # instead, up to its cap (these exited 0 with f_general off by up to 85 %)
+        assert main(["perturbation", "--omega-points", "3", *window]) == 3
+        assert f"mesh needs {nodes} nodes, above the cap" in capsys.readouterr().err
+
+    def test_frequency_past_the_support_is_resolved(self, capsys):
+        # 200-300 lies past J's omega_max = 101 and within the mesh cap
+        argv = ["perturbation", "--omega-min", "200", "--omega-max", "300",
+                "--omega-points", "3"]
+        table = run(parse_config(argv))
+        assert table.metadata["max_rel_deviation"] < 5e-12
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--spectral", "lorentzian", "--lambda", "1e300"],
+        ["dynamics-diss", "--lambda", "1e300", "--steps", "3"],
+        ["nonmarkov", "--model", "diss", "--lambda", "1e300", "--steps", "3"],
+    ], ids=" ".join)
+    def test_lorentzian_width_past_float_range_exit_code(self, argv, capsys):
+        # lambda^2 is past float range: J is not finite (a traceback before)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_paths, entries", [
+        ("1000", "2,004,000,000"), ("100000", "20,040,000,000,000")])
+    def test_oversized_state_history_exit_code(self, n_paths, entries, capsys):
+        # (steps + 1) (2N)^2 complex entries, refused before any matrix is built
+        # (--N 1000 would ask for about 32 GB, --N 100000 for 80 GB of rate matrix)
+        argv = ["dicke", "--numeric", "--N", n_paths]
+        parse_config(argv)  # the parser is built outside the bound
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1e6
+        assert f"the state history needs {entries} complex entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],
@@ -721,7 +765,8 @@ _INTS = st.one_of(st.integers(-3, 12), st.sampled_from((2**31, 2**62, 10**400)))
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_any_declared_value_exits_with_a_code(data):
-    """Finite, non-finite or extreme values of the declared keys exit 0, 2 or 3, never raise."""
+    """Finite, non-finite or extreme values of the declared keys exit 0, 2 or 3, never raise;
+    an emitted perturbation table has f_general within 1e-6 of f_closed_form's peak."""
     route, held = CHEAP_ROUTES[data.draw(st.sampled_from(sorted(CHEAP_ROUTES)))]
     declared = cli._SCENARIO_DEFAULTS[route[0]]
     keys = data.draw(st.lists(st.sampled_from([k for k in declared if k not in held]),
@@ -734,7 +779,14 @@ def test_any_declared_value_exits_with_a_code(data):
         else:
             value = repr(data.draw(_INTS if isinstance(default, int) else _FLOATS))
         argv.append(f"--{cli._FLAGS.get(key, key).replace('_', '-')}={value}")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow at extreme inputs
-        assert main(argv) in (0, 2, 3), argv
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0 and route[0] == "perturbation":
+        rows = np.array([line.split(",") for line in out.getvalue().splitlines()
+                         if line[0] not in "#o"], dtype=float)
+        general, closed = rows[:, 1], rows[:, 2]
+        assert np.max(np.abs(general - closed)) <= 1e-6 * np.max(np.abs(closed)), argv

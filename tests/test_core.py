@@ -35,8 +35,9 @@ from zenotraj.dephasing import (
 )
 from zenotraj.dicke import excited_population_analytic
 from zenotraj.dissipative import postselected_state_diss, trace_distance_diss
-from zenotraj.errors import NullOutcome
-from zenotraj.filters import FilterSpec, filter_deph, filter_diss, filter_traditional_zeno
+from zenotraj.cli import _SCENARIO_DEFAULTS, parse_config
+from zenotraj.errors import ConfigError, NullOutcome
+from zenotraj.filters import filter_deph, filter_diss, filter_traditional_zeno
 from zenotraj.perturbation import (
     dissipative_coupling_model,
     general_decay_factor,
@@ -67,6 +68,10 @@ class TestRFactor:
             r_factor(0, 0)
 
 
+def _filter_config(kind, n_tilde):
+    return parse_config(["filter", "--kind", kind, "--n-tilde", repr(n_tilde)])
+
+
 class TestOneOwnerPerRule:
     """The path range, the dark port, K = (N-2n)^2, c = NR - 1, the phi_T and amplitude
     windows and the pulse count n_tilde >= 1 each have one owner."""
@@ -75,8 +80,6 @@ class TestOneOwnerPerRule:
     DARK_PORT_CALLS = {
         "filter_diss": lambda: filter_diss(1.0, 1.0, 4, 2, 1.0),
         "filter_deph": lambda: filter_deph(1.0, 1.0, 4, 2),
-        "FilterSpec-diss": lambda: FilterSpec("diss", 1.0, 1.0, 4, 2),
-        "FilterSpec-deph": lambda: FilterSpec("deph", 1.0, 0.0, 4, 2),
         "modified_dephasing": lambda: modified_dephasing(0.5, 4, 2),
         "trace_distance_diss": lambda: trace_distance_diss(0.5, 4, 2),
         "excited_population_analytic": lambda: excited_population_analytic(1.0, 4, 2, 1.0, 0.1),
@@ -142,23 +145,22 @@ class TestOneOwnerPerRule:
                     call()
 
     @pytest.mark.parametrize("build", [
-        *(functools.partial(FilterSpec, kind, 1.0, 1.0, 3, 0) for kind in FilterSpec.KINDS),
+        *(functools.partial(_filter_config, kind) for kind in _SCENARIO_DEFAULTS["filter"]["kind"]),
         lambda n_tilde: filter_traditional_zeno(1.0, 1.0, n_tilde, 1.0),
-    ], ids=[*FilterSpec.KINDS, "filter_traditional_zeno"])
+    ], ids=[*_SCENARIO_DEFAULTS["filter"]["kind"], "filter_traditional_zeno"])
     def test_pulse_count_has_one_owner(self, build):
-        # n_tilde >= 1 for every filter kind, not only the traditional one
+        # n_tilde >= 1 for every filter kind of the CLI, not only the traditional one
         build(1.0)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises((ValueError, ConfigError)) as info:
             build(0.5)
         assert str(info.value) == "the traditional filter needs n_tilde >= 1, got n_tilde=0.5"
 
     @pytest.mark.parametrize("t", [-1.0, math.nan])
     def test_elapsed_time_has_one_owner(self, t):
-        # t >= 0 for a filter spec, the dephasing exponent and each second-order entry
+        # t >= 0 for the dephasing exponent and each second-order entry
         j, profile = Lorentzian(1.0, 1.0, 1.0), binary_phases(3, 0)
         model = dissipative_coupling_model(j, omega_q=1.0)
-        for call in (lambda: FilterSpec("diss", t, 1.0, 3, 0),
-                     lambda: dephasing_exponent(DephasingParams(Ohmic(0.1, 1.0, 1.0)), t),
+        for call in (lambda: dephasing_exponent(DephasingParams(Ohmic(0.1, 1.0, 1.0)), t),
                      lambda: second_order_block(model, QubitState.excited(), 0, t),
                      lambda: general_filter(model, QubitState.excited(), 1.0, t, profile),
                      lambda: general_decay_factor(model, QubitState.excited(), t, profile)):
@@ -226,10 +228,6 @@ class TestSpectralDensity:
         assert j(4.5) == 0.0
         assert j(-1.0) == 0.0
 
-    def test_scaled_multiplies_pointwise(self):
-        j = Ohmic(eta=0.5, s=2.0, omega_c=1.0)
-        assert_allclose(j.scaled(0.25)(0.7), 0.25 * j(0.7), rtol=0, atol=0)
-
     def test_tabulated_interpolates(self):
         j = Tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
         assert_allclose(j(0.5), 1.0)
@@ -267,19 +265,21 @@ _FAMILIES = {
     "ohmic-s2": Ohmic(eta=0.5, s=2.0, omega_c=1.0),
     "ohmic-s0.5": Ohmic(eta=0.5, s=0.5, omega_c=1.0),
     "ohmic-log-space-s170": Ohmic(eta=1e-300, s=170.0, omega_c=10.0),
+    # a coupling strength other than 1 is the family's own parameter
+    "ohmic-s1.7-eta0.37": Ohmic(eta=0.37 / 3.0, s=1.7, omega_c=2.0),
     "lorentzian": Lorentzian(gamma0=1.0, lam=0.1, omega_q=50.0),
+    "lorentzian-gamma4": Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0),
     "gaussian": GaussianPeak(omega_m=1.5, delta=0.2),
     "tabulated": Tabulated([0.0, 1.0, 2.0, 7.5], [0.0, 2.0, 0.5, 0.0]),
 }
 
 
 class TestSpectralDensityBytes:
-    """J(omega) keeps the bytes of the scale-times-shape form with its masks."""
+    """J(omega) keeps the bytes of the shape with its masks."""
 
-    @pytest.mark.parametrize("scale", [1.0, 0.37, 4.0])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_arrays_match_oracle(self, family, scale):
-        j = _FAMILIES[family].scaled(scale)
+    def test_arrays_match_oracle(self, family):
+        j = _FAMILIES[family]
         top = j.omega_max
         # fig4c-sized positive nodes, then grids with 0, negative and
         # beyond-cut nodes that take the masks
@@ -296,10 +296,9 @@ class TestSpectralDensityBytes:
             assert got.tobytes() == want.tobytes()
             assert w.tobytes() == _frozen(grid).tobytes()
 
-    @pytest.mark.parametrize("scale", [1.0, 0.37])
     @pytest.mark.parametrize("family", _FAMILIES)
-    def test_scalars_match_oracle(self, family, scale):
-        j = _FAMILIES[family].scaled(scale)
+    def test_scalars_match_oracle(self, family):
+        j = _FAMILIES[family]
         for value in (0.7, 0.0, -0.5, 1.5 * j.omega_max, 0.999 * j.omega_max):
             for w in (value, np.float64(value), _frozen(value)):
                 got, want = j(w), dephasing_oracle.spectral_density(j, w)

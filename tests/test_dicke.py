@@ -8,6 +8,8 @@ e^{-Gamma0 t} uniformly, ground coherences fill in weighted by the
 collective matrix).
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from geometry_oracle import (
     rates_from_geometry,
 )
 from zenotraj.dicke import (
+    _MAX_HISTORY_ENTRIES,
     SINC_MIN,
     CollectiveRateMatrix,
+    _check_history,
     build_master_generator,
     evolve_collective,
     excited_population_analytic,
@@ -241,6 +245,30 @@ class TestGenerator:
         assert np.all(np.abs(states) <= 1.0)
         with pytest.raises(NumericError, match="stability limit"):
             evolve_collective(rates, rho0, TimeGrid(1.40, 4))
+
+
+class TestStateHistoryCap:
+    """evolve_collective keeps (steps + 1) (2N)^2 complex entries, at most the cap."""
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 1000])
+    def test_cap_is_inclusive(self, n_sites):
+        count = _MAX_HISTORY_ENTRIES // (2 * n_sites) ** 2
+        _check_history(n_sites, count)
+        with pytest.raises(NumericError, match=f"above the cap {_MAX_HISTORY_ENTRIES:,}"):
+            _check_history(n_sites, count + 1)
+
+    def test_refused_before_the_history_is_allocated(self):
+        # 10**9 steps of a 4 x 4 state would hold 256 GB
+        rates = CollectiveRateMatrix.from_factor(2, 0.5, 1.0)
+        rho0 = superposed_initial_state(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match="16,000,000,016 complex entries"):
+                evolve_collective(rates, rho0, TimeGrid(1e-9, 10**9 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestExcitedPopulation:

@@ -10,11 +10,10 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import sici
 
-from zenotraj.cli import _SCENARIO_DEFAULTS
+from zenotraj.cli import _SCENARIO_DEFAULTS, parse_config, run
 from zenotraj.core import GaussianPeak, Lorentzian, Ohmic, Tabulated
 from zenotraj.errors import NumericError
 from zenotraj.filters import (
-    FilterSpec,
     decay_factor_overlap,
     filter_deph,
     filter_diss,
@@ -89,36 +88,38 @@ class TestFilterShapes:
             vals = filter_diss(w, 4.0, N, n, 1.0)
             assert w[np.argmax(vals)] == pytest.approx(1.0, abs=1e-12)
 
-    def test_spec_kinds_are_the_cli_kinds(self):
+    def test_cli_kinds_are_the_filter_functions(self):
         w = np.linspace(-5.0, 7.0, 41)
         direct = {"diss": filter_diss(w, 5.0, 3, 1, 1.0), "deph": filter_deph(w, 5.0, 3, 1),
                   "traditional": filter_traditional_zeno(w, 5.0, 4.0, 1.0)}
-        assert tuple(direct) == FilterSpec.KINDS == _SCENARIO_DEFAULTS["filter"]["kind"]
+        assert tuple(direct) == _SCENARIO_DEFAULTS["filter"]["kind"]
         for kind, want in direct.items():
-            got = FilterSpec(kind, 5.0, 1.0, 3, 1, 4.0).evaluate(w)
-            assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="unknown filter kind"):
-            FilterSpec("diss_superposed", 5.0)
+            table = run(parse_config(["filter", "--kind", kind, "--N", "3", "--n", "1",
+                                      "--n-tilde", "4", "--omega-points", "41"]))
+            assert table.values[:, 2].tobytes() == want.tobytes()
 
     def test_null_configuration_rejected(self):
         with pytest.raises(ValueError):
             filter_diss(1.0, 1.0, 4, 2, 1.0)
         with pytest.raises(ValueError):
-            FilterSpec("deph", 1.0, 0.0, 6, 3)
+            filter_deph(1.0, 1.0, 6, 3)
         with pytest.raises(ValueError):
             filter_traditional_zeno(1.0, 1.0, 0.5, 1.0)
+
+
+def _diss(t, n_paths, n_shifts, omega_q):
+    """filter_diss at fixed (t, N, n, omega_q) as a function of omega."""
+    return lambda w: filter_diss(w, t, n_paths, n_shifts, omega_q)
 
 
 class TestOverlap:
     def test_zero_density(self):
         j = Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-        spec = FilterSpec("diss", 2.0, 1.0, 1, 0)
-        assert decay_factor_overlap(j, spec) == 0.0
+        assert decay_factor_overlap(j, _diss(2.0, 1, 0, 1.0), 1.0) == 0.0
 
     def test_gaussian_peak_against_simpson(self):
         j = GaussianPeak(1.5, 0.2)
-        spec = FilterSpec("diss", 3.0, 1.0, 1, 0)
-        val = decay_factor_overlap(j, spec)
+        val = decay_factor_overlap(j, _diss(3.0, 1, 0, 1.0), 1.0)
         w = np.linspace(0.0, j.omega_max, 1_000_001)
         oracle = simpson(j(w) * filter_diss(w, 3.0, 1, 0, 1.0), x=w)
         assert val == pytest.approx(oracle, rel=1e-8)
@@ -129,7 +130,7 @@ class TestOverlap:
         # until they became breakpoints
         knots = np.linspace(0.0, 8.0, 5)
         j = Tabulated(knots, knots * np.exp(-0.5 * knots))
-        val = decay_factor_overlap(j, FilterSpec("diss", 2.0, 1.5, 3, 1))
+        val = decay_factor_overlap(j, _diss(2.0, 3, 1, 1.5), 1.5)
         w = np.linspace(0.0, 8.0, 1_000_001)
         oracle = simpson(j(w) * filter_diss(w, 2.0, 3, 1, 1.5), x=w)
         assert val == pytest.approx(oracle, rel=1e-8)
@@ -137,23 +138,30 @@ class TestOverlap:
 
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
         j = GaussianPeak(1.5, 0.2)
-        base = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, 1, 0))
+        base = decay_factor_overlap(j, _diss(3.0, 1, 0, 1.0), 1.0)
         for N in (2, 4, 8, 16):
-            v = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, N, 0))
+            v = decay_factor_overlap(j, _diss(3.0, N, 0, 1.0), 1.0)
             assert v == base / N  # exact: same subdivision, power-of-two prefactor
 
     def test_one_over_n_scaling_general(self):
         j = GaussianPeak(1.5, 0.2)
-        base = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, 1, 0))
+        base = decay_factor_overlap(j, _diss(3.0, 1, 0, 1.0), 1.0)
         for N, n in [(3, 0), (5, 0), (3, 1), (7, 2)]:
-            v = decay_factor_overlap(j, FilterSpec("diss", 3.0, 1.0, N, n))
+            v = decay_factor_overlap(j, _diss(3.0, N, n, 1.0), 1.0)
             pref = N / (N - 2 * n) ** 2
             assert v == pytest.approx(pref * base, rel=1e-12)
 
+    @pytest.mark.parametrize("peak", [-1.0, 9.0, 20.0], ids=str)
+    def test_peak_outside_the_support_is_no_breakpoint(self, peak):
+        # omega_max = 9 for this J: a peak at or past an end integrates as the
+        # deph filter's peak at 0 does, to the bit
+        j = Tabulated([0.0, 2.0, 9.0], [0.0, 1.0, 0.5])
+        f = _diss(2.0, 3, 1, 1.5)
+        assert decay_factor_overlap(j, f, peak) == decay_factor_overlap(j, f, 0.0)
+
     def test_nonnegative_for_deph_kind(self):
         j = Ohmic(0.5, 1.0, 1.0)
-        spec = FilterSpec("deph", 2.0, 0.0, 3, 1)
-        assert decay_factor_overlap(j, spec) > 0.0
+        assert decay_factor_overlap(j, lambda w: filter_deph(w, 2.0, 3, 1), 0.0) > 0.0
 
     def test_sum_rule_traditional_filter(self):
         # integral of the traditional filter over omega is 2 pi t for every
@@ -190,6 +198,14 @@ class TestPerturbativeConsistency:
             mm[eps] = abs(ge - go) / go
         assert 2.5 <= mm[0.4] / mm[0.2] <= 6.0
         assert 2.5 <= mm[0.2] / mm[0.1] <= 6.0
+
+    def test_overlap_is_that_of_the_weaker_line(self):
+        # eps^2 J is the Lorentzian with gamma0 times eps^2: the overlap is linear in J
+        eps = 0.2
+        _, go = perturbative_consistency(self.J, 1.0, 0.2, 3, 1, eps)
+        weak = Lorentzian(eps**2 * 4.0, 2.0, 1.0)
+        assert go == pytest.approx(decay_factor_overlap(weak, _diss(0.2, 3, 1, 1.0), 1.0),
+                                   rel=1e-12)
 
     def test_prefactor_matches_exact_dynamics(self):
         ge4, go4 = perturbative_consistency(self.J, 1.0, 0.2, 4, 0, 0.1)

@@ -22,7 +22,7 @@ from zenotraj import cli, dephasing
 from zenotraj.cli import emit, parse_config, run
 from zenotraj.core import GaussianPeak, Lorentzian, Tabulated
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
-from zenotraj.filters import FilterSpec, decay_factor_overlap
+from zenotraj.filters import decay_factor_overlap, filter_deph, filter_diss
 
 from dephasing_oracle import oracle_exponent
 
@@ -185,8 +185,11 @@ EXPONENT_PINS = (
     ("tabulated", 0.3, 2.5, "0x1.2c4f39bc4e9bep-1"),
     ("tabulated", 0.3, 31.5, "0x1.cebe9cedfc958p+2"),
 )
-# FilterSpec(kind, t=2, omega_q=1.5, N=3, n=1): the deph filter has no
-# breakpoint, the diss filter one at omega_q; the table adds its knots
+# the filter of each kind at t=2, omega_q=1.5, N=3, n=1, with its peak: the
+# deph filter's at 0 is no breakpoint, the diss filter's at omega_q is one;
+# the table adds its knots
+PIN_FILTERS = {"deph": (lambda w: filter_deph(w, 2.0, 3, 1), 0.0),
+               "diss": (lambda w: filter_diss(w, 2.0, 3, 1, 1.5), 1.5)}
 OVERLAP_PINS = (
     ("gaussian", "deph", "0x1.b5012f52fb05ap-6"),
     ("gaussian", "diss", "0x1.6d06e8636510ap-3"),
@@ -202,7 +205,7 @@ def _pinned_exponent(name, temperature, phase):
 
 
 def _pinned_overlap(name, kind):
-    return decay_factor_overlap(PIN_DENSITIES[name], FilterSpec(kind, 2.0, 1.5, 3, 1)).hex()
+    return decay_factor_overlap(PIN_DENSITIES[name], *PIN_FILTERS[kind]).hex()
 
 
 @pytest.mark.parametrize("name, temperature, phase, want", EXPONENT_PINS,

@@ -15,10 +15,12 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(zenotraj.__path__
 LIBRARY = [name for name in SUBMODULES if name != "cli"]
 
 # names that left the package: test-only helpers that live in tests/ as
-# oracles, and InterferometerConfig, whose phase profile is its phase vector
+# oracles, InterferometerConfig, whose phase profile is its phase vector, and
+# FilterSpec, whose filter is the filter function its caller names
 MOVED = ("PathBlockMatrix", "postselect_general", "superpose_identical",
          "lorentzian_kernel_closed", "Geometry", "ControlQubitState",
-         "dicke_rates_two_atom", "qd_for_collective_factor", "InterferometerConfig")
+         "dicke_rates_two_atom", "qd_for_collective_factor", "InterferometerConfig",
+         "FilterSpec")
 
 
 def test_package_all_resolves():
@@ -41,7 +43,7 @@ def test_package_all_is_the_union_of_the_submodule_lists():
                            "QuadratureError", "NullOutcome"}
     assert len(set(declared)) == len(declared)  # no name declared twice
     assert sorted(zenotraj.__all__) == sorted(["__version__", *declared])
-    assert len(zenotraj.__all__) <= 61
+    assert len(zenotraj.__all__) <= 60
 
 
 @pytest.mark.parametrize("name", MOVED)
@@ -53,6 +55,15 @@ def test_test_only_names_are_not_exported(name):
 
 def test_rate_matrix_has_only_the_factor_constructor():
     assert not hasattr(zenotraj.CollectiveRateMatrix, "from_geometry")
+
+
+@pytest.mark.parametrize("name", ["SpectralDensity", "Lorentzian", "Ohmic", "GaussianPeak",
+                                  "Tabulated"])
+def test_coupling_strength_is_a_family_parameter(name):
+    # J -> eps^2 J is the family with gamma0 or eta times eps^2: no second knob
+    family = getattr(zenotraj, name)
+    assert "scale" not in [f.name for f in dataclasses.fields(family)]
+    assert not hasattr(family, "scaled")
 
 
 def _defaulted(fn):
@@ -78,4 +89,4 @@ def test_settable_values_of_the_public_callables_are_bounded():
     counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
               if callable(getattr(zenotraj, name))}
     assert counts["TimeGrid"] == 2 and counts["QubitState"] == 2
-    assert sum(counts.values()) <= 50
+    assert sum(counts.values()) <= 39

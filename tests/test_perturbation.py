@@ -19,7 +19,7 @@ from zenotraj.core import (
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.dissipative import memory_kernel
 from zenotraj.errors import NullOutcome, NumericError, QuadratureError
-from zenotraj.filters import FilterSpec, decay_factor_overlap, filter_diss, filter_deph
+from zenotraj.filters import decay_factor_overlap, filter_diss, filter_deph
 from zenotraj.numerics import TimeGrid, solve_volterra
 from zenotraj.perturbation import (
     CouplingModel,
@@ -155,7 +155,7 @@ class TestSecondOrderBlock:
         grid = TimeGrid(t / 800, 801)
         errs = {}
         for eps in (0.4, 0.2, 0.1):
-            j = LORENTZIAN.scaled(eps**2)
+            j = Lorentzian(gamma0=4.0 * eps**2, lam=2.0, omega_q=1.0)
             model = dissipative_coupling_model(j, omega_q=omega_q)
             block = second_order_block(model, QubitState.excited(), 0, t)
             g = _volterra_reference(LORENTZIAN, omega_q, eps**2, grid)[-1]
@@ -170,7 +170,7 @@ class TestSecondOrderBlock:
         t = 1.0
         errs = {}
         for eps in (0.4, 0.2, 0.1):
-            j = OHMIC.scaled(eps**2)
+            j = Ohmic(eta=eps**2 / 3.0, s=1.0, omega_c=1.0)
             model = dephasing_coupling_model(j)
             block = second_order_block(model, QubitState.plus(), 0, t)
             decayed = 0.5 * (np.exp(-dephasing_exponent(DephasingParams(j), t)) - 1.0)
@@ -182,7 +182,7 @@ class TestSecondOrderBlock:
     def test_block_is_traceless_and_hermitian(self):
         # Trace preservation holds exactly for the generator; quadrature
         # deviations are reported by this assertion rather than renormalized.
-        model = dissipative_coupling_model(LORENTZIAN.scaled(0.04), omega_q=1.0)
+        model = dissipative_coupling_model(Lorentzian(0.16, 2.0, 1.0), omega_q=1.0)
         block = second_order_block(model, QubitState.excited(), 0, 0.3)
         assert abs(np.trace(block)) < 1e-12
         np.testing.assert_allclose(block, block.conj().T, atol=1e-14)
@@ -215,6 +215,23 @@ class TestGeneralFilter:
         want = filter_diss(grid, t, omega_q=1.0, n_paths=n_paths, n_shifts=n_shifts)
         np.testing.assert_allclose(got, want, rtol=1e-6)
         np.testing.assert_allclose(got, want, rtol=1e-12)  # actual accuracy
+
+    @pytest.mark.parametrize("omega", [[-300.0, 200.0], [200.0, 250.0, 300.0]],
+                             ids=["both-signs", "above"])
+    def test_frequencies_past_the_support_are_resolved(self, omega):
+        # J stops at omega_max = 101, but the contraction at omega oscillates
+        # at omega_q + |omega|: the mesh is sized from the larger of the two
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        grid = np.array(omega)
+        got = general_filter(model, QubitState.excited(), grid, 0.5, binary_phases(3, 1))
+        want = filter_diss(grid, 0.5, 3, 1, 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    def test_frequency_past_the_mesh_cap_is_refused(self):
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        with pytest.raises(NumericError, match="mesh needs 2,560,000 nodes"):
+            general_filter(model, QubitState.excited(), np.array([900.0, 1000.0]), 0.5,
+                           binary_phases(3, 1))
 
     def test_dephasing_shape_with_constant_ratio_four(self):
         # Same (1 - cos wt)/w^2 shape; the overall constant relating the
@@ -286,9 +303,8 @@ class TestGeneralDecayFactor:
         for n_paths, n_shifts in [(1, 0), (3, 1)]:
             got = general_decay_factor(model, QubitState.excited(), 0.4,
                                        binary_phases(n_paths, n_shifts))
-            spec = FilterSpec("diss", t=0.4, omega_q=1.0,
-                              n_paths=n_paths, n_shifts=n_shifts)
-            want = decay_factor_overlap(LORENTZIAN, spec)
+            f = lambda w: filter_diss(w, 0.4, n_paths, n_shifts, 1.0)
+            want = decay_factor_overlap(LORENTZIAN, f, 1.0)
             assert got == pytest.approx(want, rel=1e-6)
             assert got == pytest.approx(want, rel=1e-12)  # actual accuracy
         frozen = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
@@ -317,7 +333,7 @@ class TestGeneralDecayFactor:
 
     def test_exactly_quadratic_in_coupling(self):
         base = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        scaled = dissipative_coupling_model(LORENTZIAN.scaled(0.09), omega_q=1.0)
+        scaled = dissipative_coupling_model(Lorentzian(0.09 * 4.0, 2.0, 1.0), omega_q=1.0)
         prof = binary_phases(2, 0)
         g_base = general_decay_factor(base, QubitState.excited(), 0.4, prof)
         g_scaled = general_decay_factor(scaled, QubitState.excited(), 0.4, prof)
@@ -444,7 +460,7 @@ class TestRowBlockedContraction:
         model, psi0, config = _ENGINE_CASES[name]
         omega = np.linspace(-2.0, 4.0, n_omega)
         if block_rows is not None:
-            nodes = perturbation._filter_mesh(model, psi0, 0.2)[0].size
+            nodes = perturbation._filter_mesh(model, psi0, 0.2, 4.0)[0].size
             monkeypatch.setattr(perturbation, "_PHASE_BLOCK_BYTES", 16 * nodes * block_rows)
         blocked = general_filter(model, psi0, omega, 0.2, config)
         monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
