@@ -29,34 +29,17 @@ import numpy as np
 from . import __version__
 from .core import (GaussianPeak, Lorentzian, Ohmic, QubitState, _check_path_range,
                    _refuse_dark_port, binary_phases)
-from .dephasing import (
-    DephasingParams,
-    _coherence_offset,
-    dephasing_exponent,
-    dephasing_exponent_series,
-    modified_dephasing,
-    single_path_factor,
-)
-from .dicke import (
-    SINC_MIN,
-    CollectiveRateMatrix,
-    _check_history,
-    evolve_collective,
-    excited_population_analytic,
-    excited_population_numeric,
-    superposed_initial_state,
-)
-from .dissipative import (
-    decay_amplitude_auto,
-    decay_factor,
-    is_cp_divisible,
-    survival_probability_diss,
-    trace_distance_diss,
-)
+from .dephasing import (DephasingParams, _coherence_offset, dephasing_exponent,
+                        dephasing_exponent_series, modified_dephasing, single_path_factor)
+from .dicke import (_HISTORY_BYTES, SINC_MIN, CollectiveRateMatrix, evolve_collective,
+                    excited_population_analytic, excited_population_numeric,
+                    superposed_initial_state)
+from .dissipative import (decay_amplitude_auto, decay_factor, is_cp_divisible,
+                          survival_probability_diss, trace_distance_diss)
 from .errors import ConfigError, NumericError, ZenoTrajError
 from .filters import (_check_pulse_count, decay_factor_overlap, filter_deph, filter_diss,
                       filter_traditional_zeno, sinc)
-from .numerics import TimeGrid, brentq
+from .numerics import TimeGrid, _check_size, brentq
 from .perturbation import dissipative_coupling_model, general_filter
 
 __all__ = ["RunConfig", "ResultTable", "parse_config", "run", "emit", "main"]
@@ -153,6 +136,10 @@ _HELP = {
 
 _DEFAULT_SINC = 1.0 / 6.0
 
+# traced bytes per table row of the widest table, fig2's eight columns as JSON
+# (1,350 at 20,000 and 100,000 rows; a CSV row of it takes 580)
+_ROW_BYTES = 1_350
+
 # largest a-priori RK4 error a dicke --numeric table may carry: for N <= 4
 # and s in [-0.2, 0.99] the pe_numeric error stays below 1.95 times the bound,
 # so an accepted column is within 1e-6 of the closed form
@@ -164,7 +151,7 @@ class RunConfig:
     """Fully resolved, validated run description.
 
     Construction checks ``params`` and builds the run's library objects into
-    ``inputs``, once; a library refusal becomes ConfigError (exit 2).
+    ``inputs``, once: a library refusal is ConfigError (exit 2), a size refusal NumericError (3).
     """
 
     scenario: str
@@ -322,7 +309,8 @@ def _inputs(scenario, p):
     """The run's library objects (J keyed by its ``spectral`` choice), built once.
 
     Every family the scenario declares parameters of is built, also on a branch
-    the run does not take, so each value the metadata records is checked.
+    the run does not take, so each value the metadata records is checked.  The
+    table's row count is checked against the size budget (NumericError, exit 3).
     """
     made = {}
     if "lam" in p:
@@ -344,6 +332,10 @@ def _inputs(scenario, p):
         made["factor"] = (float(sinc(p["qd"])) if p["qd"] is not None
                           else _DEFAULT_SINC if p["sinc"] is None else p["sinc"])
         CollectiveRateMatrix.check_factor(p["N"], made["factor"])
+    if "steps" in p:
+        _check_size(p["steps"] + 1, _ROW_BYTES, "table rows", ("--steps",))
+    else:
+        _check_size(p["omega_points"], _ROW_BYTES, "table rows", ("--omega-points",))
     return made
 
 
@@ -469,7 +461,9 @@ def _run_dicke(config):
     series = [x_axis, pe]
     if p.get("numeric"):
         grid = config.inputs["grid"]  # its dt is the linspace step times[1] - times[0]
-        _check_history(p["N"], grid.count)  # before the matrices are allocated
+        # evolve_collective's check, made before the matrices are allocated
+        _check_size(grid.count * (2 * p["N"]) ** 2, _HISTORY_BYTES, "state-history entries",
+                    ("--steps", "--N"))
         rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
         bound = _rk4_error_bound(gamma0, grid)

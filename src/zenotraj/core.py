@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NullOutcome
+from .numerics import _check_size
 
 __all__ = [
     "SpectralDensity",
@@ -217,9 +218,9 @@ class Tabulated(SpectralDensity):
 # phase profiles and their algebra
 # ---------------------------------------------------------------------------
 
-# largest path count binary_phases allocates a vector for (8 MB of floats);
-# the closed forms take (N, n) and have no cap
-_MAX_PHASE_PATHS = 1_000_000
+# traced bytes per path of a perturbation run's phase vector (72 at N = 10^6
+# and 4*10^6); the closed forms take (N, n) and allocate nothing per path
+_PATH_BYTES = 72
 
 
 def _check_path_range(n_paths, n_shifts):
@@ -251,12 +252,10 @@ def r_factor(n_paths, n_shifts):
 def binary_phases(n_paths, n_shifts):
     """Phase vector with ``n_shifts`` entries of π and the rest zero.
 
-    ValueError, before anything is allocated, past ``_MAX_PHASE_PATHS`` paths.
+    NumericError, before anything is allocated, past the size budget.
     """
     _check_path_range(n_paths, n_shifts)
-    if n_paths > _MAX_PHASE_PATHS:
-        raise ValueError(f"a phase vector holds at most {_MAX_PHASE_PATHS:,} paths, "
-                         f"got N={n_paths}")
+    _check_size(n_paths, _PATH_BYTES, "phase-vector paths", ("--N",))
     phases = np.zeros(n_paths, dtype=float)
     phases[:n_shifts] = np.pi
     return phases

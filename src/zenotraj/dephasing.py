@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Ohmic, QubitState, _refuse_dark_port, _require_elapsed, r_factor
 from .errors import NumericError
-from .numerics import Series, gauss_legendre_panels, integrate_adaptive
+from .numerics import Series, _check_size, gauss_legendre_panels, integrate_adaptive
 
 __all__ = [
     "DephasingParams",
@@ -50,9 +50,9 @@ _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 # panels 15-33 % faster)
 _POOL_PHASE_LIMIT = 1500.0 * np.pi
 
-# most half-periods k*pi/t one time point may split at: a T = 0 Gauss-Legendre point
-# holds about 330 resident bytes per half-period (358 MB at 1,000,000), one per core
-_MAX_HALF_PERIODS = 1_000_000
+# traced bytes per half-period k*pi/t of a Gauss-Legendre panel point (340 at T = 0,
+# 416 at T > 0, at 10^5 and 4*10^5 half-periods); one such point runs per core
+_HALF_PERIOD_BYTES = 416
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,12 @@ def _bose_integrand(j, temperature, t):
 def _panel_edges(j, upper, t):
     """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``.
 
-    NumericError, before anything is allocated, past ``_MAX_HALF_PERIODS``.
+    NumericError, before anything is allocated, past the size budget of one point per core.
     """
     half_period = math.pi / float(t)  # Python floats overflow to inf without a warning
     count = float(upper) / half_period - 1e-12
-    if not count < _MAX_HALF_PERIODS + 1:  # also inf and nan
-        raise NumericError(f"the dephasing exponent at t = {float(t)!r} needs {count:,.0f} half-"
-                           f"periods, above the cap {_MAX_HALF_PERIODS:,}; use a shorter time")
+    _check_size(count, _HALF_PERIOD_BYTES * _worker_count(),
+                f"half-periods at t = {float(t)!r}", ("--tmax", "--omega-c"))
     n_half = math.floor(count)
     edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
     knots = [w for w in j.breakpoints if w < upper]
@@ -328,17 +327,21 @@ def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     return QubitState(out)
 
 
+def _worker_count():
+    """Cores of the CPU affinity mask (``os.cpu_count()`` where there is none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @functools.cache
 def _panel_pool():
     """Thread pool for the long Gauss-Legendre panel points, made on first use.
 
-    One worker per core of the CPU affinity mask (``os.cpu_count()`` where
-    there is none); None on a single core, where every point runs inline.
+    One worker per ``_worker_count()`` core; None on one core, where every point runs inline.
     """
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:
-        workers = os.cpu_count() or 1
+    workers = _worker_count()
     if workers < 2:
         return None
     from concurrent.futures import ThreadPoolExecutor

@@ -3,7 +3,7 @@
 A checked time series type, a real-valued QUADPACK adapter for (possibly
 oscillatory) spectral integrals, one Gauss-Legendre panel rule, a
 product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
-4th-order density-matrix integrator, and a small dense Hermitian eigensolver.
+4th-order density-matrix integrator, and the run's size budget.
 All routines are pure functions of their inputs and safe for concurrent use.
 """
 
@@ -26,6 +26,18 @@ __all__ = [
 
 
 _GL_ORDER = 10
+
+# the bytes a run may ask for in any one allocation that grows with its input
+_SIZE_BUDGET = 2**29
+
+
+def _check_size(count, unit_bytes, what, keys):
+    """NumericError, before anything is allocated, unless ``count`` ``what`` of
+    ``unit_bytes`` traced bytes each fit; the message names the ``keys`` that shrink it."""
+    if not count * unit_bytes <= _SIZE_BUDGET:  # also for an inf or nan count
+        shown = f"{count:,.0f}" if isinstance(count, float) else f"{count:,}"
+        raise NumericError(f"{shown} {what}, {unit_bytes:,} bytes each, exceed the size "
+                           f"budget of {_SIZE_BUDGET:,} bytes; shrink {' or '.join(keys)}")
 
 
 class _LazyModule:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QubitState, _require_elapsed, phase_pair_sum
-from .errors import NullOutcome, NumericError, QuadratureError
-from .numerics import panel_nodes, row_blocks
+from .errors import NullOutcome, QuadratureError
+from .numerics import _check_size, panel_nodes, row_blocks
 
 __all__ = [
     "CouplingModel",
@@ -45,9 +45,9 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PHASE_BLOCK_BYTES = 4 * 2**20
 _CORRELATION_TOL = 1e-12  # relative: the C(tau) table's frequency integral and Chebyshev tail
 _DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to the cap 4096
-# largest (t1, t2) mesh: the general-filter route peaks at about 600 bytes of
-# resident memory per node (174 MB at 240,100 nodes, 603 MB at 960,400)
-_MAX_MESH_NODES = 1_000_000
+# traced bytes per (t1, t2) mesh node of the general-filter route (576 at 28,900,
+# 240,100 and 960,400 nodes)
+_NODE_BYTES = 576
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _rotated_operators(model, times):
     return np.stack([np.einsum("mij,jk,mkl->mil", e, a, e_dag) for a in model.operators])
 
 
-def _mesh(model, t, nu):
+def _mesh(model, t, nu, window=False):
     """GL product mesh for the ordered double integral 0 <= t2 <= t1 <= t.
 
     ``nu`` is the fastest phase rate of the integrand; panels are one
@@ -134,15 +134,15 @@ def _mesh(model, t, nu):
     Returns flat arrays of the lags tau = t1 - t2 and the weights, and the
     operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
     ValueError for t < 0; NumericError, before anything is allocated, past
-    ``_MAX_MESH_NODES``.
+    the size budget, naming the options that set t and nu: the frequency
+    window's where ``window`` says it sets nu, else J's.
     """
     _require_elapsed(t)
     # Python floats, so a count past float range is inf (no warning) and compares
     n_pan = float(max(np.ceil(float(nu) * float(t) / np.pi), 2.0))
-    size = (10.0 * n_pan) * (10.0 * n_pan)  # order-10 nodes per panel on each axis
-    if not size <= _MAX_MESH_NODES:
-        raise NumericError(f"the (t1, t2) mesh needs {size:,.0f} nodes, above the cap "
-                           f"{_MAX_MESH_NODES:,}; use a shorter t or a narrower spectrum")
+    keys = ("--t", "--omega-min", "--omega-max") if window else ("--t", "--lambda", "--omega-q")
+    # order-10 nodes per panel on each axis
+    _check_size((10.0 * n_pan) * (10.0 * n_pan), _NODE_BYTES, "(t1, t2) mesh nodes", keys)
     n_pan = int(n_pan)
     t1, half, w = panel_nodes(np.linspace(0.0, t, n_pan + 1))
     # inner mesh on [0, t1] as the unit mesh scaled by t1
@@ -251,8 +251,8 @@ def _filter_mesh(model, psi0, t, omega_top):
     if abs(np.trace(r @ r).real - 1.0) > 1e-10:
         raise ValueError("psi0 must be a pure state")
     p_perp = np.eye(2, dtype=complex) - r
-    nu = model.omega_scale + max(*(ji.omega_max for ji in model.spectral_densities), omega_top)
-    tau, W, a1, a2 = _mesh(model, t, nu)
+    j_top = max(ji.omega_max for ji in model.spectral_densities)
+    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(j_top, omega_top), omega_top > j_top)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
     for a, b in np.ndindex(n_ops, n_ops):

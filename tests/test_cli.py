@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenotraj import cli, dissipative
+from zenotraj import cli, core, dissipative, numerics
 from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
+from zenotraj.dicke import SINC_MIN
 from zenotraj.errors import ConfigError, NumericError
 
 # flags a subcommand refuses because its run reads no such parameter
@@ -477,7 +478,9 @@ class TestMain:
     def test_oversized_half_period_count_exit_code(self, argv, capsys):
         # the panel edges would need exabytes, or an infinite count of half-periods
         assert main(argv) == 3
-        assert "half-periods, above the cap 1,000,000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "half-periods at t = " in err and "exceed the size budget of 536,870,912" in err
+        assert err.endswith("; shrink --tmax or --omega-c\n")
 
     @pytest.mark.parametrize("argv, config_text, code, message", RECIPE_EXITS,
                              ids=[" ".join(case[0] + [case[1] or ""]) for case in RECIPE_EXITS])
@@ -506,19 +509,41 @@ class TestMain:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_oversized_perturbation_mesh_exit_code(self, capsys):
-        # 42,250,000 mesh nodes would need about 25 GB
+        # 42,250,000 mesh nodes would need about 24 GB
         assert main(["perturbation", "--t", "20"]) == 3
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "42,250,000 nodes" in err
+        assert "numeric failure" in err and "42,250,000 (t1, t2) mesh nodes" in err
+        assert err.endswith("; shrink --t or --lambda or --omega-q\n")
 
-    @pytest.mark.parametrize("n_paths", ["1000001", "2147483648", "4611686018427387904"])
-    def test_phase_vector_past_the_cap_exit_code(self, n_paths, capsys):
-        # perturbation's phase vector is built, and its path count capped, at parse time
-        argv = ["perturbation", "--N", n_paths, "--n", "0", "--omega-points", "3"]
-        with pytest.raises(ConfigError, match="a phase vector holds at most 1,000,000 paths"):
+    @pytest.mark.parametrize("n_paths", [
+        numerics._SIZE_BUDGET // core._PATH_BYTES + 1, 2**31, 2**62])
+    def test_phase_vector_past_the_budget_exit_code(self, n_paths, capsys):
+        # perturbation's phase vector is built, and its path count checked, at parse time
+        argv = ["perturbation", "--N", str(n_paths), "--n", "0", "--omega-points", "3"]
+        with pytest.raises(NumericError, match=f"^{n_paths:,} phase-vector paths, 72 bytes each"):
             parse_config(argv)
-        assert main(argv) == 2
-        assert f"got N={n_paths}" in capsys.readouterr().err
+        assert main(argv) == 3
+        assert "exceed the size budget of 536,870,912 bytes; shrink --N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        ([scenario, "--steps", "2000000000"], "--steps")
+        for scenario in ("dicke", "dynamics-deph", "dynamics-diss", "nonmarkov")
+    ] + [([scenario, "--omega-points", "2000000000"], "--omega-points")
+         for scenario in ("filter", "perturbation")],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_oversized_table_exit_code(self, argv, key, capsys):
+        # a table of 2,000,000,000 rows is refused at parse time, before any
+        # row is allocated (dicke asked for about 96 GB)
+        cli._build_parser()  # the parser is built outside the bound
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1e6
+        assert (" table rows, 1,350 bytes each, exceed the size budget of 536,870,912 bytes; "
+                f"shrink {key}\n") in capsys.readouterr().err
 
     def test_no_closed_form_point_exit_code(self, capsys):
         # every |f_closed_form| is below 1e-300, so max_rel_deviation compares nothing
@@ -547,12 +572,15 @@ class TestMain:
     def test_frequency_past_the_mesh_exit_code(self, window, nodes, capsys):
         # the contraction at omega oscillates at omega_q + |omega|, past what a mesh
         # sized from J's omega_max = 101 resolves: the mesh grows to the window
-        # instead, up to its cap (these exited 0 with f_general off by up to 85 %)
+        # instead, up to the size budget (these exited 0 with f_general off by up
+        # to 85 %); the window sets the mesh, so the refusal names its bounds
         assert main(["perturbation", "--omega-points", "3", *window]) == 3
-        assert f"mesh needs {nodes} nodes, above the cap" in capsys.readouterr().err
+        assert (f"{nodes} (t1, t2) mesh nodes, 576 bytes each, exceed the size budget of "
+                "536,870,912 bytes; shrink --t or --omega-min or --omega-max\n"
+                in capsys.readouterr().err)
 
     def test_frequency_past_the_support_is_resolved(self, capsys):
-        # 200-300 lies past J's omega_max = 101 and within the mesh cap
+        # 200-300 lies past J's omega_max = 101 and within the size budget
         argv = ["perturbation", "--omega-min", "200", "--omega-max", "300",
                 "--omega-points", "3"]
         table = run(parse_config(argv))
@@ -585,7 +613,8 @@ class TestMain:
         finally:
             tracemalloc.stop()
         assert code == 3 and peak < 1e6
-        assert f"the state history needs {entries} complex entries" in capsys.readouterr().err
+        assert (f"{entries} state-history entries, 21 bytes each, exceed the size budget of "
+                "536,870,912 bytes; shrink --steps or --N\n" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],
@@ -593,10 +622,10 @@ class TestMain:
         ["perturbation", "--omega-q", "1e308", "--omega-points", "5"],
     ], ids=" ".join)
     def test_mesh_count_past_float_range_exit_code(self, argv, capsys):
-        # the panel count is inf: refused as above the cap, not converted to an integer
+        # the panel count is inf: refused past the size budget, not converted to an integer
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "mesh needs inf nodes" in err
+        assert "numeric failure" in err and "inf (t1, t2) mesh nodes" in err
 
     @pytest.mark.parametrize("argv", [
         ["dynamics-deph", "--s", "50", "--tmax", "1", "--steps", "2"],
@@ -742,18 +771,47 @@ class TestMain:
         assert "pe_numeric" in capsys.readouterr().out
 
 
-# cheap routes: each subcommand's argv and the keys that hold it on its route
+def _dicke_numeric_argv(draw):
+    """A dicke --numeric argv: N <= 4, a reachable factor by --sinc or --qd, any grid."""
+    n_paths = draw(st.integers(1, 4))
+    n_shifts = draw(st.sampled_from([n for n in range(n_paths + 1) if 2 * n != n_paths]))
+    if draw(st.booleans()):
+        lowest = SINC_MIN if n_paths < 2 else max(SINC_MIN, -1.0 / (n_paths - 1))
+        factor = f"--sinc={draw(st.floats(lowest, 1.0))!r}"
+    else:
+        factor = f"--qd={draw(st.floats(0.0, 50.0))!r}"
+    gamma0 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return ["dicke", "--numeric", "--N", str(n_paths), "--n", str(n_shifts), factor,
+            "--gamma0", repr(gamma0), "--tmax", repr(draw(st.floats(0.01, 20.0))),
+            "--steps", str(draw(st.integers(1, 400)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_accepted_numeric_column_is_within_its_promise(data):
+    """Every dicke --numeric table that is emitted has |pe_numeric - pe_analytic| <= 1e-6,
+    the promise of _RK4_ERROR_TOL; a grid the RK4 bounds refuse exits 3 instead."""
+    argv = _dicke_numeric_argv(data.draw)
+    try:
+        table = run(parse_config(argv))
+    except NumericError as exc:
+        assert "RK4" in str(exc), argv
+        return
+    assert table.columns == ("gamma0_t", "pe_analytic", "pe_numeric")
+    assert np.max(np.abs(table.values[:, 2] - table.values[:, 1])) <= 1e-6, argv
+
+
+# cheap routes: each subcommand's argv and the keys that hold it on its route;
+# a drawn row count is at most 12 or is refused by the size budget
 CHEAP_ROUTES = {
-    "filter": (["filter", "--omega-points=5"], ("omega_points",)),
-    "dicke": (["dicke", "--steps=3"], ("steps", "numeric")),
-    "dynamics-deph": (["dynamics-deph", "--steps=3"], ("steps", "temperature")),
-    "nonmarkov-deph": (["nonmarkov", "--model=deph", "--steps=3"],
-                       ("model", "steps", "temperature")),
+    "filter": (["filter", "--omega-points=5"], ()),
+    "dicke": (["dicke", "--steps=3"], ("numeric",)),
+    "dynamics-deph": (["dynamics-deph", "--steps=3"], ("temperature",)),
+    "nonmarkov-deph": (["nonmarkov", "--model=deph", "--steps=3"], ("model", "temperature")),
     "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--omega-q=1", "--steps=3"],
-                      ("lam", "omega_q", "steps")),
+                      ("lam", "omega_q")),
     # a 2-panel (t1, t2) mesh; gamma0, N, n and the frequency window are drawn
-    "perturbation": (["perturbation", "--t=0.01", "--omega-points=3"],
-                     ("t", "lam", "omega_q", "omega_points")),
+    "perturbation": (["perturbation", "--t=0.01", "--omega-points=3"], ("t", "lam", "omega_q")),
 }
 _EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
              1.7976931348623157e308, -1.7976931348623157e308, math.nan, math.inf, -math.inf)

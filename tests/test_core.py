@@ -17,6 +17,7 @@ from zenotraj.core import (
     Ohmic,
     QubitState,
     Tabulated,
+    _PATH_BYTES,
     _binary_pair_sum,
     _finite_phases,
     binary_phases,
@@ -36,8 +37,9 @@ from zenotraj.dephasing import (
 from zenotraj.dicke import excited_population_analytic
 from zenotraj.dissipative import postselected_state_diss, trace_distance_diss
 from zenotraj.cli import _SCENARIO_DEFAULTS, parse_config
-from zenotraj.errors import ConfigError, NullOutcome
+from zenotraj.errors import ConfigError, NullOutcome, NumericError
 from zenotraj.filters import filter_deph, filter_diss, filter_traditional_zeno
+from zenotraj.numerics import _SIZE_BUDGET
 from zenotraj.perturbation import (
     dissipative_coupling_model,
     general_decay_factor,
@@ -481,17 +483,18 @@ class TestPhaseVector:
     def test_binary_vector(self):
         assert binary_phases(4, 1).tolist() == [np.pi, 0.0, 0.0, 0.0]
         assert _finite_phases([0.0, 0.1, 0.2]).shape == (3,)
-        largest = binary_phases(1_000_000, 1)  # the cap itself is accepted
+        largest = binary_phases(1_000_000, 1)  # within the size budget
         assert largest.shape == (1_000_000,) and phase_pair_sum(largest) == 999_998.0**2
 
-    @pytest.mark.parametrize("n_paths", [1_000_001, 2**31, 2**62])
-    def test_binary_vector_past_the_cap_is_refused_before_allocation(self, n_paths):
+    @pytest.mark.parametrize("n_paths", [_SIZE_BUDGET // _PATH_BYTES + 1, 2**31, 2**62])
+    def test_binary_vector_past_the_budget_is_refused_before_allocation(self, n_paths):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(NumericError) as info:
                 binary_phases(n_paths, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(info.value) == f"a phase vector holds at most 1,000,000 paths, got N={n_paths}"
+        assert str(info.value) == (f"{n_paths:,} phase-vector paths, 72 bytes each, exceed the "
+                                   "size budget of 536,870,912 bytes; shrink --N")
         assert peak < 1e6

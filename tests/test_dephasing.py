@@ -8,6 +8,7 @@ through the generic post-selection.
 """
 
 import functools
+import math
 import os
 import re
 import subprocess
@@ -656,18 +657,22 @@ def _panel_nodes(omega_max, t):
     return _frozen(dephasing_oracle.gauss_legendre_nodes(_panel_edges(omega_max, t), x).ravel())
 
 
-@pytest.mark.parametrize("half_periods, refused", [
-    (1_000_000.5, False), (1_000_001.5, True), (np.inf, True),
-])
-def test_panel_edges_refuse_a_count_past_the_cap(half_periods, refused):
-    # checked on the float count before any array is allocated, so inf too
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("offset, refused", [(-0.5, False), (1.5, True), (np.inf, True)])
+def test_panel_edges_refuse_a_count_past_the_budget(workers, offset, refused, monkeypatch):
+    # checked on the float count before any array is allocated, so inf too; each
+    # worker of the panel pool may hold one point's panels at a time
+    monkeypatch.setattr(dephasing, "_worker_count", lambda: workers)
+    unit = dephasing._HALF_PERIOD_BYTES * workers
+    half_periods = numerics._SIZE_BUDGET // unit + offset
     j, t = Ohmic(1.0 / 3.0, 1.0, 1.0), 1.0
     upper = half_periods * np.pi / t
     if refused:
-        with pytest.raises(NumericError, match="above the cap 1,000,000"):
+        with pytest.raises(NumericError, match=f"half-periods at t = 1.0, {unit:,} bytes each, "
+                                               "exceed the size budget of 536,870,912 bytes"):
             dephasing._panel_edges(j, upper, t)
     else:
-        assert dephasing._panel_edges(j, upper, t).size == 1_000_002
+        assert dephasing._panel_edges(j, upper, t).size == math.floor(half_periods) + 2
 
 
 def _integrand(j, t, temperature):

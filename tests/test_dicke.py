@@ -21,11 +21,11 @@ from geometry_oracle import (
     qd_for_collective_factor,
     rates_from_geometry,
 )
+from zenotraj import dicke
 from zenotraj.dicke import (
-    _MAX_HISTORY_ENTRIES,
+    _HISTORY_BYTES,
     SINC_MIN,
     CollectiveRateMatrix,
-    _check_history,
     build_master_generator,
     evolve_collective,
     excited_population_analytic,
@@ -34,7 +34,7 @@ from zenotraj.dicke import (
 )
 from zenotraj.errors import NullOutcome, NumericError
 from zenotraj.filters import sinc
-from zenotraj.numerics import TimeGrid
+from zenotraj.numerics import _SIZE_BUDGET, TimeGrid
 
 
 def validate_control_state(m, psd_tol=1e-10, trace_tol=1e-9):
@@ -247,15 +247,22 @@ class TestGenerator:
             evolve_collective(rates, rho0, TimeGrid(1.40, 4))
 
 
-class TestStateHistoryCap:
-    """evolve_collective keeps (steps + 1) (2N)^2 complex entries, at most the cap."""
+class TestStateHistoryBudget:
+    """evolve_collective keeps (steps + 1) (2N)^2 complex entries, within the size budget."""
 
-    @pytest.mark.parametrize("n_sites", [1, 2, 1000])
-    def test_cap_is_inclusive(self, n_sites):
-        count = _MAX_HISTORY_ENTRIES // (2 * n_sites) ** 2
-        _check_history(n_sites, count)
-        with pytest.raises(NumericError, match=f"above the cap {_MAX_HISTORY_ENTRIES:,}"):
-            _check_history(n_sites, count + 1)
+    @pytest.mark.parametrize("n_sites", [1, 2, 100])
+    def test_budget_is_inclusive(self, n_sites, monkeypatch):
+        # the integrator is stubbed out: a history at the budget is not allocated here
+        monkeypatch.setattr(dicke, "integrate_matrix_ode", lambda gen, rho0, grid: grid.count)
+        rates = CollectiveRateMatrix.from_factor(n_sites, 0.5, 1.0)
+        rho0 = superposed_initial_state(n_sites)
+        count = _SIZE_BUDGET // (_HISTORY_BYTES * (2 * n_sites) ** 2)
+        assert evolve_collective(rates, rho0, TimeGrid(1e-9, count)) == count
+        entries = (count + 1) * (2 * n_sites) ** 2
+        with pytest.raises(NumericError, match=f"^{entries:,} state-history entries, 21 bytes "
+                                               "each, exceed the size budget of 536,870,912 "
+                                               "bytes; shrink --steps or --N$"):
+            evolve_collective(rates, rho0, TimeGrid(1e-9, count + 1))
 
     def test_refused_before_the_history_is_allocated(self):
         # 10**9 steps of a 4 x 4 state would hold 256 GB
@@ -263,7 +270,7 @@ class TestStateHistoryCap:
         rho0 = superposed_initial_state(2)
         tracemalloc.start()
         try:
-            with pytest.raises(NumericError, match="16,000,000,016 complex entries"):
+            with pytest.raises(NumericError, match="16,000,000,016 state-history entries"):
                 evolve_collective(rates, rho0, TimeGrid(1e-9, 10**9 + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

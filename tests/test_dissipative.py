@@ -9,10 +9,14 @@ and population formulas.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
 from choi_oracle import choi_intermediate_map, cp_divisible_choi
+from kernel_oracle import truncated_lorentzian_kernel
+from zenotraj import dissipative
 from zenotraj.core import Lorentzian, QubitState, normalize, r_factor, trace_distance
 from zenotraj.dissipative import (
     MemoryKernel,
@@ -106,6 +110,32 @@ class TestMemoryKernel:
         mk = memory_kernel(j, 1.0)
         with pytest.raises(TypeError):
             mk.f(np.array([0.0, 1.0]))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gamma0=_log_uniform(0.01, 100.0), omega_q=_log_uniform(0.01, 100.0),
+       ratio=_log_uniform(0.02, 1000.0), t=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e3)))
+def test_kernel_matches_the_truncated_lorentzian_closed_form(gamma0, omega_q, ratio, t):
+    """Over the numeric route's domain (lambda > 0.02 omega_q, any t >= 0) each
+    sample the kernel returns is within the tolerance it promises of the E1 closed
+    form: its real and imaginary integrals each meet max(abs, rel * |part|), so
+    the complex sample meets sqrt(2) max(abs, rel * |f|).  A sample whose error
+    estimate misses that tolerance is refused (QuadratureError), not compared."""
+    lam = ratio * omega_q
+    if not lam > 0.02 * omega_q:
+        lam = np.nextafter(0.02 * omega_q, np.inf)
+    j = Lorentzian(gamma0, lam, omega_q)
+    try:
+        got = memory_kernel(j, omega_q).f(t)
+    except QuadratureError:
+        return
+    want = truncated_lorentzian_kernel(gamma0, lam, omega_q, j.omega_max, t)
+    tol = np.sqrt(2.0) * max(dissipative._KERNEL_ABS_TOL, dissipative._KERNEL_REL_TOL * abs(want))
+    assert abs(got - want) <= tol, (gamma0, lam, omega_q, t, got, want)
 
 
 def plain_kernel(j, omega_q, t, rel_tol=1e-11, abs_tol=1e-13):

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import zenotraj
-from zenotraj import cli
+from zenotraj import cli, core, dephasing, dicke, numerics, perturbation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -78,3 +78,20 @@ def test_each_help_lists_exactly_its_recipes(scenario):
     offered = re.findall(r"--recipe \{([\w,]+)\}", out.getvalue())
     own = [recipe for recipe, (owner, _) in _readme_recipes().items() if owner == scenario]
     assert set(offered) == ({",".join(own)} if own else set())  # usage and option lines
+
+
+def test_readme_size_budget_states_the_code_numbers():
+    # the budget and each route's bytes per unit, as the code declares them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("\n- Size budget: ", 1)[1].split("\n- ", 1)[0]
+    bullet = " ".join(bullet.split())  # one line, whatever the wrapping
+    assert f"{numerics._SIZE_BUDGET:,} bytes (512 MiB)" in bullet
+    assert numerics._SIZE_BUDGET == 512 * 2**20
+    for unit, value in [("a table row", cli._ROW_BYTES),
+                        ("a path of `perturbation`'s phase vector", core._PATH_BYTES),
+                        ("a half-period of a Gauss–Legendre dephasing point",
+                         dephasing._HALF_PERIOD_BYTES),
+                        ("a node of the second-order engine's `(t1, t2)` mesh",
+                         perturbation._NODE_BYTES),
+                        ("an entry of `dicke --numeric`'s state history", dicke._HISTORY_BYTES)]:
+        assert f"{unit}, {value:,} bytes" in bullet, unit

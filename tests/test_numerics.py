@@ -1,5 +1,7 @@
 """Tests for the generic numerical kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,8 +9,10 @@ from scipy import integrate
 
 from zenotraj.errors import NumericError, QuadratureError
 from zenotraj.numerics import (
+    _SIZE_BUDGET,
     Series,
     TimeGrid,
+    _check_size,
     _legendre_rule,
     gauss_legendre_panels,
     integrate_adaptive,
@@ -191,6 +195,25 @@ class TestRowBlocks:
             assert max(sizes) <= max_rows or len(blocks) == n_rows // 2
         if n_rows <= max_rows:
             assert len(blocks) == 1
+
+
+class TestSizeBudget:
+    """One budget, one message: the count, its unit, the budget and the keys that shrink it."""
+
+    @pytest.mark.parametrize("count", [_SIZE_BUDGET // 576, float(_SIZE_BUDGET // 576)])
+    def test_budget_is_inclusive(self, count):
+        _check_size(count, 576, "nodes", ("--t",))
+        _check_size(_SIZE_BUDGET, 1, "bytes", ("--t",))
+
+    @pytest.mark.parametrize("count, shown", [
+        (932_068, "932,068"), (932_068.0, "932,068"), (2.5e6 + 0.4, "2,500,000"),
+        (10**400, f"{10**400:,}"), (math.inf, "inf"), (math.nan, "nan"),
+    ])
+    def test_past_the_budget_is_refused(self, count, shown):
+        with pytest.raises(NumericError) as info:
+            _check_size(count, 576, "(t1, t2) mesh nodes", ("--t", "--omega-min"))
+        assert str(info.value) == (f"{shown} (t1, t2) mesh nodes, 576 bytes each, exceed the "
+                                   "size budget of 536,870,912 bytes; shrink --t or --omega-min")
 
 
 class TestGaussLegendrePanels:

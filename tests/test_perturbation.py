@@ -227,9 +227,12 @@ class TestGeneralFilter:
         want = filter_diss(grid, 0.5, 3, 1, 1.0)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
-    def test_frequency_past_the_mesh_cap_is_refused(self):
+    def test_frequency_past_the_mesh_budget_is_refused(self):
+        # the frequency window, not J, sets the mesh, so the refusal names the window
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with pytest.raises(NumericError, match="mesh needs 2,560,000 nodes"):
+        with pytest.raises(NumericError, match=r"^2,560,000 \(t1, t2\) mesh nodes, 576 bytes "
+                                               r"each, exceed the size budget of 536,870,912 "
+                                               r"bytes; shrink --t or --omega-min or --omega-max$"):
             general_filter(model, QubitState.excited(), np.array([900.0, 1000.0]), 0.5,
                            binary_phases(3, 1))
 
@@ -492,20 +495,21 @@ class TestRowBlockedContraction:
             tracemalloc.stop()
         assert peak < 40e6
 
-    # nu = omega_max + omega_q = 102: 100 panels (1,000,000 nodes) is the
-    # largest mesh admitted, 101 panels and t = 20 (650 panels) are refused
-    @pytest.mark.parametrize("t, nodes", [(100.5 * np.pi / 102.0, "1,020,100"),
+    # nu = omega_max + omega_q = 102: 96 panels (921,600 nodes) is the largest
+    # mesh the size budget admits, 97 panels and t = 20 (650 panels) are refused
+    @pytest.mark.parametrize("t, nodes", [(96.5 * np.pi / 102.0, "940,900"),
                                           (20.0, "42,250,000")])
     @pytest.mark.parametrize("entry", ["general_filter", "second_order_block",
                                        "general_decay_factor"])
-    def test_mesh_above_the_cap_is_refused_before_allocation(self, entry, t, nodes):
+    def test_mesh_above_the_budget_is_refused_before_allocation(self, entry, t, nodes):
         model, psi0, config = _ENGINE_CASES["diss"]
         call = {"general_filter": lambda: general_filter(model, psi0, 1.0, t, config),
                 "second_order_block": lambda: second_order_block(model, psi0, 0, t),
                 "general_decay_factor": lambda: general_decay_factor(model, psi0, t, config)}
         tracemalloc.start()
         try:
-            with pytest.raises(NumericError, match=f"needs {nodes} nodes, above the cap"):
+            with pytest.raises(NumericError, match=f"^{nodes} \\(t1, t2\\) mesh nodes, 576 bytes "
+                                                   "each, exceed the size budget"):
                 call[entry]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
