@@ -31,7 +31,7 @@ from .core import (GaussianPeak, Lorentzian, Ohmic, QubitState, _check_path_rang
                    _refuse_dark_port, binary_phases)
 from .dephasing import (DephasingParams, _coherence_offset, dephasing_exponent,
                         dephasing_exponent_series, modified_dephasing, single_path_factor)
-from .dicke import (_HISTORY_BYTES, SINC_MIN, CollectiveRateMatrix, evolve_collective,
+from .dicke import (SINC_MIN, CollectiveRateMatrix, _check_state_history, evolve_collective,
                     excited_population_analytic, excited_population_numeric,
                     superposed_initial_state)
 from .dissipative import (decay_amplitude_auto, decay_factor, is_cp_divisible,
@@ -461,9 +461,7 @@ def _run_dicke(config):
     series = [x_axis, pe]
     if p.get("numeric"):
         grid = config.inputs["grid"]  # its dt is the linspace step times[1] - times[0]
-        # evolve_collective's check, made before the matrices are allocated
-        _check_size(grid.count * (2 * p["N"]) ** 2, _HISTORY_BYTES, "state-history entries",
-                    ("--steps", "--N"))
+        _check_state_history(p["N"], grid.count)  # before the matrices are allocated
         rates = CollectiveRateMatrix.from_factor(p["N"], s, gamma0)
         states = evolve_collective(rates, superposed_initial_state(p["N"]), grid)
         bound = _rk4_error_bound(gamma0, grid)

@@ -51,7 +51,8 @@ _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 _POOL_PHASE_LIMIT = 1500.0 * np.pi
 
 # traced bytes per half-period k*pi/t of a Gauss-Legendre panel point (340 at T = 0,
-# 416 at T > 0, at 10^5 and 4*10^5 half-periods); one such point runs per core
+# 416 at T > 0, at 10^5 and 4*10^5 half-periods); the check is per point, so the
+# verdict does not depend on the panel pool's worker count
 _HALF_PERIOD_BYTES = 416
 
 
@@ -155,12 +156,12 @@ def _bose_integrand(j, temperature, t):
 def _panel_edges(j, upper, t):
     """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``.
 
-    NumericError, before anything is allocated, past the size budget of one point per core.
+    NumericError, before anything is allocated, past the size budget.
     """
     half_period = math.pi / float(t)  # Python floats overflow to inf without a warning
     count = float(upper) / half_period - 1e-12
-    _check_size(count, _HALF_PERIOD_BYTES * _worker_count(),
-                f"half-periods at t = {float(t)!r}", ("--tmax", "--omega-c"))
+    _check_size(count, _HALF_PERIOD_BYTES, f"half-periods at t = {float(t)!r}",
+                ("--tmax", "--omega-c"))
     n_half = math.floor(count)
     edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
     knots = [w for w in j.breakpoints if w < upper]
@@ -327,21 +328,17 @@ def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     return QubitState(out)
 
 
-def _worker_count():
-    """Cores of the CPU affinity mask (``os.cpu_count()`` where there is none)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @functools.cache
 def _panel_pool():
     """Thread pool for the long Gauss-Legendre panel points, made on first use.
 
-    One worker per ``_worker_count()`` core; None on one core, where every point runs inline.
+    One worker per core of the CPU affinity mask (``os.cpu_count()`` where
+    there is none); None on a single core, where every point runs inline.
     """
-    workers = _worker_count()
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
     if workers < 2:
         return None
     from concurrent.futures import ThreadPoolExecutor

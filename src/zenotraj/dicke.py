@@ -50,6 +50,12 @@ _RK4_REAL_STABILITY = 2.785293563405282
 _HISTORY_BYTES = 21
 
 
+def _check_state_history(n_sites, count):
+    """NumericError, before anything is allocated, past the size budget for ``count`` states."""
+    _check_size(count * (2 * n_sites) ** 2, _HISTORY_BYTES, "state-history entries",
+                ("--steps", "--N"))
+
+
 def _check_reachable(entries):
     """ValueError unless every collective factor lies in sinc's range [SINC_MIN, 1]."""
     if np.any(entries < SINC_MIN) or np.any(entries > 1.0):
@@ -152,8 +158,7 @@ def evolve_collective(rates, rho0, grid):
     of damp; such a grid raises NumericError, as does a state history past
     the size budget.
     """
-    _check_size(grid.count * (2 * rates.n_sites) ** 2, _HISTORY_BYTES, "state-history entries",
-                ("--steps", "--N"))
+    _check_state_history(rates.n_sites, grid.count)
     if rates.gamma0 * grid.dt > _RK4_REAL_STABILITY:
         raise NumericError(
             f"RK4 step is unstable: gamma0*dt = {rates.gamma0 * grid.dt:g} exceeds "

@@ -28,7 +28,7 @@ __all__ = [
 _GL_ORDER = 10
 
 # the bytes a run may ask for in any one allocation that grows with its input
-_SIZE_BUDGET = 2**29
+_SIZE_BUDGET = 2**30
 
 
 def _check_size(count, unit_bytes, what, keys):

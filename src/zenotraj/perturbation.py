@@ -48,6 +48,7 @@ _DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to 
 # traced bytes per (t1, t2) mesh node of the general-filter route (576 at 28,900,
 # 240,100 and 960,400 nodes)
 _NODE_BYTES = 576
+_J_KEYS = ("--t", "--lambda", "--omega-q")  # the options that set t and J's omega_max
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _rotated_operators(model, times):
     return np.stack([np.einsum("mij,jk,mkl->mil", e, a, e_dag) for a in model.operators])
 
 
-def _mesh(model, t, nu, window=False):
+def _mesh(model, t, nu, keys=_J_KEYS):
     """GL product mesh for the ordered double integral 0 <= t2 <= t1 <= t.
 
     ``nu`` is the fastest phase rate of the integrand; panels are one
@@ -134,13 +135,11 @@ def _mesh(model, t, nu, window=False):
     Returns flat arrays of the lags tau = t1 - t2 and the weights, and the
     operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
     ValueError for t < 0; NumericError, before anything is allocated, past
-    the size budget, naming the options that set t and nu: the frequency
-    window's where ``window`` says it sets nu, else J's.
+    the size budget, naming the ``keys`` that set t and nu.
     """
     _require_elapsed(t)
     # Python floats, so a count past float range is inf (no warning) and compares
     n_pan = float(max(np.ceil(float(nu) * float(t) / np.pi), 2.0))
-    keys = ("--t", "--omega-min", "--omega-max") if window else ("--t", "--lambda", "--omega-q")
     # order-10 nodes per panel on each axis
     _check_size((10.0 * n_pan) * (10.0 * n_pan), _NODE_BYTES, "(t1, t2) mesh nodes", keys)
     n_pan = int(n_pan)
@@ -252,7 +251,8 @@ def _filter_mesh(model, psi0, t, omega_top):
         raise ValueError("psi0 must be a pure state")
     p_perp = np.eye(2, dtype=complex) - r
     j_top = max(ji.omega_max for ji in model.spectral_densities)
-    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(j_top, omega_top), omega_top > j_top)
+    keys = ("--t", "--omega-min", "--omega-max") if omega_top > j_top else _J_KEYS
+    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(j_top, omega_top), keys)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
     for a, b in np.ndindex(n_ops, n_ops):

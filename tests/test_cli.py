@@ -479,7 +479,7 @@ class TestMain:
         # the panel edges would need exabytes, or an infinite count of half-periods
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "half-periods at t = " in err and "exceed the size budget of 536,870,912" in err
+        assert "half-periods at t = " in err and "exceed the size budget of 1,073,741,824" in err
         assert err.endswith("; shrink --tmax or --omega-c\n")
 
     @pytest.mark.parametrize("argv, config_text, code, message", RECIPE_EXITS,
@@ -523,7 +523,7 @@ class TestMain:
         with pytest.raises(NumericError, match=f"^{n_paths:,} phase-vector paths, 72 bytes each"):
             parse_config(argv)
         assert main(argv) == 3
-        assert "exceed the size budget of 536,870,912 bytes; shrink --N" in capsys.readouterr().err
+        assert "exceed the size budget of 1,073,741,824 bytes; shrink --N" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, key", [
         ([scenario, "--steps", "2000000000"], "--steps")
@@ -542,7 +542,7 @@ class TestMain:
         finally:
             tracemalloc.stop()
         assert code == 3 and peak < 1e6
-        assert (" table rows, 1,350 bytes each, exceed the size budget of 536,870,912 bytes; "
+        assert (" table rows, 1,350 bytes each, exceed the size budget of 1,073,741,824 bytes; "
                 f"shrink {key}\n") in capsys.readouterr().err
 
     def test_no_closed_form_point_exit_code(self, capsys):
@@ -576,7 +576,7 @@ class TestMain:
         # to 85 %); the window sets the mesh, so the refusal names its bounds
         assert main(["perturbation", "--omega-points", "3", *window]) == 3
         assert (f"{nodes} (t1, t2) mesh nodes, 576 bytes each, exceed the size budget of "
-                "536,870,912 bytes; shrink --t or --omega-min or --omega-max\n"
+                "1,073,741,824 bytes; shrink --t or --omega-min or --omega-max\n"
                 in capsys.readouterr().err)
 
     def test_frequency_past_the_support_is_resolved(self, capsys):
@@ -614,7 +614,7 @@ class TestMain:
             tracemalloc.stop()
         assert code == 3 and peak < 1e6
         assert (f"{entries} state-history entries, 21 bytes each, exceed the size budget of "
-                "536,870,912 bytes; shrink --steps or --N\n" in capsys.readouterr().err)
+                "1,073,741,824 bytes; shrink --steps or --N\n" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],

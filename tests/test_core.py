@@ -496,5 +496,5 @@ class TestPhaseVector:
         finally:
             tracemalloc.stop()
         assert str(info.value) == (f"{n_paths:,} phase-vector paths, 72 bytes each, exceed the "
-                                   "size budget of 536,870,912 bytes; shrink --N")
+                                   "size budget of 1,073,741,824 bytes; shrink --N")
         assert peak < 1e6

@@ -657,19 +657,21 @@ def _panel_nodes(omega_max, t):
     return _frozen(dephasing_oracle.gauss_legendre_nodes(_panel_edges(omega_max, t), x).ravel())
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 64])
 @pytest.mark.parametrize("offset, refused", [(-0.5, False), (1.5, True), (np.inf, True)])
 def test_panel_edges_refuse_a_count_past_the_budget(workers, offset, refused, monkeypatch):
-    # checked on the float count before any array is allocated, so inf too; each
-    # worker of the panel pool may hold one point's panels at a time
-    monkeypatch.setattr(dephasing, "_worker_count", lambda: workers)
-    unit = dephasing._HALF_PERIOD_BYTES * workers
+    # checked on the float count before any array is allocated, so inf too; the
+    # verdict is one point's, the same on a host of 1 core and of 64
+    monkeypatch.setattr(dephasing.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    monkeypatch.setattr(dephasing.os, "cpu_count", lambda: workers)
+    unit = dephasing._HALF_PERIOD_BYTES
     half_periods = numerics._SIZE_BUDGET // unit + offset
     j, t = Ohmic(1.0 / 3.0, 1.0, 1.0), 1.0
     upper = half_periods * np.pi / t
     if refused:
         with pytest.raises(NumericError, match=f"half-periods at t = 1.0, {unit:,} bytes each, "
-                                               "exceed the size budget of 536,870,912 bytes"):
+                                               "exceed the size budget of 1,073,741,824 bytes"):
             dephasing._panel_edges(j, upper, t)
     else:
         assert dephasing._panel_edges(j, upper, t).size == math.floor(half_periods) + 2

@@ -260,7 +260,7 @@ class TestStateHistoryBudget:
         assert evolve_collective(rates, rho0, TimeGrid(1e-9, count)) == count
         entries = (count + 1) * (2 * n_sites) ** 2
         with pytest.raises(NumericError, match=f"^{entries:,} state-history entries, 21 bytes "
-                                               "each, exceed the size budget of 536,870,912 "
+                                               "each, exceed the size budget of 1,073,741,824 "
                                                "bytes; shrink --steps or --N$"):
             evolve_collective(rates, rho0, TimeGrid(1e-9, count + 1))
 

@@ -85,8 +85,9 @@ def test_readme_size_budget_states_the_code_numbers():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     bullet = text.split("\n- Size budget: ", 1)[1].split("\n- ", 1)[0]
     bullet = " ".join(bullet.split())  # one line, whatever the wrapping
-    assert f"{numerics._SIZE_BUDGET:,} bytes (512 MiB)" in bullet
-    assert numerics._SIZE_BUDGET == 512 * 2**20
+    assert f"{numerics._SIZE_BUDGET:,} bytes (1 GiB)" in bullet
+    assert numerics._SIZE_BUDGET == 2**30
+    assert f"at most {numerics._SIZE_BUDGET // cli._ROW_BYTES:,} rows" in bullet
     for unit, value in [("a table row", cli._ROW_BYTES),
                         ("a path of `perturbation`'s phase vector", core._PATH_BYTES),
                         ("a half-period of a Gauss–Legendre dephasing point",

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from zenotraj import core, dephasing, dicke, perturbation
 from zenotraj.errors import NumericError, QuadratureError
 from zenotraj.numerics import (
     _SIZE_BUDGET,
@@ -205,15 +206,23 @@ class TestSizeBudget:
         _check_size(count, 576, "nodes", ("--t",))
         _check_size(_SIZE_BUDGET, 1, "bytes", ("--t",))
 
+    @pytest.mark.parametrize("count, unit", [
+        (1_000_000, core._PATH_BYTES), (1_000_000, dephasing._HALF_PERIOD_BYTES),
+        (1_000_000, perturbation._NODE_BYTES), (16_000_000, dicke._HISTORY_BYTES),
+    ], ids=["paths", "half-periods", "mesh nodes", "history entries"])
+    def test_every_count_the_former_caps_accepted_fits(self, count, unit):
+        # each route had a cap of its own before the budget; none of them refuses more now
+        _check_size(count, unit, "units", ("--t",))
+
     @pytest.mark.parametrize("count, shown", [
-        (932_068, "932,068"), (932_068.0, "932,068"), (2.5e6 + 0.4, "2,500,000"),
+        (1_864_136, "1,864,136"), (1_864_136.0, "1,864,136"), (2.5e6 + 0.4, "2,500,000"),
         (10**400, f"{10**400:,}"), (math.inf, "inf"), (math.nan, "nan"),
     ])
     def test_past_the_budget_is_refused(self, count, shown):
         with pytest.raises(NumericError) as info:
             _check_size(count, 576, "(t1, t2) mesh nodes", ("--t", "--omega-min"))
         assert str(info.value) == (f"{shown} (t1, t2) mesh nodes, 576 bytes each, exceed the "
-                                   "size budget of 536,870,912 bytes; shrink --t or --omega-min")
+                                   "size budget of 1,073,741,824 bytes; shrink --t or --omega-min")
 
 
 class TestGaussLegendrePanels:

@@ -231,7 +231,7 @@ class TestGeneralFilter:
         # the frequency window, not J, sets the mesh, so the refusal names the window
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         with pytest.raises(NumericError, match=r"^2,560,000 \(t1, t2\) mesh nodes, 576 bytes "
-                                               r"each, exceed the size budget of 536,870,912 "
+                                               r"each, exceed the size budget of 1,073,741,824 "
                                                r"bytes; shrink --t or --omega-min or --omega-max$"):
             general_filter(model, QubitState.excited(), np.array([900.0, 1000.0]), 0.5,
                            binary_phases(3, 1))
@@ -495,9 +495,9 @@ class TestRowBlockedContraction:
             tracemalloc.stop()
         assert peak < 40e6
 
-    # nu = omega_max + omega_q = 102: 96 panels (921,600 nodes) is the largest
-    # mesh the size budget admits, 97 panels and t = 20 (650 panels) are refused
-    @pytest.mark.parametrize("t, nodes", [(96.5 * np.pi / 102.0, "940,900"),
+    # nu = omega_max + omega_q = 102: 136 panels (1,849,600 nodes) is the largest
+    # mesh the size budget admits, 137 panels and t = 20 (650 panels) are refused
+    @pytest.mark.parametrize("t, nodes", [(136.5 * np.pi / 102.0, "1,876,900"),
                                           (20.0, "42,250,000")])
     @pytest.mark.parametrize("entry", ["general_filter", "second_order_block",
                                        "general_decay_factor"])
