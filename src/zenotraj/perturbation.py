@@ -10,12 +10,12 @@ From these the engine produces
   * the second-order correction block of the per-path density matrix,
   * the general filter function F(w, t, N, phases) whose overlap with J
     gives the post-selected decay factor, and
-  * that decay factor itself, averaged over the N paths.
+  * that decay factor itself.
 
-The block and the decay factor read one Chebyshev table of C(tau) per
-density.  The two paper models are available as factories: the energy-exchange
-coupling reproduces the sinc^2 filter exactly, and the pure-dephasing
-coupling reproduces the (1 - cos wt)/w^2 shape up to an overall constant.
+Every path couples to one bath, of spectral density J, so the block and the
+decay factor read one Chebyshev table of C(tau).  Factories give the two paper
+models: the energy-exchange coupling reproduces the sinc^2 filter exactly, the
+pure-dephasing coupling the (1 - cos wt)/w^2 shape up to an overall constant.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ class CouplingModel:
     """Free qubit Hamiltonian, coupling operators, stationary correlations.
 
     ``correlations`` is the constant (n_ops x n_ops) table c_ab of
-    C_ab(t1, t2) = c_ab int dw J(w) e^{-iw(t1 - t2)}.  ``spectral_densities``
-    holds one entry per path; a single entry means all paths identical.
+    C_ab(t1, t2) = c_ab int dw J(w) e^{-iw(t1 - t2)}, with the one spectral
+    density ``j`` that every path couples to.
     """
 
     h_q: np.ndarray
     operators: tuple
     correlations: np.ndarray
-    spectral_densities: tuple
+    j: object
 
     def __post_init__(self):
         h = np.asarray(self.h_q, dtype=complex)
@@ -78,18 +78,9 @@ class CouplingModel:
         c = np.asarray(self.correlations, dtype=complex)
         if c.shape != (len(ops), len(ops)) or not np.all(np.isfinite(c)):
             raise ValueError("correlations must be a finite (n_ops x n_ops) table")
-        if not self.spectral_densities:
-            raise ValueError("at least one spectral density is required")
         object.__setattr__(self, "h_q", h)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "correlations", c)
-        object.__setattr__(self, "spectral_densities", tuple(self.spectral_densities))
-
-    def density_for_path(self, path_index):
-        js = self.spectral_densities
-        if path_index < 0 or (len(js) > 1 and path_index >= len(js)):
-            raise ValueError(f"path index {path_index} is out of range")
-        return js[0] if len(js) == 1 else js[path_index]
 
     @property
     def omega_scale(self):
@@ -106,7 +97,7 @@ def dissipative_coupling_model(j, omega_q):
     c_xx = c_yy = 1/4, c_xy = -i/4, c_yx = +i/4.
     """
     table = [[0.25, -0.25j], [0.25j, 0.25]]
-    return CouplingModel(0.5 * omega_q * _SZ, (_SX, _SY), table, (j,))
+    return CouplingModel(0.5 * omega_q * _SZ, (_SX, _SY), table, j)
 
 
 def dephasing_coupling_model(j):
@@ -115,7 +106,7 @@ def dephasing_coupling_model(j):
     sigma_z commutes with the qubit Hamiltonian, so the model takes h_q = 0:
     a splitting would only refine the (t1, t2) mesh.
     """
-    return CouplingModel(np.zeros((2, 2)), (_SZ,), [[1.0]], (j,))
+    return CouplingModel(np.zeros((2, 2)), (_SZ,), [[1.0]], j)
 
 
 def _rotated_operators(model, times):
@@ -205,8 +196,8 @@ def _correlation(j, t, tau):
     raise QuadratureError("C(tau) needs a Chebyshev degree above the cap", estimate=table)
 
 
-def second_order_block(model, rho0, path_index, t):
-    """Second-order correction of the path-``i`` density matrix at time t.
+def second_order_block(model, rho0, t):
+    """Second-order correction of each path's density matrix at time t.
 
     sum_{ab} int_0^t dt1 int_0^{t1} dt2 C_{ab}(t1,t2)
         [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]  + h.c.
@@ -220,9 +211,8 @@ def second_order_block(model, rho0, path_index, t):
         rho0 = QubitState(np.asarray(rho0, dtype=complex))
     if t == 0.0:
         return np.zeros((2, 2), dtype=complex)
-    j = model.density_for_path(path_index)
-    tau, W, a1, a2 = _mesh(model, t, j.omega_max + model.omega_scale)
-    kernel, c, r = W * _correlation(j, t, tau), model.correlations, rho0.matrix
+    tau, W, a1, a2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
+    kernel, c, r = W * _correlation(model.j, t, tau), model.correlations, rho0.matrix
     # sum_ab c_ab sum_p C(tau_p) W_p [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]_p
     block = (np.einsum("ab,p,bpij,jk,apkl->il", c, kernel, a2, r, a1, optimize=True)
              - np.einsum("ab,p,apij,bpjk->ik", c, kernel, a1, a2, optimize=True) @ r)
@@ -240,9 +230,9 @@ def _prefactor(phases):
 def _filter_mesh(model, psi0, t, omega_top):
     """Lags and W-weighted sandwiches tr[P_perp A_b(t2) rho0 A_a(t1)] (J-independent).
 
-    The panels resolve the phase rate omega_scale + max(omega_max of each J,
-    ``omega_top``): C(tau) oscillates up to the largest omega_max, and the
-    contraction at a frequency omega with |omega| <= ``omega_top``.
+    The panels resolve the phase rate omega_scale + max(J's omega_max,
+    ``omega_top``): C(tau) oscillates up to omega_max, and the contraction at
+    a frequency omega with |omega| <= ``omega_top``.
     """
     if not isinstance(psi0, QubitState):
         psi0 = QubitState(np.asarray(psi0, dtype=complex))
@@ -250,9 +240,8 @@ def _filter_mesh(model, psi0, t, omega_top):
     if abs(np.trace(r @ r).real - 1.0) > 1e-10:
         raise ValueError("psi0 must be a pure state")
     p_perp = np.eye(2, dtype=complex) - r
-    j_top = max(ji.omega_max for ji in model.spectral_densities)
-    keys = ("--t", "--omega-min", "--omega-max") if omega_top > j_top else _J_KEYS
-    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(j_top, omega_top), keys)
+    keys = ("--t", "--omega-min", "--omega-max") if omega_top > model.j.omega_max else _J_KEYS
+    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(model.j.omega_max, omega_top), keys)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
     for a, b in np.ndindex(n_ops, n_ops):
@@ -282,20 +271,14 @@ def general_filter(model, psi0, omega, t, phases):
 
 
 def general_decay_factor(model, psi0, t, phases):
-    """Average over paths of int dw J_i(w) F_i(w, t, N, phases).
+    """The overlap int dw J(w) F(w, t, N, phases) of the model's J with the filter.
 
     ``phases`` is the phase vector of the post-selection, as for
-    ``general_filter``.  With identical spectral densities this is a single
-    overlap integral.
+    ``general_filter``.
     """
     prefactor = _prefactor(phases)
     if t == 0.0:
         return 0.0
-    js = model.spectral_densities
-    if len(js) not in (1, len(phases)):
-        raise ValueError("spectral_densities must have one entry or one per path")
-    # the overlap is linear in C: average one C table per distinct J over the paths
     tau, weighted = _filter_mesh(model, psi0, t, 0.0)
-    tables = {id(j): _correlation(j, t, tau) for j in {id(j): j for j in js}.values()}
-    corr = sum(tables[id(j)] for j in js) / len(js)
+    corr = _correlation(model.j, t, tau)
     return prefactor * float(np.sum(model.correlations * (weighted @ corr)).real)

@@ -25,10 +25,9 @@ def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
     return value
 
 
-def oracle_block(model, rho0, path_index, t):
+def oracle_block(model, rho0, t):
     """second_order_block by the frequency integral (rho0 a QubitState, t > 0)."""
-    j = model.density_for_path(path_index)
-    tau, W, a1, a2 = _mesh(model, t, j.omega_max + model.omega_scale)
+    tau, W, a1, a2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
     r = rho0.matrix
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size, 4), dtype=complex)
@@ -36,7 +35,7 @@ def oracle_block(model, rho0, path_index, t):
         gain = np.einsum("pij,jk,pkl->pil", a2[b], r, a1[a])
         loss = np.einsum("pij,pjk,kl->pil", a1[a], a2[b], r)
         weighted[a, b] = (W[:, None, None] * (gain - loss)).reshape(-1, 4)
-    block = omega_integral(j, model.correlations, tau, weighted, 1e-10, 1e-13).reshape(2, 2)
+    block = omega_integral(model.j, model.correlations, tau, weighted, 1e-10, 1e-13).reshape(2, 2)
     return block + block.conj().T
 
 
@@ -44,7 +43,5 @@ def oracle_decay_factor(model, psi0, t, phases):
     """general_decay_factor by the frequency integral (t > 0)."""
     prefactor = _prefactor(phases)
     tau, weighted = _filter_mesh(model, psi0, t, 0.0)
-    js = model.spectral_densities
-    overlaps = [prefactor * float(omega_integral(j, model.correlations, tau, weighted,
-                                                 1e-9, 1e-200).real) for j in js]
-    return sum(overlaps) / len(js)
+    overlap = omega_integral(model.j, model.correlations, tau, weighted, 1e-9, 1e-200)
+    return prefactor * float(overlap.real)

@@ -518,12 +518,15 @@ class TestMain:
     @pytest.mark.parametrize("n_paths", [
         numerics._SIZE_BUDGET // core._PATH_BYTES + 1, 2**31, 2**62])
     def test_phase_vector_past_the_budget_exit_code(self, n_paths, capsys):
-        # perturbation's phase vector is built, and its path count checked, at parse time
+        # perturbation's phase vector is built, and its path count checked, at parse
+        # time; the refusal names its scenario, as a refusal at run time does
         argv = ["perturbation", "--N", str(n_paths), "--n", "0", "--omega-points", "3"]
-        with pytest.raises(NumericError, match=f"^{n_paths:,} phase-vector paths, 72 bytes each"):
+        with pytest.raises(NumericError, match=rf"^\[perturbation\] {n_paths:,} phase-vector paths"):
             parse_config(argv)
         assert main(argv) == 3
-        assert "exceed the size budget of 1,073,741,824 bytes; shrink --N" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"zenotraj: numeric failure: [perturbation] {n_paths:,} phase-vector paths, 72 bytes "
+            "each, exceed the size budget of 1,073,741,824 bytes; shrink --N\n")
 
     @pytest.mark.parametrize("argv, key", [
         ([scenario, "--steps", "2000000000"], "--steps")
@@ -533,7 +536,7 @@ class TestMain:
         ids=lambda value: " ".join(value) if isinstance(value, list) else value)
     def test_oversized_table_exit_code(self, argv, key, capsys):
         # a table of 2,000,000,000 rows is refused at parse time, before any
-        # row is allocated (dicke asked for about 96 GB)
+        # row is allocated (dicke asked for about 96 GB), under its scenario's name
         cli._build_parser()  # the parser is built outside the bound
         tracemalloc.start()
         try:
@@ -542,8 +545,10 @@ class TestMain:
         finally:
             tracemalloc.stop()
         assert code == 3 and peak < 1e6
-        assert (" table rows, 1,350 bytes each, exceed the size budget of 1,073,741,824 bytes; "
-                f"shrink {key}\n") in capsys.readouterr().err
+        rows = "2,000,000,001" if key == "--steps" else "2,000,000,000"
+        assert capsys.readouterr().err == (
+            f"zenotraj: numeric failure: [{argv[0]}] {rows} table rows, 1,350 bytes each, "
+            f"exceed the size budget of 1,073,741,824 bytes; shrink {key}\n")
 
     def test_no_closed_form_point_exit_code(self, capsys):
         # every |f_closed_form| is below 1e-300, so max_rel_deviation compares nothing
@@ -760,10 +765,16 @@ class TestMain:
         assert code == 3
         assert "RK4 error bound 0.0832" in capsys.readouterr().err
 
-    def test_accepted_rk4_grid_meets_cross_oracle(self):
-        # the coarsest grid of the threshold sweep that is still accepted
-        table = run(parse_config(["dicke", "--N", "4", "--sinc", "-0.2", "--numeric",
-                                  "--steps", "50"]))
+    # the coarsest grid of the threshold sweep that is still accepted, and the
+    # largest deviation a random scan found, 1.99 times _RK4_ERROR_TOL at s = SINC_MIN
+    @pytest.mark.parametrize("argv", [
+        ["dicke", "--N", "4", "--sinc", "-0.2", "--numeric", "--steps", "50"],
+        ["dicke", "--numeric", "--N", "4", "--n", "0", f"--sinc={SINC_MIN!r}",
+         "--gamma0", "0.07687233874570298", "--tmax", "10.425390573038149", "--steps", "100"],
+    ], ids=["threshold", "sinc-min"])
+    def test_accepted_rk4_grid_meets_cross_oracle(self, argv, capsys):
+        assert main(argv) == 0
+        table = run(parse_config(argv))
         assert np.max(np.abs(table.values[:, 1] - table.values[:, 2])) < 1e-6
 
     def test_default_numeric_grid_is_stable(self, capsys):

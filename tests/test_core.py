@@ -163,7 +163,7 @@ class TestOneOwnerPerRule:
         j, profile = Lorentzian(1.0, 1.0, 1.0), binary_phases(3, 0)
         model = dissipative_coupling_model(j, omega_q=1.0)
         for call in (lambda: dephasing_exponent(DephasingParams(Ohmic(0.1, 1.0, 1.0)), t),
-                     lambda: second_order_block(model, QubitState.excited(), 0, t),
+                     lambda: second_order_block(model, QubitState.excited(), t),
                      lambda: general_filter(model, QubitState.excited(), 1.0, t, profile),
                      lambda: general_decay_factor(model, QubitState.excited(), t, profile)):
             with pytest.raises(ValueError) as info:

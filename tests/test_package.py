@@ -66,6 +66,17 @@ def test_coupling_strength_is_a_family_parameter(name):
     assert not hasattr(family, "scaled")
 
 
+def test_coupling_model_holds_one_bath():
+    # every path couples to the one J: no per-path density lookup, no path argument
+    model = zenotraj.CouplingModel
+    assert [f.name for f in dataclasses.fields(model)] == ["h_q", "operators", "correlations", "j"]
+    assert [name for name in vars(model) if not name.startswith("_")] == ["omega_scale"]
+    assert list(inspect.signature(zenotraj.second_order_block).parameters) == ["model", "rho0", "t"]
+    for name in importlib.import_module("zenotraj.perturbation").__all__:
+        params = inspect.signature(getattr(zenotraj, name)).parameters
+        assert not any("path" in param for param in params), name
+
+
 def _defaulted(fn):
     try:
         params = inspect.signature(fn).parameters.values()
