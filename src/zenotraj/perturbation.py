@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitState, _require_elapsed, phase_pair_sum
+from .core import QubitState, SpectralDensity, _require_elapsed, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
 from .numerics import _check_size, panel_nodes, row_blocks
 
@@ -63,7 +63,7 @@ class CouplingModel:
     h_q: np.ndarray
     operators: tuple
     correlations: np.ndarray
-    j: object
+    j: SpectralDensity
 
     def __post_init__(self):
         h = np.asarray(self.h_q, dtype=complex)
@@ -78,6 +78,8 @@ class CouplingModel:
         c = np.asarray(self.correlations, dtype=complex)
         if c.shape != (len(ops), len(ops)) or not np.all(np.isfinite(c)):
             raise ValueError("correlations must be a finite (n_ops x n_ops) table")
+        if not isinstance(self.j, SpectralDensity):
+            raise ValueError("j must be one SpectralDensity, the bath every path couples to")
         object.__setattr__(self, "h_q", h)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "correlations", c)

@@ -79,6 +79,27 @@ class TestCouplingModel:
         assert diss.correlations.dtype == complex
         np.testing.assert_array_equal(dephasing_coupling_model(OHMIC).correlations, [[1.0]])
 
+    def test_single_density_broadcasts_over_paths(self):
+        # every path of an in-phase profile couples to the one J: the decay
+        # factor of N paths is the single path's over N
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        assert model.j is LORENTZIAN
+        one = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
+        for n_paths in (2, 3, 5):
+            got = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(n_paths, 0))
+            assert got == pytest.approx(one / n_paths, rel=1e-12)
+
+    @pytest.mark.parametrize("j", [(LORENTZIAN,), (LORENTZIAN, OHMIC, LORENTZIAN), [LORENTZIAN],
+                                   None, 1.0], ids=["one-tuple", "three-tuple", "list", "none",
+                                                    "number"])
+    def test_density_sequence_rejected(self, j):
+        # the per-path list is gone; it is refused when the model is built, not
+        # at the first call that reads j.omega_max
+        with pytest.raises(ValueError, match="one SpectralDensity"):
+            CouplingModel(SZ, (SX,), [[1.0]], j)
+        with pytest.raises(ValueError, match="one SpectralDensity"):
+            dissipative_coupling_model(j, omega_q=1.0)
+
     def test_omega_scale_is_level_splitting(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.7)
         assert model.omega_scale == pytest.approx(1.7, rel=1e-14)
