@@ -88,7 +88,13 @@ class SpectralDensity:
         """Frequencies in (0, omega_max) where J has a kink: quadrature edges."""
         return ()
 
+    # a family whose ``_shape`` rounds a Python float as it rounds an array sets
+    # this, so QUADPACK's float nodes skip the ndarray round trip
+    _float_shape = False
+
     def __call__(self, omega):
+        if type(omega) is float and self._float_shape:
+            return self._shape(omega, omega) if 0.0 <= omega <= self.omega_max else 0.0
         # one min and one max pass per call; ``_shape`` gets the min
         omega = np.asarray(omega, dtype=float)
         lo = omega.min() if omega.size else math.nan
@@ -114,10 +120,13 @@ class Lorentzian(SpectralDensity):
         except OverflowError:
             lam_sq = math.inf
         object.__setattr__(self, "_lam_sq", lam_sq)
+        # d * d + λ² > 0 unless λ² underflows, where a float 0/0 would raise
+        object.__setattr__(self, "_float_shape", lam_sq > 0.0)
 
     def _shape(self, omega, lo):
-        return (self.gamma0 * self._lam_sq / (2.0 * np.pi)
-                / ((self.omega_q - omega) ** 2 + self._lam_sq))
+        # d * d, not d ** 2: a float power and an array square may round apart
+        d = self.omega_q - omega
+        return self.gamma0 * self._lam_sq / (2.0 * np.pi) / (d * d + self._lam_sq)
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,15 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # phase-matrix bytes per row block of the frequency contraction
-_PHASE_BLOCK_BYTES = 4 * 2**20
+_PHASE_BLOCK_BYTES = 256 * 2**10
+# mesh nodes per chunk of rotated operators
+_NODE_CHUNK = 1024
 _CORRELATION_TOL = 1e-12  # relative: the C(tau) table's frequency integral and Chebyshev tail
 _DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to the cap 4096
-# traced bytes per (t1, t2) mesh node of the general-filter route (576 at 28,900,
-# 240,100 and 960,400 nodes)
-_NODE_BYTES = 576
+# traced bytes per (t1, t2) mesh node: the largest of the three engine entries at
+# 28,900, 240,100 and 960,400 nodes (general_decay_factor 152-157, general_filter
+# 120-125, second_order_block 104-115)
+_NODE_BYTES = 157
 _J_KEYS = ("--t", "--lambda", "--omega-q")  # the options that set t and J's omega_max
 
 
@@ -125,8 +128,9 @@ def _mesh(model, t, nu, keys=_J_KEYS):
 
     ``nu`` is the fastest phase rate of the integrand; panels are one
     half-period long so fixed order-10 nodes resolve every oscillation.
-    Returns flat arrays of the lags tau = t1 - t2 and the weights, and the
-    operator stacks A_alpha(t1), A_alpha(t2) of shape (n_ops, P, 2, 2).
+    Returns flat arrays of the lags tau = t1 - t2 and the weights, the
+    distinct outer times t1 and the inner time t2 of every node; node p
+    lies at t1[p // (t2.size // t1.size)].
     ValueError for t < 0; NumericError, before anything is allocated, past
     the size budget, naming the ``keys`` that set t and nu.
     """
@@ -142,31 +146,45 @@ def _mesh(model, t, nu, keys=_J_KEYS):
     t1, u = t1.ravel(), u.ravel()
     w1 = (half[:, None] * w).ravel()
     wu = (uh[:, None] * w).ravel()
-    T1 = np.repeat(t1, u.size)
-    T2 = np.outer(t1, u).ravel()
+    T2 = np.outer(t1, u)
+    tau = (t1[:, None] - T2).ravel()
     W = np.outer(w1 * t1, wu).ravel()
-    return T1 - T2, W, _rotated_operators(model, T1), _rotated_operators(model, T2)
+    return tau, W, t1, T2.ravel()
 
 
-def _contract(c, omega, tau, weighted):
-    """sum_ab (c_ab e^{-i omega tau}) @ weighted[a, b], one row per omega.
+def _node_operators(model, t1, t2):
+    """(nodes, A_alpha(t1), A_alpha(t2)) per chunk of ``_NODE_CHUNK`` mesh nodes.
 
-    The omega rows go through in ``numerics.row_blocks`` of about
-    ``_PHASE_BLOCK_BYTES`` of phase matrix each: a block's phase matrix is
-    formed once, in place, and one buffer takes its c_ab-scaled copies, so
-    memory is O(block x mesh) for any number of frequencies.  The blocks
-    have at least two rows, so every row is the same matrix product, to the
-    bit, as in one product over all rows.
+    ``nodes`` is the chunk's slice of the flat mesh and the stacks have shape
+    (n_ops, len, 2, 2).  Each distinct t1 is rotated once and indexed: a
+    rotation depends on its time alone, so the bits are those of rotating
+    every node's t1.
+    """
+    a1 = _rotated_operators(model, t1)
+    inner = t2.size // t1.size
+    for start in range(0, t2.size, _NODE_CHUNK):
+        nodes = slice(start, min(start + _NODE_CHUNK, t2.size))
+        yield (nodes, a1[:, np.arange(nodes.start, nodes.stop) // inner],
+               _rotated_operators(model, t2[nodes]))
+
+
+def _contract(omega, tau, weighted):
+    """sum_ab e^{-i omega tau} @ weighted[a, b], one row per omega.
+
+    ``weighted`` holds the sandwiches with c_ab folded in.  The omega rows go
+    through in ``numerics.row_blocks`` of about ``_PHASE_BLOCK_BYTES`` of
+    phase matrix each, formed in place in one buffer, so memory is O(block
+    x mesh) for any number of frequencies.  The blocks have at least two
+    rows, so every row is the same matrix product, to the bit, as in one
+    product over all rows.
     """
     out = np.empty(omega.shape + weighted.shape[3:], dtype=complex)
     blocks = row_blocks(omega.size, _PHASE_BLOCK_BYTES // (16 * tau.size))
     buf = np.empty((blocks[0].stop, tau.size), dtype=complex)  # the largest block
     for rows in blocks:
-        phase = -1j * omega[rows, None] * tau
+        phase = np.multiply(-1j * omega[rows, None], tau, out=buf[:rows.stop - rows.start])
         np.exp(phase, out=phase)
-        scaled = buf[:len(phase)]
-        out[rows] = sum(np.multiply(c_ab, phase, out=scaled) @ weighted[a, b]
-                        for (a, b), c_ab in np.ndenumerate(c))
+        out[rows] = sum(phase @ w_ab for w_ab in weighted.reshape((-1,) + weighted.shape[2:]))
     return out
 
 
@@ -213,11 +231,14 @@ def second_order_block(model, rho0, t):
         rho0 = QubitState(np.asarray(rho0, dtype=complex))
     if t == 0.0:
         return np.zeros((2, 2), dtype=complex)
-    tau, W, a1, a2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
+    tau, W, t1, t2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
     kernel, c, r = W * _correlation(model.j, t, tau), model.correlations, rho0.matrix
     # sum_ab c_ab sum_p C(tau_p) W_p [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]_p
-    block = (np.einsum("ab,p,bpij,jk,apkl->il", c, kernel, a2, r, a1, optimize=True)
-             - np.einsum("ab,p,apij,bpjk->ik", c, kernel, a1, a2, optimize=True) @ r)
+    block = np.zeros((2, 2), dtype=complex)
+    for nodes, a1, a2 in _node_operators(model, t1, t2):
+        k = kernel[nodes]
+        block += (np.einsum("ab,p,bpij,jk,apkl->il", c, k, a2, r, a1, optimize=True)
+                  - np.einsum("ab,p,apij,bpjk->ik", c, k, a1, a2, optimize=True) @ r)
     return block + block.conj().T
 
 
@@ -243,11 +264,13 @@ def _filter_mesh(model, psi0, t, omega_top):
         raise ValueError("psi0 must be a pure state")
     p_perp = np.eye(2, dtype=complex) - r
     keys = ("--t", "--omega-min", "--omega-max") if omega_top > model.j.omega_max else _J_KEYS
-    tau, W, a1, a2 = _mesh(model, t, model.omega_scale + max(model.j.omega_max, omega_top), keys)
+    tau, W, t1, t2 = _mesh(model, t, model.omega_scale + max(model.j.omega_max, omega_top), keys)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
-    for a, b in np.ndindex(n_ops, n_ops):
-        weighted[a, b] = W * np.einsum("ij,pjk,kl,pli->p", p_perp, a2[b], r, a1[a])
+    for nodes, a1, a2 in _node_operators(model, t1, t2):
+        for a, b in np.ndindex(n_ops, n_ops):
+            weighted[a, b, nodes] = W[nodes] * np.einsum("ij,pjk,kl,pli->p",
+                                                         p_perp, a2[b], r, a1[a])
     return tau, weighted
 
 
@@ -268,7 +291,8 @@ def general_filter(model, psi0, omega, t, phases):
         out = np.zeros_like(w_arr)
     else:
         tau, weighted = _filter_mesh(model, psi0, t, np.max(np.abs(w_arr), initial=0.0))
-        out = prefactor * _contract(model.correlations, w_arr, tau, weighted).real
+        weighted *= model.correlations[:, :, None]  # c_ab folded in, no scaled phase copy
+        out = prefactor * _contract(w_arr, tau, weighted).real
     return float(out[0]) if scalar else out
 
 

@@ -11,12 +11,13 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from zenotraj.errors import QuadratureError
-from zenotraj.perturbation import _contract, _filter_mesh, _mesh, _prefactor
+from zenotraj.perturbation import _contract, _filter_mesh, _mesh, _prefactor, _rotated_operators
 
 
 def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
     """int_0^{omega_max} dw J(w) sum_ab c_ab e^{-iw tau} @ weighted[a, b], checked."""
-    value, err = quad_vec(lambda w: j(w) * _contract(c, np.array([w]), tau, weighted)[0],
+    folded = c.reshape(c.shape + (1,) * (weighted.ndim - 2)) * weighted
+    value, err = quad_vec(lambda w: j(w) * _contract(np.array([w]), tau, folded)[0],
                           0.0, j.omega_max, epsabs=abs_tol, epsrel=rel_tol, limit=400)
     scale = max(np.max(np.abs(value)), abs_tol)
     if err > max(abs_tol, 100.0 * rel_tol * scale):
@@ -27,7 +28,9 @@ def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
 
 def oracle_block(model, rho0, t):
     """second_order_block by the frequency integral (rho0 a QubitState, t > 0)."""
-    tau, W, a1, a2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
+    tau, W, t1, t2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
+    a1 = _rotated_operators(model, np.repeat(t1, t2.size // t1.size))
+    a2 = _rotated_operators(model, t2)
     r = rho0.matrix
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size, 4), dtype=complex)

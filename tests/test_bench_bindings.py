@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 from zenotraj import cli, core, dissipative
+from zenotraj.core import Lorentzian
 
 LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -46,3 +47,27 @@ def test_tracer_installs_and_uninstalls_around_a_recipe(layers):
     names = {span[1] for span in tracer.spans}
     assert {"cli.parse_config", "cli.run", "cli.emit", "filters.filter"} <= names
     assert (cli.parse_config, cli.run, cli.emit, core.SpectralDensity.__call__) == originals
+
+
+def _subclasses(cls):
+    return [sub for direct in cls.__subclasses__() for sub in [direct, *_subclasses(direct)]]
+
+
+def test_no_spectral_density_defines_its_own_call():
+    # the tracer patches SpectralDensity.__call__ alone; a family's own
+    # __call__ would take its J calls out of the core.spectral_density span
+    families = _subclasses(core.SpectralDensity)
+    assert families and [f.__name__ for f in families if "__call__" in vars(f)] == []
+
+
+def test_lorentzian_kernel_records_spectral_density_calls(layers):
+    # the kernel's QUADPACK nodes take J's float route, still through the patched __call__
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        dissipative.memory_kernel(Lorentzian(1.0, 1.0, 1.0), 1.0).f(0.7)
+    finally:
+        tracer.uninstall()
+    calls = [count for (name, _, _), (count, _) in tracer.leaves.items()
+             if name == "core.spectral_density"]
+    assert sum(calls) > 0

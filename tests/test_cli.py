@@ -509,7 +509,7 @@ class TestMain:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_oversized_perturbation_mesh_exit_code(self, capsys):
-        # 42,250,000 mesh nodes would need about 24 GB
+        # 42,250,000 mesh nodes would need about 6.6 GB
         assert main(["perturbation", "--t", "20"]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "42,250,000 (t1, t2) mesh nodes" in err
@@ -568,7 +568,7 @@ class TestMain:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("window, nodes", [
-        (["--omega-min", "900", "--omega-max", "1000"], "2,560,000"),
+        (["--omega-min", "1900", "--omega-max", "2000"], "10,176,100"),
         (["--omega-min", "5000", "--omega-max", "6000"], "91,393,600"),
         (["--omega-min=-1e300", "--omega-max", "1e300"], "inf"),
         (["--t", "0.01", "--omega-min", "1e200", "--omega-max", "1e200"], "inf"),
@@ -580,7 +580,7 @@ class TestMain:
         # instead, up to the size budget (these exited 0 with f_general off by up
         # to 85 %); the window sets the mesh, so the refusal names its bounds
         assert main(["perturbation", "--omega-points", "3", *window]) == 3
-        assert (f"{nodes} (t1, t2) mesh nodes, 576 bytes each, exceed the size budget of "
+        assert (f"{nodes} (t1, t2) mesh nodes, 157 bytes each, exceed the size budget of "
                 "1,073,741,824 bytes; shrink --t or --omega-min or --omega-max\n"
                 in capsys.readouterr().err)
 

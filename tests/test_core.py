@@ -7,6 +7,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dephasing_oracle
@@ -306,6 +308,21 @@ class TestSpectralDensityBytes:
                 got, want = j(w), dephasing_oracle.spectral_density(j, w)
                 assert type(got) is float and type(want) is float
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_float_node_has_the_bits_of_an_array_node(self, family, data):
+        # QUADPACK hands J a Python float; a family that takes it past the
+        # ndarray round trip must round it as the array route does
+        j = _FAMILIES[family]
+        top = j.omega_max
+        omega = data.draw(st.one_of(st.floats(-top, 2.0 * top),
+                                    st.sampled_from([0.0, top, math.nan, math.inf, -math.inf])))
+        with np.errstate(invalid="ignore"):  # an Ohmic's array route at +inf
+            got, want = j(float(omega)), j(np.array([omega]))[0]
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 class TestQubitState:

@@ -123,6 +123,27 @@ GOLDEN = (
     (["perturbation", "--t", "0.2", "--omega-points", "21", "--N", "4", "--n", "1"],
      "56df393bb6fed131aedc4b6c2cc410a9b1bf443bbd81d7604eee4c5c8fe3d19b",
      "c2730790f809c4c445ab2587fefec2887be67eddff90bf95c85d0a7d4a5cffaf"),
+    # the energy-exchange sweep's strata: the engine on 17- and 9-panel
+    # meshes with 101 frequencies, and Volterra tables whose kernel samples
+    # J at QUADPACK's float nodes (recorded before the node chunks, the
+    # folded c_ab and J's float route)
+    (["perturbation", "--gamma0", "2", "--lambda", "1", "--omega-q", "1", "--t", "1",
+      "--omega-min", "-2", "--omega-max", "4", "--omega-points", "101", "--N", "3", "--n", "1"],
+     "6a214a9b30c4cb9b0a0fdedd6105eac4c16814a80cfa39ac5bc603a74517a39a",
+     "931deca73f1b6284305396611ec5a51b720d3b13ba632101f19ce634bc8ab5b0"),
+    (["perturbation", "--gamma0", "1.5", "--lambda", "1.3", "--omega-q", "0.7", "--t", "0.4",
+      "--omega-min", "-2.3", "--omega-max", "3.7", "--omega-points", "101", "--N", "4",
+      "--n", "1"],
+     "15cf84d66fcb59a037ca01a5e0efa3e5a4dea97f6d84f158cbfaf9959375079e",
+     "728426f1cb7d627372ef499e9186e03de85b1e702e53195cbf5b74da63bee7e1"),
+    (["dynamics-diss", "--gamma0", "1.5", "--lambda", "2", "--omega-q", "2", "--tmax", "0.3",
+      "--steps", "30", "--N", "5", "--n", "2"],
+     "e54bbe135478854e33fb9e8be973e94798b6c4ab0ffccf852c6acf05678cf5c0",
+     "b6115b705274fa083761112dfc5a48fc6759d7d450170491ef9e3e8cb9acc421"),
+    (["nonmarkov", "--model", "diss", "--gamma0", "0.8", "--lambda", "1.5", "--omega-q", "1.5",
+      "--tmax", "0.5", "--steps", "40"],
+     "4197965713b32b569590cb3bd80c393f62daca5af5c435358d0df5b47be005b4",
+     "e1880e24cb0822909a59c180e3fd8d7eab5b991976e049d87553501048e286f8"),
 )
 
 

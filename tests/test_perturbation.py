@@ -25,6 +25,8 @@ from zenotraj.filters import decay_factor_overlap, filter_diss, filter_deph, sin
 from zenotraj.numerics import TimeGrid, solve_volterra
 from zenotraj.perturbation import (
     CouplingModel,
+    _filter_mesh,
+    _prefactor,
     _rotated_operators,
     dephasing_coupling_model,
     dissipative_coupling_model,
@@ -240,10 +242,10 @@ class TestGeneralFilter:
     def test_frequency_past_the_mesh_budget_is_refused(self):
         # the frequency window, not J, sets the mesh, so the refusal names the window
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with pytest.raises(NumericError, match=r"^2,560,000 \(t1, t2\) mesh nodes, 576 bytes "
+        with pytest.raises(NumericError, match=r"^10,176,100 \(t1, t2\) mesh nodes, 157 bytes "
                                                r"each, exceed the size budget of 1,073,741,824 "
                                                r"bytes; shrink --t or --omega-min or --omega-max$"):
-            general_filter(model, QubitState.excited(), np.array([900.0, 1000.0]), 0.5,
+            general_filter(model, QubitState.excited(), np.array([1900.0, 2000.0]), 0.5,
                            binary_phases(3, 1))
 
     def test_dephasing_shape_with_constant_ratio_four(self):
@@ -312,7 +314,7 @@ class TestGeneralFilter:
 
 # omega_max = 1: a narrow line keeps J's share of the mesh's phase rate small
 NARROW = Lorentzian(gamma0=1.0, lam=0.01, omega_q=0.5)
-# the most panels per axis the size budget admits (136: 1,849,600 nodes)
+# the most panels per axis the size budget admits (261: 6,812,100 nodes)
 _MAX_PANELS = np.floor(np.sqrt(numerics._SIZE_BUDGET / perturbation._NODE_BYTES) / 10.0)
 
 
@@ -356,9 +358,9 @@ def test_general_filter_matches_the_closed_forms(dissipative, t, omega_q, omega,
     else:
         want = 4.0 * filter_deph(omega, t, *binary)
     assert np.all(np.abs(got - want) <= 1e-6 * prefactor * t * t), (got, want)
-    # past the budget edge at nu t = 136 pi, before anything is allocated
+    # past the budget edge at nu t = 261 pi, before anything is allocated
     nu = model.omega_scale + max(NARROW.omega_max, np.max(np.abs(omega)))
-    with pytest.raises(NumericError, match="mesh nodes, 576 bytes each, exceed the size budget"):
+    with pytest.raises(NumericError, match="mesh nodes, 157 bytes each, exceed the size budget"):
         general_filter(model, psi0, omega, past * _MAX_PANELS * np.pi / nu, phases)
 
 
@@ -483,9 +485,25 @@ class TestCorrelationTableChecks:
 
 
 def _contract_one_product(c, omega, tau, weighted):
-    """The frequency contraction as one product over all omega rows (the blocks' oracle)."""
+    """The frequency contraction as one product over all omega rows, c_ab scaling
+    the phase matrix (the oracle of the blocks and of the folded sandwiches)."""
     phase = np.exp(-1j * omega[:, None] * tau)
     return sum((c_ab * phase) @ weighted[a, b] for (a, b), c_ab in np.ndenumerate(c))
+
+
+def _filter_mesh_one_stack(model, psi0, t, omega_top):
+    """``_filter_mesh`` with every node's t1 and t2 rotated in one stack (the chunks' oracle)."""
+    nu = model.omega_scale + max(model.j.omega_max, omega_top)
+    tau, W, t1, t2 = perturbation._mesh(model, t, nu)
+    a1 = _rotated_operators(model, np.repeat(t1, t2.size // t1.size))
+    a2 = _rotated_operators(model, t2)
+    r = psi0.matrix
+    p_perp = np.eye(2, dtype=complex) - r
+    n_ops = len(model.operators)
+    weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
+    for a, b in np.ndindex(n_ops, n_ops):
+        weighted[a, b] = W * np.einsum("ij,pjk,kl,pli->p", p_perp, a2[b], r, a1[a])
+    return tau, weighted
 
 
 # both coupling models with a post-selection on each; meshes of 4,900 and
@@ -498,26 +516,41 @@ _ENGINE_CASES = {
 
 
 class TestRowBlockedContraction:
-    """The omega rows go through in blocks, each row with the one-product bits."""
+    """The omega rows go through in blocks and the mesh in node chunks, to the
+    bits of one product over the whole mesh."""
 
     # rows per block from the byte budget: 1 still gives two-row blocks, 8
-    # uneven splits, None the module's budget (53 and 163 rows a block here)
+    # uneven splits, None the module's budget (3 and 10 rows a block here)
     @pytest.mark.parametrize("block_rows", [1, 8, None])
     @pytest.mark.parametrize("n_omega", [1, 2, 3, 5, 9, 17, 101, 201, 601])
     @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
     def test_general_filter_bits(self, name, n_omega, block_rows, monkeypatch):
         model, psi0, config = _ENGINE_CASES[name]
         omega = np.linspace(-2.0, 4.0, n_omega)
+        tau, weighted = _filter_mesh(model, psi0, 0.2, np.max(np.abs(omega)))
         if block_rows is not None:
-            nodes = perturbation._filter_mesh(model, psi0, 0.2, 4.0)[0].size
-            monkeypatch.setattr(perturbation, "_PHASE_BLOCK_BYTES", 16 * nodes * block_rows)
+            monkeypatch.setattr(perturbation, "_PHASE_BLOCK_BYTES", 16 * tau.size * block_rows)
         blocked = general_filter(model, psi0, omega, 0.2, config)
-        monkeypatch.setattr(perturbation, "_contract", _contract_one_product)
-        assert blocked.tobytes() == general_filter(model, psi0, omega, 0.2, config).tobytes()
+        want = _prefactor(config) * _contract_one_product(model.correlations, omega, tau,
+                                                           weighted).real
+        assert blocked.tobytes() == want.tobytes()
+
+    # nodes per chunk: 1, an uneven split, the module's and one chunk
+    @pytest.mark.parametrize("chunk", [1, 7, None, 10**9])
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_filter_mesh_bits(self, name, chunk, monkeypatch):
+        model, psi0, _ = _ENGINE_CASES[name]
+        if chunk is not None:
+            monkeypatch.setattr(perturbation, "_NODE_CHUNK", chunk)
+        got = _filter_mesh(model, psi0, 0.2, 4.0)
+        want = _filter_mesh_one_stack(model, psi0, 0.2, 4.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_general_filter_memory_is_bounded(self):
         # the CLI default: 201 frequencies on the 28,900-node mesh of t = 0.5,
-        # where the whole phase matrix alone takes 93 MB
+        # where the whole phase matrix alone takes 93 MB; 3.6 MB with 256 KiB
+        # blocks (three rows) and 1,024-node operator chunks, 16.7 MB with
+        # 4 MiB blocks, a scaled phase copy and whole-mesh operator stacks
         model, psi0, config = _ENGINE_CASES["diss"]
         omega = np.linspace(-2.0, 4.0, 201)
         tracemalloc.start()
@@ -526,7 +559,7 @@ class TestRowBlockedContraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 5.4e6
 
     def test_second_order_block_memory_is_bounded(self):
         # the same 28,900-node mesh: C is summed at the lags in O(P) memory,
@@ -541,9 +574,9 @@ class TestRowBlockedContraction:
             tracemalloc.stop()
         assert peak < 40e6
 
-    # nu = omega_max + omega_q = 102: 136 panels (1,849,600 nodes) is the largest
-    # mesh the size budget admits, 137 panels and t = 20 (650 panels) are refused
-    @pytest.mark.parametrize("t, nodes", [(136.5 * np.pi / 102.0, "1,876,900"),
+    # nu = omega_max + omega_q = 102: 261 panels (6,812,100 nodes) is the largest
+    # mesh the size budget admits, 262 panels and t = 20 (650 panels) are refused
+    @pytest.mark.parametrize("t, nodes", [(261.5 * np.pi / 102.0, "6,864,400"),
                                           (20.0, "42,250,000")])
     @pytest.mark.parametrize("entry", ["general_filter", "second_order_block",
                                        "general_decay_factor"])
@@ -554,7 +587,7 @@ class TestRowBlockedContraction:
                 "general_decay_factor": lambda: general_decay_factor(model, psi0, t, config)}
         tracemalloc.start()
         try:
-            with pytest.raises(NumericError, match=f"^{nodes} \\(t1, t2\\) mesh nodes, 576 bytes "
+            with pytest.raises(NumericError, match=f"^{nodes} \\(t1, t2\\) mesh nodes, 157 bytes "
                                                    "each, exceed the size budget"):
                 call[entry]()
             peak = tracemalloc.get_traced_memory()[1]
