@@ -14,6 +14,12 @@ from zenotraj.errors import QuadratureError
 from zenotraj.perturbation import _contract, _filter_mesh, _mesh, _prefactor, _rotated_operators
 
 
+def every_node_operators(model, t1, t2):
+    """A_alpha(t1), A_alpha(t2) at every node of ``_mesh``'s (t1, t2), each in one stack."""
+    return (_rotated_operators(model, np.repeat(t1, t2.size // t1.size)),
+            _rotated_operators(model, t2))
+
+
 def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
     """int_0^{omega_max} dw J(w) sum_ab c_ab e^{-iw tau} @ weighted[a, b], checked."""
     folded = c.reshape(c.shape + (1,) * (weighted.ndim - 2)) * weighted
@@ -29,8 +35,7 @@ def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):
 def oracle_block(model, rho0, t):
     """second_order_block by the frequency integral (rho0 a QubitState, t > 0)."""
     tau, W, t1, t2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
-    a1 = _rotated_operators(model, np.repeat(t1, t2.size // t1.size))
-    a2 = _rotated_operators(model, t2)
+    a1, a2 = every_node_operators(model, t1, t2)
     r = rho0.matrix
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size, 4), dtype=complex)

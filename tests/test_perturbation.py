@@ -35,7 +35,7 @@ from zenotraj.perturbation import (
     second_order_block,
 )
 
-from perturbation_oracle import oracle_block, oracle_decay_factor
+from perturbation_oracle import every_node_operators, oracle_block, oracle_decay_factor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -495,8 +495,7 @@ def _filter_mesh_one_stack(model, psi0, t, omega_top):
     """``_filter_mesh`` with every node's t1 and t2 rotated in one stack (the chunks' oracle)."""
     nu = model.omega_scale + max(model.j.omega_max, omega_top)
     tau, W, t1, t2 = perturbation._mesh(model, t, nu)
-    a1 = _rotated_operators(model, np.repeat(t1, t2.size // t1.size))
-    a2 = _rotated_operators(model, t2)
+    a1, a2 = every_node_operators(model, t1, t2)
     r = psi0.matrix
     p_perp = np.eye(2, dtype=complex) - r
     n_ops = len(model.operators)
