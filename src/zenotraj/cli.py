@@ -136,9 +136,9 @@ _HELP = {
 
 _DEFAULT_SINC = 1.0 / 6.0
 
-# traced bytes per table row of the widest table, fig2's eight columns as JSON
-# (1,350 at 20,000 and 100,000 rows; a CSV row of it takes 580)
-_ROW_BYTES = 1_350
+# traced bytes per table row (run and emit) of the widest table, fig2's eight
+# columns as JSON (637 at 20,000 and 100,000 rows; a CSV row of it takes 551)
+_ROW_BYTES = 640
 
 # largest a-priori RK4 error a dicke --numeric table may carry: for N <= 4 and every
 # reachable s, down to SINC_MIN, a 3,000-draw scan found the pe_numeric error at most 1.99
@@ -588,23 +588,41 @@ def _format_metadata_value(value):
     return str(value)
 
 
+def _json_rows(values):
+    """The rows as ``json.dumps(values.tolist(), indent=2)`` lays them out one level in.
+
+    One ``%r`` format over all values gives each float's repr, as json's
+    encoder does; json spells the non-finite ones NaN, Infinity and -Infinity.
+    """
+    n_rows, n_cols = values.shape
+    if not n_rows:
+        return "[]"
+    row = "    [\n      " + ",\n      ".join(["%r"] * n_cols) + "\n    ]" if n_cols else "    []"
+    text = "[\n" + ",\n".join([row] * n_rows) % tuple(values.ravel().tolist()) + "\n  ]"
+    if not np.isfinite(values).all():  # no other letter than e is in a float's repr
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
 def emit(table, fmt="csv", path=None):
-    """Serialize the table; identical tables give identical bytes."""
+    """Serialize the table; identical tables give identical bytes.
+
+    The rows are written by one printf-style format over all values, the
+    bytes of ``f"{v:.17g}"`` per CSV value and of ``json.dumps(..., indent=2)``
+    for JSON.
+    """
     if fmt == "csv":
         lines = [f"# {key}={_format_metadata_value(table.metadata[key])}"
                  for key in sorted(table.metadata)]
         lines.append(",".join(table.columns))
-        # Python floats format like numpy's, to the byte, and faster
-        for row in table.values:
-            lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
-        text = "\n".join(lines) + "\n"
+        row = ",".join(["%.17g"] * table.values.shape[1]) + "\n"
+        text = ("\n".join(lines) + "\n"
+                + (row * table.values.shape[0]) % tuple(table.values.ravel().tolist()))
     elif fmt == "json":
-        payload = {
-            "metadata": table.metadata,
-            "columns": list(table.columns),
-            "rows": table.values.tolist(),
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        head = json.dumps({"columns": list(table.columns), "metadata": table.metadata},
+                          sort_keys=True, indent=2)
+        # "rows" sorts last: it goes in before the closing brace
+        text = head[:-2] + ',\n  "rows": ' + _json_rows(table.values) + "\n}\n"
     else:
         raise ConfigError(f"unknown output format: '{fmt}'")
     if path is not None:

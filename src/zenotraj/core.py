@@ -66,8 +66,8 @@ def _require_elapsed(t):
 class SpectralDensity:
     """Coupling spectrum J(ω) ≥ 0 on [0, omega_max], zero outside.
 
-    Each family subclass supplies J as ``_shape(omega, lo)`` (``lo``: the
-    smallest node, nan when there is none) and a default ``omega_max``; the
+    Each family subclass supplies J as ``_shape(omega)``, which is only
+    ever called on nodes in [0, omega_max], and a default ``omega_max``; the
     coupling strength is a parameter of each family (γ₀, η), so J → ε²J is
     the same family with that parameter times ε².
     """
@@ -94,13 +94,15 @@ class SpectralDensity:
 
     def __call__(self, omega):
         if type(omega) is float and self._float_shape:
-            return self._shape(omega, omega) if 0.0 <= omega <= self.omega_max else 0.0
-        # one min and one max pass per call; ``_shape`` gets the min
+            return self._shape(omega) if 0.0 <= omega <= self.omega_max else 0.0
         omega = np.asarray(omega, dtype=float)
-        lo = omega.min() if omega.size else math.nan
-        out = self._shape(omega, lo)
-        if not (lo >= 0 and omega.max() <= self.omega_max):
-            out = np.where((omega >= 0) & (omega <= self.omega_max), out, 0.0)
+        # one min and one max pass when every node is in the support
+        if omega.size and omega.min() >= 0 and omega.max() <= self.omega_max:
+            out = self._shape(omega)
+        else:  # the shape of the nodes inside only: none of the others warns
+            inside = (omega >= 0) & (omega <= self.omega_max)
+            out = np.zeros_like(omega)
+            out[inside] = self._shape(omega[inside])
         return out if out.ndim else float(out)
 
 
@@ -123,7 +125,7 @@ class Lorentzian(SpectralDensity):
         # d * d + λ² > 0 unless λ² underflows, where a float 0/0 would raise
         object.__setattr__(self, "_float_shape", lam_sq > 0.0)
 
-    def _shape(self, omega, lo):
+    def _shape(self, omega):
         # d * d, not d ** 2: a float power and an array square may round apart
         d = self.omega_q - omega
         return self.gamma0 * self._lam_sq / (2.0 * np.pi) / (d * d + self._lam_sq)
@@ -147,35 +149,27 @@ class Ohmic(SpectralDensity):
                 math.log(self.eta), (1.0 - self.s) * math.log(self.omega_c))
         object.__setattr__(self, "_log_space", sum(max(x, 0.0) for x in logs) > _LOG_HUGE)
 
-    def _shape(self, omega, lo):
-        # evaluated on ω > 0 only: e^{−ω/ω_c} overflows at negative ω ≪ −ω_c;
-        # no mask when every node is positive
-        pos = None if lo > 0 else omega > 0
-        w = omega if pos is None else omega[pos]
+    def _shape(self, omega):
         if self._log_space:
-            shape = self._log_space_shape(w)
-        else:
-            # η w^s ω_c^{1−s} e^{−w/ω_c} in the buffer of w^s, multiplied
-            # left to right (another order rounds differently)
-            shape = w ** self.s
-            shape *= self.eta
-            shape *= self.omega_c ** (1.0 - self.s)
-            decay = np.negative(w, out=np.empty_like(w))
-            decay /= self.omega_c
-            shape *= np.exp(decay, out=decay)
-        if pos is None:
-            return shape
-        out = np.zeros_like(omega)
-        out[pos] = shape
-        return out
+            return self._log_space_shape(omega)
+        # η w^s ω_c^{1−s} e^{−w/ω_c} in the buffer of w^s, multiplied
+        # left to right (another order rounds differently); 0 at w = 0
+        shape = omega ** self.s
+        shape *= self.eta
+        shape *= self.omega_c ** (1.0 - self.s)
+        decay = np.negative(omega, out=np.empty_like(omega))
+        decay /= self.omega_c
+        shape *= np.exp(decay, out=decay)
+        return shape
 
     def _log_space_shape(self, w):
-        """The direct product where it is finite, exp(log J) at the other w > 0."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        """The direct product where it is finite, exp(log J) at the other w >= 0."""
+        # at w = 0 the direct product is 0, or 0 * inf = nan, and log J = -inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             direct = (self.eta * w ** self.s * np.float64(self.omega_c) ** (1.0 - self.s)
                       * np.exp(-w / self.omega_c))
-        log_j = (math.log(self.eta) + self.s * np.log(w)
-                 + (1.0 - self.s) * math.log(self.omega_c) - w / self.omega_c)
+            log_j = (math.log(self.eta) + self.s * np.log(w)
+                     + (1.0 - self.s) * math.log(self.omega_c) - w / self.omega_c)
         return np.where(np.isfinite(direct), direct, np.exp(log_j))
 
 
@@ -190,7 +184,7 @@ class GaussianPeak(SpectralDensity):
         _require_positive("GaussianPeak", delta=self.delta)
         self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
 
-    def _shape(self, omega, lo):
+    def _shape(self, omega):
         with np.errstate(over="ignore"):  # the square past 1e154 is inf, and e^{-inf} = 0
             return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
 
@@ -219,7 +213,7 @@ class Tabulated(SpectralDensity):
     def breakpoints(self):
         return tuple(w for w in self.omega if 0.0 < w < self.omega_max)
 
-    def _shape(self, omega, lo):
+    def _shape(self, omega):
         return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
 
 

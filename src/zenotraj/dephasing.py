@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .core import Ohmic, QubitState, _refuse_dark_port, _require_elapsed, r_factor
 from .errors import NumericError
 from .numerics import Series, _check_size, gauss_legendre_panels, integrate_adaptive
@@ -43,7 +43,7 @@ __all__ = [
 # to fixed Gauss-Legendre panels between consecutive half-periods and J's kinks
 _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 
-# points past this phase (about 1,500 Gauss-Legendre panels) go to the thread
+# points past this phase (about 1,500 Gauss-Legendre panels) go to the worker
 # pool; on fewer panels each numpy call is too short to win back the cost of
 # handing the GIL between worker threads (on a 2-vCPU Xeon VM, points of 500
 # panels ran 10-25 % slower on two workers than inline, points of 2,000-2,800
@@ -52,7 +52,7 @@ _POOL_PHASE_LIMIT = 1500.0 * np.pi
 
 # traced bytes per half-period k*pi/t of a Gauss-Legendre panel point (340 at T = 0,
 # 416 at T > 0, at 10^5 and 4*10^5 half-periods); the check is per point, so the
-# verdict does not depend on the panel pool's worker count
+# verdict does not depend on the worker pool's size
 _HALF_PERIOD_BYTES = 416
 
 
@@ -328,29 +328,6 @@ def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     return QubitState(out)
 
 
-@functools.cache
-def _panel_pool():
-    """Thread pool for the long Gauss-Legendre panel points, made on first use.
-
-    One worker per core of the CPU affinity mask (``os.cpu_count()`` where
-    there is none); None on a single core, where every point runs inline.
-    """
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:
-        workers = os.cpu_count() or 1
-    if workers < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="zenotraj-panels")
-
-
-# a forked child inherits the pool but none of its threads
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_panel_pool.cache_clear)
-
-
 def _exponent_series(params, times):
     """[dephasing_exponent(params, t) for t in times], long panel points on the pool.
 
@@ -364,7 +341,7 @@ def _exponent_series(params, times):
     """
     with np.errstate(over="ignore"):  # a product past float range is inf, and compares so
         pooled = params.j.omega_max * times > _POOL_PHASE_LIMIT
-    pool = _panel_pool() if pooled.any() else None
+    pool = numerics._worker_pool() if pooled.any() else None
     if pool is None:
         return [dephasing_exponent(params, t) for t in times]
     futures = [pool.submit(dephasing_exponent, params, t) for t in times[pooled]]
@@ -380,10 +357,10 @@ def dephasing_exponent_series(params, grid):
     """Gamma_T on a time grid as a Series checked on [0, inf); it is (N, n)-free.
 
     The time points on about 1,500 or more Gauss-Legendre panels
-    (omega_max * t > 1500 pi) run on a thread pool with one worker per core
-    of the CPU affinity mask (there is no option for it; on one core they
-    run inline), and the series is identical to the byte to evaluating
-    every point in turn.
+    (omega_max * t > 1500 pi) run on the package's one worker pool
+    (``numerics._worker_pool``: one thread per core of the CPU affinity
+    mask; there is no option for it, and on one core they run inline), and
+    the series is identical to the byte to evaluating every point in turn.
     """
     gamma = np.array(_exponent_series(params, grid.times))
     return Series(grid, gamma, "dephasing_exponent").check(0.0, np.inf)

@@ -3,12 +3,15 @@
 A checked time series type, a real-valued QUADPACK adapter for (possibly
 oscillatory) spectral integrals, one Gauss-Legendre panel rule, a
 product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
-4th-order density-matrix integrator, and the run's size budget.
+4th-order density-matrix integrator, the run's size budget, and the one
+worker pool that the dephasing exponent and the second-order engine share.
 All routines are pure functions of their inputs and safe for concurrent use.
 """
 
+import collections
 import functools
 import importlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +215,59 @@ def row_blocks(n_rows, max_rows):
     size, extra = divmod(n_rows, count)
     return [slice(k * size + min(k, extra), (k + 1) * size + min(k + 1, extra))
             for k in range(count)]
+
+
+@functools.cache
+def _worker_pool():
+    """The package's one thread pool, made on first use.
+
+    One worker per core of the CPU affinity mask (``os.cpu_count()`` where
+    there is none); None on a single core, where every task runs inline.
+    """
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
+    if workers < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="zenotraj-workers")
+
+
+# a forked child inherits the pool but none of its threads
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
+
+
+def _pool_map(fn, units):
+    """[fn(unit) for unit in units], the units spread over the worker pool.
+
+    At most one task per worker is in flight, so each task's own buffers
+    exist at most once per worker; with one unit, or no pool, every call
+    runs inline and no thread starts.  The results keep the order of
+    ``units``, and the exception raised is that of the earliest failing
+    unit; no task outlives the call.
+    """
+    units = list(units)
+    pool = _worker_pool() if len(units) > 1 else None
+    if pool is None:
+        return [fn(unit) for unit in units]
+    results, pending = [], collections.deque()
+    try:
+        for unit in units:
+            if len(pending) == pool._max_workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, unit))
+        while pending:
+            results.append(pending.popleft().result())
+        return results
+    finally:
+        from concurrent.futures import wait
+
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import QubitState, SpectralDensity, _require_elapsed, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
-from .numerics import _check_size, panel_nodes, row_blocks
+from .numerics import _check_size, _pool_map, panel_nodes, row_blocks
 
 __all__ = [
     "CouplingModel",
@@ -114,9 +114,12 @@ def dephasing_coupling_model(j):
     return CouplingModel(np.zeros((2, 2)), (_SZ,), [[1.0]], j)
 
 
-def _rotated_operators(model, times):
-    """Stack of A_alpha(t) for every t in ``times``: shape (n_ops, len, 2, 2)."""
-    d, u = np.linalg.eigh(model.h_q)
+def _rotated_operators(model, times, eig):
+    """Stack of A_alpha(t) for every t in ``times``: shape (n_ops, len, 2, 2).
+
+    ``eig`` is ``np.linalg.eigh(model.h_q)``, taken once per mesh.
+    """
+    d, u = eig
     phase = np.exp(1j * np.outer(times, d))  # (m, 2)
     e = np.einsum("ij,mj,kj->mik", u, phase, u.conj())
     e_dag = np.conj(np.transpose(e, (0, 2, 1)))
@@ -153,19 +156,25 @@ def _mesh(model, t, nu, keys=_J_KEYS):
 
 
 def _node_operators(model, t1, t2):
-    """(nodes, A_alpha(t1), A_alpha(t2)) per chunk of ``_NODE_CHUNK`` mesh nodes.
+    """The mesh's chunks of ``_NODE_CHUNK`` nodes and their operators.
 
-    ``nodes`` is the chunk's slice of the flat mesh and the stacks have shape
-    (n_ops, len, 2, 2).  Each distinct t1 is rotated once and indexed: a
-    rotation depends on its time alone, so the bits are those of rotating
-    every node's t1.
+    Returns the chunks, as slices of the flat mesh, and a function of a
+    chunk that gives (A_alpha(t1), A_alpha(t2)) at its nodes, stacks of
+    shape (n_ops, len, 2, 2).  h_q is diagonalised once, and each distinct
+    t1 is rotated once and indexed: a rotation depends on its time alone, so
+    the bits are those of rotating every node's t1.
     """
-    a1 = _rotated_operators(model, t1)
+    eig = np.linalg.eigh(model.h_q)
+    a1 = _rotated_operators(model, t1, eig)
     inner = t2.size // t1.size
-    for start in range(0, t2.size, _NODE_CHUNK):
-        nodes = slice(start, min(start + _NODE_CHUNK, t2.size))
-        yield (nodes, a1[:, np.arange(nodes.start, nodes.stop) // inner],
-               _rotated_operators(model, t2[nodes]))
+
+    def operators(nodes):
+        return (a1[:, np.arange(nodes.start, nodes.stop) // inner],
+                _rotated_operators(model, t2[nodes], eig))
+
+    chunks = [slice(start, min(start + _NODE_CHUNK, t2.size))
+              for start in range(0, t2.size, _NODE_CHUNK)]
+    return chunks, operators
 
 
 def _contract(omega, tau, weighted):
@@ -173,18 +182,21 @@ def _contract(omega, tau, weighted):
 
     ``weighted`` holds the sandwiches with c_ab folded in.  The omega rows go
     through in ``numerics.row_blocks`` of about ``_PHASE_BLOCK_BYTES`` of
-    phase matrix each, formed in place in one buffer, so memory is O(block
-    x mesh) for any number of frequencies.  The blocks have at least two
-    rows, so every row is the same matrix product, to the bit, as in one
-    product over all rows.
+    phase matrix each, formed in place in the block's own buffer, so memory
+    is O(block x mesh x workers) for any number of frequencies; the blocks
+    run on the worker pool and write disjoint rows.  The blocks have at
+    least two rows, so every row is the same matrix product, to the bit, as
+    in one product over all rows.
     """
     out = np.empty(omega.shape + weighted.shape[3:], dtype=complex)
-    blocks = row_blocks(omega.size, _PHASE_BLOCK_BYTES // (16 * tau.size))
-    buf = np.empty((blocks[0].stop, tau.size), dtype=complex)  # the largest block
-    for rows in blocks:
-        phase = np.multiply(-1j * omega[rows, None], tau, out=buf[:rows.stop - rows.start])
+    sandwiches = weighted.reshape((-1,) + weighted.shape[2:])
+
+    def contract_block(rows):
+        phase = np.multiply(-1j * omega[rows, None], tau)
         np.exp(phase, out=phase)
-        out[rows] = sum(phase @ w_ab for w_ab in weighted.reshape((-1,) + weighted.shape[2:]))
+        out[rows] = sum(phase @ w_ab for w_ab in sandwiches)
+
+    _pool_map(contract_block, row_blocks(omega.size, _PHASE_BLOCK_BYTES // (16 * tau.size)))
     return out
 
 
@@ -234,11 +246,17 @@ def second_order_block(model, rho0, t):
     tau, W, t1, t2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
     kernel, c, r = W * _correlation(model.j, t, tau), model.correlations, rho0.matrix
     # sum_ab c_ab sum_p C(tau_p) W_p [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]_p
-    block = np.zeros((2, 2), dtype=complex)
-    for nodes, a1, a2 in _node_operators(model, t1, t2):
+    chunks, operators = _node_operators(model, t1, t2)
+
+    def chunk_term(nodes):
+        a1, a2 = operators(nodes)
         k = kernel[nodes]
-        block += (np.einsum("ab,p,bpij,jk,apkl->il", c, k, a2, r, a1, optimize=True)
-                  - np.einsum("ab,p,apij,bpjk->ik", c, k, a1, a2, optimize=True) @ r)
+        return (np.einsum("ab,p,bpij,jk,apkl->il", c, k, a2, r, a1, optimize=True)
+                - np.einsum("ab,p,apij,bpjk->ik", c, k, a1, a2, optimize=True) @ r)
+
+    block = np.zeros((2, 2), dtype=complex)
+    for term in _pool_map(chunk_term, chunks):  # added in chunk order
+        block += term
     return block + block.conj().T
 
 
@@ -267,10 +285,15 @@ def _filter_mesh(model, psi0, t, omega_top):
     tau, W, t1, t2 = _mesh(model, t, model.omega_scale + max(model.j.omega_max, omega_top), keys)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
-    for nodes, a1, a2 in _node_operators(model, t1, t2):
+    chunks, operators = _node_operators(model, t1, t2)
+
+    def sandwich_chunk(nodes):
+        a1, a2 = operators(nodes)
         for a, b in np.ndindex(n_ops, n_ops):
             weighted[a, b, nodes] = W[nodes] * np.einsum("ij,pjk,kl,pli->p",
                                                          p_perp, a2[b], r, a1[a])
+
+    _pool_map(sandwich_chunk, chunks)
     return tau, weighted
 
 

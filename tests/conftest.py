@@ -1,4 +1,11 @@
-"""Shared pytest hooks: one PASS/FAIL line per acceptance criterion."""
+"""Shared pytest hooks: one PASS/FAIL line per acceptance criterion, and the
+fixture that stands in a worker pool of a chosen size."""
+
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from zenotraj import numerics
 
 _CRITERIA = {
     "test_criterion_01": "decay-factor 1/N scaling",
@@ -44,3 +51,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             verdict = "FAIL"
         number = key.split("_")[2]
         writer.write_line(f"criterion {number}  {label:<48s} {verdict}")
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Replace the package's worker pool with one of ``workers`` threads (None: inline)."""
+    pools = []
+
+    def install(workers):
+        pool = ThreadPoolExecutor(workers) if workers else None
+        pools.append(pool)
+        monkeypatch.setattr(numerics, "_worker_pool", lambda: pool)
+
+    yield install
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()

@@ -81,7 +81,7 @@ def spectral_density(j, omega):
     The other families' shapes are unchanged, so they come from ``j._shape``.
     """
     omega = np.asarray(omega, dtype=float)
-    raw = ohmic_shape(j, omega) if isinstance(j, Ohmic) else j._shape(omega, math.nan)
+    raw = ohmic_shape(j, omega) if isinstance(j, Ohmic) else j._shape(omega)
     if omega.size and omega.min() >= 0 and omega.max() <= j.omega_max:
         out = raw
     else:

@@ -16,8 +16,9 @@ from zenotraj.perturbation import _contract, _filter_mesh, _mesh, _prefactor, _r
 
 def every_node_operators(model, t1, t2):
     """A_alpha(t1), A_alpha(t2) at every node of ``_mesh``'s (t1, t2), each in one stack."""
-    return (_rotated_operators(model, np.repeat(t1, t2.size // t1.size)),
-            _rotated_operators(model, t2))
+    eig = np.linalg.eigh(model.h_q)
+    return (_rotated_operators(model, np.repeat(t1, t2.size // t1.size), eig),
+            _rotated_operators(model, t2, eig))
 
 
 def omega_integral(j, c, tau, weighted, rel_tol, abs_tol):

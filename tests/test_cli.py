@@ -19,6 +19,8 @@ from zenotraj.cli import ResultTable, RunConfig, emit, main, parse_config, run
 from zenotraj.dicke import SINC_MIN
 from zenotraj.errors import ConfigError, NumericError
 
+import emit_oracle
+
 # flags a subcommand refuses because its run reads no such parameter
 UNREAD_FLAGS = {
     "dynamics-diss": ("--eta", "--s", "--omega-c", "--omega-m", "--delta"),
@@ -373,6 +375,42 @@ class TestRun:
         assert a == b
 
 
+# the floats every row format must spell as the oracle does: signed zeros,
+# subnormals, the non-finite values and the float range's ends
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+                   2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-5)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\,\n=#é∞')), max_size=12)
+_METADATA = st.dictionaries(_TEXT, st.one_of(st.booleans(), st.integers(-10**20, 10**20),
+                                             st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+                                             _TEXT), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """Every shape ResultTable admits: (rows, width) with width = len(columns), or
+    no values at all (zero rows, or zero width) under any columns."""
+    columns = draw(st.lists(_TEXT, max_size=8))
+    # one table in four has no rows, and one in four of the others no width
+    rows = draw(st.integers(1, 300)) if draw(st.integers(0, 3)) else 0
+    if rows:
+        width = len(columns) if draw(st.integers(0, 3)) else 0
+    else:
+        width = draw(st.integers(0, 8))
+    # the drawn specials, random bit patterns (every float class) and normal draws
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = np.array(draw(st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(),
+                                      min_size=1, max_size=12)))
+    pick = rng.integers(0, 3, (rows, width))
+    values = np.where(pick == 0, specials[rng.integers(0, specials.size, (rows, width))],
+                      np.where(pick == 1, rng.integers(0, 2**64, (rows, width), dtype=np.uint64)
+                               .view(float), rng.standard_normal((rows, width))))
+    return ResultTable(columns, values, draw(_METADATA))
+
+
+_TABLES = _tables()
+
+
 class TestEmit:
     def _small_table(self):
         return ResultTable(("x", "y"), np.array([[0.1, 1.0 / 3.0]]),
@@ -415,6 +453,21 @@ class TestEmit:
         payload = {"metadata": table.metadata, "columns": ["x"],
                    "rows": [list(map(float, row)) for row in table.values]}
         assert emit(table, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_TABLES, to_file=st.booleans())
+    def test_bytes_match_the_oracle(self, fmt, table, to_file, tmp_path):
+        # whole-table formats against the per-value formatting they replace
+        if to_file:
+            path, oracle_path = tmp_path / "emit.out", tmp_path / "oracle.out"
+            text = emit(table, fmt, str(path))
+            want = emit_oracle.emit(table, fmt, str(oracle_path))
+            assert path.read_bytes() == oracle_path.read_bytes()
+        else:
+            text, want = emit(table, fmt), emit_oracle.emit(table, fmt)
+        assert text == want
 
     def test_writes_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -547,7 +600,7 @@ class TestMain:
         assert code == 3 and peak < 1e6
         rows = "2,000,000,001" if key == "--steps" else "2,000,000,000"
         assert capsys.readouterr().err == (
-            f"zenotraj: numeric failure: [{argv[0]}] {rows} table rows, 1,350 bytes each, "
+            f"zenotraj: numeric failure: [{argv[0]}] {rows} table rows, 640 bytes each, "
             f"exceed the size budget of 1,073,741,824 bytes; shrink {key}\n")
 
     def test_no_closed_form_point_exit_code(self, capsys):

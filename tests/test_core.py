@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -323,6 +324,27 @@ class TestSpectralDensityBytes:
             got, want = j(float(omega)), j(np.array([omega]))[0]
         assert type(got) is float
         assert np.float64(got).tobytes() == want.tobytes()
+
+
+class TestSpectralDensityOutsideSupport:
+    """A node outside [0, omega_max] is 0.0, and its shape is never evaluated."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_outside_nodes_are_zero_without_a_warning(self, family):
+        j = _FAMILIES[family]
+        outside = (math.inf, -math.inf, math.nan, -1.0, -1e300, 1.5 * j.omega_max, 1e300)
+        inside = (0.0, 0.5 * j.omega_max, j.omega_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for omega in outside:
+                for node in (omega, np.float64(omega), np.array(omega), np.array([omega])):
+                    got = j(node)
+                    assert np.float64(got).tobytes() == np.zeros_like(got).tobytes()
+            mixed = j(_frozen(outside + inside))
+            in_support = j(_frozen(inside))
+        assert mixed[:len(outside)].tobytes() == np.zeros(len(outside)).tobytes()
+        # the inside nodes keep the bits of an in-support array
+        assert mixed[len(outside):].tobytes() == in_support.tobytes()
 
 
 class TestQubitState:

@@ -11,11 +11,8 @@ import functools
 import math
 import os
 import re
-import subprocess
-import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -502,7 +499,7 @@ class TestSeriesAndSuddenDeath:
 
 
 # ---------------------------------------------------------------------------
-# long panel points on the thread pool
+# long panel points on the worker pool (the pool itself: test_numerics.py)
 # ---------------------------------------------------------------------------
 
 # (params, grid): the fig4c recipe, a thermal super-Ohmic bath whose early
@@ -523,22 +520,6 @@ def _serial_gamma(case):
     return np.array([dephasing_exponent(params, t) for t in grid.times]).tobytes()
 
 
-@pytest.fixture
-def pool_of(monkeypatch):
-    """Replace the panel pool with one of ``workers`` threads (None: inline)."""
-    pools = []
-
-    def install(workers):
-        pool = ThreadPoolExecutor(workers) if workers else None
-        pools.append(pool)
-        monkeypatch.setattr(dephasing, "_panel_pool", lambda: pool)
-
-    yield install
-    for pool in pools:
-        if pool is not None:
-            pool.shutdown()
-
-
 class TestPanelPool:
     @pytest.mark.parametrize("workers", [None, 3])
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
@@ -557,55 +538,6 @@ class TestPanelPool:
         params, grid = POOL_CASES["fig4c"]
         gamma = dephasing_exponent_series(params, grid).values
         assert gamma.tobytes() == _serial_gamma("fig4c")
-
-    def test_one_core_evaluates_inline(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert dephasing._panel_pool.__wrapped__() is None
-        dephasing._panel_pool.cache_clear()
-        try:
-            assert dephasing._panel_pool() is None
-            params, grid = POOL_CASES["s1.7-T0.4"]
-            assert (dephasing_exponent_series(params, grid).values.tobytes()
-                    == _serial_gamma("s1.7-T0.4"))
-        finally:
-            dephasing._panel_pool.cache_clear()
-
-    def test_pool_is_sized_by_the_affinity_mask(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        pool = dephasing._panel_pool.__wrapped__()
-        try:
-            assert pool._max_workers == 3
-        finally:
-            pool.shutdown()
-
-    def test_cpu_count_stands_in_for_a_missing_affinity_mask(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert dephasing._panel_pool.__wrapped__() is None
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_pool_of_its_own(self):
-        # the child inherits the parent's pool object without its threads;
-        # a table with panel points would wait on it forever
-        script = (
-            "import os, signal\n"
-            "from zenotraj.core import Ohmic\n"
-            "from zenotraj.dephasing import DephasingParams, dephasing_exponent_series\n"
-            "from zenotraj.numerics import TimeGrid\n"
-            "params = DephasingParams(Ohmic(1 / 3, 4.0, 1.0), 0.0)\n"
-            "grid = TimeGrid(20.0, 11)\n"
-            "gamma = lambda: dephasing_exponent_series(params, grid).values.tobytes()\n"
-            "first = gamma()\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(30)  # a waiting child ends itself\n"
-            "    os._exit(0 if gamma() == first else 1)\n"
-            "assert os.waitpid(pid, 0)[1] == 0\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
 
     def test_earliest_failing_time_raises(self, monkeypatch, pool_of):
         params, grid = POOL_CASES["gaussian"]
@@ -662,9 +594,9 @@ def _panel_nodes(omega_max, t):
 def test_panel_edges_refuse_a_count_past_the_budget(workers, offset, refused, monkeypatch):
     # checked on the float count before any array is allocated, so inf too; the
     # verdict is one point's, the same on a host of 1 core and of 64
-    monkeypatch.setattr(dephasing.os, "sched_getaffinity", lambda pid: set(range(workers)),
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
                         raising=False)
-    monkeypatch.setattr(dephasing.os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
     unit = dephasing._HALF_PERIOD_BYTES
     half_periods = numerics._SIZE_BUDGET // unit + offset
     j, t = Ohmic(1.0 / 3.0, 1.0, 1.0), 1.0

@@ -1,13 +1,18 @@
 """Tests for the generic numerical kernels."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from zenotraj import core, dephasing, dicke, perturbation
+from zenotraj import core, dephasing, dicke, numerics, perturbation
 from zenotraj.errors import NumericError, QuadratureError
 from zenotraj.numerics import (
     _SIZE_BUDGET,
@@ -15,6 +20,7 @@ from zenotraj.numerics import (
     TimeGrid,
     _check_size,
     _legendre_rule,
+    _pool_map,
     gauss_legendre_panels,
     integrate_adaptive,
     integrate_matrix_ode,
@@ -243,3 +249,128 @@ class TestGaussLegendrePanels:
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+
+class TestWorkerPool:
+    """The package's one thread pool, shared by the dephasing exponent's panel
+    points and the second-order engine's chunks and row blocks."""
+
+    def test_one_core_runs_every_task_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert numerics._worker_pool.__wrapped__() is None
+        numerics._worker_pool.cache_clear()
+        try:
+            assert numerics._worker_pool() is None
+            threads = []
+            squares = _pool_map(lambda k: threads.append(threading.current_thread()) or k * k,
+                                range(5))
+            assert squares == [0, 1, 4, 9, 16]
+            assert set(threads) == {threading.current_thread()}
+            # and the panel points of a dephasing series, as in the serial loop
+            params = dephasing.DephasingParams(core.Ohmic(1.0 / 3.0, 4.0, 1.0), 0.0)
+            grid = TimeGrid(20.0, 11)
+            assert params.j.omega_max * grid.times[-1] > dephasing._POOL_PHASE_LIMIT
+            serial = [dephasing.dephasing_exponent(params, t) for t in grid.times]
+            assert (dephasing.dephasing_exponent_series(params, grid).values.tobytes()
+                    == np.array(serial).tobytes())
+        finally:
+            numerics._worker_pool.cache_clear()
+
+    def test_pool_is_sized_by_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        pool = numerics._worker_pool.__wrapped__()
+        try:
+            assert pool._max_workers == 3
+        finally:
+            pool.shutdown()
+
+    def test_cpu_count_stands_in_for_a_missing_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert numerics._worker_pool.__wrapped__() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_pool_of_its_own(self):
+        # the child inherits the parent's pool object without its threads;
+        # a table with panel points or engine chunks would wait on it forever
+        script = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "from zenotraj.core import Lorentzian, Ohmic, QubitState, binary_phases\n"
+            "from zenotraj.dephasing import DephasingParams, dephasing_exponent_series\n"
+            "from zenotraj.numerics import TimeGrid\n"
+            "from zenotraj.perturbation import dissipative_coupling_model, general_filter\n"
+            "params = DephasingParams(Ohmic(1 / 3, 4.0, 1.0), 0.0)\n"
+            "grid = TimeGrid(20.0, 11)\n"
+            "model = dissipative_coupling_model(Lorentzian(4.0, 2.0, 1.0), 1.0)\n"
+            "omega = np.linspace(-2.0, 4.0, 41)\n"
+            "tables = lambda: (dephasing_exponent_series(params, grid).values.tobytes(),\n"
+            "                  general_filter(model, QubitState.excited(), omega, 0.2,\n"
+            "                                 binary_phases(3, 1)).tobytes())\n"
+            "first = tables()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)  # a waiting child ends itself\n"
+            "    os._exit(0 if tables() == first else 1)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    def test_results_keep_the_order_of_the_units(self, workers, pool_of):
+        pool_of(workers)
+
+        def late_first(k):
+            time.sleep(0.002 * (8 - k))  # the early units finish last
+            return k
+
+        assert _pool_map(late_first, range(8)) == list(range(8))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_one_task_per_worker_in_flight(self, workers, pool_of):
+        pool_of(workers)
+        lock, running, most = threading.Lock(), [0], [0]
+
+        def task(k):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+
+        _pool_map(task, range(12))
+        assert 1 <= most[0] <= workers
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_earliest_failing_unit_raises_and_no_task_outlives_the_call(self, workers,
+                                                                          pool_of):
+        pool_of(workers)
+        started, ended = [], []
+
+        def task(k):
+            started.append(k)
+            try:
+                if k == 1:
+                    time.sleep(0.2)  # unit 2 fails first
+                if k in (1, 2):
+                    raise ValueError(f"unit {k}")
+                time.sleep(0.01)
+            finally:
+                ended.append(k)
+
+        with pytest.raises(ValueError, match="unit 1"):
+            _pool_map(task, range(8))
+        assert sorted(started) == sorted(ended)
+
+    def test_one_unit_runs_inline_without_asking_for_the_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("the pool was asked for")
+
+        monkeypatch.setattr(numerics, "_worker_pool", no_pool)
+        caller = threading.current_thread()
+        assert _pool_map(lambda k: (k, threading.current_thread()), [7]) == [(7, caller)]
+        assert _pool_map(lambda k: k, []) == []

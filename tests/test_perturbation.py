@@ -1,6 +1,9 @@
 """Tests for the general second-order engine."""
 
 import functools
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -123,7 +126,7 @@ class TestInteractionPicture:
         model = CouplingModel(np.array([[0.3, 0.2 - 0.5j], [0.2 + 0.5j, -0.9]]),
                               (SX, SY, SZ), np.eye(3), LORENTZIAN)
         times = np.linspace(0.0, 2.5, 7)
-        stack = _rotated_operators(model, times)
+        stack = _rotated_operators(model, times, np.linalg.eigh(model.h_q))
         assert stack.shape == (3, times.size, 2, 2)
         for alpha, a in enumerate(model.operators):
             for k, t in enumerate(times):
@@ -545,11 +548,13 @@ class TestRowBlockedContraction:
         want = _filter_mesh_one_stack(model, psi0, 0.2, 4.0)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_general_filter_memory_is_bounded(self):
+    def test_general_filter_memory_is_bounded(self, pool_of):
         # the CLI default: 201 frequencies on the 28,900-node mesh of t = 0.5,
         # where the whole phase matrix alone takes 93 MB; 3.6 MB with 256 KiB
         # blocks (three rows) and 1,024-node operator chunks, 16.7 MB with
-        # 4 MiB blocks, a scaled phase copy and whole-mesh operator stacks
+        # 4 MiB blocks, a scaled phase copy and whole-mesh operator stacks;
+        # two workers hold a block and a chunk each
+        pool_of(2)
         model, psi0, config = _ENGINE_CASES["diss"]
         omega = np.linspace(-2.0, 4.0, 201)
         tracemalloc.start()
@@ -560,10 +565,11 @@ class TestRowBlockedContraction:
             tracemalloc.stop()
         assert peak < 5.4e6
 
-    def test_second_order_block_memory_is_bounded(self):
+    def test_second_order_block_memory_is_bounded(self, pool_of):
         # the same 28,900-node mesh: C is summed at the lags in O(P) memory,
         # with no (P x degree) interpolation matrix and no per-(a, b) copy of
-        # the mesh
+        # the mesh; two workers hold a chunk each
+        pool_of(2)
         model, psi0, _ = _ENGINE_CASES["diss"]
         tracemalloc.start()
         try:
@@ -593,3 +599,91 @@ class TestRowBlockedContraction:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def _engine_bytes(name, omega):
+    """general_filter, general_decay_factor and second_order_block of an engine case, as bytes."""
+    model, psi0, config = _ENGINE_CASES[name]
+    return (general_filter(model, psi0, omega, 0.2, config).tobytes(),
+            np.float64(general_decay_factor(model, psi0, 0.2, config)).tobytes(),
+            second_order_block(model, psi0, 0.2).tobytes())
+
+
+class TestEnginePool:
+    """The mesh chunks and the omega row blocks run on the worker pool, each
+    task writing its own slice, to the bits of running them in turn."""
+
+    # nodes per chunk as in TestRowBlockedContraction; 201 frequencies make
+    # 67 and 21 row blocks
+    @pytest.mark.parametrize("chunk", [1, 7, None, 10**9])
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_bits_do_not_depend_on_the_pool(self, name, chunk, monkeypatch, pool_of):
+        if chunk is not None:
+            monkeypatch.setattr(perturbation, "_NODE_CHUNK", chunk)
+        omega = np.linspace(-2.0, 4.0, 201)
+        pool_of(None)
+        inline = _engine_bytes(name, omega)
+        for workers in (1, 3):
+            pool_of(workers)
+            assert _engine_bytes(name, omega) == inline
+
+    def test_disjoint_slices_hold_under_thread_switching(self, monkeypatch, pool_of):
+        # more workers than cores, 7-node chunks and a thread switch every
+        # microsecond: a task that wrote outside its own slice would move bits
+        monkeypatch.setattr(perturbation, "_NODE_CHUNK", 7)
+        omega = np.linspace(-2.0, 4.0, 201)
+        pool_of(None)
+        inline = {name: _engine_bytes(name, omega) for name in _ENGINE_CASES}
+        pool_of(2 * (os.cpu_count() or 1) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = {name: _engine_bytes(name, omega) for name in _ENGINE_CASES}
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == inline
+
+    # stage 0: the mesh chunks, 1: general_filter's row blocks
+    @pytest.mark.parametrize("entry, stage", [("general_filter", 0), ("general_filter", 1),
+                                              ("general_decay_factor", 0),
+                                              ("second_order_block", 0)])
+    def test_error_in_a_task_reaches_the_caller(self, entry, stage, monkeypatch, pool_of):
+        pool_of(2)
+        model, psi0, config = _ENGINE_CASES["diss"]
+        pool_map, stages, raised_in = perturbation._pool_map, [], []
+
+        def failing_map(fn, units):
+            units, this = list(units), len(stages)
+            stages.append(this)
+
+            def task(unit):
+                if this == stage and unit is units[2]:
+                    raised_in.append(threading.current_thread())
+                    raise FloatingPointError("task failed")
+                return fn(unit)
+            return pool_map(task, units)
+
+        monkeypatch.setattr(perturbation, "_pool_map", failing_map)
+        call = {"general_filter": lambda: general_filter(model, psi0, np.linspace(-2.0, 4.0, 201),
+                                                         0.2, config),
+                "general_decay_factor": lambda: general_decay_factor(model, psi0, 0.2, config),
+                "second_order_block": lambda: second_order_block(model, psi0, 0.2)}
+        with pytest.raises(FloatingPointError, match="task failed"):
+            call[entry]()
+        assert len(raised_in) == 1 and raised_in[0] is not threading.current_thread()
+
+    def test_one_chunk_and_one_row_block_start_no_thread(self, monkeypatch):
+        # 2 panels, 400 nodes, and 3 frequencies in one row block: every task
+        # runs inline, and the pool is never asked for
+        def no_pool():
+            raise AssertionError("the pool was asked for")
+
+        monkeypatch.setattr(numerics, "_worker_pool", no_pool)
+        model, psi0, config = _ENGINE_CASES["diss"]
+        t = 0.05
+        assert perturbation._mesh(model, t, model.j.omega_max + model.omega_scale)[0].size == 400
+        threads = threading.active_count()
+        general_filter(model, psi0, np.array([-1.0, 0.5, 2.0]), t, config)
+        general_decay_factor(model, psi0, t, config)
+        second_order_block(model, psi0, t)
+        assert threading.active_count() == threads
