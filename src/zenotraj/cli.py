@@ -609,7 +609,7 @@ def emit(table, fmt="csv", path=None):
 
     The rows are written by one printf-style format over all values, the
     bytes of ``f"{v:.17g}"`` per CSV value and of ``json.dumps(..., indent=2)``
-    for JSON.
+    for JSON.  A ``path`` that cannot be written is a ConfigError (exit 2).
     """
     if fmt == "csv":
         lines = [f"# {key}={_format_metadata_value(table.metadata[key])}"
@@ -626,8 +626,11 @@ def emit(table, fmt="csv", path=None):
     else:
         raise ConfigError(f"unknown output format: '{fmt}'")
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     return text
 
 

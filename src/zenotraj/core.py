@@ -30,7 +30,6 @@ __all__ = [
     "Lorentzian",
     "Ohmic",
     "GaussianPeak",
-    "Tabulated",
     "QubitState",
     "r_factor",
     "binary_phases",
@@ -69,24 +68,19 @@ class SpectralDensity:
     Each family subclass supplies J as ``_shape(omega)``, which is only
     ever called on nodes in [0, omega_max], and a default ``omega_max``; the
     coupling strength is a parameter of each family (γ₀, η), so J → ε²J is
-    the same family with that parameter times ε².
+    the same family with that parameter times ε².  A custom J is such a
+    subclass too; it must be smooth on (0, omega_max), as no quadrature
+    splits its interval at a kink of J.
     """
 
     omega_max: float | None = None
 
     def _resolve(self, default_omega_max):
-        """Fill in the default omega_max and store scalar fields as floats."""
+        """Fill in the default omega_max and store the fields as floats."""
         if self.omega_max is None:
             object.__setattr__(self, "omega_max", default_omega_max)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, np.ndarray):
-                object.__setattr__(self, f.name, float(value))
-
-    @property
-    def breakpoints(self):
-        """Frequencies in (0, omega_max) where J has a kink: quadrature edges."""
-        return ()
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     # a family whose ``_shape`` rounds a Python float as it rounds an array sets
     # this, so QUADPACK's float nodes skip the ndarray round trip
@@ -187,34 +181,6 @@ class GaussianPeak(SpectralDensity):
     def _shape(self, omega):
         with np.errstate(over="ignore"):  # the square past 1e154 is inf, and e^{-inf} = 0
             return np.exp(-(omega - self.omega_m) ** 2 / self.delta)
-
-
-@dataclass(frozen=True)
-class Tabulated(SpectralDensity):
-    """Piecewise-linear J through (omega, values), zero beyond the table."""
-
-    omega: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if omega.ndim != 1 or omega.shape != values.shape or omega.size < 2:
-            raise ValueError("tabulated J needs matching 1-d omega/value arrays")
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("tabulated omega grid must be strictly increasing")
-        if np.any(values < 0):
-            raise ValueError("tabulated J must be non-negative")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", values)
-        self._resolve(omega[-1])
-
-    @property
-    def breakpoints(self):
-        return tuple(w for w in self.omega if 0.0 < w < self.omega_max)
-
-    def _shape(self, omega):
-        return np.interp(omega, self.omega, self.values, left=0.0, right=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ __all__ = [
 
 # below this many accumulated phase radians the plain adaptive rule (with
 # breakpoints at the half-periods) is still efficient; beyond it we switch
-# to fixed Gauss-Legendre panels between consecutive half-periods and J's kinks
+# to fixed Gauss-Legendre panels between consecutive half-periods
 _ADAPTIVE_PHASE_LIMIT = 64.0 * np.pi
 
 # points past this phase (about 1,500 Gauss-Legendre panels) go to the worker
@@ -153,8 +153,8 @@ def _bose_integrand(j, temperature, t):
     return h
 
 
-def _panel_edges(j, upper, t):
-    """0, the half-periods k*pi/t and J's kinks below ``upper``, and ``upper``.
+def _panel_edges(upper, t):
+    """0, the half-periods k*pi/t below ``upper``, and ``upper``.
 
     NumericError, before anything is allocated, past the size budget.
     """
@@ -163,15 +163,12 @@ def _panel_edges(j, upper, t):
     _check_size(count, _HALF_PERIOD_BYTES, f"half-periods at t = {float(t)!r}",
                 ("--tmax", "--omega-c"))
     n_half = math.floor(count)
-    edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
-    knots = [w for w in j.breakpoints if w < upper]
-    return np.union1d(edges, knots) if knots else edges
+    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [upper]))
 
 
-def _half_period_quad(h, j, upper, t, abs_tol):
-    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t and J's kinks."""
-    return integrate_adaptive(h, 0.0, upper, 1e-11, abs_tol,
-                              points=_panel_edges(j, upper, t)[1:-1])
+def _half_period_quad(h, upper, t, abs_tol):
+    """Adaptive quadrature of h over [0, upper] with breakpoints at k*pi/t."""
+    return integrate_adaptive(h, 0.0, upper, 1e-11, abs_tol, points=_panel_edges(upper, t)[1:-1])
 
 
 def _ohmic_zero_temperature(j, t):
@@ -243,7 +240,7 @@ def _ohmic_split(j, temperature, t):
         h(upper)  # w^s is largest at upper: it overflows there or nowhere
     except OverflowError:
         return None
-    return gamma0 + _half_period_quad(h, j, upper, t, 0.5 * tol)
+    return gamma0 + _half_period_quad(h, upper, t, 0.5 * tol)
 
 
 def dephasing_exponent(params, t):
@@ -252,7 +249,7 @@ def dephasing_exponent(params, t):
     Up to omega_max * t = 64 pi an Ohmic J takes ``_ohmic_split`` when its
     cut at omega_max is below tolerance; every other case integrates the
     full coth integrand, adaptively there and on fixed Gauss-Legendre
-    panels beyond, both split at the half-periods and at J's kinks.
+    panels beyond, both split at the half-periods.
     """
     _require_elapsed(t)
     if t == 0.0:
@@ -263,8 +260,8 @@ def dephasing_exponent(params, t):
     h = _thermal_integrand(j, t, coth)
     if float(omega_max) * float(t) <= _ADAPTIVE_PHASE_LIMIT:  # Python floats overflow silently
         split = _ohmic_split(j, temperature, t) if isinstance(j, Ohmic) else None
-        return split if split is not None else _half_period_quad(h, j, omega_max, t, 1e-13)
-    return gauss_legendre_panels(h, _panel_edges(j, omega_max, t))
+        return split if split is not None else _half_period_quad(h, omega_max, t, 1e-13)
+    return gauss_legendre_panels(h, _panel_edges(omega_max, t))
 
 
 def single_path_factor(gamma):

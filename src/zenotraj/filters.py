@@ -95,18 +95,15 @@ def decay_factor_overlap(j, f, peak):
 
     ``f`` is the filter as a function of w and ``peak`` its centre frequency
     (omega_q for ``filter_diss`` and ``filter_traditional_zeno``, 0 for
-    ``filter_deph``); a peak inside (0, omega_max) is a breakpoint next to
-    J's kinks.  The absolute tolerance is pinned to zero so that scaling the
-    filter by an exact constant scales the quadrature result by exactly that
-    constant (identical subdivision decisions), preserving e.g. the 1/N law
-    bitwise for power-of-two N.
+    ``filter_deph``); a peak inside (0, omega_max) is the one breakpoint.
+    The absolute tolerance is pinned to zero so that scaling the filter by an
+    exact constant scales the quadrature result by exactly that constant
+    (identical subdivision decisions), preserving e.g. the 1/N law bitwise
+    for power-of-two N.
     """
     integrand = lambda w: j(w) * f(w)
-    points = set(j.breakpoints)
-    if 0.0 < peak < j.omega_max:
-        points.add(peak)
-    out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0,
-                             points=sorted(points))
+    points = [peak] if 0.0 < peak < j.omega_max else []
+    out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0, points=points)
     return 0.0 if out < 0.0 else out
 
 

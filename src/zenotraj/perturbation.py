@@ -205,8 +205,8 @@ def _correlation(j, t, tau):
 
     Clenshaw's recurrence sums C's Chebyshev series at the lags in O(len(tau)) memory;
     its degree is the first n in _DEGREES whose last quarter of coefficients is below
-    _CORRELATION_TOL * max|C|.  One quad_vec call, with J's breakpoints, tabulates C at
-    the Chebyshev-Lobatto points of [0, t] of degree 4 n, which hold those of n to 4 n.
+    _CORRELATION_TOL * max|C|.  One quad_vec call tabulates C at the Chebyshev-Lobatto
+    points of [0, t] of degree 4 n, which hold those of n to 4 n.
     """
     from scipy import fft, integrate
 
@@ -217,7 +217,7 @@ def _correlation(j, t, tau):
             nodes = 0.5 * t * (1.0 + np.cos(np.pi * np.arange(size + 1) / size))
             table, err = integrate.quad_vec(lambda w: j(w) * np.exp(-1j * w * nodes), 0.0,
                                             j.omega_max, epsrel=_CORRELATION_TOL, norm="max",
-                                            limit=400, points=j.breakpoints)
+                                            limit=400)
             bound = _CORRELATION_TOL * np.max(np.abs(table))  # max|C| = C(0) as J >= 0
             if err > bound:
                 raise QuadratureError("C(tau) did not converge", estimate=table, error_bound=err)

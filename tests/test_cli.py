@@ -496,6 +496,18 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert json.loads(path.read_text())["metadata"]["scenario"] == "dicke"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_path_is_a_config_error(self, where, tmp_path, capsys):
+        # a missing parent directory or a directory in the file's place
+        path = tmp_path / "missing" / "table.csv" if where == "missing-dir" else tmp_path
+        assert main(["dicke", "--steps", "5", "--tmax", "1", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("zenotraj: configuration error: cannot write output file: ")
+        assert str(path) in err[0]
+
     def test_config_error_exit_code(self, capsys):
         assert main(["dicke", "--N", "4", "--n", "2"]) == 2
         assert "null" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from custom_density import SmoothDensity
 import dephasing_oracle
 from postselect_oracle import PathBlockMatrix, postselect_general, superpose_identical
 from zenotraj.core import (
@@ -19,7 +20,6 @@ from zenotraj.core import (
     Lorentzian,
     Ohmic,
     QubitState,
-    Tabulated,
     _PATH_BYTES,
     _binary_pair_sum,
     _finite_phases,
@@ -233,18 +233,6 @@ class TestSpectralDensity:
         assert j(4.5) == 0.0
         assert j(-1.0) == 0.0
 
-    def test_tabulated_interpolates(self):
-        j = Tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-        assert_allclose(j(0.5), 1.0)
-        assert j(3.0) == 0.0
-
-    def test_breakpoints_are_the_kinks_inside_the_support(self):
-        assert GaussianPeak(omega_m=1.5, delta=0.2).breakpoints == ()
-        assert Tabulated([0.0, 1.0, 2.0, 7.5], [0.0, 2.0, 0.5, 0.0]).breakpoints == (1.0, 2.0)
-        # J steps up at a first knot above 0, and the cut drops the knot past it
-        j = Tabulated([0.5, 1.0, 2.0], [1.0, 2.0, 0.5], omega_max=1.5)
-        assert j.breakpoints == (0.5, 1.0)
-
     def test_vectorized_evaluation(self):
         j = GaussianPeak(omega_m=1.0, delta=0.5)
         grid = np.array([0.5, 1.0, 1.5])
@@ -253,8 +241,6 @@ class TestSpectralDensity:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             Ohmic(eta=-1.0, s=1.0, omega_c=1.0)
-        with pytest.raises(ValueError):
-            Tabulated([0.0, 1.0], [1.0, -1.0])
 
 
 def _frozen(values):
@@ -275,7 +261,8 @@ _FAMILIES = {
     "lorentzian": Lorentzian(gamma0=1.0, lam=0.1, omega_q=50.0),
     "lorentzian-gamma4": Lorentzian(gamma0=4.0, lam=2.0, omega_q=1.0),
     "gaussian": GaussianPeak(omega_m=1.5, delta=0.2),
-    "tabulated": Tabulated([0.0, 1.0, 2.0, 7.5], [0.0, 2.0, 0.5, 0.0]),
+    # a custom J: the base class as the extension point
+    "custom": SmoothDensity(eta=2.0, omega_c=2.0),
 }
 
 

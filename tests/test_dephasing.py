@@ -26,7 +26,6 @@ from zenotraj.core import (
     Lorentzian,
     Ohmic,
     QubitState,
-    Tabulated,
     normalize,
     r_factor,
     trace_distance,
@@ -45,6 +44,7 @@ from zenotraj.dephasing import (
 from zenotraj.errors import NumericError
 from zenotraj.numerics import Series, TimeGrid
 
+from custom_density import SmoothDensity
 import dephasing_oracle
 from dephasing_oracle import bose_integrand, oracle_exponent
 
@@ -158,47 +158,11 @@ class TestDephasingExponent:
         g = dephasing_exponent(DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
         assert np.isfinite(g) and g > 0
 
-    def test_tabulated_knots_are_quadrature_breakpoints(self):
-        # the 15 interior kinks of a piecewise-linear J stalled QUADPACK at an
-        # error bound of 1.3e-6 until they became breakpoints
-        t = 31.5 / 8.0
-        g = dephasing_exponent(DephasingParams(TABULATED, 0.0), t)
-        assert g == pytest.approx(_tabulated_reference(t), rel=1e-14)
-        assert g == pytest.approx(7.931971567560654, rel=1e-14)
-
-    @pytest.mark.parametrize("phase", [250.0, 400.0])
-    def test_tabulated_knots_are_panel_edges(self, phase):
-        # past omega_max t = 64 pi; with the kinks inside half-period
-        # Gauss-Legendre panels the exponent was 7.3e-7 off at phase 250
-        t = phase / 8.0
-        g = dephasing_exponent(DephasingParams(TABULATED, 0.0), t)
-        assert g == pytest.approx(_tabulated_reference(t), rel=1e-14)
-
     def test_negative_time_and_temperature_rejected(self, ohmic1):
         with pytest.raises(ValueError):
             dephasing_exponent(ohmic1, -0.1)
         with pytest.raises(ValueError):
             DephasingParams(Ohmic(1.0, 1.0, 1.0), -0.5)
-
-
-_KNOTS = np.linspace(0.0, 8.0, 17)
-TABULATED = Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS))
-
-
-def _tabulated_reference(t):
-    """mpmath T = 0 exponent of ``TABULATED``, split at its knots and the half-periods."""
-    with mpmath.workdps(20):
-        knots = [mpmath.mpf(x) for x in _KNOTS]
-        vals = [mpmath.mpf(float(v)) for v in TABULATED.values]
-
-        def h(x):
-            i = min(int(2 * x), 15)
-            slope = (vals[i + 1] - vals[i]) / (knots[i + 1] - knots[i])
-            return 4 * (vals[i] + slope * (x - knots[i])) * (1 - mpmath.cos(x * t)) / x**2
-
-        n_half = int(knots[-1] * t / mpmath.pi)
-        edges = sorted(set(knots) | {mpmath.pi * k / t for k in range(1, n_half + 1)})
-        return float(mpmath.quad(h, edges))
 
 
 def _mpmath_closed_form(eta, s, u):
@@ -576,12 +540,11 @@ def _assert_same_bytes(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _panel_edges(omega_max, t, knots=()):
-    """The panel edges of ``dephasing_exponent`` past the switch: half-periods and J's knots."""
+def _panel_edges(omega_max, t):
+    """The panel edges of ``dephasing_exponent`` past the switch: the half-periods."""
     half_period = np.pi / t
     n_half = int(np.floor(omega_max / half_period - 1e-12))
-    edges = np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
-    return np.union1d(edges, knots) if knots else edges
+    return np.concatenate(([0.0], half_period * np.arange(1, n_half + 1), [omega_max]))
 
 
 def _panel_nodes(omega_max, t):
@@ -599,14 +562,14 @@ def test_panel_edges_refuse_a_count_past_the_budget(workers, offset, refused, mo
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     unit = dephasing._HALF_PERIOD_BYTES
     half_periods = numerics._SIZE_BUDGET // unit + offset
-    j, t = Ohmic(1.0 / 3.0, 1.0, 1.0), 1.0
+    t = 1.0
     upper = half_periods * np.pi / t
     if refused:
         with pytest.raises(NumericError, match=f"half-periods at t = 1.0, {unit:,} bytes each, "
                                                "exceed the size budget of 1,073,741,824 bytes"):
-            dephasing._panel_edges(j, upper, t)
+            dephasing._panel_edges(upper, t)
     else:
-        assert dephasing._panel_edges(j, upper, t).size == math.floor(half_periods) + 2
+        assert dephasing._panel_edges(upper, t).size == math.floor(half_periods) + 2
 
 
 def _integrand(j, t, temperature):
@@ -625,7 +588,8 @@ J_FAMILIES = {
     "ohmic-log-space-s170": Ohmic(1e-300, 170.0, 10.0),
     "lorentzian": Lorentzian(1.0, 0.5, 20.0),
     "gaussian": GaussianPeak(12.0, 4.0),
-    "tabulated": Tabulated(np.linspace(0.0, 50.0, 101), np.linspace(0.0, 50.0, 101) ** 1.5),
+    # a custom J: the base class as the extension point
+    "custom": SmoothDensity(eta=ETA, omega_c=10.0),
 }
 
 
@@ -675,7 +639,7 @@ class TestInPlaceIntegrand:
 
     @pytest.mark.parametrize("temperature", [0.0, 0.4])
     @pytest.mark.parametrize("family", ["ohmic-s4", "ohmic-s1.7", "lorentzian",
-                                        "tabulated"])
+                                        "custom"])
     def test_python_float_and_0d_inputs(self, family, temperature):
         j = J_FAMILIES[family]
         h = _integrand(j, 0.5, temperature)
@@ -697,7 +661,7 @@ class TestInPlaceIntegrand:
     def test_panel_sum_is_the_oracle_sum(self, family, temperature):
         j = J_FAMILIES[family]
         t = 130.0
-        edges = _panel_edges(j.omega_max, t, j.breakpoints)
+        edges = _panel_edges(j.omega_max, t)
         x, weights = numerics._legendre_rule(numerics._GL_ORDER)
         nodes = dephasing_oracle.gauss_legendre_nodes(edges, x)
         vals = dephasing_oracle.thermal_integrand(j, t, temperature, nodes.ravel())

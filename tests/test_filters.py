@@ -5,13 +5,15 @@ integral Si for the traditional filter's spectral sum rule, and the exact
 memory-kernel dynamics for the perturbative-consistency contract.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.special import sici
 
 from zenotraj.cli import _SCENARIO_DEFAULTS, parse_config, run
-from zenotraj.core import GaussianPeak, Lorentzian, Ohmic, Tabulated
+from zenotraj.core import GaussianPeak, Lorentzian, Ohmic, SpectralDensity
 from zenotraj.errors import NumericError
 from zenotraj.filters import (
     decay_factor_overlap,
@@ -112,9 +114,20 @@ def _diss(t, n_paths, n_shifts, omega_q):
     return lambda w: filter_diss(w, t, n_paths, n_shifts, omega_q)
 
 
+@dataclass(frozen=True)
+class _ZeroDensity(SpectralDensity):
+    """J = 0 on [0, 2]."""
+
+    def __post_init__(self):
+        self._resolve(2.0)
+
+    def _shape(self, omega):
+        return np.zeros_like(omega)
+
+
 class TestOverlap:
     def test_zero_density(self):
-        j = Tabulated([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        j = _ZeroDensity()
         assert decay_factor_overlap(j, _diss(2.0, 1, 0, 1.0), 1.0) == 0.0
 
     def test_gaussian_peak_against_simpson(self):
@@ -124,17 +137,6 @@ class TestOverlap:
         oracle = simpson(j(w) * filter_diss(w, 3.0, 1, 0, 1.0), x=w)
         assert val == pytest.approx(oracle, rel=1e-8)
         assert val == pytest.approx(5.596336455628841, rel=1e-12)
-
-    def test_tabulated_knots_are_quadrature_breakpoints(self):
-        # the kinks at 2, 4 and 6 stalled QUADPACK at an error bound of 5.9e-9
-        # until they became breakpoints
-        knots = np.linspace(0.0, 8.0, 5)
-        j = Tabulated(knots, knots * np.exp(-0.5 * knots))
-        val = decay_factor_overlap(j, _diss(2.0, 3, 1, 1.5), 1.5)
-        w = np.linspace(0.0, 8.0, 1_000_001)
-        oracle = simpson(j(w) * filter_diss(w, 2.0, 3, 1, 1.5), x=w)
-        assert val == pytest.approx(oracle, rel=1e-8)
-        assert val == pytest.approx(15.92042262576936, rel=1e-12)
 
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
         j = GaussianPeak(1.5, 0.2)
@@ -155,7 +157,7 @@ class TestOverlap:
     def test_peak_outside_the_support_is_no_breakpoint(self, peak):
         # omega_max = 9 for this J: a peak at or past an end integrates as the
         # deph filter's peak at 0 does, to the bit
-        j = Tabulated([0.0, 2.0, 9.0], [0.0, 1.0, 0.5])
+        j = GaussianPeak(2.0, 1.0, omega_max=9.0)
         f = _diss(2.0, 3, 1, 1.5)
         assert decay_factor_overlap(j, f, peak) == decay_factor_overlap(j, f, 0.0)
 

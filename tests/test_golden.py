@@ -20,7 +20,7 @@ import pytest
 
 from zenotraj import cli, dephasing
 from zenotraj.cli import emit, parse_config, run
-from zenotraj.core import GaussianPeak, Lorentzian, Tabulated
+from zenotraj.core import GaussianPeak, Lorentzian
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.filters import decay_factor_overlap, filter_deph, filter_diss
 
@@ -185,14 +185,13 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
 
 # Library routes no table above reaches: the full-integrand QUADPACK route
 # of the dephasing exponent for non-Ohmic J (omega_max * t = 2.5 has no
-# interior half-period breakpoint, 31.5 has ten; the table adds its knots 2,
-# 4 and 6 to both) and the filter overlap integral, pinned as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near w = 0, so its
-# thermal integrand stays finite there; a Lorentzian's does not (J(0) > 0).
-_KNOTS = np.linspace(0.0, 8.0, 5)
+# interior half-period breakpoint, 31.5 has ten) and the filter overlap
+# integral, pinned as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near
+# w = 0, so its thermal integrand stays finite there; a Lorentzian's does not
+# (J(0) > 0).
 PIN_DENSITIES = {
     "gaussian": GaussianPeak(4.0, 0.02),
     "lorentzian": Lorentzian(1.0, 0.3, 1.5),
-    "tabulated": Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS)),
 }
 EXPONENT_PINS = (
     ("gaussian", 0.0, 2.5, "0x1.2fbcc49bbbb38p-4"),
@@ -201,14 +200,9 @@ EXPONENT_PINS = (
     ("gaussian", 0.3, 31.5, "0x1.dcc6495dac09ap-4"),
     ("lorentzian", 0.0, 2.5, "0x1.a09462b82a870p-8"),
     ("lorentzian", 0.0, 31.5, "0x1.dba35b5aae65ap-2"),
-    ("tabulated", 0.0, 2.5, "0x1.21755965929b6p-1"),
-    ("tabulated", 0.0, 31.5, "0x1.2e16c122ebe63p+2"),
-    ("tabulated", 0.3, 2.5, "0x1.2c4f39bc4e9bep-1"),
-    ("tabulated", 0.3, 31.5, "0x1.cebe9cedfc958p+2"),
 )
 # the filter of each kind at t=2, omega_q=1.5, N=3, n=1, with its peak: the
-# deph filter's at 0 is no breakpoint, the diss filter's at omega_q is one;
-# the table adds its knots
+# deph filter's at 0 is no breakpoint, the diss filter's at omega_q is one
 PIN_FILTERS = {"deph": (lambda w: filter_deph(w, 2.0, 3, 1), 0.0),
                "diss": (lambda w: filter_diss(w, 2.0, 3, 1, 1.5), 1.5)}
 OVERLAP_PINS = (
@@ -216,7 +210,6 @@ OVERLAP_PINS = (
     ("gaussian", "diss", "0x1.6d06e8636510ap-3"),
     ("lorentzian", "deph", "0x1.6e58491e5780ap-3"),
     ("lorentzian", "diss", "0x1.79c9d239b11d5p+0"),
-    ("tabulated", "diss", "0x1.fd741a2685b0fp+3"),
 )
 
 

@@ -15,12 +15,14 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(zenotraj.__path__
 LIBRARY = [name for name in SUBMODULES if name != "cli"]
 
 # names that left the package: test-only helpers that live in tests/ as
-# oracles, InterferometerConfig, whose phase profile is its phase vector, and
-# FilterSpec, whose filter is the filter function its caller names
+# oracles, InterferometerConfig, whose phase profile is its phase vector,
+# FilterSpec, whose filter is the filter function its caller names, and
+# Tabulated, a family outside the paper's three (a custom J subclasses
+# SpectralDensity)
 MOVED = ("PathBlockMatrix", "postselect_general", "superpose_identical",
          "lorentzian_kernel_closed", "Geometry", "ControlQubitState",
          "dicke_rates_two_atom", "qd_for_collective_factor", "InterferometerConfig",
-         "FilterSpec")
+         "FilterSpec", "Tabulated")
 
 
 def test_package_all_resolves():
@@ -43,7 +45,7 @@ def test_package_all_is_the_union_of_the_submodule_lists():
                            "QuadratureError", "NullOutcome"}
     assert len(set(declared)) == len(declared)  # no name declared twice
     assert sorted(zenotraj.__all__) == sorted(["__version__", *declared])
-    assert len(zenotraj.__all__) <= 60
+    assert len(zenotraj.__all__) <= 59
 
 
 @pytest.mark.parametrize("name", MOVED)
@@ -57,13 +59,21 @@ def test_rate_matrix_has_only_the_factor_constructor():
     assert not hasattr(zenotraj.CollectiveRateMatrix, "from_geometry")
 
 
-@pytest.mark.parametrize("name", ["SpectralDensity", "Lorentzian", "Ohmic", "GaussianPeak",
-                                  "Tabulated"])
+@pytest.mark.parametrize("name", ["SpectralDensity", "Lorentzian", "Ohmic", "GaussianPeak"])
 def test_coupling_strength_is_a_family_parameter(name):
     # J -> eps^2 J is the family with gamma0 or eta times eps^2: no second knob
     family = getattr(zenotraj, name)
     assert "scale" not in [f.name for f in dataclasses.fields(family)]
     assert not hasattr(family, "scaled")
+
+
+def test_no_family_carries_breakpoints():
+    # each family is smooth on (0, omega_max): no quadrature splits at a kink of J
+    families = [cls for cls in zenotraj.SpectralDensity.__subclasses__()
+                if cls.__module__.startswith("zenotraj.")]
+    assert {cls.__name__ for cls in families} == {"Lorentzian", "Ohmic", "GaussianPeak"}
+    for cls in [zenotraj.SpectralDensity, *families]:
+        assert not hasattr(cls, "breakpoints"), cls.__name__
 
 
 def test_coupling_model_holds_one_bath():
@@ -100,4 +110,4 @@ def test_settable_values_of_the_public_callables_are_bounded():
     counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
               if callable(getattr(zenotraj, name))}
     assert counts["TimeGrid"] == 2 and counts["QubitState"] == 2
-    assert sum(counts.values()) <= 39
+    assert sum(counts.values()) <= 36

@@ -17,7 +17,6 @@ from zenotraj.core import (
     Lorentzian,
     Ohmic,
     QubitState,
-    Tabulated,
     binary_phases,
     phase_pair_sum,
 )
@@ -38,6 +37,7 @@ from zenotraj.perturbation import (
     second_order_block,
 )
 
+from custom_density import SmoothDensity
 from perturbation_oracle import every_node_operators, oracle_block, oracle_decay_factor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -408,16 +408,15 @@ class TestGeneralDecayFactor:
             general_decay_factor(model, QubitState.excited(), -0.4, binary_phases(1, 0))
 
 
-_KNOTS = np.linspace(0.0, 8.0, 5)
 # line shapes wide and narrow, Ohmic with and without a sqrt(w) edge, a
-# narrow Gaussian peak and the kinks of a piecewise-linear table
+# narrow Gaussian peak and a custom J on the base class
 _ORACLE_DENSITIES = {
     "lorentzian": LORENTZIAN,
     "narrow-line": Lorentzian(gamma0=1.0, lam=0.1, omega_q=50.0),
     "ohmic-s1": OHMIC,
     "ohmic-s0.5": Ohmic(eta=1.0 / 3.0, s=0.5, omega_c=1.0),
     "gaussian": GaussianPeak(4.0, 0.02),
-    "tabulated": Tabulated(_KNOTS, _KNOTS * np.exp(-0.5 * _KNOTS)),
+    "custom": SmoothDensity(eta=1.0, omega_c=2.0, omega_max=8.0),
 }
 # (coupling model factory, initial state, post-selection)
 _ORACLE_MODELS = {
@@ -601,12 +600,12 @@ class TestRowBlockedContraction:
         assert peak < 1e6
 
 
-def _engine_bytes(name, omega):
+def _engine_bytes(name, omega, t=0.2):
     """general_filter, general_decay_factor and second_order_block of an engine case, as bytes."""
     model, psi0, config = _ENGINE_CASES[name]
-    return (general_filter(model, psi0, omega, 0.2, config).tobytes(),
-            np.float64(general_decay_factor(model, psi0, 0.2, config)).tobytes(),
-            second_order_block(model, psi0, 0.2).tobytes())
+    return (general_filter(model, psi0, omega, t, config).tobytes(),
+            np.float64(general_decay_factor(model, psi0, t, config)).tobytes(),
+            second_order_block(model, psi0, t).tobytes())
 
 
 class TestEnginePool:
@@ -614,18 +613,21 @@ class TestEnginePool:
     task writing its own slice, to the bits of running them in turn."""
 
     # nodes per chunk as in TestRowBlockedContraction; 201 frequencies make
-    # 67 and 21 row blocks
+    # 67 and 21 row blocks.  One-node chunks make every node a pool task, so
+    # they run on the 2-panel mesh of t = 0.05 (400 nodes), the others on
+    # t = 0.2's (4,900 and 1,600 nodes)
     @pytest.mark.parametrize("chunk", [1, 7, None, 10**9])
     @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
     def test_bits_do_not_depend_on_the_pool(self, name, chunk, monkeypatch, pool_of):
         if chunk is not None:
             monkeypatch.setattr(perturbation, "_NODE_CHUNK", chunk)
         omega = np.linspace(-2.0, 4.0, 201)
+        t = 0.05 if chunk == 1 else 0.2
         pool_of(None)
-        inline = _engine_bytes(name, omega)
+        inline = _engine_bytes(name, omega, t)
         for workers in (1, 3):
             pool_of(workers)
-            assert _engine_bytes(name, omega) == inline
+            assert _engine_bytes(name, omega, t) == inline
 
     def test_disjoint_slices_hold_under_thread_switching(self, monkeypatch, pool_of):
         # more workers than cores, 7-node chunks and a thread switch every
