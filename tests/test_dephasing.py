@@ -158,11 +158,41 @@ class TestDephasingExponent:
         g = dephasing_exponent(DephasingParams(Ohmic(1.0, 0.5, 1.0), 0.0), 1.0)
         assert np.isfinite(g) and g > 0
 
+    def test_custom_density_on_the_quadpack_route(self):
+        # omega_max * t = 31.5: adaptive quadrature split at ten half-periods
+        t = 31.5 / CUSTOM.omega_max
+        g = dephasing_exponent(DephasingParams(CUSTOM, 0.0), t)
+        assert g == pytest.approx(_custom_reference(t), rel=1e-14)
+
+    @pytest.mark.parametrize("phase", [250.0, 400.0])
+    def test_custom_density_on_the_panels(self, phase):
+        # past omega_max t = 64 pi: Gauss-Legendre panels on the half-periods
+        t = phase / CUSTOM.omega_max
+        g = dephasing_exponent(DephasingParams(CUSTOM, 0.0), t)
+        assert g == pytest.approx(_custom_reference(t), rel=1e-14)
+
     def test_negative_time_and_temperature_rejected(self, ohmic1):
         with pytest.raises(ValueError):
             dephasing_exponent(ohmic1, -0.1)
         with pytest.raises(ValueError):
             DephasingParams(Ohmic(1.0, 1.0, 1.0), -0.5)
+
+
+CUSTOM = SmoothDensity(eta=2.0, omega_c=2.0)
+
+
+def _custom_reference(t):
+    """mpmath T = 0 exponent of ``CUSTOM``, split at the half-periods."""
+    with mpmath.workdps(25):
+        eta, omega_c, t = (mpmath.mpf(x) for x in (CUSTOM.eta, CUSTOM.omega_c, t))
+
+        def h(x):
+            return 4 * eta / (1 + x * x) * mpmath.exp(-x / omega_c) * (1 - mpmath.cos(x * t))
+
+        upper = mpmath.mpf(CUSTOM.omega_max)
+        n_half = int(upper * t / mpmath.pi)
+        edges = [0] + [mpmath.pi * k / t for k in range(1, n_half + 1)] + [upper]
+        return float(mpmath.quad(h, edges))
 
 
 def _mpmath_closed_form(eta, s, u):

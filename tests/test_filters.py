@@ -26,6 +26,8 @@ from zenotraj.filters import (
 )
 from zenotraj.numerics import gauss_legendre_panels
 
+from custom_density import SmoothDensity
+
 
 class TestSinc:
     def test_basic_values(self):
@@ -137,6 +139,16 @@ class TestOverlap:
         oracle = simpson(j(w) * filter_diss(w, 3.0, 1, 0, 1.0), x=w)
         assert val == pytest.approx(oracle, rel=1e-8)
         assert val == pytest.approx(5.596336455628841, rel=1e-12)
+
+    def test_custom_density_against_simpson(self):
+        # a custom J is smooth on (0, omega_max): the diss filter's peak is
+        # the overlap's one breakpoint
+        j = SmoothDensity(eta=2.0, omega_c=2.0)
+        val = decay_factor_overlap(j, _diss(2.0, 3, 1, 1.5), 1.5)
+        w = np.linspace(0.0, j.omega_max, 1_000_001)
+        oracle = simpson(j(w) * filter_diss(w, 2.0, 3, 1, 1.5), x=w)
+        assert val == pytest.approx(oracle, rel=1e-8)
+        assert val == pytest.approx(15.582749117004616, rel=1e-12)
 
     def test_one_over_n_scaling_bitwise_for_powers_of_two(self):
         j = GaussianPeak(1.5, 0.2)

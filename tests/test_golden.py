@@ -24,6 +24,7 @@ from zenotraj.core import GaussianPeak, Lorentzian
 from zenotraj.dephasing import DephasingParams, dephasing_exponent
 from zenotraj.filters import decay_factor_overlap, filter_deph, filter_diss
 
+from custom_density import SmoothDensity
 from dephasing_oracle import oracle_exponent
 
 GOLDEN = (
@@ -188,10 +189,11 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
 # interior half-period breakpoint, 31.5 has ten) and the filter overlap
 # integral, pinned as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near
 # w = 0, so its thermal integrand stays finite there; a Lorentzian's does not
-# (J(0) > 0).
+# (J(0) > 0).  The custom J, a SpectralDensity subclass, vanishes as w^2.
 PIN_DENSITIES = {
     "gaussian": GaussianPeak(4.0, 0.02),
     "lorentzian": Lorentzian(1.0, 0.3, 1.5),
+    "custom": SmoothDensity(eta=2.0, omega_c=2.0),
 }
 EXPONENT_PINS = (
     ("gaussian", 0.0, 2.5, "0x1.2fbcc49bbbb38p-4"),
@@ -200,6 +202,10 @@ EXPONENT_PINS = (
     ("gaussian", 0.3, 31.5, "0x1.dcc6495dac09ap-4"),
     ("lorentzian", 0.0, 2.5, "0x1.a09462b82a870p-8"),
     ("lorentzian", 0.0, 31.5, "0x1.dba35b5aae65ap-2"),
+    ("custom", 0.0, 2.5, "0x1.745f53c95a103p-7"),
+    ("custom", 0.0, 31.5, "0x1.51ef6bf0e5bc1p+0"),
+    ("custom", 0.3, 2.5, "0x1.88ca6bdce4b18p-7"),
+    ("custom", 0.3, 31.5, "0x1.6ae7db335f744p+0"),
 )
 # the filter of each kind at t=2, omega_q=1.5, N=3, n=1, with its peak: the
 # deph filter's at 0 is no breakpoint, the diss filter's at omega_q is one
@@ -210,6 +216,8 @@ OVERLAP_PINS = (
     ("gaussian", "diss", "0x1.6d06e8636510ap-3"),
     ("lorentzian", "deph", "0x1.6e58491e5780ap-3"),
     ("lorentzian", "diss", "0x1.79c9d239b11d5p+0"),
+    ("custom", "deph", "0x1.c8d039d83e077p+0"),
+    ("custom", "diss", "0x1.f2a5e179e9d8bp+3"),
 )
 
 
