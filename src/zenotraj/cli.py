@@ -150,7 +150,7 @@ _RK4_ERROR_TOL = 4e-7
 class RunConfig:
     """Fully resolved, validated run description.
 
-    Construction checks ``params`` and builds the run's library objects into
+    Construction checks ``params`` and ``out`` and builds the run's library objects into
     ``inputs``, once: a library refusal is ConfigError (exit 2), a size refusal NumericError (3).
     """
 
@@ -169,6 +169,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         except NumericError as exc:  # a size refusal reads as it does at run time
             raise self._scoped(exc)
+        if self.out is not None:
+            _check_out(self.out)
         object.__setattr__(self, "inputs", inputs)
 
     def _scoped(self, exc):
@@ -190,6 +192,19 @@ class ResultTable:
             raise ValueError("values must be rectangular with one column per name")
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "values", vals)
+
+
+def _check_out(path):
+    """ConfigError unless the file ``path`` can be written; creates and truncates nothing."""
+    import errno
+    import os
+
+    parent = os.path.dirname(path) or os.curdir
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+            else None if os.access(path if os.path.exists(path) else parent, os.W_OK)
+            else errno.EACCES)
+    if code is not None:
+        raise ConfigError(f"cannot write output file: {OSError(code, os.strerror(code), path)}")
 
 
 def _declared(scenario):

@@ -5,17 +5,17 @@ A_alpha together with a constant table c_ab of stationary bath correlations,
 
   C_ab(t1, t2) = c_ab C(t1 - t2),   C(tau) = int dw J(w) e^{-iw tau}.
 
-From these the engine produces
-
-  * the second-order correction block of the per-path density matrix,
-  * the general filter function F(w, t, N, phases) whose overlap with J
-    gives the post-selected decay factor, and
-  * that decay factor itself.
-
-Every path couples to one bath, of spectral density J, so the block and the
-decay factor read one Chebyshev table of C(tau).  Factories give the two paper
-models: the energy-exchange coupling reproduces the sinc^2 filter exactly, the
-pure-dephasing coupling the (1 - cos wt)/w^2 shape up to an overall constant.
+From these the engine produces the second-order correction block of the
+per-path density matrix, the general filter F(w, t, N, phases) whose overlap
+with J gives the post-selected decay factor, and that decay factor.  In h_q's
+eigenbasis each A_a(t) = sum_nu A_{a,nu} e^{i nu t} splits into Bohr parts, so
+the block and the decay factor need only the pair weights
+I[nu, mu] = int_0^t C(tau) e^{i nu tau} (t - tau) phi1(i(nu + mu)(t - tau)) dtau,
+phi1(z) = (e^z - 1)/z, on one Gauss-Legendre rule that reads C at its nodes;
+the filter contracts its frequencies with a (t1, t2) mesh.  Every path couples
+to one bath J.  Factories give the two paper models: the energy-exchange
+coupling reproduces the sinc^2 filter exactly, the pure-dephasing coupling
+the (1 - cos wt)/w^2 shape up to an overall constant.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PHASE_BLOCK_BYTES = 256 * 2**10
 # mesh nodes per chunk of rotated operators
 _NODE_CHUNK = 1024
-_CORRELATION_TOL = 1e-12  # relative: the C(tau) table's frequency integral and Chebyshev tail
-_DEGREES = tuple(16 * 2**k for k in range(9))  # Chebyshev degrees tried, up to the cap 4096
-# traced bytes per (t1, t2) mesh node: the largest of the three engine entries at
-# 28,900, 240,100 and 960,400 nodes (general_decay_factor 152-157, general_filter
-# 120-125, second_order_block 104-115)
+_CORRELATION_TOL = 1e-12  # relative to max|C|: C(tau)'s frequency integral
+# traced bytes per (t1, t2) mesh node of general_filter, the mesh's one user: it takes at
+# most 125, and 157 leaves every refusal where it was
 _NODE_BYTES = 157
+# traced bytes per tau node, most where quad_vec reaches its interval limit (10,742 at t = 34)
+_TAU_BYTES = 11_000
 _J_KEYS = ("--t", "--lambda", "--omega-q")  # the options that set t and J's omega_max
 
 
@@ -109,7 +109,7 @@ def dephasing_coupling_model(j):
     """Pure-dephasing coupling A = sigma_z with the vacuum correlation c = 1.
 
     sigma_z commutes with the qubit Hamiltonian, so the model takes h_q = 0:
-    a splitting would only refine the (t1, t2) mesh.
+    a splitting would only refine the tau rule and the (t1, t2) mesh.
     """
     return CouplingModel(np.zeros((2, 2)), (_SZ,), [[1.0]], j)
 
@@ -155,28 +155,6 @@ def _mesh(model, t, nu, keys=_J_KEYS):
     return tau, W, t1, T2.ravel()
 
 
-def _node_operators(model, t1, t2):
-    """The mesh's chunks of ``_NODE_CHUNK`` nodes and their operators.
-
-    Returns the chunks, as slices of the flat mesh, and a function of a
-    chunk that gives (A_alpha(t1), A_alpha(t2)) at its nodes, stacks of
-    shape (n_ops, len, 2, 2).  h_q is diagonalised once, and each distinct
-    t1 is rotated once and indexed: a rotation depends on its time alone, so
-    the bits are those of rotating every node's t1.
-    """
-    eig = np.linalg.eigh(model.h_q)
-    a1 = _rotated_operators(model, t1, eig)
-    inner = t2.size // t1.size
-
-    def operators(nodes):
-        return (a1[:, np.arange(nodes.start, nodes.stop) // inner],
-                _rotated_operators(model, t2[nodes], eig))
-
-    chunks = [slice(start, min(start + _NODE_CHUNK, t2.size))
-              for start in range(0, t2.size, _NODE_CHUNK)]
-    return chunks, operators
-
-
 def _contract(omega, tau, weighted):
     """sum_ab e^{-i omega tau} @ weighted[a, b], one row per omega.
 
@@ -200,32 +178,41 @@ def _contract(omega, tau, weighted):
     return out
 
 
-def _correlation(j, t, tau):
-    """C(tau) = int_0^{omega_max} dw J(w) e^{-iw tau} at the lags ``tau`` in [0, t].
+def _correlation(j, tau):
+    """C(tau) = int_0^{omega_max} dw J(w) e^{-iw tau} at the lags ``tau`` by one quad_vec
+    call; QuadratureError unless its error estimate is below _CORRELATION_TOL * max|C|."""
+    from scipy import integrate
 
-    Clenshaw's recurrence sums C's Chebyshev series at the lags in O(len(tau)) memory;
-    its degree is the first n in _DEGREES whose last quarter of coefficients is below
-    _CORRELATION_TOL * max|C|.  One quad_vec call tabulates C at the Chebyshev-Lobatto
-    points of [0, t] of degree 4 n, which hold those of n to 4 n.
-    """
-    from scipy import fft, integrate
+    value, err = integrate.quad_vec(lambda w: j(w) * np.exp(-1j * w * tau), 0.0, j.omega_max,
+                                    epsrel=_CORRELATION_TOL, norm="max", limit=400)
+    if err > _CORRELATION_TOL * np.max(np.abs(value)):
+        raise QuadratureError("C(tau) did not converge", estimate=value, error_bound=err)
+    return value
 
-    size = 0
-    for n in _DEGREES:
-        if n > size:
-            size = min(4 * n, _DEGREES[-1])
-            nodes = 0.5 * t * (1.0 + np.cos(np.pi * np.arange(size + 1) / size))
-            table, err = integrate.quad_vec(lambda w: j(w) * np.exp(-1j * w * nodes), 0.0,
-                                            j.omega_max, epsrel=_CORRELATION_TOL, norm="max",
-                                            limit=400)
-            bound = _CORRELATION_TOL * np.max(np.abs(table))  # max|C| = C(0) as J >= 0
-            if err > bound:
-                raise QuadratureError("C(tau) did not converge", estimate=table, error_bound=err)
-        coef = fft.dct(table[::size // n], type=1) / n
-        coef[[0, n]] *= 0.5
-        if np.max(np.abs(coef[3 * n // 4:])) <= bound:
-            return np.polynomial.chebyshev.chebval(2.0 * tau / t - 1.0, coef)
-    raise QuadratureError("C(tau) needs a Chebyshev degree above the cap", estimate=table)
+
+def _bohr_weights(model, t):
+    """Bohr parts A_{a,nu} = P_i A_a P_j (h_q = sum_i d_i P_i, nu = d_i - d_j) as an (n_ops,
+    n_nu, 2, 2) stack, and their pair weights I[nu, mu] at time t, on one order-10 GL rule of
+    half-period panels of omega_scale + max(omega_max, omega_scale): phi1 oscillates at up to
+    twice the splitting.  ValueError for t < 0; NumericError, before it allocates, past the
+    size budget."""
+    _require_elapsed(t)
+    rate = model.omega_scale + max(model.j.omega_max, model.omega_scale)
+    n_pan = float(max(np.ceil(rate * float(t) / np.pi), 2.0))  # inf past float range
+    _check_size(10.0 * n_pan, _TAU_BYTES, "tau nodes", _J_KEYS)
+    tau, half, w = panel_nodes(np.linspace(0.0, t, int(n_pan) + 1))
+    tau = tau.ravel()
+    kernel = (half[:, None] * w).ravel() * _correlation(model.j, tau)
+    d, u = np.linalg.eigh(model.h_q)
+    parts = np.einsum("ik,jk,ajl,lm,rm->akmir", u, u.conj(), model.operators, u, u.conj())
+    nu = np.subtract.outer(d, d).ravel()
+
+    def ramp(sigma):  # int_0^{t - tau} e^{i sigma x} dx = (t - tau) phi1(i sigma (t - tau))
+        return t - tau if sigma == 0.0 else np.expm1(1j * sigma * (t - tau)) / (1j * sigma)
+
+    weights = np.array([[np.dot(kernel * np.exp(1j * n * tau), ramp(n + m)) for m in nu]
+                        for n in nu])
+    return parts.reshape(len(model.operators), nu.size, 2, 2), weights
 
 
 def second_order_block(model, rho0, t):
@@ -234,29 +221,16 @@ def second_order_block(model, rho0, t):
     sum_{ab} int_0^t dt1 int_0^{t1} dt2 C_{ab}(t1,t2)
         [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]  + h.c.
 
-    The double time integral runs on a phase-resolved Gauss-Legendre mesh
-    whose nodes read C(t1 - t2) from one ``_correlation`` table.  Off-diagonal
-    path blocks vanish under the declared zero-first-moment assumption, so
-    only the diagonal block is produced.
+    which is sum_ab c_ab sum_{nu mu} I[nu, mu] [A_{b,mu} rho0 A_{a,nu} - A_{a,nu} A_{b,mu} rho0]
+    + h.c. on ``_bohr_weights``.  Off-diagonal path blocks vanish under the declared
+    zero-first-moment assumption, so only the diagonal block is produced.
     """
     if not isinstance(rho0, QubitState):
         rho0 = QubitState(np.asarray(rho0, dtype=complex))
-    if t == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    tau, W, t1, t2 = _mesh(model, t, model.j.omega_max + model.omega_scale)
-    kernel, c, r = W * _correlation(model.j, t, tau), model.correlations, rho0.matrix
-    # sum_ab c_ab sum_p C(tau_p) W_p [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]_p
-    chunks, operators = _node_operators(model, t1, t2)
-
-    def chunk_term(nodes):
-        a1, a2 = operators(nodes)
-        k = kernel[nodes]
-        return (np.einsum("ab,p,bpij,jk,apkl->il", c, k, a2, r, a1, optimize=True)
-                - np.einsum("ab,p,apij,bpjk->ik", c, k, a1, a2, optimize=True) @ r)
-
-    block = np.zeros((2, 2), dtype=complex)
-    for term in _pool_map(chunk_term, chunks):  # added in chunk order
-        block += term
+    parts, weights = _bohr_weights(model, t)
+    c, r = model.correlations, rho0.matrix
+    block = (np.einsum("ab,pq,bqij,jk,apkl->il", c, weights, parts, r, parts, optimize=True)
+             - np.einsum("ab,pq,apij,bqjk->ik", c, weights, parts, parts, optimize=True) @ r)
     return block + block.conj().T
 
 
@@ -268,32 +242,42 @@ def _prefactor(phases):
     return 2.0 * len(phases) / pair_sum
 
 
-def _filter_mesh(model, psi0, t, omega_top):
-    """Lags and W-weighted sandwiches tr[P_perp A_b(t2) rho0 A_a(t1)] (J-independent).
-
-    The panels resolve the phase rate omega_scale + max(J's omega_max,
-    ``omega_top``): C(tau) oscillates up to omega_max, and the contraction at
-    a frequency omega with |omega| <= ``omega_top``.
-    """
+def _pure_matrix(psi0):
+    """The matrix rho0 of the pure state ``psi0`` and P_perp = 1 - rho0; ValueError if mixed."""
     if not isinstance(psi0, QubitState):
         psi0 = QubitState(np.asarray(psi0, dtype=complex))
     r = psi0.matrix
     if abs(np.trace(r @ r).real - 1.0) > 1e-10:
         raise ValueError("psi0 must be a pure state")
-    p_perp = np.eye(2, dtype=complex) - r
+    return r, np.eye(2, dtype=complex) - r
+
+
+def _filter_mesh(model, psi0, t, omega_top):
+    """Lags and W-weighted sandwiches tr[P_perp A_b(t2) rho0 A_a(t1)] (J-independent).
+
+    The panels resolve the phase rate omega_scale + max(J's omega_max,
+    ``omega_top``), the contraction at |omega| <= ``omega_top`` oscillating at
+    |omega|; omega_max keeps the bits of ``general_filter`` and serves the
+    tests' decay-factor oracle.  The sandwiches are built on the worker pool in
+    chunks of ``_NODE_CHUNK`` nodes; each distinct t1 is rotated once.
+    """
+    r, p_perp = _pure_matrix(psi0)
     keys = ("--t", "--omega-min", "--omega-max") if omega_top > model.j.omega_max else _J_KEYS
     tau, W, t1, t2 = _mesh(model, t, model.omega_scale + max(model.j.omega_max, omega_top), keys)
     n_ops = len(model.operators)
     weighted = np.empty((n_ops, n_ops, tau.size), dtype=complex)
-    chunks, operators = _node_operators(model, t1, t2)
+    eig = np.linalg.eigh(model.h_q)
+    a1_all = _rotated_operators(model, t1, eig)
 
     def sandwich_chunk(nodes):
-        a1, a2 = operators(nodes)
+        a1 = a1_all[:, np.arange(nodes.start, nodes.stop) // (t2.size // t1.size)]
+        a2 = _rotated_operators(model, t2[nodes], eig)
         for a, b in np.ndindex(n_ops, n_ops):
             weighted[a, b, nodes] = W[nodes] * np.einsum("ij,pjk,kl,pli->p",
                                                          p_perp, a2[b], r, a1[a])
 
-    _pool_map(sandwich_chunk, chunks)
+    _pool_map(sandwich_chunk, [slice(start, min(start + _NODE_CHUNK, t2.size))
+                               for start in range(0, t2.size, _NODE_CHUNK)])
     return tau, weighted
 
 
@@ -322,12 +306,12 @@ def general_filter(model, psi0, omega, t, phases):
 def general_decay_factor(model, psi0, t, phases):
     """The overlap int dw J(w) F(w, t, N, phases) of the model's J with the filter.
 
-    ``phases`` is the phase vector of the post-selection, as for
-    ``general_filter``.
+    ``phases`` is the phase vector of the post-selection, as for ``general_filter``.
+    It is the prefactor times Re sum_ab c_ab sum_{nu mu} I[nu, mu]
+    tr[P_perp A_{b,mu} rho0 A_{a,nu}] on ``_bohr_weights``.
     """
     prefactor = _prefactor(phases)
-    if t == 0.0:
-        return 0.0
-    tau, weighted = _filter_mesh(model, psi0, t, 0.0)
-    corr = _correlation(model.j, t, tau)
-    return prefactor * float(np.sum(model.correlations * (weighted @ corr)).real)
+    r, p_perp = _pure_matrix(psi0)
+    parts, weights = _bohr_weights(model, t)
+    return prefactor * float(np.einsum("ab,pq,ij,bqjk,kl,apli->", model.correlations, weights,
+                                       p_perp, parts, r, parts, optimize=True).real)

@@ -1,10 +1,11 @@
-"""Frequency-integral route of the second-order engine: the tolerance oracle.
+"""Mesh route of the second-order engine's block and decay factor: the tolerance oracle.
 
-The engine reads the bath correlation C(tau) from one Chebyshev table.  This
-oracle never forms C: an adaptive ``quad_vec`` over omega contracts every
-omega node's phase row e^{-i omega tau} with the whole (t1, t2) mesh, which
-is the engine's route before the table.  It shares the engine's mesh and
-contraction, so a disagreement isolates the table.
+The engine splits the coupling operators into Bohr parts and integrates over
+the lag tau alone, reading C(tau) at its nodes.  This oracle does neither:
+it integrates over the (t1, t2) mesh that ``general_filter`` uses, rotating
+the operators at every node, and never forms C; an adaptive ``quad_vec``
+over omega contracts every omega node's phase row e^{-i omega tau} with the
+whole mesh.  So it shares no quadrature with the engine's tau route.
 """
 
 import numpy as np

@@ -497,16 +497,31 @@ class TestMain:
         assert json.loads(path.read_text())["metadata"]["scenario"] == "dicke"
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
-    def test_unwritable_out_path_is_a_config_error(self, where, tmp_path, capsys):
-        # a missing parent directory or a directory in the file's place
+    def test_unwritable_out_path_is_a_config_error(self, where, tmp_path, capsys, monkeypatch):
+        # a missing parent directory or a directory in the file's place, refused
+        # when the configuration is built: no runner is called
+        def no_run(config):
+            raise AssertionError("a runner was called")
+
+        monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_run))
         path = tmp_path / "missing" / "table.csv" if where == "missing-dir" else tmp_path
         assert main(["dicke", "--steps", "5", "--tmax", "1", "--out", str(path)]) == 2
+        assert not (tmp_path / "missing").exists()
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("zenotraj: configuration error: cannot write output file: ")
         assert str(path) in err[0]
+
+    def test_numeric_failure_leaves_an_existing_out_file(self, tmp_path, capsys):
+        # the mesh of perturbation --t 20 is refused at run time (exit 3): the
+        # out path was checked before, and nothing was created or truncated
+        path = tmp_path / "table.csv"
+        path.write_text("earlier table\n")
+        assert main(["perturbation", "--t", "20", "--out", str(path)]) == 3
+        assert "mesh nodes" in capsys.readouterr().err
+        assert path.read_text() == "earlier table\n"
 
     def test_config_error_exit_code(self, capsys):
         assert main(["dicke", "--N", "4", "--n", "2"]) == 2

@@ -20,7 +20,7 @@ from zenotraj.core import (
     binary_phases,
     phase_pair_sum,
 )
-from zenotraj.dephasing import DephasingParams, dephasing_exponent
+from zenotraj.dephasing import DephasingParams, _ohmic_zero_temperature, dephasing_exponent
 from zenotraj.dissipative import memory_kernel
 from zenotraj.errors import NullOutcome, NumericError, QuadratureError
 from zenotraj.filters import decay_factor_overlap, filter_diss, filter_deph, sinc
@@ -207,6 +207,14 @@ class TestSecondOrderBlock:
         block = second_order_block(model, QubitState.excited(), 0.5)
         np.testing.assert_array_equal(block, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("t", [0.2, 0.5, 1.5])
+    @pytest.mark.parametrize("j", [LORENTZIAN, OHMIC], ids=["lorentzian", "ohmic"])
+    def test_pure_dephasing_leaves_the_excited_state_exactly(self, j, t):
+        # sigma_z |e><e| sigma_z = sigma_z sigma_z |e><e|: on the one Bohr part of
+        # sigma_z the gain and the loss are the same product, so they cancel to the bit
+        block = second_order_block(dephasing_coupling_model(j), QubitState.excited(), t)
+        np.testing.assert_array_equal(block, np.zeros((2, 2)))
+
     def test_time_edge_cases(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         np.testing.assert_array_equal(
@@ -322,12 +330,18 @@ _MAX_PANELS = np.floor(np.sqrt(numerics._SIZE_BUDGET / perturbation._NODE_BYTES)
 
 
 @st.composite
+def _binary_profiles(draw):
+    """(N, n) with N <= 8 and 2n != N."""
+    n_paths = draw(st.integers(1, 8))
+    return n_paths, draw(st.sampled_from([n for n in range(n_paths + 1) if 2 * n != n_paths]))
+
+
+@st.composite
 def _post_selections(draw):
     """A binary (N, n) profile with 2n != N, or any phase vector; N <= 8."""
     if draw(st.booleans()):
-        n_paths = draw(st.integers(1, 8))
-        n_shifts = draw(st.sampled_from([n for n in range(n_paths + 1) if 2 * n != n_paths]))
-        return binary_phases(n_paths, n_shifts), (n_paths, n_shifts)
+        binary = draw(_binary_profiles())
+        return binary_phases(*binary), binary
     phases = draw(st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi), min_size=1, max_size=8))
     return np.array(phases), None
 
@@ -380,6 +394,14 @@ class TestGeneralDecayFactor:
         frozen = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
         assert frozen == pytest.approx(0.34338694154948596, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [5.0, 20.0])
+    def test_matches_overlap_integral_at_long_times(self, t):
+        # t = 20 takes 6,500 tau nodes; a (t1, t2) mesh would take 42,250,000
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
+        want = decay_factor_overlap(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), 1.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_dephasing_factor_equals_half_exponent(self):
         # With the constant-4 normalization the overlap equals Gamma(t)/2,
         # which for this density at t=1 is (1/3) ln 2.
@@ -408,6 +430,30 @@ class TestGeneralDecayFactor:
             general_decay_factor(model, QubitState.excited(), -0.4, binary_phases(1, 0))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dissipative=st.booleans(), t=st.floats(0.0, 20.0), omega_q=st.floats(0.0, 5.0),
+       line=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 2.0), st.floats(0.0, 5.0)),
+       ohmic=st.tuples(st.floats(0.01, 1.0), st.floats(0.1, 4.0), st.floats(0.1, 2.0)),
+       binary=_binary_profiles())
+def test_block_and_decay_factor_match_the_closed_forms(dissipative, t, omega_q, line, ohmic,
+                                                       binary):
+    """The tau route against two closed forms: the energy-exchange decay factor of a
+    Lorentzian (gamma0, lambda, centre) against its filter_diss overlap, and the [e, g]
+    entry of the pure-dephasing block of |+> against -Gamma_0(t)/2, the T = 0 closed form
+    of an Ohmic (eta, s, omega_c); dephasing_exponent's Gauss-Legendre branch is no
+    reference, as it is off by up to 2e-8 at such points."""
+    if dissipative:
+        j = Lorentzian(*line)
+        model = dissipative_coupling_model(j, omega_q)
+        got = general_decay_factor(model, QubitState.excited(), t, binary_phases(*binary))
+        want = decay_factor_overlap(j, lambda w: filter_diss(w, t, *binary, omega_q), omega_q)
+    else:
+        j = Ohmic(*ohmic)
+        got = second_order_block(dephasing_coupling_model(j), QubitState.plus(), t)[0, 1]
+        want = -0.5 * _ohmic_zero_temperature(j, t)
+    assert got == pytest.approx(want, rel=1e-12), (got, want)
+
+
 # line shapes wide and narrow, Ohmic with and without a sqrt(w) edge, a
 # narrow Gaussian peak and a custom J on the base class
 _ORACLE_DENSITIES = {
@@ -429,7 +475,7 @@ _ORACLE_MODELS = {
 @pytest.mark.parametrize("density", sorted(_ORACLE_DENSITIES))
 @pytest.mark.parametrize("coupling", sorted(_ORACLE_MODELS))
 class TestCorrelationTableOracle:
-    """The C(tau) table against the frequency integral over the whole mesh."""
+    """The tau route over Bohr frequencies against the frequency integral over the whole mesh."""
 
     def test_block_matches_frequency_integral(self, coupling, density):
         factory, rho0, _ = _ORACLE_MODELS[coupling]
@@ -446,8 +492,8 @@ class TestCorrelationTableOracle:
 
 class TestCorrelationTableChecks:
     def test_unconverged_frequency_integral_is_reported(self, monkeypatch):
-        # the block and the decay factor read C from one quad_vec call whose
-        # error bound is checked; a bound far above tolerance must raise
+        # the block and the decay factor read C at the tau nodes from one quad_vec
+        # call whose error bound is checked; a bound far above tolerance must raise
         import scipy.integrate
 
         def unconverged(f, a, b, **kwargs):
@@ -461,23 +507,12 @@ class TestCorrelationTableChecks:
         with pytest.raises(QuadratureError, match="did not converge"):
             general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
 
-    def test_degree_cap_is_reported(self, monkeypatch):
-        # C's phase spans omega_max * t / 2 = 25 rad over the Chebyshev
-        # interval, which takes degree 64; a cap of 16 must refuse, not
-        # return the unresolved series
-        monkeypatch.setattr(perturbation, "_DEGREES", (16,))
-        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        with pytest.raises(QuadratureError, match="Chebyshev degree"):
-            second_order_block(model, QubitState.excited(), 0.5)
-        with pytest.raises(QuadratureError, match="Chebyshev degree"):
-            perturbation._correlation(LORENTZIAN, 0.5, np.array([0.25]))
-
     def test_table_matches_direct_integral_at_the_lags(self):
         # C(tau) by one QUADPACK integral per lag (real and imaginary part)
         from scipy.integrate import quad
 
         tau = np.array([0.0, 0.013, 0.2, 0.377, 0.5])
-        got = perturbation._correlation(LORENTZIAN, 0.5, tau)
+        got = perturbation._correlation(LORENTZIAN, tau)
         for lag, value in zip(tau, got):
             re = quad(lambda w: LORENTZIAN(w) * np.cos(w * lag), 0.0, LORENTZIAN.omega_max,
                       epsabs=0.0, epsrel=1e-13, limit=400)[0]
@@ -565,39 +600,52 @@ class TestRowBlockedContraction:
         assert peak < 5.4e6
 
     def test_second_order_block_memory_is_bounded(self, pool_of):
-        # the same 28,900-node mesh: C is summed at the lags in O(P) memory,
-        # with no (P x degree) interpolation matrix and no per-(a, b) copy of
-        # the mesh; two workers hold a chunk each
+        # the CLI default t = 0.5 takes 170 tau nodes in place of the 28,900-node
+        # mesh: a 0.12 MB peak, once scipy is imported outside the trace
         pool_of(2)
         model, psi0, _ = _ENGINE_CASES["diss"]
+        second_order_block(model, psi0, 0.5)
         tracemalloc.start()
         try:
             second_order_block(model, psi0, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 1e6
 
     # nu = omega_max + omega_q = 102: 261 panels (6,812,100 nodes) is the largest
     # mesh the size budget admits, 262 panels and t = 20 (650 panels) are refused
     @pytest.mark.parametrize("t, nodes", [(261.5 * np.pi / 102.0, "6,864,400"),
                                           (20.0, "42,250,000")])
-    @pytest.mark.parametrize("entry", ["general_filter", "second_order_block",
-                                       "general_decay_factor"])
-    def test_mesh_above_the_budget_is_refused_before_allocation(self, entry, t, nodes):
+    def test_mesh_above_the_budget_is_refused_before_allocation(self, t, nodes):
         model, psi0, config = _ENGINE_CASES["diss"]
-        call = {"general_filter": lambda: general_filter(model, psi0, 1.0, t, config),
-                "second_order_block": lambda: second_order_block(model, psi0, t),
-                "general_decay_factor": lambda: general_decay_factor(model, psi0, t, config)}
         tracemalloc.start()
         try:
             with pytest.raises(NumericError, match=f"^{nodes} \\(t1, t2\\) mesh nodes, 157 bytes "
                                                    "each, exceed the size budget"):
-                call[entry]()
+                general_filter(model, psi0, 1.0, t, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    # rate = omega_max + omega_q = 102: 9,761 panels (97,610 nodes) is the most the
+    # size budget admits at 11,000 bytes a node; t = 400 takes 12,988 panels
+    @pytest.mark.parametrize("entry", ["second_order_block", "general_decay_factor"])
+    def test_tau_nodes_above_the_budget_are_refused_before_allocation(self, entry):
+        model, psi0, config = _ENGINE_CASES["diss"]
+        call = {"second_order_block": lambda: second_order_block(model, psi0, 400.0),
+                "general_decay_factor": lambda: general_decay_factor(model, psi0, 400.0, config)}
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError, match=r"^129,880 tau nodes, 11,000 bytes each, "
+                                                   r"exceed the size budget of 1,073,741,824 "
+                                                   r"bytes; shrink --t or --lambda or --omega-q$"):
+                call[entry]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 def _engine_bytes(name, omega, t=0.2):
@@ -645,11 +693,10 @@ class TestEnginePool:
             sys.setswitchinterval(interval)
         assert pooled == inline
 
-    # stage 0: the mesh chunks, 1: general_filter's row blocks
-    @pytest.mark.parametrize("entry, stage", [("general_filter", 0), ("general_filter", 1),
-                                              ("general_decay_factor", 0),
-                                              ("second_order_block", 0)])
-    def test_error_in_a_task_reaches_the_caller(self, entry, stage, monkeypatch, pool_of):
+    # general_filter's stage 0: the mesh chunks, 1: the row blocks; the block
+    # and the decay factor run no pooled task
+    @pytest.mark.parametrize("stage", [0, 1])
+    def test_error_in_a_task_reaches_the_caller(self, stage, monkeypatch, pool_of):
         pool_of(2)
         model, psi0, config = _ENGINE_CASES["diss"]
         pool_map, stages, raised_in = perturbation._pool_map, [], []
@@ -666,12 +713,8 @@ class TestEnginePool:
             return pool_map(task, units)
 
         monkeypatch.setattr(perturbation, "_pool_map", failing_map)
-        call = {"general_filter": lambda: general_filter(model, psi0, np.linspace(-2.0, 4.0, 201),
-                                                         0.2, config),
-                "general_decay_factor": lambda: general_decay_factor(model, psi0, 0.2, config),
-                "second_order_block": lambda: second_order_block(model, psi0, 0.2)}
         with pytest.raises(FloatingPointError, match="task failed"):
-            call[entry]()
+            general_filter(model, psi0, np.linspace(-2.0, 4.0, 201), 0.2, config)
         assert len(raised_in) == 1 and raised_in[0] is not threading.current_thread()
 
     def test_one_chunk_and_one_row_block_start_no_thread(self, monkeypatch):
