@@ -17,9 +17,9 @@ Run:  python demos/population_freezing.py
 
 import numpy as np
 
-from zenotraj import normalize, postselected_state_diss, trace_distance
+from zenotraj import QubitState, normalize, postselected_state_diss, trace_distance
 
-EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+EXCITED = QubitState.excited()
 G_SQ = 0.5      # |G(t)|^2: half the excitation amplitude has survived
 
 
@@ -31,7 +31,7 @@ def main():
     print(f"{'N':>7s} {'distance':>13s} {'halving':>9s} {'success prob':>13s}")
     previous = None
     for n_paths in (10, 20, 40, 80, 160, 10_000):
-        state = postselected_state_diss(1.0, 0.0, g, n_paths, 1)
+        state = postselected_state_diss(EXCITED, g, n_paths, 1)
         normalized, probability = normalize(state)
         distance = trace_distance(normalized, EXCITED)
         ratio = "" if previous is None else f"{previous / distance:9.3f}"

@@ -45,9 +45,9 @@ _LOG_HUGE = math.log(np.finfo(float).max) - 1.0
 
 
 def _require_positive(owner, **values):
-    """ValueError naming the first of ``values`` that is not > 0."""
+    """ValueError naming the first of ``values`` that is not > 0 (nan included)."""
     for name, value in values.items():
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{owner} needs {name} > 0, got {name}={value!r}")
 
 
@@ -268,16 +268,9 @@ def phase_pair_sum(phases):
 # qubit states
 # ---------------------------------------------------------------------------
 
-def _check_amplitudes(c_e, c_g):
-    """ValueError unless |c_e|² + |c_g|² = 1 to 1e-12."""
-    norm = abs(c_e) ** 2 + abs(c_g) ** 2
-    if not abs(norm - 1.0) <= 1e-12:
-        raise ValueError(f"amplitudes must satisfy |c_e|² + |c_g|² = 1, got {norm!r}")
-
-
 @dataclass(frozen=True)
 class QubitState:
-    """2×2 qubit operator in the {|e⟩, |g⟩} basis.
+    """2×2 qubit operator in the {|e⟩, |g⟩} basis, the one form of a qubit state.
 
     May be unnormalized: the trace of a post-selected state is the success
     probability of the projective outcome, so traces in [0, 1] are
@@ -285,7 +278,6 @@ class QubitState:
     """
 
     matrix: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -295,10 +287,12 @@ class QubitState:
 
     @classmethod
     def pure(cls, c_e, c_g):
-        """|ψ⟩⟨ψ| from amplitudes (c_e, c_g); must be normalized."""
-        _check_amplitudes(c_e, c_g)
+        """|ψ⟩⟨ψ| from amplitudes (c_e, c_g); ValueError unless |c_e|² + |c_g|² = 1 to 1e-12."""
+        norm = abs(c_e) ** 2 + abs(c_g) ** 2
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"amplitudes must satisfy |c_e|² + |c_g|² = 1, got {norm!r}")
         psi = np.array([c_e, c_g], dtype=complex)
-        return cls(np.outer(psi, psi.conj()), normalized=True)
+        return cls(np.outer(psi, psi.conj()))
 
     @classmethod
     def excited(cls):
@@ -331,9 +325,16 @@ class QubitState:
         tr = self.trace
         if not -1e-12 <= tr <= 1.0 + 1e-12:
             raise ValueError(f"trace {tr:g} outside [0, 1]")
-        if self.normalized and abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"normalized state must have unit trace, got {tr:g}")
         return self
+
+
+def _initial_matrix(rho0):
+    """The matrix of the initial state ``rho0``; ValueError unless it is Hermitian,
+    positive semidefinite and of unit trace, each to 1e-12."""
+    tr = rho0.trace
+    if not abs(tr - 1.0) <= 1e-12:
+        raise ValueError(f"an initial state must have unit trace, got {tr!r}")
+    return rho0.validate().matrix
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +343,15 @@ class QubitState:
 
 def normalize(state):
     """Divide out the trace; returns (normalized state, success probability)."""
-    matrix = state.matrix if isinstance(state, QubitState) else np.asarray(state, complex)
-    p = float(np.trace(matrix).real)
-    if p < 0 and p > -1e-14:
-        p = 0.0
-    if p < 0:
+    p = state.trace
+    if p <= -1e-14:
         raise ValueError(f"state has negative trace {p:g}")
     if p < 1e-14:
         raise NullOutcome("post-selection probability is numerically zero")
-    return QubitState(matrix / p, normalized=True), p
+    return QubitState(state.matrix / p), p
 
 
 def trace_distance(a, b):
-    """½‖a − b‖₁ for Hermitian 2×2 (or small) matrices."""
-    ma = a.matrix if isinstance(a, QubitState) else np.asarray(a, dtype=complex)
-    mb = b.matrix if isinstance(b, QubitState) else np.asarray(b, dtype=complex)
-    diff = ma - mb
+    """½‖a − b‖₁ of two qubit states."""
+    diff = a.matrix - b.matrix
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .core import Ohmic, QubitState, _refuse_dark_port, _require_elapsed, r_factor
+from .core import (Ohmic, QubitState, _initial_matrix, _refuse_dark_port, _require_elapsed,
+                   r_factor)
 from .errors import NumericError
 from .numerics import Series, _check_size, gauss_legendre_panels, integrate_adaptive
 
@@ -67,7 +68,7 @@ class DephasingParams:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # nan included
             raise ValueError(f"temperature must be >= 0, got temperature={self.temperature!r}")
         if self.temperature > 0 and (
                 (isinstance(self.j, Ohmic) and self.j.s < 1.0) or self.j(0.0) > 0):
@@ -156,10 +157,10 @@ def _bose_integrand(j, temperature, t):
 def _panel_edges(upper, t):
     """0, the half-periods k*pi/t below ``upper``, and ``upper``.
 
-    NumericError, before anything is allocated, past the size budget.
+    NumericError, before anything is allocated, past the size budget, as at t = inf.
     """
     half_period = math.pi / float(t)  # Python floats overflow to inf without a warning
-    count = float(upper) / half_period - 1e-12
+    count = float(upper) / half_period - 1e-12 if half_period else math.inf
     _check_size(count, _HALF_PERIOD_BYTES, f"half-periods at t = {float(t)!r}",
                 ("--tmax", "--omega-c"))
     n_half = math.floor(count)
@@ -311,11 +312,10 @@ def modified_dephasing(phi_t, n_paths, n_shifts):
 def postselected_state_deph(rho0, phi_t, n_paths, n_shifts):
     """Unnormalized conditional state: (1/N) rho(t) + (R - 1/N) sqrt(phi) rho(0).
 
-    rho(t) is rho0 with its coherence multiplied by phi_T (populations
-    untouched).  The normalized state keeps rho0's populations exactly.
+    rho(t) is rho0, a QubitState of unit trace, with its coherence times phi_T
+    (populations untouched).  The normalized state keeps rho0's populations exactly.
     """
-    matrix = rho0.matrix if isinstance(rho0, QubitState) else rho0
-    m0 = QubitState(matrix, normalized=True).validate().matrix
+    m0 = _initial_matrix(rho0)
     _check_coherence_factor(phi_t)
     r = r_factor(n_paths, n_shifts)
     m_t = m0.copy()

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Lorentzian, QubitState, _binary_pair_sum, _check_amplitudes,
-                   _refuse_dark_port, _require_positive, r_factor)
+from .core import (Lorentzian, QubitState, _binary_pair_sum, _initial_matrix, _refuse_dark_port,
+                   _require_positive, r_factor)
 from .errors import NullOutcome
 from .numerics import Series, integrate_adaptive, solve_volterra
 
@@ -121,12 +121,12 @@ def decay_amplitude_closed_series(gamma0, lam, grid):
 def decay_amplitude_auto(j, omega_q, grid):
     """Default dispatch for Lorentzian spectra.
 
-    The closed pseudomode form assumes the spectral line extends over the
-    full frequency axis; it is used when λ ≤ 0.02·ω_q, where it agrees with
-    the truncated half-line kernel to better than 1e-3 relative. Otherwise
-    the numeric Volterra route is taken.
+    The closed pseudomode form assumes a line centred on the qubit over the
+    full frequency axis; it is used for a resonant line (j.omega_q ==
+    omega_q) with λ ≤ 0.02·ω_q, where it agrees with the truncated half-line
+    kernel to better than 1e-3 relative. Otherwise Volterra is taken.
     """
-    if isinstance(j, Lorentzian) and j.lam <= 0.02 * omega_q:
+    if isinstance(j, Lorentzian) and j.omega_q == omega_q and j.lam <= 0.02 * omega_q:
         return decay_amplitude_closed_series(j.gamma0, j.lam, grid)
     return decay_amplitude(j, omega_q, grid)
 
@@ -135,19 +135,17 @@ def decay_amplitude_auto(j, omega_q, grid):
 # post-selected states and survival probability
 # ---------------------------------------------------------------------------
 
-def postselected_state_diss(c_e0, c_g0, g_t, n_paths, n_shifts):
+def postselected_state_diss(rho0, g_t, n_paths, n_shifts):
     """Unnormalized conditional state after post-selection (dissipative model).
 
-    For initial amplitudes (c_e0, c_g0) and dissipation value G = g_t:
-    ee = R|G|²|c_e0|², eg = R G c_e0 c_g0*, gg = R|c_g0|² + (1/N)|c_e0|²(1-|G|²).
+    For the initial QubitState rho0 (unit trace, pure or mixed: the map is linear)
+    and dissipation value G = g_t: ee = R|G|²ρ_ee, eg = R G ρ_eg, gg = R ρ_gg + (1/N)(1-|G|²)ρ_ee.
     """
-    _check_amplitudes(c_e0, c_g0)
-    r = r_factor(n_paths, n_shifts)
+    m0 = _initial_matrix(rho0)
     g2 = abs(g_t) ** 2
-    ee = r * g2 * abs(c_e0) ** 2
-    eg = r * g_t * c_e0 * np.conj(c_g0)
-    gg = r * abs(c_g0) ** 2 + (abs(c_e0) ** 2) * (1.0 - g2) / n_paths
-    return QubitState(np.array([[ee, eg], [np.conj(eg), gg]], dtype=complex))
+    out = r_factor(n_paths, n_shifts) * m0 * np.array([[g2, g_t], [np.conj(g_t), 1.0]])
+    out[1, 1] += m0[0, 0] * (1.0 - g2) / n_paths
+    return QubitState(out)
 
 
 def survival_probability_diss(g_t, n_paths, n_shifts):

@@ -73,8 +73,8 @@ def filter_deph(omega, t, n_paths, n_shifts):
 
 
 def _check_pulse_count(n_tilde):
-    """ValueError unless the sequential protocol has n_tilde >= 1 pulses."""
-    if n_tilde < 1:
+    """ValueError unless the sequential protocol has n_tilde >= 1 pulses (nan included)."""
+    if not n_tilde >= 1:
         raise ValueError(f"the traditional filter needs n_tilde >= 1, got n_tilde={n_tilde!r}")
 
 

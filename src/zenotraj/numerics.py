@@ -46,9 +46,9 @@ def _check_size(count, unit_bytes, what, keys):
 class _LazyModule:
     """Stand-in for a module that is imported on first attribute access.
 
-    scipy takes most of a cold start, and most routes never call it; the
-    module global ``integrate`` stays this object, and ``integrate.quad`` is
-    looked up anew on every call.
+    scipy takes most of a cold start, and only QUADPACK's routes call it:
+    the module global ``integrate`` stays this object, and
+    ``integrate.quad`` is looked up anew on every call.
     """
 
     def __init__(self, name):
@@ -61,11 +61,83 @@ class _LazyModule:
 integrate = _LazyModule("scipy.integrate")
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, with scipy imported on the first call."""
-    from scipy.optimize import brentq as _brentq
+# the least rtol that brentq accepts, 4 eps, as in scipy
+_BRENT_RTOL = 2.0 ** -50
 
-    return _brentq(f, a, b, **kwargs)
+
+def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
+    """A root of f in the sign-changing bracket [a, b] by Brent's method, without scipy.
+
+    A line-by-line port of scipy's ``Zeros/brentq.c`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), so it returns the bits
+    of ``scipy.optimize.brentq`` with scipy's defaults, argument checks and
+    exceptions: ValueError for xtol <= 0, rtol < 4 eps, maxiter < 0, a NaN
+    value of f or a bracket without a sign change; RuntimeError when maxiter
+    iterations do not converge.  It has no ``args``, ``full_output`` or
+    ``disp``.
+    """
+    from operator import index
+
+    maxiter = index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):  # neither is 0 or NaN here, so this is C's signbit test
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN, and it bisects
+                stry = float("inf")
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)
@@ -78,6 +150,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"TimeGrid.dt must be positive, got dt={self.dt!r}")
+        if self.dt == np.inf:
+            raise ValueError(f"TimeGrid.dt must be finite, got dt={self.dt!r}")
         if self.count < 2:
             raise ValueError(f"TimeGrid.count must be at least 2, got count={self.count!r}")
 

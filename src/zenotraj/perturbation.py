@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QubitState, SpectralDensity, _require_elapsed, phase_pair_sum
+from .core import SpectralDensity, _require_elapsed, phase_pair_sum
 from .errors import NullOutcome, QuadratureError
 from .numerics import _check_size, _pool_map, panel_nodes, row_blocks
 
@@ -216,7 +216,7 @@ def _bohr_weights(model, t):
 
 
 def second_order_block(model, rho0, t):
-    """Second-order correction of each path's density matrix at time t.
+    """Second-order correction of each path's density matrix at time t, from the QubitState rho0.
 
     sum_{ab} int_0^t dt1 int_0^{t1} dt2 C_{ab}(t1,t2)
         [A_b(t2) rho0 A_a(t1) - A_a(t1) A_b(t2) rho0]  + h.c.
@@ -225,8 +225,6 @@ def second_order_block(model, rho0, t):
     + h.c. on ``_bohr_weights``.  Off-diagonal path blocks vanish under the declared
     zero-first-moment assumption, so only the diagonal block is produced.
     """
-    if not isinstance(rho0, QubitState):
-        rho0 = QubitState(np.asarray(rho0, dtype=complex))
     parts, weights = _bohr_weights(model, t)
     c, r = model.correlations, rho0.matrix
     block = (np.einsum("ab,pq,bqij,jk,apkl->il", c, weights, parts, r, parts, optimize=True)
@@ -243,9 +241,7 @@ def _prefactor(phases):
 
 
 def _pure_matrix(psi0):
-    """The matrix rho0 of the pure state ``psi0`` and P_perp = 1 - rho0; ValueError if mixed."""
-    if not isinstance(psi0, QubitState):
-        psi0 = QubitState(np.asarray(psi0, dtype=complex))
+    """rho0 of the pure QubitState ``psi0`` and P_perp = 1 - rho0; ValueError if mixed."""
     r = psi0.matrix
     if abs(np.trace(r @ r).real - 1.0) > 1e-10:
         raise ValueError("psi0 must be a pure state")

@@ -13,10 +13,6 @@ import numpy as np
 from zenotraj.core import QubitState, phase_weights, r_factor
 
 
-def _matrix(state):
-    return np.asarray(state.matrix if isinstance(state, QubitState) else state, dtype=complex)
-
-
 @dataclass(frozen=True)
 class PathBlockMatrix:
     """N×N array of 2×2 conditional-state blocks ρ_{Q,i,j}(t)."""
@@ -33,9 +29,9 @@ class PathBlockMatrix:
     @classmethod
     def uniform(cls, rho_diagonal, beta, n_paths):
         """Identical environments: ρ on the diagonal, β on every off-diagonal."""
-        blocks = np.tile(_matrix(beta), (n_paths, n_paths, 1, 1))
+        blocks = np.tile(beta.matrix, (n_paths, n_paths, 1, 1))
         for i in range(n_paths):
-            blocks[i, i] = _matrix(rho_diagonal)
+            blocks[i, i] = rho_diagonal.matrix
         return cls(blocks)
 
 
@@ -56,5 +52,5 @@ def postselect_general(blocks, phases):
 def superpose_identical(rho_single, beta, n_paths, n_shifts):
     """ρ/N + (R - 1/N) β for identical environments and the binary profile (N, n)."""
     r = r_factor(n_paths, n_shifts)
-    out = _matrix(rho_single) / n_paths + (r - 1.0 / n_paths) * _matrix(beta)
+    out = rho_single.matrix / n_paths + (r - 1.0 / n_paths) * beta.matrix
     return QubitState(out)

@@ -61,8 +61,8 @@ from zenotraj.perturbation import (
     general_filter,
 )
 
-EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+EXCITED = QubitState(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+PLUS = QubitState(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 
 # Conditional states registered by earlier criteria and audited by the last.
 _STATES = []
@@ -150,7 +150,7 @@ def test_criterion_04_population_freezing_with_growing_n():
         g = np.sqrt(g_sq)
 
         def distance(n_paths):
-            state = postselected_state_diss(1.0, 0.0, g, n_paths, 1)
+            state = postselected_state_diss(EXCITED, g, n_paths, 1)
             _register(state)
             normalized, _ = normalize(state)
             return trace_distance(normalized, EXCITED)
@@ -261,12 +261,13 @@ def test_criterion_08_nonmarkovian_revivals_and_divisibility():
             assert np.array_equal(choi_ok, derivative_ok)
 
     amp = np.sqrt(0.5)
+    plus, minus = QubitState.pure(amp, amp), QubitState.pure(amp, -amp)
     for k in range(0, grid_narrow.count, 500):
         g_val = g_narrow.values[k]
         for n_paths, n_shifts in ((1, 0), (3, 0), (3, 1)):
             _register(
-                postselected_state_diss(amp, amp, g_val, n_paths, n_shifts),
-                postselected_state_diss(amp, -amp, g_val, n_paths, n_shifts),
+                postselected_state_diss(plus, g_val, n_paths, n_shifts),
+                postselected_state_diss(minus, g_val, n_paths, n_shifts),
             )
 
 
@@ -348,8 +349,8 @@ def test_criterion_11_postselected_state_validity():
     g_osc = decay_amplitude_closed_series(1.0, 0.1, TimeGrid(0.5, 21))
     amp = np.sqrt(0.5)
     for g_val in g_osc.values[1:]:
-        states.append(postselected_state_diss(amp, amp, g_val, 4, 1))
-        states.append(postselected_state_diss(1.0, 0.0, g_val, 3, 0))
+        states.append(postselected_state_diss(QubitState.pure(amp, amp), g_val, 4, 1))
+        states.append(postselected_state_diss(EXCITED, g_val, 3, 0))
     assert len(states) >= 20
 
     for state in states:

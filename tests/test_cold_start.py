@@ -1,10 +1,13 @@
-"""Cold start: scipy is imported only by the routes that call it, and the
-dephasing exponent's thread pool only by tables with long panel points.
+"""Cold start: scipy is imported only by the routes that call QUADPACK, no
+route imports ``numpy.random`` of its own, and the dephasing exponent's
+thread pool starts only for tables with long panel points.
 
-The routes that need scipy reach it through two module globals that stay
+The routes that need scipy reach it through one module global that stays
 patchable: ``numerics.integrate`` (QUADPACK ``quad``, looked up on every
-call) and ``cli.brentq`` (the sudden-death root search).  Per-layer tracing
-replaces exactly these names, so the tests below pin them down.
+call).  The sudden-death root search is ``cli.brentq``, Brent's method in
+``numerics`` without scipy, so fig4b, fig4c and the ``nonmarkov --model
+deph`` defaults load none.  Per-layer tracing replaces exactly these two
+names, so the tests below pin them down.
 """
 
 import json
@@ -23,8 +26,8 @@ from zenotraj.cli import parse_config, run
 SRC = str(Path(zenotraj.__file__).resolve().parents[1])
 
 # Runs each argv list given on the command line through ``main`` in this
-# fresh interpreter; prints, per run, the exit code and the scipy modules
-# loaded so far.
+# fresh interpreter; prints, per run, the exit code, the scipy modules
+# loaded so far and whether numpy.random is loaded.
 _REPORT = """
 import contextlib, io, json, sys
 from zenotraj.cli import main
@@ -32,7 +35,8 @@ out = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    out.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+    out.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                "numpy.random" in sys.modules])
 print(json.dumps(out))
 """
 
@@ -76,12 +80,16 @@ class TestNoScipyOnImport:
         ["dicke", "--numeric"],
         ["dynamics-deph"],
         ["nonmarkov", "--model", "deph", "--tmax", "1", "--steps", "10"],
+        ["nonmarkov", "--model", "deph"],
+        ["nonmarkov", "--recipe", "fig4b"],
+        ["nonmarkov", "--recipe", "fig4c"],
     ], ids=" ".join)
     def test_scipy_free_route_stays_scipy_free(self, argv):
-        assert _fresh_runs(argv) == [[0, []]]
+        # nor does it import numpy.random; the last three search a sudden-death root
+        assert _fresh_runs(argv) == [[0, [], False]]
 
     def test_volterra_route_imports_scipy_on_demand(self):
-        ((code, loaded),) = _fresh_runs(["dynamics-diss", "--tmax", "0.8", "--steps", "16"])
+        ((code, loaded, _),) = _fresh_runs(["dynamics-diss", "--tmax", "0.8", "--steps", "16"])
         assert code == 0
         assert "scipy.integrate" in loaded
 

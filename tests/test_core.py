@@ -37,7 +37,7 @@ from zenotraj.dephasing import (
     modified_dephasing,
     postselected_state_deph,
 )
-from zenotraj.dicke import excited_population_analytic
+from zenotraj.dicke import CollectiveRateMatrix, excited_population_analytic
 from zenotraj.dissipative import postselected_state_diss, trace_distance_diss
 from zenotraj.cli import _SCENARIO_DEFAULTS, parse_config
 from zenotraj.errors import ConfigError, NullOutcome, NumericError
@@ -78,7 +78,7 @@ def _filter_config(kind, n_tilde):
 
 
 class TestOneOwnerPerRule:
-    """The path range, the dark port, K = (N-2n)^2, c = NR - 1, the phi_T and amplitude
+    """The path range, the dark port, K = (N-2n)^2, c = NR - 1, the phi_T and initial-state
     windows and the pulse count n_tilde >= 1 each have one owner."""
 
     # every function of a binary (N, n) profile that has no value at n = N/2
@@ -138,16 +138,36 @@ class TestOneOwnerPerRule:
     @pytest.mark.parametrize("excess, accepted", [
         (2e-12, False), (-2e-12, False), (math.nan, False), (1e-13, True), (0.0, True),
     ])
-    def test_amplitude_window_has_one_owner(self, excess, accepted):
-        # |c_e|^2 + |c_g|^2 = 1 to 1e-12, for a pure state and a dissipative initial state
+    def test_amplitude_window(self, excess, accepted):
+        # |c_e|^2 + |c_g|^2 = 1 to 1e-12 for a pure state
         c_e, c_g = math.sqrt(0.5 + excess), math.sqrt(0.5)
-        for call in (lambda: QubitState.pure(c_e, c_g),
-                     lambda: postselected_state_diss(c_e, c_g, 0.5, 3, 0)):
-            if accepted:
+        if accepted:
+            QubitState.pure(c_e, c_g)
+        else:
+            with pytest.raises(ValueError, match=r"\|c_e\|² \+ \|c_g\|² = 1, got"):
+                QubitState.pure(c_e, c_g)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([0.5 + 2e-12, 0.5]), "an initial state must have unit trace, got 1.000000000002"),
+        (np.diag([0.5 - 2e-12, 0.5]), "an initial state must have unit trace, got 0.999999999998"),
+        (np.diag([0.8, 0.3]), "an initial state must have unit trace, got 1.1"),
+        (np.diag([math.nan, 1.0]), "an initial state must have unit trace, got nan"),
+        (np.array([[0.5, 0.5], [0.4, 0.5]]), "state is not Hermitian: deviation 0.1"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), "state is not PSD: min eigenvalue -0.1"),
+        (np.diag([0.5 + 1e-13, 0.5]), None),
+    ], ids=["trace-above", "trace-below", "trace-1.1", "nan", "non-hermitian", "non-psd",
+            "in-window"])
+    def test_initial_state_window_has_one_owner(self, matrix, message):
+        # rho0 Hermitian, PSD and of unit trace to 1e-12, for both post-selection builders
+        rho0 = QubitState(matrix)
+        for call in (lambda: postselected_state_diss(rho0, 0.5, 3, 0),
+                     lambda: postselected_state_deph(rho0, 0.5, 3, 0)):
+            if message is None:
                 call()
             else:
-                with pytest.raises(ValueError, match=r"\|c_e\|² \+ \|c_g\|² = 1, got"):
+                with pytest.raises(ValueError) as info:
                     call()
+                assert str(info.value) == message
 
     @pytest.mark.parametrize("build", [
         *(functools.partial(_filter_config, kind) for kind in _SCENARIO_DEFAULTS["filter"]["kind"]),
@@ -159,6 +179,26 @@ class TestOneOwnerPerRule:
         with pytest.raises((ValueError, ConfigError)) as info:
             build(0.5)
         assert str(info.value) == "the traditional filter needs n_tilde >= 1, got n_tilde=0.5"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Lorentzian(math.nan, 1.0, 1.0), "Lorentzian needs gamma0 > 0, got gamma0=nan"),
+        (lambda: CollectiveRateMatrix.from_factor(3, 0.1, math.nan),
+         "CollectiveRateMatrix needs gamma0 > 0, got gamma0=nan"),
+        (lambda: DephasingParams(Ohmic(1 / 3, 1.0, 1.0), math.nan),
+         "temperature must be >= 0, got temperature=nan"),
+        (lambda: filter_traditional_zeno(1.0, 2.0, math.nan, 1.0),
+         "the traditional filter needs n_tilde >= 1, got n_tilde=nan"),
+    ], ids=["lorentzian", "rate-matrix", "temperature", "pulse-count"])
+    def test_nan_is_refused_by_the_rule_owner(self, build, message):
+        # each check accepts a value, not refuses one, so nan fails it
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_infinite_elapsed_time_is_refused_by_the_size_budget(self):
+        # t = inf has infinitely many half-periods: a NumericError, not a ZeroDivisionError
+        with pytest.raises(NumericError, match=r"^inf half-periods at t = inf, "):
+            dephasing_exponent(DephasingParams(Ohmic(1 / 3, 1.0, 1.0)), math.inf)
 
     @pytest.mark.parametrize("t", [-1.0, math.nan])
     def test_elapsed_time_has_one_owner(self, t):
@@ -442,7 +482,7 @@ class TestNormalize:
         state, p = normalize(QubitState(np.diag([0.5, 0.25])))
         assert p == 0.75
         assert_allclose(state.matrix, np.diag([2.0 / 3.0, 1.0 / 3.0]), rtol=1e-15)
-        assert state.normalized
+        assert state.trace == pytest.approx(1.0, rel=1e-15)
 
     def test_zero_state_raises_null_outcome(self):
         with pytest.raises(NullOutcome):
@@ -477,8 +517,8 @@ class TestTraceDistance:
             trace_distance(QubitState.plus(), QubitState.minus()), 1.0)
 
     def test_matches_eigenvalue_formula(self):
-        a = np.diag([0.8, 0.2])
-        b = np.diag([0.5, 0.5])
+        a = QubitState(np.diag([0.8, 0.2]))
+        b = QubitState(np.diag([0.5, 0.5]))
         assert_allclose(trace_distance(a, b), 0.3, rtol=1e-15)
 
 

@@ -258,6 +258,19 @@ class TestDecayAmplitude:
         G = decay_amplitude_auto(j, 1.0, grid)
         assert G.source == "volterra"
 
+    def test_auto_takes_the_closed_form_only_for_a_resonant_line(self):
+        # the pseudomode form assumes a line centred on the qubit: for a line at 5 and
+        # a qubit at 1 it is off by 9.8e-3 in |G|, where the Volterra route is right
+        j, grid = Lorentzian(1.0, 0.01, 5.0), TimeGrid(0.05, 41)
+        G = decay_amplitude_auto(j, 1.0, grid)
+        assert G.source == "volterra"
+        assert G.values.tobytes() == decay_amplitude(j, 1.0, grid).values.tobytes()
+        closed = decay_amplitude_closed_series(j.gamma0, j.lam, grid)
+        assert np.max(np.abs(np.abs(closed.values) - np.abs(G.values))) > 1e-3
+        # the resonant line of the same width keeps the closed form
+        resonant = decay_amplitude_auto(Lorentzian(1.0, 0.01, 1.0), 1.0, grid)
+        assert resonant.source == "lorentzian_closed_form"
+
     def test_volterra_route_starts_at_exactly_one(self):
         grid = TimeGrid(0.05, 5)
         G = decay_amplitude(Lorentzian(1.0, 0.5, 1.0), 1.0, grid)
@@ -284,14 +297,26 @@ class TestPostselectedStateDiss:
             ee = R * abs(g) ** 2 * abs(ce0) ** 2
             eg = R * g * ce0 * np.conj(cg0)
             gg = R * abs(cg0) ** 2 + (1.0 / N) * abs(ce0) ** 2 * (1.0 - abs(g) ** 2)
-            st = postselected_state_diss(ce0, cg0, g, N, n)
+            st = postselected_state_diss(QubitState.pure(ce0, cg0), g, N, n)
             assert st.matrix[0, 0] == pytest.approx(ee, rel=1e-13, abs=1e-15)
             assert st.matrix[0, 1] == pytest.approx(eg, rel=1e-13, abs=1e-15)
             assert st.matrix[1, 1] == pytest.approx(gg, rel=1e-13, abs=1e-15)
 
+    def test_mixed_initial_state_is_the_mixture_of_its_pure_parts(self):
+        # the map is linear in rho0, so a mixture of |e> and |+> gives the same
+        # mixture of their two conditional states
+        g, weight = 0.7 * np.exp(0.9j), 0.3
+        excited, plus = QubitState.excited(), QubitState.plus()
+        mixed = QubitState(weight * excited.matrix + (1.0 - weight) * plus.matrix)
+        for N, n in [(1, 0), (3, 1), (8, 3)]:
+            want = (weight * postselected_state_diss(excited, g, N, n).matrix
+                    + (1.0 - weight) * postselected_state_diss(plus, g, N, n).matrix)
+            got = postselected_state_diss(mixed, g, N, n).matrix
+            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_no_interferometer_reduces_to_amplitude_damping(self):
         g = 0.6 * np.exp(0.4j)
-        st = postselected_state_diss(0.8, 0.6, g, 1, 0)
+        st = postselected_state_diss(QubitState.pure(0.8, 0.6), g, 1, 0)
         assert st.matrix[0, 0] == pytest.approx(abs(g) ** 2 * 0.64, rel=1e-14)
         assert st.matrix[1, 1] == pytest.approx(0.36 + 0.64 * (1 - abs(g) ** 2), rel=1e-14)
         assert st.trace == pytest.approx(1.0, rel=1e-14)
@@ -299,7 +324,7 @@ class TestPostselectedStateDiss:
     def test_population_freezing_large_n(self):
         # N = 10^4, n = 1, |G|^2 = 0.5: the normalised excited population
         # stays within 1.1e-4 of one (frozen oracle: 0.9998999699949996).
-        st = postselected_state_diss(1.0, 0.0, np.sqrt(0.5), 10_000, 1)
+        st = postselected_state_diss(QubitState.excited(), np.sqrt(0.5), 10_000, 1)
         norm, p = normalize(st)
         ee = norm.matrix[0, 0].real
         assert ee == pytest.approx(0.9998999699949996, abs=1e-14)
@@ -312,7 +337,7 @@ class TestPostselectedStateDiss:
         p = survival_probability_diss(np.sqrt(0.99), 4, 0)
         assert p == pytest.approx(0.99 / 0.9925, rel=1e-14)
         # matches the trace of the unnormalised post-selected state
-        st = postselected_state_diss(1.0, 0.0, np.sqrt(0.99), 4, 0)
+        st = postselected_state_diss(QubitState.excited(), np.sqrt(0.99), 4, 0)
         _, ptr = normalize(st)
         # survival here is the *renormalised excited population*; check both
         # conventions explicitly against the state
@@ -349,8 +374,8 @@ class TestTraceDistanceDiss:
             for n in range((N + 1) // 2):
                 for _ in range(5):
                     g = rng.uniform(1e-3, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                    a, _ = normalize(postselected_state_diss(np.sqrt(0.5), np.sqrt(0.5), g, N, n))
-                    b, _ = normalize(postselected_state_diss(np.sqrt(0.5), -np.sqrt(0.5), g, N, n))
+                    a, _ = normalize(postselected_state_diss(QubitState.plus(), g, N, n))
+                    b, _ = normalize(postselected_state_diss(QubitState.minus(), g, N, n))
                     direct = trace_distance(a, b)
                     assert trace_distance_diss(g, N, n) == pytest.approx(direct, abs=1e-12)
 
@@ -396,7 +421,7 @@ class TestTraceDistanceDiss:
             g = np.sqrt(g2)
 
             def dist(N):
-                st, _ = normalize(postselected_state_diss(1.0, 0.0, g, N, 1))
+                st, _ = normalize(postselected_state_diss(target, g, N, 1))
                 return trace_distance(st, target)
 
             prev = dist(10)

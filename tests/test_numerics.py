@@ -9,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, optimize
 
 from zenotraj import core, dephasing, dicke, numerics, perturbation
 from zenotraj.errors import NumericError, QuadratureError
@@ -21,6 +23,7 @@ from zenotraj.numerics import (
     _check_size,
     _legendre_rule,
     _pool_map,
+    brentq,
     gauss_legendre_panels,
     integrate_adaptive,
     integrate_matrix_ode,
@@ -43,6 +46,78 @@ class TestTimeGrid:
             TimeGrid(-0.1, 5)
         with pytest.raises(ValueError):
             TimeGrid(0.1, 1)
+
+    @pytest.mark.parametrize("dt, message", [
+        (math.inf, "TimeGrid.dt must be finite, got dt=inf"),
+        (math.nan, "TimeGrid.dt must be positive, got dt=nan"),
+    ])
+    def test_rejects_a_non_finite_step(self, dt, message):
+        # an infinite step would give the times [nan, inf, inf]
+        with pytest.raises(ValueError) as info:
+            TimeGrid(dt, 3)
+        assert str(info.value) == message
+
+
+# the test functions of the root search: smooth, steep, flat at the root, a step, many
+# roots, and values so small that the extrapolated step's denominator underflows to 0
+_ROOT_FUNCTIONS = {
+    "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,
+    "tiny": lambda x: 1e-200 * (x ** 3 - 2.0 * x - 5.0),
+    "cos": lambda x: math.cos(x) - x,
+    "exp": lambda x: math.exp(x) - 3.0,
+    "flat": lambda x: (x - 1.1) ** 5 + 1e-9 * x,
+    "step": lambda x: 1.0 if x > 0.123 else -1.0,
+    "sin": lambda x: math.sin(50.0 * x) + 0.3,
+}
+
+
+def _root_or_error(solver, *args, **kwargs):
+    """The root's bits, or the type and message of the exception raised."""
+    try:
+        return solver(*args, **kwargs).hex()
+    except (ValueError, RuntimeError, TypeError) as err:
+        return type(err).__name__, str(err)
+
+
+class TestBrentq:
+    """numerics.brentq against scipy.optimize.brentq, the oracle: the same bits."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(_ROOT_FUNCTIONS)),
+           a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0),
+           xtol_exp=st.floats(-14.0, -1.0), rtol_exp=st.floats(math.log10(8.9e-16), -1.0),
+           maxiter=st.sampled_from([100, 3, 20]))
+    # two brackets where the "- delta" of the short-step bound picks the step
+    @example("cubic", 2.816009352093327, -2.139536308799431, -5.184121785313485,
+             -1.1961098658297988, 100)
+    @example("flat", -0.9786111651692568, 4.365230922325852, -2.3607041555406596,
+             -5.64124963342859, 100)
+    def test_same_bits_as_scipy(self, name, a, b, xtol_exp, rtol_exp, maxiter):
+        f = _ROOT_FUNCTIONS[name]
+        kwargs = dict(xtol=10.0 ** xtol_exp, rtol=10.0 ** rtol_exp, maxiter=maxiter)
+        assert (_root_or_error(brentq, f, a, b, **kwargs)
+                == _root_or_error(optimize.brentq, f, a, b, **kwargs))
+
+    @pytest.mark.parametrize("f, a, b, kwargs", [
+        (lambda x: x - 1.3, 1.0, 2.0, {}),
+        (lambda x: x - 1.3, 2.0, 1.0, {}),
+        (lambda x: -0.0 if x == 1.0 else 1.0, 1.0, 2.0, {}),
+        (lambda x: x, 1.0, 2.0, {}),
+        (lambda x: math.nan, 1.0, 2.0, {}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"xtol": 0.0}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"xtol": math.nan}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"rtol": 1e-17}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": -1}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": 0}),
+        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": 2.5}),
+        (lambda x: x - 1.3, 1.0, math.inf, {}),
+        (lambda x: x - 1.3, -1e308, 1e308, {}),
+    ], ids=["root", "reversed", "zero-at-a", "no-sign-change", "nan", "xtol-zero", "xtol-nan",
+            "rtol-small", "maxiter-negative", "maxiter-zero", "maxiter-float", "inf-bracket",
+            "overflowing-bracket"])
+    def test_same_checks_and_exceptions_as_scipy(self, f, a, b, kwargs):
+        assert _root_or_error(brentq, f, a, b, **kwargs) == _root_or_error(
+            optimize.brentq, f, a, b, **kwargs)
 
 
 class TestIntegrateAdaptive:

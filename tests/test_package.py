@@ -87,6 +87,15 @@ def test_coupling_model_holds_one_bath():
         assert not any("path" in param for param in params), name
 
 
+def test_a_qubit_state_is_one_type():
+    # one field, and both post-selection builders take the initial state as one
+    assert [f.name for f in dataclasses.fields(zenotraj.QubitState)] == ["matrix"]
+    for builder in (zenotraj.postselected_state_diss, zenotraj.postselected_state_deph):
+        assert list(inspect.signature(builder).parameters)[0] == "rho0"
+    assert list(inspect.signature(zenotraj.postselected_state_diss).parameters) == [
+        "rho0", "g_t", "n_paths", "n_shifts"]
+
+
 def _defaulted(fn):
     try:
         params = inspect.signature(fn).parameters.values()
@@ -109,5 +118,5 @@ def _settable(obj):
 def test_settable_values_of_the_public_callables_are_bounded():
     counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
               if callable(getattr(zenotraj, name))}
-    assert counts["TimeGrid"] == 2 and counts["QubitState"] == 2
-    assert sum(counts.values()) <= 36
+    assert counts["TimeGrid"] == 2 and counts["QubitState"] == 1
+    assert sum(counts.values()) <= 35
