@@ -405,17 +405,20 @@ def _run_filter(config):
     j = config.inputs[p["spectral"]]
     meta = _base_metadata(config, "omega_q = 1 sets the clock")
     meta["omega_q_t"] = omega_q * t  # resolved time choice, not a silent default
-    if config.recipe == "fig2":
-        cols = ["omega", "j", "f_N1", "f_N4", "f_N8",
-                "f_tilde_N1", "f_tilde_N4", "f_tilde_N8"]
-        series = [filter_diss(grid, t, N, 0, omega_q) for N in (1, 4, 8)]
-        series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
-        values = np.column_stack([grid, j(grid)] + series)
-        return ResultTable(cols, values, meta)
-    kinds = {"diss": lambda w: filter_diss(w, t, p["N"], p["n"], omega_q),
-             "deph": lambda w: filter_deph(w, t, p["N"], p["n"]),
-             "traditional": lambda w: filter_traditional_zeno(w, t, p["n_tilde"], omega_q)}
-    vals = kinds[p["kind"]](grid)
+    # past float range a sinc argument is inf and the filter NaN, which _check_finite
+    # refuses (exit 3) without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.recipe == "fig2":
+            cols = ["omega", "j", "f_N1", "f_N4", "f_N8",
+                    "f_tilde_N1", "f_tilde_N4", "f_tilde_N8"]
+            series = [filter_diss(grid, t, N, 0, omega_q) for N in (1, 4, 8)]
+            series += [filter_traditional_zeno(grid, t, nt, omega_q) for nt in (1.0, 4.0, 8.0)]
+            values = np.column_stack([grid, j(grid)] + series)
+            return ResultTable(cols, values, meta)
+        kinds = {"diss": lambda w: filter_diss(w, t, p["N"], p["n"], omega_q),
+                 "deph": lambda w: filter_deph(w, t, p["N"], p["n"]),
+                 "traditional": lambda w: filter_traditional_zeno(w, t, p["n_tilde"], omega_q)}
+        vals = kinds[p["kind"]](grid)
     return ResultTable(["omega", "j", "f"], np.column_stack([grid, j(grid), vals]), meta)
 
 
@@ -528,9 +531,8 @@ def _deph_landmarks(params, phi, grid):
     sign_change = np.nonzero(np.diff(np.sign(crossing)) != 0)[0]
     if sign_change.size:
         k = sign_change[0]
-        root = brentq(
-            lambda tt: np.sqrt(np.exp(-dephasing_exponent(params, tt))) + c,
-            grid.times[k], grid.times[k + 1], xtol=1e-12, rtol=8.9e-16)
+        root = brentq(lambda tt: np.sqrt(np.exp(-dephasing_exponent(params, tt))) + c,
+                      grid.times[k], grid.times[k + 1])
         meta["sudden_death_time"] = float(root)
     tail = slice(-max(2, grid.count // 10), None)
     phi_mod_tail = modified_dephasing(phi[tail], 3, 0)

@@ -76,11 +76,13 @@ class SpectralDensity:
     omega_max: float | None = None
 
     def _resolve(self, default_omega_max):
-        """Fill in the default omega_max and store the fields as floats."""
+        """Fill in the default omega_max and store the fields as floats; ValueError
+        unless the cut is > 0, so also for the NaN default cut of a NaN centre."""
         if self.omega_max is None:
             object.__setattr__(self, "omega_max", default_omega_max)
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        _require_positive(type(self).__name__, omega_max=self.omega_max)
 
     # a family whose ``_shape`` rounds a Python float as it rounds an array sets
     # this, so QUADPACK's float nodes skip the ndarray round trip
@@ -139,8 +141,8 @@ class Ohmic(SpectralDensity):
         # w^s is largest at w = omega_max; where η w^s ω_c^{1−s} may pass float
         # range there, J is taken from log space at the nodes whose direct
         # product is not finite (every other node keeps the direct product)
-        logs = (self.s * math.log(self.omega_max) if self.omega_max > 0 else 0.0,
-                math.log(self.eta), (1.0 - self.s) * math.log(self.omega_c))
+        logs = (self.s * math.log(self.omega_max), math.log(self.eta),
+                (1.0 - self.s) * math.log(self.omega_c))
         object.__setattr__(self, "_log_space", sum(max(x, 0.0) for x in logs) > _LOG_HUGE)
 
     def _shape(self, omega):
@@ -158,13 +160,14 @@ class Ohmic(SpectralDensity):
 
     def _log_space_shape(self, w):
         """The direct product where it is finite, exp(log J) at the other w >= 0."""
-        # at w = 0 the direct product is 0, or 0 * inf = nan, and log J = -inf
+        # at w = 0 the direct product is 0, or 0 * inf = nan, and log J = -inf;
+        # exp(log J) is inf where J itself passes float range
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             direct = (self.eta * w ** self.s * np.float64(self.omega_c) ** (1.0 - self.s)
                       * np.exp(-w / self.omega_c))
             log_j = (math.log(self.eta) + self.s * np.log(w)
                      + (1.0 - self.s) * math.log(self.omega_c) - w / self.omega_c)
-        return np.where(np.isfinite(direct), direct, np.exp(log_j))
+            return np.where(np.isfinite(direct), direct, np.exp(log_j))
 
 
 @dataclass(frozen=True)
@@ -318,13 +321,13 @@ class QubitState:
         """Assert Hermiticity, positivity and the trace window to 1e-12; returns self."""
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if dev > 1e-12:
-            raise ValueError(f"state is not Hermitian: deviation {dev:g}")
+            raise ValueError(f"state is not Hermitian: deviation {dev!r}")
         lo = float(np.linalg.eigvalsh(self.matrix)[0])
         if lo < -1e-12:
-            raise ValueError(f"state is not PSD: min eigenvalue {lo:g}")
+            raise ValueError(f"state is not PSD: min eigenvalue {lo!r}")
         tr = self.trace
         if not -1e-12 <= tr <= 1.0 + 1e-12:
-            raise ValueError(f"trace {tr:g} outside [0, 1]")
+            raise ValueError(f"trace {tr!r} outside [0, 1]")
         return self
 
 
@@ -345,7 +348,7 @@ def normalize(state):
     """Divide out the trace; returns (normalized state, success probability)."""
     p = state.trace
     if p <= -1e-14:
-        raise ValueError(f"state has negative trace {p:g}")
+        raise ValueError(f"state has negative trace {p!r}")
     if p < 1e-14:
         raise NullOutcome("post-selection probability is numerically zero")
     return QubitState(state.matrix / p), p

@@ -239,7 +239,7 @@ def _ohmic_split(j, temperature, t):
         upper = min(window, j.omega_max)
         h = _bose_integrand(j, temperature, t)
         h(upper)  # w^s is largest at upper: it overflows there or nowhere
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: cos or sin of an infinite x theta
         return None
     return gamma0 + _half_period_quad(h, upper, t, 0.5 * tol)
 

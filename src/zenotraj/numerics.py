@@ -61,31 +61,21 @@ class _LazyModule:
 integrate = _LazyModule("scipy.integrate")
 
 
-# the least rtol that brentq accepts, 4 eps, as in scipy
-_BRENT_RTOL = 2.0 ** -50
+# the one setting of the sudden-death root search
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
+def brentq(f, a, b):
     """A root of f in the sign-changing bracket [a, b] by Brent's method, without scipy.
 
     A line-by-line port of scipy's ``Zeros/brentq.c`` (Brent, *Algorithms for
     Minimization without Derivatives*, 1973, ch. 4), so it returns the bits
-    of ``scipy.optimize.brentq`` with scipy's defaults, argument checks and
-    exceptions: ValueError for xtol <= 0, rtol < 4 eps, maxiter < 0, a NaN
-    value of f or a bracket without a sign change; RuntimeError when maxiter
-    iterations do not converge.  It has no ``args``, ``full_output`` or
-    ``disp``.
+    of ``scipy.optimize.brentq(f, a, b, xtol=1e-12, rtol=8.9e-16)`` with
+    scipy's exceptions: ValueError for a NaN value of f or a bracket without
+    a sign change; RuntimeError when 100 iterations do not converge.
     """
-    from operator import index
-
-    maxiter = index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
     def value(x):
         fx = float(f(x))
         if fx != fx:
@@ -101,7 +91,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
         return xcur
     if (fpre < 0) == (fcur < 0):  # neither is 0 or NaN here, so this is C's signbit test
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -109,7 +99,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -137,7 +127,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=_BRENT_RTOL, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 @dataclass(frozen=True)

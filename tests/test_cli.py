@@ -44,6 +44,15 @@ OWNED_BOUNDS = [
      "the traditional filter needs n_tilde >= 1, got n_tilde=0.5"),
     (["nonmarkov", "--model", "diss", "--temperature", "-1"], 2,
      "temperature must be >= 0, got temperature=-1.0"),
+    # a centre that puts J's default cut at or below 0, where J would be 0 everywhere
+    (["dynamics-diss", "--omega-q", "-60", "--lambda", "1", "--tmax", "1", "--steps", "2"], 2,
+     "Lorentzian needs omega_max > 0, got omega_max=-10.0"),
+    (["nonmarkov", "--model", "diss", "--omega-q", "-60", "--lambda", "1", "--tmax", "1",
+      "--steps", "2"], 2, "Lorentzian needs omega_max > 0, got omega_max=-10.0"),
+    (["perturbation", "--omega-q", "-60", "--lambda", "1", "--omega-points", "3"], 2,
+     "Lorentzian needs omega_max > 0, got omega_max=-10.0"),
+    (["filter", "--omega-m", "-100", "--omega-points", "3"], 2,
+     "GaussianPeak needs omega_max > 0, got omega_max=-94.63343685400051"),
     (["dynamics-diss", "--tmax", "-1"], 2, "TimeGrid.dt must be positive, got dt=-0.001"),
     (["dicke", "--tmax", "-5"], 2, "TimeGrid.dt must be positive, got dt=-0.01"),
     # a step that underflows to 0 (a traceback when the runner built the grid)
@@ -53,6 +62,18 @@ OWNED_BOUNDS = [
     # the bath the table's metadata records is refused on the diss branch too
     (["nonmarkov", "--model", "diss", "--s", "0.5", "--temperature", "0.5"], 3,
      "finite-temperature dephasing exponent refused"),
+]
+
+
+# a filter argument or a dephasing exponent past float range: (argv, message)
+PAST_FLOAT_RANGE = [
+    *((["filter", "--kind", kind, "--t", "1e308", "--omega-points", "3"],
+       "result is not finite in f\n") for kind in cli._SCENARIO_DEFAULTS["filter"]["kind"]),
+    (["filter", "--recipe", "fig2", "--t", "1e308"],
+     "result is not finite in f_N1, f_N4, f_N8, f_tilde_N1, f_tilde_N4, f_tilde_N8\n"),
+    *((scenario + ["--steps", "3", "--s", s], "series leaves [0.0, inf] at t = ")
+      for scenario in (["dynamics-deph"], ["nonmarkov", "--model", "deph"])
+      for s in ("1e308", "1.7976931348623157e308")),
 ]
 
 
@@ -701,6 +722,16 @@ class TestMain:
         assert (f"{entries} state-history entries, 21 bytes each, exceed the size budget of "
                 "1,073,741,824 bytes; shrink --steps or --N\n" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv, message", PAST_FLOAT_RANGE,
+                             ids=[" ".join(case[0]) for case in PAST_FLOAT_RANGE])
+    @pytest.mark.filterwarnings("error")
+    def test_value_past_float_range_exit_code(self, argv, message, capsys):
+        # a filter argument or an exponent past float range: one line and exit 3, no warning
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("zenotraj: numeric failure: ")
+        assert message in err
+
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],
         ["perturbation", "--lambda", "1e307"],
@@ -899,8 +930,8 @@ CHEAP_ROUTES = {
     "dicke": (["dicke", "--steps=3"], ("numeric",)),
     "dynamics-deph": (["dynamics-deph", "--steps=3"], ("temperature",)),
     "nonmarkov-deph": (["nonmarkov", "--model=deph", "--steps=3"], ("model", "temperature")),
-    "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--omega-q=1", "--steps=3"],
-                      ("lam", "omega_q")),
+    # omega_q (default 1, the closed form) is drawn: Volterra and a cut at or below 0 too
+    "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--steps=3"], ("lam",)),
     # a 2-panel (t1, t2) mesh; gamma0, N, n and the frequency window are drawn
     "perturbation": (["perturbation", "--t=0.01", "--omega-points=3"], ("t", "lam", "omega_q")),
 }

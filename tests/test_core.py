@@ -152,8 +152,10 @@ class TestOneOwnerPerRule:
         (np.diag([0.5 - 2e-12, 0.5]), "an initial state must have unit trace, got 0.999999999998"),
         (np.diag([0.8, 0.3]), "an initial state must have unit trace, got 1.1"),
         (np.diag([math.nan, 1.0]), "an initial state must have unit trace, got nan"),
-        (np.array([[0.5, 0.5], [0.4, 0.5]]), "state is not Hermitian: deviation 0.1"),
-        (np.array([[0.5, 0.6], [0.6, 0.5]]), "state is not PSD: min eigenvalue -0.1"),
+        (np.array([[0.5, 0.5], [0.4, 0.5]]),
+         "state is not Hermitian: deviation 0.09999999999999998"),
+        (np.array([[0.5, 0.6], [0.6, 0.5]]),
+         "state is not PSD: min eigenvalue -0.09999999999999995"),
         (np.diag([0.5 + 1e-13, 0.5]), None),
     ], ids=["trace-above", "trace-below", "trace-1.1", "nan", "non-hermitian", "non-psd",
             "in-window"])
@@ -188,7 +190,15 @@ class TestOneOwnerPerRule:
          "temperature must be >= 0, got temperature=nan"),
         (lambda: filter_traditional_zeno(1.0, 2.0, math.nan, 1.0),
          "the traditional filter needs n_tilde >= 1, got n_tilde=nan"),
-    ], ids=["lorentzian", "rate-matrix", "temperature", "pulse-count"])
+        # a NaN centre or cut: J would be 0 everywhere
+        (lambda: Lorentzian(1.0, 1.0, math.nan),
+         "Lorentzian needs omega_max > 0, got omega_max=nan"),
+        (lambda: GaussianPeak(math.nan, 1.0),
+         "GaussianPeak needs omega_max > 0, got omega_max=nan"),
+        (lambda: Ohmic(1.0, 1.0, 1.0, omega_max=math.nan),
+         "Ohmic needs omega_max > 0, got omega_max=nan"),
+    ], ids=["lorentzian", "rate-matrix", "temperature", "pulse-count", "lorentzian-centre",
+            "gaussian-centre", "ohmic-cut"])
     def test_nan_is_refused_by_the_rule_owner(self, build, message):
         # each check accepts a value, not refuses one, so nan fails it
         with pytest.raises(ValueError) as info:
@@ -399,6 +409,12 @@ class TestQubitState:
     def test_validate_rejects_overweight_trace(self):
         with pytest.raises(ValueError):
             QubitState(np.diag([0.9, 0.3])).validate()
+
+    def test_validate_shows_the_refused_value_in_full(self):
+        # a value just outside its window reads as the value, not as 1 rounded by :g
+        with pytest.raises(ValueError) as info:
+            QubitState(np.array([[1.000000000002, 0], [0, 0]])).validate()
+        assert str(info.value) == "trace 1.000000000002 outside [0, 1]"
 
 
 class TestPostselectGeneral:

@@ -71,12 +71,17 @@ _ROOT_FUNCTIONS = {
 }
 
 
-def _root_or_error(solver, *args, **kwargs):
+def _root_or_error(solver, f, a, b):
     """The root's bits, or the type and message of the exception raised."""
     try:
-        return solver(*args, **kwargs).hex()
-    except (ValueError, RuntimeError, TypeError) as err:
+        return solver(f, a, b).hex()
+    except (ValueError, RuntimeError) as err:
         return type(err).__name__, str(err)
+
+
+def _scipy_brentq(f, a, b):
+    """scipy's root search at the one setting of ``numerics.brentq``."""
+    return optimize.brentq(f, a, b, xtol=1e-12, rtol=8.9e-16)
 
 
 class TestBrentq:
@@ -84,40 +89,41 @@ class TestBrentq:
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(_ROOT_FUNCTIONS)),
-           a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0),
-           xtol_exp=st.floats(-14.0, -1.0), rtol_exp=st.floats(math.log10(8.9e-16), -1.0),
-           maxiter=st.sampled_from([100, 3, 20]))
-    # two brackets where the "- delta" of the short-step bound picks the step
-    @example("cubic", 2.816009352093327, -2.139536308799431, -5.184121785313485,
-             -1.1961098658297988, 100)
-    @example("flat", -0.9786111651692568, 4.365230922325852, -2.3607041555406596,
-             -5.64124963342859, 100)
-    def test_same_bits_as_scipy(self, name, a, b, xtol_exp, rtol_exp, maxiter):
+           a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0))
+    def test_same_bits_as_scipy(self, name, a, b):
         f = _ROOT_FUNCTIONS[name]
-        kwargs = dict(xtol=10.0 ** xtol_exp, rtol=10.0 ** rtol_exp, maxiter=maxiter)
-        assert (_root_or_error(brentq, f, a, b, **kwargs)
-                == _root_or_error(optimize.brentq, f, a, b, **kwargs))
+        assert _root_or_error(brentq, f, a, b) == _root_or_error(_scipy_brentq, f, a, b)
 
-    @pytest.mark.parametrize("f, a, b, kwargs", [
-        (lambda x: x - 1.3, 1.0, 2.0, {}),
-        (lambda x: x - 1.3, 2.0, 1.0, {}),
-        (lambda x: -0.0 if x == 1.0 else 1.0, 1.0, 2.0, {}),
-        (lambda x: x, 1.0, 2.0, {}),
-        (lambda x: math.nan, 1.0, 2.0, {}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"xtol": 0.0}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"xtol": math.nan}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"rtol": 1e-17}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": -1}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": 0}),
-        (lambda x: x - 1.3, 1.0, 2.0, {"maxiter": 2.5}),
-        (lambda x: x - 1.3, 1.0, math.inf, {}),
-        (lambda x: x - 1.3, -1e308, 1e308, {}),
-    ], ids=["root", "reversed", "zero-at-a", "no-sign-change", "nan", "xtol-zero", "xtol-nan",
-            "rtol-small", "maxiter-negative", "maxiter-zero", "maxiter-float", "inf-bracket",
-            "overflowing-bracket"])
-    def test_same_checks_and_exceptions_as_scipy(self, f, a, b, kwargs):
-        assert _root_or_error(brentq, f, a, b, **kwargs) == _root_or_error(
-            optimize.brentq, f, a, b, **kwargs)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-5.0, 5.0), width=st.floats(1e-12, 1e-10),
+           c=st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    # two brackets where the "- delta" of the short-step bound picks the step
+    @example(1.0524342245264338, 1.719551743257867e-12,
+             (0.6107914521292386, -0.3106901124852832, -0.7372063778808118, -0.7100613580860311))
+    @example(3.3086937403908916, 7.023181902084811e-12,
+             (-0.5766074574877016, 0.2058382758039674, 0.9307914576989753, 0.6094277137524533))
+    def test_same_bits_on_brackets_a_few_tolerances_wide(self, a, width, c):
+        # a cubic in u = (x - a)/width on [a, a + width]: the bracket is a few xtol wide
+        def f(x):
+            u = (x - a) / width
+            return c[0] + u * (c[1] + u * (c[2] + u * c[3]))
+
+        b = a + width
+        assert _root_or_error(brentq, f, a, b) == _root_or_error(_scipy_brentq, f, a, b)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x - 1.3, 1.0, 2.0),
+        (lambda x: x - 1.3, 2.0, 1.0),
+        (lambda x: -0.0 if x == 1.0 else 1.0, 1.0, 2.0),
+        (lambda x: x, 1.0, 2.0),
+        (lambda x: math.nan, 1.0, 2.0),
+        (lambda x: x - 1.3, 1.0, math.inf),
+        (lambda x: x - 1.3, -1e308, 1e308),
+        (_ROOT_FUNCTIONS["step"], -1e308, 1e308),
+    ], ids=["root", "reversed", "zero-at-a", "no-sign-change", "nan", "inf-bracket",
+            "overflowing-bracket", "no-convergence"])
+    def test_same_exceptions_as_scipy(self, f, a, b):
+        assert _root_or_error(brentq, f, a, b) == _root_or_error(_scipy_brentq, f, a, b)
 
 
 class TestIntegrateAdaptive:
