@@ -51,6 +51,13 @@ def _require_positive(owner, **values):
             raise ValueError(f"{owner} needs {name} > 0, got {name}={value!r}")
 
 
+def _require_finite(owner, **values):
+    """ValueError naming the first of ``values`` that is not finite (nan included)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} needs a finite {name}, got {name}={value!r}")
+
+
 def _require_elapsed(t):
     """ValueError unless the elapsed time t is >= 0 (nan included)."""
     if not t >= 0:
@@ -113,6 +120,7 @@ class Lorentzian(SpectralDensity):
     def __post_init__(self):
         _require_positive("Lorentzian", gamma0=self.gamma0, lam=self.lam)
         self._resolve(self.omega_q + 50.0 * self.lam)
+        _require_finite("Lorentzian", omega_q=self.omega_q)
         try:  # a float power past float range raises instead of returning inf
             lam_sq = self.lam ** 2
         except OverflowError:
@@ -180,6 +188,7 @@ class GaussianPeak(SpectralDensity):
     def __post_init__(self):
         _require_positive("GaussianPeak", delta=self.delta)
         self._resolve(self.omega_m + 12.0 * math.sqrt(self.delta))
+        _require_finite("GaussianPeak", omega_m=self.omega_m)
 
     def _shape(self, omega):
         with np.errstate(over="ignore"):  # the square past 1e154 is inf, and e^{-inf} = 0

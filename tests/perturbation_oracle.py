@@ -1,11 +1,11 @@
 """Mesh route of the second-order engine's block and decay factor: the tolerance oracle.
 
-The engine splits the coupling operators into Bohr parts and integrates over
-the lag tau alone, reading C(tau) at its nodes.  This oracle does neither:
-it integrates over the (t1, t2) mesh that ``general_filter`` uses, rotating
-the operators at every node, and never forms C; an adaptive ``quad_vec``
-over omega contracts every omega node's phase row e^{-i omega tau} with the
-whole mesh.  So it shares no quadrature with the engine's tau route.
+The engine splits the coupling operators into Bohr parts and integrates J
+against the divided difference of exp on its own panel rule.  This oracle
+does neither: it integrates over the (t1, t2) mesh that ``general_filter``
+uses, rotating the operators at every node; an adaptive ``quad_vec`` over
+omega contracts every omega node's phase row e^{-i omega tau} with the whole
+mesh.  So it shares no quadrature with the engine's frequency rule.
 """
 
 import numpy as np

@@ -930,8 +930,10 @@ CHEAP_ROUTES = {
     "dicke": (["dicke", "--steps=3"], ("numeric",)),
     "dynamics-deph": (["dynamics-deph", "--steps=3"], ("temperature",)),
     "nonmarkov-deph": (["nonmarkov", "--model=deph", "--steps=3"], ("model", "temperature")),
-    # omega_q (default 1, the closed form) is drawn: Volterra and a cut at or below 0 too
-    "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--steps=3"], ("lam",)),
+    # omega_q (default 1, the closed form) is drawn: Volterra and a cut at or below 0 too,
+    # which a positive tmax lets through to the cut check
+    "dynamics-diss": (["dynamics-diss", "--lambda=0.01", "--tmax=1", "--steps=3"],
+                      ("lam", "tmax")),
     # a 2-panel (t1, t2) mesh; gamma0, N, n and the frequency window are drawn
     "perturbation": (["perturbation", "--t=0.01", "--omega-points=3"], ("t", "lam", "omega_q")),
 }

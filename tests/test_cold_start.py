@@ -88,6 +88,16 @@ class TestNoScipyOnImport:
         # nor does it import numpy.random; the last three search a sudden-death root
         assert _fresh_runs(argv) == [[0, [], False]]
 
+    def test_second_order_engine_loads_no_scipy(self):
+        # the block and the decay factor integrate J on the frequency rule, without quad_vec
+        engine = ("from zenotraj.core import Lorentzian, QubitState, binary_phases;"
+                  "from zenotraj.perturbation import dissipative_coupling_model as model,"
+                  " general_decay_factor, second_order_block;"
+                  "m = model(Lorentzian(4.0, 2.0, 1.0), 1.0);"
+                  "second_order_block(m, QubitState.excited(), 0.5);"
+                  "general_decay_factor(m, QubitState.excited(), 0.5, binary_phases(3, 1))")
+        assert _imported_scipy("-c", engine) == []
+
     def test_volterra_route_imports_scipy_on_demand(self):
         ((code, loaded, _),) = _fresh_runs(["dynamics-diss", "--tmax", "0.8", "--steps", "16"])
         assert code == 0

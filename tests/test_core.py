@@ -197,8 +197,18 @@ class TestOneOwnerPerRule:
          "GaussianPeak needs omega_max > 0, got omega_max=nan"),
         (lambda: Ohmic(1.0, 1.0, 1.0, omega_max=math.nan),
          "Ohmic needs omega_max > 0, got omega_max=nan"),
+        # with an explicit cut a NaN centre gives J = nan on [0, cut], an infinite one J = 0
+        (lambda: Lorentzian(1.0, 1.0, math.nan, omega_max=5.0),
+         "Lorentzian needs a finite omega_q, got omega_q=nan"),
+        (lambda: Lorentzian(1.0, 1.0, -math.inf, omega_max=5.0),
+         "Lorentzian needs a finite omega_q, got omega_q=-inf"),
+        (lambda: GaussianPeak(math.nan, 1.0, omega_max=5.0),
+         "GaussianPeak needs a finite omega_m, got omega_m=nan"),
+        (lambda: GaussianPeak(math.inf, 1.0),
+         "GaussianPeak needs a finite omega_m, got omega_m=inf"),
     ], ids=["lorentzian", "rate-matrix", "temperature", "pulse-count", "lorentzian-centre",
-            "gaussian-centre", "ohmic-cut"])
+            "gaussian-centre", "ohmic-cut", "lorentzian-centre-cut", "lorentzian-infinite-centre",
+            "gaussian-centre-cut", "gaussian-infinite-centre"])
     def test_nan_is_refused_by_the_rule_owner(self, build, message):
         # each check accepts a value, not refuses one, so nan fails it
         with pytest.raises(ValueError) as info:

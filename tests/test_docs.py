@@ -94,7 +94,5 @@ def test_readme_size_budget_states_the_code_numbers():
                          dephasing._HALF_PERIOD_BYTES),
                         ("a node of the second-order engine's `(t1, t2)` mesh",
                          perturbation._NODE_BYTES),
-                        ("a τ node of the second-order engine's block and decay factor",
-                         perturbation._TAU_BYTES),
                         ("an entry of `dicke --numeric`'s state history", dicke._HISTORY_BYTES)]:
         assert f"{unit}, {value:,} bytes" in bullet, unit

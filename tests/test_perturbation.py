@@ -5,7 +5,9 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from zenotraj.core import (
     Lorentzian,
     Ohmic,
     QubitState,
+    SpectralDensity,
     binary_phases,
     phase_pair_sum,
 )
@@ -27,6 +30,7 @@ from zenotraj.filters import decay_factor_overlap, filter_diss, filter_deph, sin
 from zenotraj.numerics import TimeGrid, solve_volterra
 from zenotraj.perturbation import (
     CouplingModel,
+    _exp_divided_difference,
     _filter_mesh,
     _prefactor,
     _rotated_operators,
@@ -162,6 +166,16 @@ def _volterra_reference(j_unit, omega_q, eps_sq, grid):
     return solve_volterra(eps_sq * _unit_samples(j_unit, omega_q, grid), grid)
 
 
+def _quarter_period_sum(j, f, t):
+    """int_0^{omega_max} J f dw by order-20 Gauss-Legendre on panels of pi/(2t), a quarter
+    period of sinc^2(w t/2): the long-time reference, independent of the engine's rule."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, j.omega_max, int(np.ceil(2.0 * j.omega_max * t / np.pi)) + 1)
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
+    return float(np.sum(half * ((j(nodes) * f(nodes)) @ w)))
+
+
 class TestSecondOrderBlock:
     def test_matches_exact_dissipative_dynamics_to_fourth_order(self):
         # The block is the exact eps^2 coefficient, so the deviation from the
@@ -214,6 +228,16 @@ class TestSecondOrderBlock:
         # sigma_z the gain and the loss are the same product, so they cancel to the bit
         block = second_order_block(dephasing_coupling_model(j), QubitState.excited(), t)
         np.testing.assert_array_equal(block, np.zeros((2, 2)))
+
+    def test_matches_the_closed_forms_at_t_60(self):
+        # the loss of |e> under energy exchange is J's overlap with t^2 sinc^2((w - w_q) t/2),
+        # and the [e, g] entry of |+> under pure dephasing -Gamma_0(t)/2 of an Ohmic J
+        t, model = 60.0, dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        loss = _quarter_period_sum(LORENTZIAN, lambda w: t * t * sinc((w - 1.0) * t / 2.0) ** 2, t)
+        block = second_order_block(model, QubitState.excited(), t)
+        assert np.max(np.abs(block - np.diag([-loss, loss]))) <= 1e-12 * loss
+        got = second_order_block(dephasing_coupling_model(OHMIC), QubitState.plus(), t)[0, 1]
+        assert got == pytest.approx(-0.5 * _ohmic_zero_temperature(OHMIC, t), rel=1e-12)
 
     def test_time_edge_cases(self):
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
@@ -396,10 +420,18 @@ class TestGeneralDecayFactor:
 
     @pytest.mark.parametrize("t", [5.0, 20.0])
     def test_matches_overlap_integral_at_long_times(self, t):
-        # t = 20 takes 6,500 tau nodes; a (t1, t2) mesh would take 42,250,000
+        # t = 20 takes 680 panels of the frequency rule; a (t1, t2) mesh would take
+        # 42,250,000 nodes
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
         want = decay_factor_overlap(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), 1.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_matches_a_panel_sum_past_the_overlap_limit(self):
+        # at t = 60 decay_factor_overlap's QUADPACK integral raises QuadratureError
+        t, model = 60.0, dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
+        want = _quarter_period_sum(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), t)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_dephasing_factor_equals_half_exponent(self):
@@ -437,7 +469,7 @@ class TestGeneralDecayFactor:
        binary=_binary_profiles())
 def test_block_and_decay_factor_match_the_closed_forms(dissipative, t, omega_q, line, ohmic,
                                                        binary):
-    """The tau route against two closed forms: the energy-exchange decay factor of a
+    """The frequency rule against two closed forms: the energy-exchange decay factor of a
     Lorentzian (gamma0, lambda, centre) against its filter_diss overlap, and the [e, g]
     entry of the pure-dephasing block of |+> against -Gamma_0(t)/2, the T = 0 closed form
     of an Ohmic (eta, s, omega_c); dephasing_exponent's Gauss-Legendre branch is no
@@ -474,8 +506,8 @@ _ORACLE_MODELS = {
 
 @pytest.mark.parametrize("density", sorted(_ORACLE_DENSITIES))
 @pytest.mark.parametrize("coupling", sorted(_ORACLE_MODELS))
-class TestCorrelationTableOracle:
-    """The tau route over Bohr frequencies against the frequency integral over the whole mesh."""
+class TestMeshOracle:
+    """The pair weights over Bohr frequencies against the frequency integral over the whole mesh."""
 
     def test_block_matches_frequency_integral(self, coupling, density):
         factory, rho0, _ = _ORACLE_MODELS[coupling]
@@ -490,35 +522,57 @@ class TestCorrelationTableOracle:
         assert got == pytest.approx(oracle_decay_factor(model, psi0, 0.4, config), rel=1e-12)
 
 
-class TestCorrelationTableChecks:
-    def test_unconverged_frequency_integral_is_reported(self, monkeypatch):
-        # the block and the decay factor read C at the tau nodes from one quad_vec
-        # call whose error bound is checked; a bound far above tolerance must raise
-        import scipy.integrate
+def _divided_difference_mp(a, b):
+    """e[0, a, b] in mpmath, coalesced nodes by the derivative of phi1, with 30 digits to
+    spare past the square of the smallest nonzero |a|, |b| or |b - a|."""
+    tiny = min((abs(z) for z in (a, b, b - a) if z), default=1.0)
+    with mpmath.workdps(30 + max(0, int(-2.0 * np.log10(tiny)))):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        if a == b:
+            return complex((mpmath.exp(a) * (a - 1) + 1) / a**2 if a else mpmath.mpf(0.5))
+        phi1 = [mpmath.expm1(z) / z if z else mpmath.mpf(1) for z in (a, b)]
+        return complex((phi1[1] - phi1[0]) / (b - a))
 
-        def unconverged(f, a, b, **kwargs):
-            value = f(0.5 * (a + b))
-            return value, 1e3 * (1.0 + np.max(np.abs(value)))
 
-        monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged)
-        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=st.one_of(st.just(0.0), st.floats(-1.2, 1.2), st.floats(-60.0, 60.0)),
+       gap=st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.floats(-1e-6, 1e-6)))
+def test_divided_difference_matches_mpmath(beta, gap):
+    """Each branch of the kernel, direct, shifted by e^a and the series, at relative 4e-15 of
+    mpmath's value, with a = i(beta + gap) and b = i beta coalescing or apart."""
+    a, b = 1j * (beta + gap), 1j * beta
+    got = _exp_divided_difference(np.array([a]), np.array([b]))[0]
+    want = _divided_difference_mp(a, b)
+    assert abs(got - want) <= 4e-15 * abs(want), (a, b, got, want)
+
+
+@dataclass(frozen=True)
+class RippledDensity(SpectralDensity):
+    """1 + cos(10^6 w) on [0, 1]: ripples far finer than the panels the budget can reach."""
+
+    def __post_init__(self):
+        self._resolve(1.0)
+
+    def _shape(self, omega):
+        return 1.0 + np.cos(1e6 * omega)
+
+
+class TestPairWeightChecks:
+    def test_unconverged_frequency_integral_is_reported(self):
+        # a panel's value and the sum over its halves stay apart through every bisection
+        # that the budget allows, so both entries raise
+        model = dissipative_coupling_model(RippledDensity(), omega_q=1.0)
         with pytest.raises(QuadratureError, match="did not converge"):
             second_order_block(model, QubitState.excited(), 0.2)
         with pytest.raises(QuadratureError, match="did not converge"):
             general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
 
-    def test_table_matches_direct_integral_at_the_lags(self):
-        # C(tau) by one QUADPACK integral per lag (real and imaginary part)
-        from scipy.integrate import quad
-
-        tau = np.array([0.0, 0.013, 0.2, 0.377, 0.5])
-        got = perturbation._correlation(LORENTZIAN, tau)
-        for lag, value in zip(tau, got):
-            re = quad(lambda w: LORENTZIAN(w) * np.cos(w * lag), 0.0, LORENTZIAN.omega_max,
-                      epsabs=0.0, epsrel=1e-13, limit=400)[0]
-            im = quad(lambda w: -LORENTZIAN(w) * np.sin(w * lag), 0.0, LORENTZIAN.omega_max,
-                      epsabs=0.0, epsrel=1e-13, limit=400)[0]
-            assert abs(value - complex(re, im)) <= 1e-12 * abs(got[0])
+    @pytest.mark.parametrize("j, t", [(Lorentzian(4.0, 2.0, 1.0, omega_max=np.inf), 0.5),
+                                      (LORENTZIAN, np.inf)], ids=["infinite-cut", "infinite-time"])
+    def test_infinitely_many_panels_are_refused(self, j, t):
+        model = dissipative_coupling_model(j, omega_q=1.0)
+        with pytest.raises(NumericError, match="^inf half-periods of the pair weights at t = "):
+            second_order_block(model, QubitState.excited(), t)
 
 
 def _contract_one_product(c, omega, tau, weighted):
@@ -599,15 +653,15 @@ class TestRowBlockedContraction:
             tracemalloc.stop()
         assert peak < 5.4e6
 
-    def test_second_order_block_memory_is_bounded(self, pool_of):
-        # the CLI default t = 0.5 takes 170 tau nodes in place of the 28,900-node
-        # mesh: a 0.12 MB peak, once scipy is imported outside the trace
+    @pytest.mark.parametrize("t", [0.5, 60.0])
+    def test_second_order_block_memory_is_bounded(self, t, pool_of):
+        # the pair weights take their panels 16 at a time in place of the 28,900-node mesh
+        # of the CLI default t = 0.5: a 0.42 MB peak there and at t = 60 alike
         pool_of(2)
         model, psi0, _ = _ENGINE_CASES["diss"]
-        second_order_block(model, psi0, 0.5)
         tracemalloc.start()
         try:
-            second_order_block(model, psi0, 0.5)
+            second_order_block(model, psi0, t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -628,24 +682,6 @@ class TestRowBlockedContraction:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-
-    # rate = omega_max + omega_q = 102: 9,761 panels (97,610 nodes) is the most the
-    # size budget admits at 11,000 bytes a node; t = 400 takes 12,988 panels
-    @pytest.mark.parametrize("entry", ["second_order_block", "general_decay_factor"])
-    def test_tau_nodes_above_the_budget_are_refused_before_allocation(self, entry):
-        model, psi0, config = _ENGINE_CASES["diss"]
-        call = {"second_order_block": lambda: second_order_block(model, psi0, 400.0),
-                "general_decay_factor": lambda: general_decay_factor(model, psi0, 400.0, config)}
-        tracemalloc.start()
-        try:
-            with pytest.raises(NumericError, match=r"^129,880 tau nodes, 11,000 bytes each, "
-                                                   r"exceed the size budget of 1,073,741,824 "
-                                                   r"bytes; shrink --t or --lambda or --omega-q$"):
-                call[entry]()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e5
 
 
 def _engine_bytes(name, omega, t=0.2):
