@@ -5,7 +5,8 @@ overlap integral gamma(t) = int dw J(w) F(w, t, N, n) between the bath
 spectral density and a filter set by the evolution time and the path
 superposition.  More paths scale the filter down by N/(N-2n)^2 without
 broadening it, unlike the traditional pulsed-measurement filter whose width
-grows with the number of interruptions at fixed elapsed time.
+grows with the number of interruptions at fixed elapsed time.  The overlap
+runs on the second-order engine's checked frequency rule, without scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .core import _binary_pair_sum, _refuse_dark_port
 from .dissipative import decay_factor, memory_kernel, survival_probability_diss
 from .errors import NumericError
-from .numerics import TimeGrid, integrate_adaptive, solve_volterra
+from .numerics import TimeGrid, _frequency_integral, solve_volterra
 
 __all__ = [
     "filter_diss",
@@ -27,8 +28,6 @@ __all__ = [
     "sinc",
 ]
 
-
-_OVERLAP_REL_TOL = 1e-11
 
 _CONSISTENCY_STEPS = 200  # Volterra steps of perturbative_consistency's exact dynamics
 
@@ -91,20 +90,14 @@ def filter_traditional_zeno(omega, t, n_tilde, omega_q):
 
 
 def decay_factor_overlap(j, f, peak):
-    """gamma(t) = int_0^{omega_max} dw J(w) f(w); adaptive, relative-only.
-
-    ``f`` is the filter as a function of w and ``peak`` its centre frequency
-    (omega_q for ``filter_diss`` and ``filter_traditional_zeno``, 0 for
-    ``filter_deph``); a peak inside (0, omega_max) is the one breakpoint.
-    The absolute tolerance is pinned to zero so that scaling the filter by an
-    exact constant scales the quadrature result by exactly that constant
-    (identical subdivision decisions), preserving e.g. the 1/N law bitwise
-    for power-of-two N.
-    """
-    integrand = lambda w: j(w) * f(w)
-    points = [peak] if 0.0 < peak < j.omega_max else []
-    out = integrate_adaptive(integrand, 0.0, j.omega_max, _OVERLAP_REL_TOL, 0.0, points=points)
-    return 0.0 if out < 0.0 else out
+    """gamma(t) = int_0^{omega_max} dw J(w) f(w), a float, for a filter ``f`` of an ndarray of
+    w, on numerics' frequency rule.  The filter's centre ``peak`` (omega_q for ``filter_diss``
+    and ``filter_traditional_zeno``, 0 for ``filter_deph``) splits the integral where it lies
+    inside, so the panels are graded toward it from both sides.  Scaling f by a power of two
+    scales the result by exactly that: the 1/N law is bitwise for power-of-two N."""
+    ends = [0.0, peak, j.omega_max] if 0.0 < peak < j.omega_max else [0.0, j.omega_max]
+    return float(sum(_frequency_integral(lambda w: j(w) * f(w), ends[k:k + 2])
+                     for k in range(len(ends) - 1)))
 
 
 def perturbative_consistency(j, omega_q, t, n_paths, n_shifts, eps):

@@ -1,10 +1,11 @@
 """Generic numerical kernels, each quadrature and series rule written once.
 
 A checked time series type, a real-valued QUADPACK adapter for (possibly
-oscillatory) spectral integrals, one Gauss-Legendre panel rule, a
-product-trapezoidal solver for memory-kernel Volterra equations, a fixed-step
-4th-order density-matrix integrator, the run's size budget, and the one
-worker pool that the dephasing exponent and the second-order engine share.
+oscillatory) spectral integrals, one Gauss-Legendre panel rule and the checked
+frequency rule that the filter overlap and the engine's pair weights share, a
+product-trapezoidal Volterra solver, a fixed-step 4th-order density-matrix
+integrator, the run's size budget, and the one worker pool that the dephasing
+exponent and the second-order engine share.
 All routines are pure functions of their inputs and safe for concurrent use.
 """
 
@@ -29,6 +30,16 @@ __all__ = [
 
 
 _GL_ORDER = 10
+
+# the frequency rule: end panels graded by this ratio (0.15**37 < 1e-30), this many panels at a
+# time, bisected to this much of the result's size, at most this many bisections per start panel
+_GRADING = 0.15
+_GRADED_PANELS = 37
+_PANEL_CHUNK = 16
+_RULE_TOL = 1e-13
+_MAX_BISECTIONS = 32
+_EPS = np.finfo(float).eps
+_SUBNORMAL_TOL = 2.0**-1064  # 1,024 of the 2**-1074 that a subnormal value rounds to
 
 # the bytes a run may ask for in any one allocation that grows with its input
 _SIZE_BUDGET = 2**30
@@ -360,6 +371,58 @@ def panel_nodes(edges):
     nodes = np.multiply(half[:, None], x)
     nodes += mid[:, None]
     return nodes, half, w
+
+
+def _frequency_integral(integrand, edges):
+    """The integral over [edges[0], edges[-1]] of ``integrand``, which maps (panels, 10) nodes
+    to values of shape (panels, 10, ...), on order-10 Gauss-Legendre panels, the first graded
+    toward edges[0] and the last toward edges[-1].  Each panel, ``_PANEL_CHUNK`` at a time, is
+    bisected while it and the sum over its halves disagree past ``_RULE_TOL`` of the result's
+    size (the larger of a first pass and the running total) and past its nodes' rounding, so
+    scaling the integrand by a power of two scales the result by exactly that.  NumericError
+    for a non-finite edge; QuadratureError past ``_MAX_BISECTIONS`` bisections a starting panel."""
+    edges = np.asarray(edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise NumericError(f"the frequency rule needs finite panel edges, got {edges!r}")
+    ratios = _GRADING ** np.arange(_GRADED_PANELS, 0, -1)
+    edges = np.concatenate((edges[:1], edges[0] + (edges[1] - edges[0]) * ratios, edges[1:-1],
+                            edges[-1] - (edges[-1] - edges[-2]) * ratios[::-1], edges[-1:]))
+    edges = edges[np.append(True, np.diff(edges) > 0)]  # none empty past a nonzero end
+    x, w = _legendre_rule(_GL_ORDER)
+
+    def sums(lo, hi):  # each panel's integral, and its integral of the largest |value|
+        half = 0.5 * (hi - lo)
+        values, hw = integrand((lo + half)[:, None] + half[:, None] * x), half[:, None] * w
+        largest = np.abs(values).reshape(hw.shape + (-1,)).max(2)
+        return np.einsum("kn...,kn->k...", values, hw), np.einsum("kn,kn->k", largest, hw)
+
+    lows, highs = edges[:-1], edges[1:]
+    runs = [slice(k, k + _PANEL_CHUNK) for k in range(0, lows.size, _PANEL_CHUNK)]
+    first = sum(sums(lows[run], highs[run])[0].sum(0) for run in runs)
+    size, total = np.max(np.abs(first)), np.zeros_like(first)
+    budget = _MAX_BISECTIONS * lows.size
+    for run in runs:  # a queue: the first panels are checked and disagreeing ones' halves appended
+        lo, hi = lows[run], highs[run]
+        coarse = sums(lo, hi)[0]
+        while lo.size:
+            a, b, c = lo[:_PANEL_CHUNK], hi[:_PANEL_CHUNK], coarse[:_PANEL_CHUNK]
+            mid = 0.5 * (a + b)
+            (left, left_mass), (right, right_mass) = sums(a, mid), sums(mid, b)
+            fine = left + right
+            # a node is rounded by eps |w| and a panel resolves its integrand at about its own
+            # width, so its value carries rounding of about eps |w|/half of its mass
+            floor = _EPS * (abs(a) + abs(b)) / (b - a) * (left_mass + right_mass)
+            tol = max(_RULE_TOL * max(size, np.max(np.abs(total))), _SUBNORMAL_TOL)
+            diff = np.abs(fine - c).reshape(a.size, -1).max(1)
+            bad = ~(diff <= np.maximum(tol, floor))  # a NaN disagrees too
+            total += fine[~bad].sum(0)
+            budget -= np.count_nonzero(bad)
+            if budget < 0:
+                raise QuadratureError("frequency integral did not converge", estimate=total)
+            lo = np.concatenate((lo[_PANEL_CHUNK:], a[bad], mid[bad]))
+            hi = np.concatenate((hi[_PANEL_CHUNK:], mid[bad], b[bad]))
+            coarse = np.concatenate((coarse[_PANEL_CHUNK:], left[bad], right[bad]))
+    return total
 
 
 def gauss_legendre_panels(f, edges):

@@ -11,11 +11,12 @@ with J gives the post-selected decay factor, and that decay factor.  In h_q's
 eigenbasis each A_a(t) = sum_nu A_{a,nu} e^{i nu t} splits into Bohr parts, so
 the block and the decay factor need only the pair weights
 I[nu, mu] = t^2 int_0^{omega_max} J(w) e[0, i(nu - w)t, i(nu + mu)t] dw, one
-frequency integral of J against the divided difference of exp, with no C(tau);
-the filter contracts its frequencies with a (t1, t2) mesh.  Every path couples
-to one bath J.  Factories give the two paper models: the energy-exchange
-coupling reproduces the sinc^2 filter exactly, the pure-dephasing coupling
-the (1 - cos wt)/w^2 shape up to an overall constant.
+frequency integral of J against the divided difference of exp, with no C(tau),
+on the checked frequency rule it shares with the filter overlap; the filter
+contracts its frequencies with a (t1, t2) mesh.  Every path couples to one
+bath J.  Factories give the two paper models: the energy-exchange coupling
+reproduces the sinc^2 filter exactly, the pure-dephasing coupling the
+(1 - cos wt)/w^2 shape up to an overall constant.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpectralDensity, _require_elapsed, phase_pair_sum
-from .errors import NullOutcome, NumericError, QuadratureError
-from .numerics import _GL_ORDER, _check_size, _legendre_rule, _pool_map, panel_nodes, row_blocks
+from .errors import NullOutcome, NumericError
+from .numerics import _check_size, _frequency_integral, _pool_map, panel_nodes, row_blocks
 
 __all__ = [
     "CouplingModel",
@@ -49,15 +50,6 @@ _NODE_CHUNK = 1024
 # traced bytes per (t1, t2) mesh node of general_filter, the mesh's one user: it takes at
 # most 125, and 157 leaves every refusal where it was
 _NODE_BYTES = 157
-# the pair weights' frequency rule: its first panel graded toward 0 by this ratio (0.15**37 <
-# 1e-30), panels taken this many at a time, bisected until two rules agree to this much of the
-# largest weight, and refused past this many bisections per panel on average
-_GRADING = 0.15
-_GRADED_PANELS = 37
-_PANEL_CHUNK = 16
-_WEIGHT_TOL = 1e-13
-_MAX_BISECTIONS = 32
-_EPS = np.finfo(float).eps
 _J_KEYS = ("--t", "--lambda", "--omega-q")  # the options that set t and J's omega_max
 
 
@@ -215,73 +207,25 @@ def _exp_divided_difference(a, b):
     return out
 
 
-def _panel_runs(omega_max, n_pan):
-    """Edges of ``n_pan`` equal panels of [0, omega_max], the first graded toward 0 by
-    ``_GRADING`` down to below 1e-30 of its width, in runs of ``_PANEL_CHUNK`` panels."""
-    graded = np.append(0.0, omega_max / n_pan * _GRADING ** np.arange(_GRADED_PANELS, -1, -1))
-    for k in range(0, _GRADED_PANELS + 1, _PANEL_CHUNK):
-        yield graded[k:k + _PANEL_CHUNK + 1]
-    for k in range(1, n_pan, _PANEL_CHUNK):
-        yield omega_max / n_pan * np.arange(k, min(k + _PANEL_CHUNK, n_pan) + 1)
-
-
-def _pair_weights(j, nu, t):
-    """I[nu, mu] = t^2 int_0^{omega_max} J(w) e[0, i(nu - w)t, i(nu + mu)t] dw for the Bohr
-    frequencies ``nu``, on numerics' order-10 Gauss-Legendre rule over ``_panel_runs`` of
-    half a period of e^{-iwt}, so memory does not grow with t.  A panel is bisected while its
-    value and the sum over its halves disagree past ``_WEIGHT_TOL`` of the largest weight
-    and past the rounding of its nodes; QuadratureError past ``_MAX_BISECTIONS`` a panel."""
+def _bohr_weights(model, t):
+    """Bohr parts A_{a,nu} = P_i A_a P_j (h_q = sum_i d_i P_i, nu = d_i - d_j) as an (n_ops,
+    n_nu, 2, 2) stack, and their pair weights I[nu, mu] = t^2 int_0^{omega_max} J(w)
+    e[0, i(nu - w)t, i(nu + mu)t] dw at time t, on numerics' frequency rule over panels of
+    half a period of e^{-iwt}.  ValueError for t < 0."""
+    _require_elapsed(t)
+    j, (d, u) = model.j, np.linalg.eigh(model.h_q)
     half_periods = j.omega_max * t / math.pi
     if not math.isfinite(half_periods):
         raise NumericError(f"{half_periods} half-periods of the pair weights at t = {t!r}")
-    n_pan = max(math.ceil(half_periods), 1)
-    x, w = _legendre_rule(_GL_ORDER)
-    sigma = 1j * t * np.add.outer(nu, nu)[:, :, None, None]
-
-    def shares(lo, hi):  # each panel's share of the weights and its t^2 int |J|
-        out, mass = np.empty((lo.size,) + sigma.shape[:2], dtype=complex), np.empty(lo.size)
-        for part in (slice(k, k + _PANEL_CHUNK) for k in range(0, lo.size, _PANEL_CHUNK)):
-            half = 0.5 * (hi[part] - lo[part])
-            omega = (lo[part] + half)[:, None] + half[:, None] * x
-            jw = (t * t) * j(omega) * half[:, None] * w
-            a = 1j * t * np.subtract.outer(nu, omega)[:, None]
-            out[part] = np.einsum("pqkn,kn->kpq", _exp_divided_difference(a, sigma), jw)
-            mass[part] = np.abs(jw).sum(1)
-        return out, mass
-
-    tol = _WEIGHT_TOL * np.max(np.abs(sum(shares(e[:-1], e[1:])[0].sum(0)
-                                          for e in _panel_runs(j.omega_max, n_pan))))
-    weights = np.zeros(sigma.shape[:2], dtype=complex)
-    for edges in _panel_runs(j.omega_max, n_pan):
-        lo, hi, budget = edges[:-1], edges[1:], _MAX_BISECTIONS * (edges.size - 1)
-        coarse = shares(lo, hi)[0]
-        while lo.size:
-            mid = 0.5 * (lo + hi)
-            lo_halves, hi_halves = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-            halves, mass = shares(lo_halves, hi_halves)
-            fine = halves[:lo.size] + halves[lo.size:]
-            # a node is rounded by eps w and a panel resolves its integrand at about its own
-            # width, so its value carries rounding of about eps w/half of its t^2 int |J|
-            floor = _EPS * (hi + lo) / (hi - lo) * (mass[:lo.size] + mass[lo.size:])
-            bad = np.max(np.abs(fine - coarse), axis=(1, 2)) > np.maximum(tol, floor)
-            weights += fine[~bad].sum(0)
-            budget -= np.count_nonzero(bad)
-            if budget < 0:
-                raise QuadratureError("pair weights did not converge", estimate=weights)
-            bad = np.concatenate((bad, bad))  # the halves of each disagreeing panel
-            lo, hi, coarse = lo_halves[bad], hi_halves[bad], halves[bad]
-    return weights
-
-
-def _bohr_weights(model, t):
-    """Bohr parts A_{a,nu} = P_i A_a P_j (h_q = sum_i d_i P_i, nu = d_i - d_j) as an (n_ops,
-    n_nu, 2, 2) stack, and their pair weights I[nu, mu] at time t (``_pair_weights``).
-    ValueError for t < 0."""
-    _require_elapsed(t)
-    d, u = np.linalg.eigh(model.h_q)
     parts = np.einsum("ik,jk,ajl,lm,rm->akmir", u, u.conj(), model.operators, u, u.conj())
     nu = np.subtract.outer(d, d).ravel()
-    return parts.reshape(len(model.operators), nu.size, 2, 2), _pair_weights(model.j, nu, t)
+
+    def kernel(omega):  # (panels, order, nu, mu)
+        a, b = 1j * t * (nu[:, None] - omega[..., None, None]), 1j * t * np.add.outer(nu, nu)
+        return (t * t) * j(omega)[..., None, None] * _exp_divided_difference(a, b)
+
+    edges = np.linspace(0.0, j.omega_max, max(math.ceil(half_periods), 1) + 1)
+    return parts.reshape(len(model.operators), nu.size, 2, 2), _frequency_integral(kernel, edges)
 
 
 def second_order_block(model, rho0, t):

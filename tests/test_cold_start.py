@@ -6,8 +6,9 @@ The routes that need scipy reach it through one module global that stays
 patchable: ``numerics.integrate`` (QUADPACK ``quad``, looked up on every
 call).  The sudden-death root search is ``cli.brentq``, Brent's method in
 ``numerics`` without scipy, so fig4b, fig4c and the ``nonmarkov --model
-deph`` defaults load none.  Per-layer tracing replaces exactly these two
-names, so the tests below pin them down.
+deph`` defaults load none; the filter overlap runs on ``numerics``'
+frequency rule, so ``perturbation`` loads none either.  Per-layer tracing
+replaces exactly these two names, so the tests below pin them down.
 """
 
 import json
@@ -83,9 +84,12 @@ class TestNoScipyOnImport:
         ["nonmarkov", "--model", "deph"],
         ["nonmarkov", "--recipe", "fig4b"],
         ["nonmarkov", "--recipe", "fig4c"],
+        ["perturbation"],
     ], ids=" ".join)
     def test_scipy_free_route_stays_scipy_free(self, argv):
-        # nor does it import numpy.random; the last three search a sudden-death root
+        # nor does it import numpy.random; fig4b, fig4c and the nonmarkov --model deph
+        # defaults search a sudden-death root, and perturbation's overlap runs on the
+        # frequency rule
         assert _fresh_runs(argv) == [[0, [], False]]
 
     def test_second_order_engine_loads_no_scipy(self):

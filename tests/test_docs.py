@@ -96,3 +96,16 @@ def test_readme_size_budget_states_the_code_numbers():
                          perturbation._NODE_BYTES),
                         ("an entry of `dicke --numeric`'s state history", dicke._HISTORY_BYTES)]:
         assert f"{unit}, {value:,} bytes" in bullet, unit
+
+
+def test_readme_frequency_rule_states_the_code_numbers():
+    # the grading, the chunk, the tolerance, the budget and the subnormal floor of numerics' rule
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = text.split("\n- **The frequency rule.** ", 1)[1].split("\n- **Memory.**", 1)[0]
+    bullet = " ".join(bullet.split())
+    for stated in (f"ratio {numerics._GRADING}", f"becomes {numerics._GRADED_PANELS + 1} panels",
+                   f"{numerics._PANEL_CHUNK} at a time", f"`{numerics._RULE_TOL:g}`",
+                   f"more than {numerics._MAX_BISECTIONS} bisections per starting panel",
+                   "`2^-1064`"):
+        assert stated in bullet, stated
+    assert numerics._SUBNORMAL_TOL == 2.0**-1064

@@ -10,7 +10,8 @@ digest unchanged; a deliberate numeric change re-records them with
     PYTHONPATH=src python tests/test_golden.py
 
 and checks the re-recorded tables against the route they replace, as the
-dephasing cases below do against the full-integrand QUADPACK oracle.
+dephasing cases below do against the full-integrand QUADPACK oracle and the
+perturbation cases against the QUADPACK overlap.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from zenotraj.filters import decay_factor_overlap, filter_deph, filter_diss
 
 from custom_density import SmoothDensity
 from dephasing_oracle import oracle_exponent
+from overlap_oracle import oracle_overlap
 
 GOLDEN = (
     (["filter", "--recipe", "fig2"],
@@ -67,8 +69,8 @@ GOLDEN = (
      "a94f5e0a5793f80ed614f7275e75659a480a823f832c7cd9a26dfdb9d4d6554a",
      "1119497a1a2fe88ee5099c943a640bf7070405a7a5f22ae143338f02906e202a"),
     (["perturbation", "--t", "0.2", "--omega-points", "21"],
-     "b4c97f95b0f9b5c2567ac959e47b2a607591e52371dbd9b7b76b91c97c4b2454",
-     "c7e8df81251a7ffe9baca8145e5732119db4cbe40336c3f8de0dcb87c12a6470"),
+     "df6174d5c547b8475a176bf97b76c55b326d68312ba431df5a51a04d7cd7d1af",
+     "970b83b295ba29541f3e60b60d8a32c79dc0a4d27e8f4705967c0e5acb291713"),
     # the CLI defaults: T = 0, s = 1 and the (3, 1) modified factor
     (["dynamics-deph"],
      "1754ecfead53569c635b4810693e6eb3057e08d586df8b02ba8ff2310ac32101",
@@ -105,8 +107,8 @@ GOLDEN = (
     # 601 frequencies in many row blocks of uneven size (recorded with the
     # contraction as one product over all rows)
     (["perturbation", "--t", "0.2", "--omega-points", "601"],
-     "52b0ffbdc219e0a713cdd5cf45b97f5eb134bdb6ba9d46423775869163c37ebc",
-     "8f69c3eeeda5657ed989f9fd90609be26349c027f84fe4a0652d6306c7ad883d"),
+     "a96a3e3c94eeb15705b7a9581b1ab63d5a6222e58449a6cf466f42e1de0957e6",
+     "a59167c69d50b2ce4b654f9b26a072849fc7414bd8f478bde44cff68026a0249"),
     # profiles with n > 0 beyond the (3, 1) defaults: K = (N - 2n)^2 = 1 in
     # the prefactor N/K, the trace distance and R; c = N*R - 1 of (3, 1)
     (["filter", "--kind", "diss", "--N", "5", "--n", "2"],
@@ -122,21 +124,21 @@ GOLDEN = (
      "1315e4a56656d8601d3ab813b6a438b73a7ee950af3767af75245e51707e443d",
      "cfcf03988fe0aa9b69923ab1f623d8e09d866a39c84ec9daf71806daf33d7638"),
     (["perturbation", "--t", "0.2", "--omega-points", "21", "--N", "4", "--n", "1"],
-     "56df393bb6fed131aedc4b6c2cc410a9b1bf443bbd81d7604eee4c5c8fe3d19b",
-     "c2730790f809c4c445ab2587fefec2887be67eddff90bf95c85d0a7d4a5cffaf"),
+     "64d9db958821a16139f532fe2128d7a97970b4a486412eed5bd47d99cf8d1999",
+     "bac2440ff9fa32377723f602cc5b48f45645f04c6a739a5d222a4acb06539b37"),
     # the energy-exchange sweep's strata: the engine on 17- and 9-panel
     # meshes with 101 frequencies, and Volterra tables whose kernel samples
     # J at QUADPACK's float nodes (recorded before the node chunks, the
     # folded c_ab and J's float route)
     (["perturbation", "--gamma0", "2", "--lambda", "1", "--omega-q", "1", "--t", "1",
       "--omega-min", "-2", "--omega-max", "4", "--omega-points", "101", "--N", "3", "--n", "1"],
-     "6a214a9b30c4cb9b0a0fdedd6105eac4c16814a80cfa39ac5bc603a74517a39a",
-     "931deca73f1b6284305396611ec5a51b720d3b13ba632101f19ce634bc8ab5b0"),
+     "d01f061a064e7b55dbd29cf170650ca6eb07ee277be3c499360343399bede669",
+     "a35e232fa89f9677341ec5434a84933a6ac418ccdd12a553d488423a22d70b48"),
     (["perturbation", "--gamma0", "1.5", "--lambda", "1.3", "--omega-q", "0.7", "--t", "0.4",
       "--omega-min", "-2.3", "--omega-max", "3.7", "--omega-points", "101", "--N", "4",
       "--n", "1"],
-     "15cf84d66fcb59a037ca01a5e0efa3e5a4dea97f6d84f158cbfaf9959375079e",
-     "728426f1cb7d627372ef499e9186e03de85b1e702e53195cbf5b74da63bee7e1"),
+     "b17d573d5080b4d34741d3e11ef342440fc67b3c9741fea2c223cdc43067661f",
+     "ff4f8c98b4120efea1f245f3cd18703300a33396ed31057f5967941ffea8f05b"),
     (["dynamics-diss", "--gamma0", "1.5", "--lambda", "2", "--omega-q", "2", "--tmax", "0.3",
       "--steps", "30", "--N", "5", "--n", "2"],
      "e54bbe135478854e33fb9e8be973e94798b6c4ab0ffccf852c6acf05678cf5c0",
@@ -186,8 +188,12 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
 
 # Library routes no table above reaches: the full-integrand QUADPACK route
 # of the dephasing exponent for non-Ohmic J (omega_max * t = 2.5 has no
-# interior half-period breakpoint, 31.5 has ten) and the filter overlap
-# integral, pinned as float.hex.  GaussianPeak(4, 0.02) underflows to 0 near
+# interior half-period breakpoint, 31.5 has ten) and the filter overlap on
+# numerics' frequency rule, pinned as float.hex.  The overlap pins were
+# re-recorded when the overlap left QUADPACK; each is within 9.3e-16 of that
+# route's value and 5.2e-16 of a 30-digit mpmath.quad reference, and
+# test_overlap_pins_match_the_quadpack_route holds them to the former route
+# (tests/overlap_oracle.py).  GaussianPeak(4, 0.02) underflows to 0 near
 # w = 0, so its thermal integrand stays finite there; a Lorentzian's does not
 # (J(0) > 0).  The custom J, a SpectralDensity subclass, vanishes as w^2.
 PIN_DENSITIES = {
@@ -208,16 +214,17 @@ EXPONENT_PINS = (
     ("custom", 0.3, 31.5, "0x1.6ae7db335f744p+0"),
 )
 # the filter of each kind at t=2, omega_q=1.5, N=3, n=1, with its peak: the
-# deph filter's at 0 is no breakpoint, the diss filter's at omega_q is one
+# deph filter's at 0 is an end of the integral, the diss filter's at omega_q
+# splits it in two
 PIN_FILTERS = {"deph": (lambda w: filter_deph(w, 2.0, 3, 1), 0.0),
                "diss": (lambda w: filter_diss(w, 2.0, 3, 1, 1.5), 1.5)}
 OVERLAP_PINS = (
-    ("gaussian", "deph", "0x1.b5012f52fb05ap-6"),
-    ("gaussian", "diss", "0x1.6d06e8636510ap-3"),
-    ("lorentzian", "deph", "0x1.6e58491e5780ap-3"),
-    ("lorentzian", "diss", "0x1.79c9d239b11d5p+0"),
-    ("custom", "deph", "0x1.c8d039d83e077p+0"),
-    ("custom", "diss", "0x1.f2a5e179e9d8bp+3"),
+    ("gaussian", "deph", "0x1.b5012f52fb055p-6"),
+    ("gaussian", "diss", "0x1.6d06e86365104p-3"),
+    ("lorentzian", "deph", "0x1.6e58491e57809p-3"),
+    ("lorentzian", "diss", "0x1.79c9d239b11d4p+0"),
+    ("custom", "deph", "0x1.c8d039d83e075p+0"),
+    ("custom", "diss", "0x1.f2a5e179e9d88p+3"),
 )
 
 
@@ -240,6 +247,31 @@ def test_quadrature_exponent_bits(name, temperature, phase, want):
                          ids=[f"{n}-{k}" for n, k, _ in OVERLAP_PINS])
 def test_overlap_integral_bits(name, kind, want):
     assert _pinned_overlap(name, kind) == want
+
+
+# the re-recorded overlap values against the QUADPACK route they replace, at the
+# 5e-15 relative that the change from one route to the other was held to
+_OVERLAP_MOVE = 5e-15
+
+
+@pytest.mark.parametrize("name, kind", [case[:2] for case in OVERLAP_PINS],
+                         ids=[f"{n}-{k}" for n, k, _ in OVERLAP_PINS])
+def test_overlap_pins_match_the_quadpack_route(name, kind):
+    want = oracle_overlap(PIN_DENSITIES[name], *PIN_FILTERS[kind])
+    assert float.fromhex(_pinned_overlap(name, kind)) == pytest.approx(want, rel=_OVERLAP_MOVE)
+
+
+_PERTURBATION_CASES = [argv for argv, _, _ in GOLDEN if argv[0] == "perturbation"]
+
+
+@pytest.mark.parametrize("argv", _PERTURBATION_CASES, ids=" ".join)
+def test_perturbation_overlaps_match_the_quadpack_route(argv):
+    # the metadata value each perturbation table above carries, from its own J and filter
+    config = parse_config(argv)
+    p, j = config.params, config.inputs["lorentzian"]
+    f = lambda w: filter_diss(w, p["t"], p["N"], p["n"], p["omega_q"])
+    want = oracle_overlap(j, f, p["omega_q"])
+    assert decay_factor_overlap(j, f, p["omega_q"]) == pytest.approx(want, rel=_OVERLAP_MOVE)
 
 
 if __name__ == "__main__":

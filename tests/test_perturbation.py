@@ -42,6 +42,7 @@ from zenotraj.perturbation import (
 )
 
 from custom_density import SmoothDensity
+from overlap_oracle import oracle_overlap, order20_sum, quarter_period_sum
 from perturbation_oracle import every_node_operators, oracle_block, oracle_decay_factor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -166,16 +167,6 @@ def _volterra_reference(j_unit, omega_q, eps_sq, grid):
     return solve_volterra(eps_sq * _unit_samples(j_unit, omega_q, grid), grid)
 
 
-def _quarter_period_sum(j, f, t):
-    """int_0^{omega_max} J f dw by order-20 Gauss-Legendre on panels of pi/(2t), a quarter
-    period of sinc^2(w t/2): the long-time reference, independent of the engine's rule."""
-    x, w = np.polynomial.legendre.leggauss(20)
-    edges = np.linspace(0.0, j.omega_max, int(np.ceil(2.0 * j.omega_max * t / np.pi)) + 1)
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
-    return float(np.sum(half * ((j(nodes) * f(nodes)) @ w)))
-
-
 class TestSecondOrderBlock:
     def test_matches_exact_dissipative_dynamics_to_fourth_order(self):
         # The block is the exact eps^2 coefficient, so the deviation from the
@@ -233,7 +224,7 @@ class TestSecondOrderBlock:
         # the loss of |e> under energy exchange is J's overlap with t^2 sinc^2((w - w_q) t/2),
         # and the [e, g] entry of |+> under pure dephasing -Gamma_0(t)/2 of an Ohmic J
         t, model = 60.0, dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
-        loss = _quarter_period_sum(LORENTZIAN, lambda w: t * t * sinc((w - 1.0) * t / 2.0) ** 2, t)
+        loss = quarter_period_sum(LORENTZIAN, lambda w: t * t * sinc((w - 1.0) * t / 2.0) ** 2, t)
         block = second_order_block(model, QubitState.excited(), t)
         assert np.max(np.abs(block - np.diag([-loss, loss]))) <= 1e-12 * loss
         got = second_order_block(dephasing_coupling_model(OHMIC), QubitState.plus(), t)[0, 1]
@@ -412,7 +403,7 @@ class TestGeneralDecayFactor:
             got = general_decay_factor(model, QubitState.excited(), 0.4,
                                        binary_phases(n_paths, n_shifts))
             f = lambda w: filter_diss(w, 0.4, n_paths, n_shifts, 1.0)
-            want = decay_factor_overlap(LORENTZIAN, f, 1.0)
+            want = oracle_overlap(LORENTZIAN, f, 1.0)
             assert got == pytest.approx(want, rel=1e-6)
             assert got == pytest.approx(want, rel=1e-12)  # actual accuracy
         frozen = general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
@@ -424,15 +415,20 @@ class TestGeneralDecayFactor:
         # 42,250,000 nodes
         model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
         got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
-        want = decay_factor_overlap(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), 1.0)
+        want = oracle_overlap(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), 1.0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_a_panel_sum_past_the_overlap_limit(self):
-        # at t = 60 decay_factor_overlap's QUADPACK integral raises QuadratureError
+        # at t = 60 the QUADPACK oracle raises QuadratureError; decay_factor_overlap, on the
+        # engine's frequency rule, holds the same panel sum
         t, model = 60.0, dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        f = lambda w: filter_diss(w, t, 3, 1, 1.0)
+        want = quarter_period_sum(LORENTZIAN, f, t)
         got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
-        want = _quarter_period_sum(LORENTZIAN, lambda w: filter_diss(w, t, 3, 1, 1.0), t)
         assert got == pytest.approx(want, rel=1e-12)
+        assert decay_factor_overlap(LORENTZIAN, f, 1.0) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            oracle_overlap(LORENTZIAN, f, 1.0)
 
     def test_dephasing_factor_equals_half_exponent(self):
         # With the constant-4 normalization the overlap equals Gamma(t)/2,
@@ -470,7 +466,8 @@ class TestGeneralDecayFactor:
 def test_block_and_decay_factor_match_the_closed_forms(dissipative, t, omega_q, line, ohmic,
                                                        binary):
     """The frequency rule against two closed forms: the energy-exchange decay factor of a
-    Lorentzian (gamma0, lambda, centre) against its filter_diss overlap, and the [e, g]
+    Lorentzian (gamma0, lambda, centre) against its filter_diss overlap by QUADPACK
+    (``oracle_overlap``: decay_factor_overlap shares the engine's rule), and the [e, g]
     entry of the pure-dephasing block of |+> against -Gamma_0(t)/2, the T = 0 closed form
     of an Ohmic (eta, s, omega_c); dephasing_exponent's Gauss-Legendre branch is no
     reference, as it is off by up to 2e-8 at such points."""
@@ -478,7 +475,7 @@ def test_block_and_decay_factor_match_the_closed_forms(dissipative, t, omega_q, 
         j = Lorentzian(*line)
         model = dissipative_coupling_model(j, omega_q)
         got = general_decay_factor(model, QubitState.excited(), t, binary_phases(*binary))
-        want = decay_factor_overlap(j, lambda w: filter_diss(w, t, *binary, omega_q), omega_q)
+        want = oracle_overlap(j, lambda w: filter_diss(w, t, *binary, omega_q), omega_q)
     else:
         j = Ohmic(*ohmic)
         got = second_order_block(dephasing_coupling_model(j), QubitState.plus(), t)[0, 1]
@@ -566,6 +563,38 @@ class TestPairWeightChecks:
             second_order_block(model, QubitState.excited(), 0.2)
         with pytest.raises(QuadratureError, match="did not converge"):
             general_decay_factor(model, QubitState.excited(), 0.4, binary_phases(1, 0))
+        with pytest.raises(QuadratureError, match="did not converge"):
+            decay_factor_overlap(RippledDensity(), lambda w: filter_diss(w, 0.4, 1, 0, 1.0), 1.0)
+
+    def test_a_block_below_the_normal_range_converges(self):
+        # at t = 4.6e-156 the block's entries are about 5e-311, where a value rounds to a
+        # multiple of 2**-1074 rather than to eps of itself; the rule's tolerance of 2**-1064
+        # holds that (the relative tests alone bisected until the budget raised), and the block
+        # keeps the t^2 law of short times to the ~1e-11 that its 38 bits allow
+        model = dissipative_coupling_model(LORENTZIAN, omega_q=1.0)
+        t = 4.597859784760922e-156
+        block = second_order_block(model, QubitState.excited(), t)
+        want = second_order_block(model, QubitState.excited(), 1e-100) * (t / 1e-100) ** 2
+        assert np.max(np.abs(block - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("omega_q", [1.0, 3.0], ids=["off-line", "on-line"])
+    def test_a_narrow_line_at_the_cut_is_resolved(self, omega_q):
+        # the line of width 1e-4 at 3 with its cut at 3.0012 fell between the nodes of one
+        # panel and of its halves, and the block and the decay factor read 0 with no error;
+        # the last panel, graded toward the cut, reaches it.  The reference sums 2,000 order-20
+        # panels across the line; rounding of the nodes near w = 3 limits the routes to ~1e-12
+        j, t = GaussianPeak(3.0, 1e-8), 0.5
+        model = dissipative_coupling_model(j, omega_q)
+        line = np.linspace(3.0 - 14e-4, j.omega_max, 2001)
+        loss = order20_sum(j, lambda w: t * t * sinc((w - omega_q) * t / 2.0) ** 2, line)
+        block = second_order_block(model, QubitState.excited(), t)
+        assert np.max(np.abs(block - np.diag([-loss, loss]))) <= 1e-12 * loss
+        got = general_decay_factor(model, QubitState.excited(), t, binary_phases(3, 1))
+        f = lambda w: filter_diss(w, t, 3, 1, omega_q)
+        want = order20_sum(j, f, line)
+        assert got == pytest.approx(want, rel=1e-12)
+        # the overlap grades its panels toward the filter's peak from both sides as well
+        assert decay_factor_overlap(j, f, omega_q) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("j, t", [(Lorentzian(4.0, 2.0, 1.0, omega_max=np.inf), 0.5),
                                       (LORENTZIAN, np.inf)], ids=["infinite-cut", "infinite-time"])
@@ -656,7 +685,7 @@ class TestRowBlockedContraction:
     @pytest.mark.parametrize("t", [0.5, 60.0])
     def test_second_order_block_memory_is_bounded(self, t, pool_of):
         # the pair weights take their panels 16 at a time in place of the 28,900-node mesh
-        # of the CLI default t = 0.5: a 0.42 MB peak there and at t = 60 alike
+        # of the CLI default t = 0.5: a 0.33 MB peak there and 0.39 MB at t = 60
         pool_of(2)
         model, psi0, _ = _ENGINE_CASES["diss"]
         tracemalloc.start()
