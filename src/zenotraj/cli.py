@@ -531,8 +531,11 @@ def _deph_landmarks(params, phi, grid):
     sign_change = np.nonzero(np.diff(np.sign(crossing)) != 0)[0]
     if sign_change.size:
         k = sign_change[0]
-        root = brentq(lambda tt: np.sqrt(np.exp(-dephasing_exponent(params, tt))) + c,
-                      grid.times[k], grid.times[k + 1])
+        try:  # the grid brackets a sign change, so a ValueError is a fault of Gamma inside it
+            root = brentq(lambda tt: np.sqrt(single_path_factor(dephasing_exponent(params, tt)))
+                          + c, grid.times[k], grid.times[k + 1])
+        except ValueError as exc:
+            raise NumericError(f"sudden-death root search: {exc}") from exc
         meta["sudden_death_time"] = float(root)
     tail = slice(-max(2, grid.count // 10), None)
     phi_mod_tail = modified_dephasing(phi[tail], 3, 0)

@@ -22,7 +22,7 @@ class QuadratureError(NumericError):
     caller can decide whether the partial result is still useful.
     """
 
-    def __init__(self, message, estimate=None, error_bound=None):
+    def __init__(self, message, estimate, error_bound=None):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound

@@ -1,8 +1,8 @@
 """Generic numerical kernels, each quadrature and series rule written once.
 
 A checked time series type, a real-valued QUADPACK adapter for (possibly
-oscillatory) spectral integrals, one Gauss-Legendre panel rule and the checked
-frequency rule that the filter overlap and the engine's pair weights share, a
+oscillatory) spectral integrals, one Gauss-Legendre node placement under the
+panel rule and the frequency rule that the overlap and the pair weights share, a
 product-trapezoidal Volterra solver, a fixed-step 4th-order density-matrix
 integrator, the run's size budget, and the one worker pool that the dephasing
 exponent and the second-order engine share.
@@ -189,8 +189,7 @@ class Series:
         return self
 
 
-def integrate_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, *, points=(),
-                       weight=None, wvar=None):
+def integrate_adaptive(f, a, b, rel_tol, abs_tol, *, points=(), weight=None, wvar=None):
     """QUADPACK quadrature of a real-valued ``f`` over [a, b] (b may be ``np.inf``).
 
     Returns a float whose reported error bound satisfies
@@ -354,22 +353,16 @@ def _legendre_rule(order):
     return x, w
 
 
-def panel_nodes(edges):
-    """Order-10 Gauss-Legendre rule on each panel between consecutive ``edges``.
-
-    Returns the nodes mid + half * x as a (panels, order) array, the panel
-    half-widths and the weights on [-1, 1]; the panel-weighted sum of f is
-    ``sum(half * (f(nodes) @ w))``.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must contain at least two panel boundaries")
+def panel_nodes(lo, hi):
+    """Order-10 Gauss-Legendre nodes mid + half * x on each panel [lo[k], hi[k]], as a
+    (panels, order) array, with the half-widths and the weights on [-1, 1]; the panel-weighted
+    sum of f is ``sum(half * (f(nodes) @ w))``.  The one place that places a node, for its four
+    users: the engine's (t1, t2) mesh, the dephasing panels (``gauss_legendre_panels``), and the
+    filter overlap and the pair weights (``_frequency_integral``)."""
     x, w = _legendre_rule(_GL_ORDER)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    # mid + half * x, built in one (panels, order) array
+    half = 0.5 * (hi - lo)
     nodes = np.multiply(half[:, None], x)
-    nodes += mid[:, None]
+    nodes += (lo + half)[:, None]
     return nodes, half, w
 
 
@@ -388,11 +381,10 @@ def _frequency_integral(integrand, edges):
     edges = np.concatenate((edges[:1], edges[0] + (edges[1] - edges[0]) * ratios, edges[1:-1],
                             edges[-1] - (edges[-1] - edges[-2]) * ratios[::-1], edges[-1:]))
     edges = edges[np.append(True, np.diff(edges) > 0)]  # none empty past a nonzero end
-    x, w = _legendre_rule(_GL_ORDER)
 
     def sums(lo, hi):  # each panel's integral, and its integral of the largest |value|
-        half = 0.5 * (hi - lo)
-        values, hw = integrand((lo + half)[:, None] + half[:, None] * x), half[:, None] * w
+        nodes, half, w = panel_nodes(lo, hi)
+        values, hw = integrand(nodes), half[:, None] * w
         largest = np.abs(values).reshape(hw.shape + (-1,)).max(2)
         return np.einsum("kn...,kn->k...", values, hw), np.einsum("kn,kn->k", largest, hw)
 
@@ -432,6 +424,9 @@ def gauss_legendre_panels(f, edges):
     ndarray of abscissae. Useful for oscillatory integrands split at their
     natural periods, where adaptive breakpoint lists would be too long.
     """
-    nodes, half, w = panel_nodes(edges)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("edges must contain at least two panel boundaries")
+    nodes, half, w = panel_nodes(edges[:-1], edges[1:])
     vals = f(nodes.ravel()).reshape(nodes.shape)
     return float(np.sum(half * (vals @ w)))

@@ -142,9 +142,10 @@ def _mesh(model, t, nu, keys=_J_KEYS):
     # order-10 nodes per panel on each axis
     _check_size((10.0 * n_pan) * (10.0 * n_pan), _NODE_BYTES, "(t1, t2) mesh nodes", keys)
     n_pan = int(n_pan)
-    t1, half, w = panel_nodes(np.linspace(0.0, t, n_pan + 1))
+    outer, unit = np.linspace(0.0, t, n_pan + 1), np.linspace(0.0, 1.0, n_pan + 1)
+    t1, half, w = panel_nodes(outer[:-1], outer[1:])
     # inner mesh on [0, t1] as the unit mesh scaled by t1
-    u, uh, _ = panel_nodes(np.linspace(0.0, 1.0, n_pan + 1))
+    u, uh, _ = panel_nodes(unit[:-1], unit[1:])
     t1, u = t1.ravel(), u.ravel()
     w1 = (half[:, None] * w).ravel()
     wu = (uh[:, None] * w).ravel()

@@ -732,6 +732,15 @@ class TestMain:
         assert err.count("\n") == 1 and err.startswith("zenotraj: numeric failure: ")
         assert message in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_negative_exponent_in_the_root_bracket_exits_3(self, capsys):
+        # at s = 1e-300 the Ohmic closed form cancels to Gamma = -1.5e284 inside the grid's
+        # bracket [0, 20] of the (3, 1) sign change: a numeric failure, not a sudden death
+        assert main(["nonmarkov", "--model=deph", "--steps=3", "--s=1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("zenotraj: numeric failure: [nonmarkov] sudden-death root search: "
+                       "dephasing exponent must be >= 0\n")
+
     @pytest.mark.parametrize("argv", [
         ["perturbation", "--t", "1e308"],
         ["perturbation", "--lambda", "1e307"],

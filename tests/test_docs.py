@@ -3,6 +3,7 @@ README lists the API and recipes."""
 
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import pathlib
@@ -109,3 +110,9 @@ def test_readme_frequency_rule_states_the_code_numbers():
                    "`2^-1064`"):
         assert stated in bullet, stated
     assert numerics._SUBNORMAL_TOL == 2.0**-1064
+
+
+def test_readme_states_the_quadpack_adapter_signature():
+    # no default tolerance: each caller passes its own
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert f"`integrate_adaptive{inspect.signature(numerics.integrate_adaptive)}`" in text

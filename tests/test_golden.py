@@ -15,6 +15,8 @@ perturbation cases against the QUADPACK overlap.
 """
 
 import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -184,6 +186,30 @@ def test_dephasing_tables_match_quadrature_oracle(argv, monkeypatch):
             assert table.metadata[key] == pytest.approx(want, rel=1e-12, abs=1e-15)
         else:
             assert table.metadata[key] == want
+
+
+# The accuracy ledger: sampled rows of three goldens with an independent reference
+# for each column and the absolute error the table has there, made by
+# tests/reference_oracle.py (30-digit mpmath for the dephasing exponent, the
+# Richardson limit of the Volterra solve on the E1 kernel for G).  A change may
+# lower an error, re-recording the file; it may not raise one.
+LEDGER = json.loads((pathlib.Path(__file__).resolve().parent / "reference_values.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(LEDGER))
+def test_sampled_rows_are_no_further_from_the_reference_than_recorded(key):
+    record, argv = LEDGER[key], key.split()
+    assert argv in [case[0] for case in GOLDEN] and len(record["rows"]) <= 8
+    table = run(parse_config(argv))
+    rows = record["rows"]
+    assert table.values[rows, 0].tolist() == record["t"]
+    assert sorted(record["columns"]) == sorted(table.columns[1:])
+    for name, column in record["columns"].items():
+        got = table.values[rows, table.columns.index(name)]
+        want = np.array([float(value) for value in column["reference"]])
+        bound = 1.01 * np.array(column["error"]) + 1e-15 * np.max(np.abs(want))
+        assert np.all(np.abs(got - want) <= bound), name
 
 
 # Library routes no table above reaches: the full-integrand QUADPACK route

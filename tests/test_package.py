@@ -119,4 +119,4 @@ def test_settable_values_of_the_public_callables_are_bounded():
     counts = {name: _settable(getattr(zenotraj, name)) for name in zenotraj.__all__
               if callable(getattr(zenotraj, name))}
     assert counts["TimeGrid"] == 2 and counts["QubitState"] == 1
-    assert sum(counts.values()) <= 35
+    assert sum(counts.values()) <= 32

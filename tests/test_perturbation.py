@@ -1,6 +1,7 @@
 """Tests for the general second-order engine."""
 
 import functools
+import hashlib
 import os
 import sys
 import threading
@@ -595,6 +596,22 @@ class TestPairWeightChecks:
         assert got == pytest.approx(want, rel=1e-12)
         # the overlap grades its panels toward the filter's peak from both sides as well
         assert decay_factor_overlap(j, f, omega_q) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("omega_q, block_digest, weights_digest", [
+        (1.0, "b8208acaa0f9c7ea160ce42d800b58e6ad8ede87d972a51ddba74fdaa19b5c4a",
+         "7b03b2bae4c713efb9d91126523cd004b3c746ee99c194de0402360866019d4f"),
+        (3.0, "f26e212dc0c05eca9ddcadba58ab44ccfc5dd2e229ed366673214b4e65fddaaa",
+         "714331c0ec2b6bb584d146020526cc04cd4abf6c72172f598dee50489889d340"),
+    ], ids=["off-line", "on-line"])
+    def test_narrow_line_pair_weights_keep_their_bits(self, omega_q, block_digest,
+                                                      weights_digest):
+        # SHA-256 of the bytes of the block and of its (4, 4) pair weights on the narrow line
+        # above: a change to how the frequency rule places or sums its nodes moves them
+        model = dissipative_coupling_model(GaussianPeak(3.0, 1e-8), omega_q)
+        block = second_order_block(model, QubitState.excited(), 0.5)
+        weights = perturbation._bohr_weights(model, 0.5)[1]
+        assert hashlib.sha256(block.tobytes()).hexdigest() == block_digest
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == weights_digest
 
     @pytest.mark.parametrize("j, t", [(Lorentzian(4.0, 2.0, 1.0, omega_max=np.inf), 0.5),
                                       (LORENTZIAN, np.inf)], ids=["infinite-cut", "infinite-time"])
